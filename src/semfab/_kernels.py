@@ -1,9 +1,6 @@
-"""Hot numeric kernels: tetrahedron geometry, element matrices, CSR PCG.
+"""Hot numeric kernels: tetrahedron geometry and element matrices.
 
-Each kernel has a pure-numpy implementation and, when numba is importable,
-an ``@njit`` twin compiled from the same formulas. The environment variable
-``SEMFAB_NUMBA=0`` forces the numpy path (useful on platforms where numba
-is unavailable or for A/B timing, see ``benchmarks/bench_kernels.py``).
+Every kernel is vectorized numpy over all elements at once.
 
 Voigt order used throughout: (xx, yy, zz, xy, yz, zx) with engineering
 shear strains.
@@ -11,34 +8,10 @@ shear strains.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("SEMFAB_NUMBA", "1").strip().lower()
-_want_numba = _flag not in ("0", "false", "off", "no")
 
-if _want_numba:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - depends on environment
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-# PCG status codes
-PCG_CONVERGED = 0
-PCG_MAX_ITER = 1
-PCG_INDEFINITE = 2
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-
-def _tet_volumes_numpy(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
+def tet_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
     p0 = vertices[tets[:, 0]]
     e1 = vertices[tets[:, 1]] - p0
     e2 = vertices[tets[:, 2]] - p0
@@ -46,7 +19,7 @@ def _tet_volumes_numpy(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", e1, np.cross(e2, e3)) / 6.0
 
 
-def _shape_data_numpy(vertices: np.ndarray, tets: np.ndarray):
+def shape_data(vertices: np.ndarray, tets: np.ndarray):
     """Signed volumes and physical gradients of the 4 linear shape functions.
 
     Gradients of N1..N3 are the columns of J^-1 where J rows are the edge
@@ -69,7 +42,7 @@ def _shape_data_numpy(vertices: np.ndarray, tets: np.ndarray):
     return det / 6.0, grads
 
 
-def _strain_matrices_numpy(grads: np.ndarray) -> np.ndarray:
+def _strain_matrices(grads: np.ndarray) -> np.ndarray:
     m = grads.shape[0]
     B = np.zeros((m, 6, 12))
     for a in range(4):
@@ -89,9 +62,9 @@ def _strain_matrices_numpy(grads: np.ndarray) -> np.ndarray:
     return B
 
 
-def _elasticity_matrices_numpy(vertices, tets, young, poisson):
-    vols, grads = _shape_data_numpy(vertices, tets)
-    B = _strain_matrices_numpy(grads)
+def elasticity_matrices(vertices, tets, young, poisson):
+    vols, grads = shape_data(vertices, tets)
+    B = _strain_matrices(grads)
     lam = young * poisson / ((1.0 + poisson) * (1.0 - 2.0 * poisson))
     mu = young / (2.0 * (1.0 + poisson))
     m = tets.shape[0]
@@ -105,251 +78,7 @@ def _elasticity_matrices_numpy(vertices, tets, young, poisson):
     return vols[:, None, None] * np.einsum("eji,ejk->eik", B, CB)
 
 
-def _conduction_matrices_numpy(vertices, tets, conductivity):
-    vols, grads = _shape_data_numpy(vertices, tets)
+def conduction_matrices(vertices, tets, conductivity):
+    vols, grads = shape_data(vertices, tets)
     gg = np.einsum("eik,ejk->eij", grads, grads)
     return (vols * conductivity)[:, None, None] * gg
-
-
-def pcg_matvec(matvec, b, inv_diag, x0, tol, max_iter):
-    """Jacobi-preconditioned CG on an SPD operator given as a matvec closure.
-
-    Returns (x, iterations, residual_history, status). The history holds
-    relative residual norms, entry 0 being the initial residual.
-    """
-    x = x0.astype(np.float64, copy=True)
-    bnorm = np.sqrt(b @ b)
-    hist = np.empty(max_iter + 1)
-    if bnorm == 0.0:
-        hist[0] = 0.0
-        return np.zeros_like(b), 0, hist[:1], PCG_CONVERGED
-    r = b - matvec(x)
-    z = inv_diag * r
-    p = z.copy()
-    rz = r @ z
-    hist[0] = np.sqrt(r @ r) / bnorm
-    if hist[0] <= tol:
-        return x, 0, hist[:1], PCG_CONVERGED
-    for k in range(max_iter):
-        Ap = matvec(p)
-        pAp = p @ Ap
-        if pAp <= 0.0:
-            return x, k, hist[: k + 1], PCG_INDEFINITE
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        res = np.sqrt(r @ r) / bnorm
-        hist[k + 1] = res
-        if res <= tol:
-            return x, k + 1, hist[: k + 2], PCG_CONVERGED
-        z = inv_diag * r
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x, max_iter, hist[: max_iter + 1], PCG_MAX_ITER
-
-
-def _pcg_csr_numpy(indptr, indices, data, b, inv_diag, x0, tol, max_iter):
-    # cumulative-sum CSR matvec keeps this path scipy-free
-    def matvec(x):
-        prod = data * x[indices]
-        acc = np.concatenate(([0.0], np.cumsum(prod)))
-        return acc[indptr[1:]] - acc[indptr[:-1]]
-
-    return pcg_matvec(matvec, b, inv_diag, x0, tol, max_iter)
-
-
-# ---------------------------------------------------------------------------
-# numba twins
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _tet_volumes_numba(vertices, tets):
-        m = tets.shape[0]
-        out = np.empty(m)
-        for e in range(m):
-            p0 = vertices[tets[e, 0]]
-            e1x = vertices[tets[e, 1], 0] - p0[0]
-            e1y = vertices[tets[e, 1], 1] - p0[1]
-            e1z = vertices[tets[e, 1], 2] - p0[2]
-            e2x = vertices[tets[e, 2], 0] - p0[0]
-            e2y = vertices[tets[e, 2], 1] - p0[1]
-            e2z = vertices[tets[e, 2], 2] - p0[2]
-            e3x = vertices[tets[e, 3], 0] - p0[0]
-            e3y = vertices[tets[e, 3], 1] - p0[1]
-            e3z = vertices[tets[e, 3], 2] - p0[2]
-            cx = e2y * e3z - e2z * e3y
-            cy = e2z * e3x - e2x * e3z
-            cz = e2x * e3y - e2y * e3x
-            out[e] = (e1x * cx + e1y * cy + e1z * cz) / 6.0
-        return out
-
-    @njit(cache=True)
-    def _shape_data_numba(vertices, tets):
-        m = tets.shape[0]
-        vols = np.empty(m)
-        grads = np.empty((m, 4, 3))
-        for e in range(m):
-            p0 = vertices[tets[e, 0]]
-            e1 = vertices[tets[e, 1]] - p0
-            e2 = vertices[tets[e, 2]] - p0
-            e3 = vertices[tets[e, 3]] - p0
-            c23x = e2[1] * e3[2] - e2[2] * e3[1]
-            c23y = e2[2] * e3[0] - e2[0] * e3[2]
-            c23z = e2[0] * e3[1] - e2[1] * e3[0]
-            c31x = e3[1] * e1[2] - e3[2] * e1[1]
-            c31y = e3[2] * e1[0] - e3[0] * e1[2]
-            c31z = e3[0] * e1[1] - e3[1] * e1[0]
-            c12x = e1[1] * e2[2] - e1[2] * e2[1]
-            c12y = e1[2] * e2[0] - e1[0] * e2[2]
-            c12z = e1[0] * e2[1] - e1[1] * e2[0]
-            det = e1[0] * c23x + e1[1] * c23y + e1[2] * c23z
-            vols[e] = det / 6.0
-            grads[e, 1, 0] = c23x / det
-            grads[e, 1, 1] = c23y / det
-            grads[e, 1, 2] = c23z / det
-            grads[e, 2, 0] = c31x / det
-            grads[e, 2, 1] = c31y / det
-            grads[e, 2, 2] = c31z / det
-            grads[e, 3, 0] = c12x / det
-            grads[e, 3, 1] = c12y / det
-            grads[e, 3, 2] = c12z / det
-            for j in range(3):
-                grads[e, 0, j] = -(grads[e, 1, j] + grads[e, 2, j] + grads[e, 3, j])
-        return vols, grads
-
-    @njit(cache=True)
-    def _elasticity_matrices_numba(vertices, tets, young, poisson):
-        m = tets.shape[0]
-        vols, grads = _shape_data_numba(vertices, tets)
-        out = np.empty((m, 12, 12))
-        B = np.zeros((6, 12))
-        C = np.zeros((6, 6))
-        for e in range(m):
-            lam = young[e] * poisson[e] / ((1.0 + poisson[e]) * (1.0 - 2.0 * poisson[e]))
-            mu = young[e] / (2.0 * (1.0 + poisson[e]))
-            for i in range(3):
-                for j in range(3):
-                    C[i, j] = lam
-                C[i, i] = lam + 2.0 * mu
-                C[3 + i, 3 + i] = mu
-            B[:, :] = 0.0
-            for a in range(4):
-                bx = grads[e, a, 0]
-                by = grads[e, a, 1]
-                bz = grads[e, a, 2]
-                c = 3 * a
-                B[0, c] = bx
-                B[1, c + 1] = by
-                B[2, c + 2] = bz
-                B[3, c] = by
-                B[3, c + 1] = bx
-                B[4, c + 1] = bz
-                B[4, c + 2] = by
-                B[5, c] = bz
-                B[5, c + 2] = bx
-            out[e] = vols[e] * (B.T @ (C @ B))
-        return out
-
-    @njit(cache=True)
-    def _conduction_matrices_numba(vertices, tets, conductivity):
-        m = tets.shape[0]
-        vols, grads = _shape_data_numba(vertices, tets)
-        out = np.empty((m, 4, 4))
-        for e in range(m):
-            s = vols[e] * conductivity[e]
-            for i in range(4):
-                for j in range(4):
-                    dot = (
-                        grads[e, i, 0] * grads[e, j, 0]
-                        + grads[e, i, 1] * grads[e, j, 1]
-                        + grads[e, i, 2] * grads[e, j, 2]
-                    )
-                    out[e, i, j] = s * dot
-        return out
-
-    @njit(cache=True)
-    def _pcg_csr_numba(indptr, indices, data, b, inv_diag, x0, tol, max_iter):
-        n = b.shape[0]
-        x = x0.copy()
-        hist = np.empty(max_iter + 1)
-        bnorm = 0.0
-        for i in range(n):
-            bnorm += b[i] * b[i]
-        bnorm = np.sqrt(bnorm)
-        if bnorm == 0.0:
-            hist[0] = 0.0
-            return np.zeros(n), 0, hist[:1], PCG_CONVERGED
-        r = np.empty(n)
-        for i in range(n):
-            s = 0.0
-            for jj in range(indptr[i], indptr[i + 1]):
-                s += data[jj] * x[indices[jj]]
-            r[i] = b[i] - s
-        z = inv_diag * r
-        p = z.copy()
-        rz = 0.0
-        rr = 0.0
-        for i in range(n):
-            rz += r[i] * z[i]
-            rr += r[i] * r[i]
-        hist[0] = np.sqrt(rr) / bnorm
-        if hist[0] <= tol:
-            return x, 0, hist[:1], PCG_CONVERGED
-        Ap = np.empty(n)
-        for k in range(max_iter):
-            pAp = 0.0
-            for i in range(n):
-                s = 0.0
-                for jj in range(indptr[i], indptr[i + 1]):
-                    s += data[jj] * p[indices[jj]]
-                Ap[i] = s
-                pAp += p[i] * s
-            if pAp <= 0.0:
-                return x, k, hist[: k + 1], PCG_INDEFINITE
-            alpha = rz / pAp
-            rr = 0.0
-            for i in range(n):
-                x[i] += alpha * p[i]
-                r[i] -= alpha * Ap[i]
-                rr += r[i] * r[i]
-            res = np.sqrt(rr) / bnorm
-            hist[k + 1] = res
-            if res <= tol:
-                return x, k + 1, hist[: k + 2], PCG_CONVERGED
-            rz_new = 0.0
-            for i in range(n):
-                z[i] = inv_diag[i] * r[i]
-                rz_new += r[i] * z[i]
-            beta = rz_new / rz
-            for i in range(n):
-                p[i] = z[i] + beta * p[i]
-            rz = rz_new
-        return x, max_iter, hist[: max_iter + 1], PCG_MAX_ITER
-
-    tet_volumes = _tet_volumes_numba
-    shape_data = _shape_data_numba
-    elasticity_matrices = _elasticity_matrices_numba
-    conduction_matrices = _conduction_matrices_numba
-    pcg_csr = _pcg_csr_numba
-else:
-    tet_volumes = _tet_volumes_numpy
-    shape_data = _shape_data_numpy
-    elasticity_matrices = _elasticity_matrices_numpy
-    conduction_matrices = _conduction_matrices_numpy
-    pcg_csr = _pcg_csr_numpy
-
-
-def warmup():
-    """Trigger JIT compilation of all kernels on a one-element mesh."""
-    verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
-    tets = np.array([[0, 1, 2, 3]], dtype=np.int64)
-    tet_volumes(verts, tets)
-    shape_data(verts, tets)
-    elasticity_matrices(verts, tets, np.array([1.0]), np.array([0.25]))
-    conduction_matrices(verts, tets, np.array([1.0]))
-    indptr = np.array([0, 1], dtype=np.int64)
-    indices = np.array([0], dtype=np.int64)
-    pcg_csr(indptr, indices, np.array([2.0]), np.array([1.0]), np.array([0.5]),
-            np.array([0.0]), 1e-12, 5)

@@ -393,7 +393,9 @@ def cmd_report(args):
 def build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--tol", type=_positive_float, default=None,
-                        help="linear-solver tolerance")
+                        help="optimize, simulate: the optimizer's "
+                        "projected-gradient tolerance; verify: the largest "
+                        "relative residual accepted from a sparse FEM solve")
     shared.add_argument("--max-iter", dest="max_iter", type=_positive_int,
                         default=None, help="optimizer iteration cap")
     shared.add_argument("--log-level", dest="log_level", default=None,

@@ -28,11 +28,12 @@ class BindError(SemfabError, ValueError):
 
 
 class WellPosednessError(SemfabError, ValueError):
-    """Assembled system has no usable Dirichlet data for the requested physics."""
+    """Assembled system has no usable Dirichlet data for the requested physics,
+    or its reduced matrix is singular or not positive definite."""
 
 
 class SolverFailure(SemfabError, RuntimeError):
-    """Iterative solver did not converge or hit an indefinite matrix."""
+    """Linear solve left a relative residual above the requested tolerance."""
 
     def __init__(self, message: str, residual_history=None):
         super().__init__(message)

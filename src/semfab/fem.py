@@ -2,8 +2,8 @@
 analogue, steady-state heat conduction.
 
 Boundary conditions are imposed by reduction: prescribed dofs are eliminated,
-the free block is solved (PCG with diagonal preconditioning, dense Cholesky
-under 300 free dofs), and reactions are recovered as (K U - F_ext) at the
+the free block is solved (dense Cholesky under 300 free dofs, sparse LU
+above), and reactions are recovered as (K U - F_ext) at the
 prescribed dofs. Assembly is serial and in ascending element order, so
 results are reproducible bit for bit.
 """
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from . import _kernels
 from .errors import SolverFailure, WellPosednessError
@@ -50,7 +51,6 @@ class FieldSolution:
     physics: str
     values: np.ndarray
     reactions: dict[int, np.ndarray | float]
-    iterations: int
     residual: float
     method: str
 
@@ -195,13 +195,43 @@ def assemble(spec, fld, physics: str) -> FemSystem:
     )
 
 
-def _solve_free(system: FemSystem, tol: float, max_iter: int | None):
-    """Solve the reduced SPD block; returns (x, iterations, residual, method)."""
+def _sparse_factor(K_ff: scipy.sparse.csr_matrix):
+    """Sparse LU of the reduced block, pivoting on the diagonal only.
+
+    Diagonal pivoting makes the factorization a symmetric L D L^T with D on
+    U's diagonal, so by Sylvester's law of inertia the block is SPD exactly
+    when the row and column orders agree and D is positive.
+    """
+    try:
+        lu = scipy.sparse.linalg.splu(
+            K_ff.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise WellPosednessError(f"reduced matrix is singular: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c) or np.any(lu.U.diagonal() <= 0.0):
+        raise WellPosednessError("reduced matrix is not positive definite")
+    return lu
+
+
+def _relative_residual(K_ff, x: np.ndarray, b: np.ndarray) -> float:
+    bnorm = np.linalg.norm(b)
+    return float(np.linalg.norm(K_ff @ x - b) / bnorm) if bnorm > 0 else 0.0
+
+
+def _solve_free(system: FemSystem, tol: float):
+    """Solve the reduced SPD block; returns (x, residual, method).
+
+    The sparse path raises SolverFailure when the relative residual exceeds
+    `tol`. The dense path returns its residual unchecked.
+    """
     K_ff = system.K[system.free][:, system.free].tocsr()
     b = system.rhs
     n = b.shape[0]
     if n == 0:
-        return np.zeros(0), 0, 0.0, "dense"
+        return np.zeros(0), 0.0, "dense"
     if n < DENSE_CUTOFF:
         try:
             chol = scipy.linalg.cho_factor(K_ff.toarray())
@@ -210,40 +240,26 @@ def _solve_free(system: FemSystem, tol: float, max_iter: int | None):
                 f"reduced matrix is not positive definite: {exc}"
             ) from exc
         x = scipy.linalg.cho_solve(chol, b)
-        bnorm = np.linalg.norm(b)
-        res = np.linalg.norm(K_ff @ x - b) / bnorm if bnorm > 0 else 0.0
-        return x, 0, float(res), "dense"
-    if max_iter is None:
-        max_iter = 10 * n + 100
-    diag = K_ff.diagonal()
-    if np.any(diag <= 0.0):
-        raise WellPosednessError("nonpositive diagonal entry in reduced matrix")
-    x, iters, history, status = _kernels.pcg_csr(
-        K_ff.indptr.astype(np.int64),
-        K_ff.indices.astype(np.int64),
-        K_ff.data,
-        b,
-        1.0 / diag,
-        np.zeros(n),
-        tol,
-        max_iter,
-    )
-    if status == _kernels.PCG_INDEFINITE:
-        raise WellPosednessError("conjugate gradient hit an indefinite direction")
-    if status == _kernels.PCG_MAX_ITER:
+        return x, _relative_residual(K_ff, x, b), "dense"
+    x = _sparse_factor(K_ff).solve(b)
+    res = _relative_residual(K_ff, x, b)
+    if res > tol:
         raise SolverFailure(
-            f"PCG did not reach tol {tol:g} in {max_iter} iterations "
-            f"(residual {history[-1]:.3e})",
-            residual_history=history.tolist(),
+            f"sparse LU left relative residual {res:.3e} above tol {tol:g}",
+            residual_history=[res],
         )
-    return x, int(iters), float(history[-1]), "pcg"
+    return x, res, "sparse_lu"
 
 
-def solve(system: FemSystem, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> FieldSolution:
-    """Solve K U = F under the system's boundary conditions."""
+def solve(system: FemSystem, tol: float = DEFAULT_TOL) -> FieldSolution:
+    """Solve K U = F under the system's boundary conditions.
+
+    `tol` is the largest relative residual ||K_ff x - b|| / ||b|| accepted
+    from the sparse path; see `_solve_free`.
+    """
     if tol is None:
         tol = DEFAULT_TOL
-    x, iters, res, method = _solve_free(system, tol, max_iter)
+    x, res, method = _solve_free(system, tol)
     ndof = system.dofs_per_vertex * system.n_vertices
     U = np.zeros(ndof)
     U[system.free] = x
@@ -266,14 +282,13 @@ def solve(system: FemSystem, tol: float = DEFAULT_TOL, max_iter: int | None = No
         physics=system.physics,
         values=values,
         reactions=reactions,
-        iterations=iters,
         residual=res,
         method=method,
     )
 
 
-def adjoint_solve(system: FemSystem, weights: np.ndarray, tol: float = DEFAULT_TOL,
-                  max_iter: int | None = None) -> np.ndarray:
+def adjoint_solve(system: FemSystem, weights: np.ndarray,
+                  tol: float = DEFAULT_TOL) -> np.ndarray:
     """Solve K_ff lambda = w_f; returns the full-length adjoint vector with
     zeros at prescribed dofs. `weights` has one entry per global dof."""
     reduced = FemSystem(
@@ -287,7 +302,7 @@ def adjoint_solve(system: FemSystem, weights: np.ndarray, tol: float = DEFAULT_T
         n_vertices=system.n_vertices,
         dofs_per_vertex=system.dofs_per_vertex,
     )
-    x, _, _, _ = _solve_free(reduced, tol, max_iter)
+    x, _, _ = _solve_free(reduced, tol)
     lam = np.zeros(len(weights))
     lam[system.free] = x
     return lam
@@ -331,7 +346,6 @@ def solution_to_dict(solution: FieldSolution) -> dict:
         "reactions": reactions,
         "diagnostics": {
             "physics": solution.physics,
-            "iterations": solution.iterations,
             "residual": solution.residual,
             "method": solution.method,
         },

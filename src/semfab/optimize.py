@@ -728,7 +728,7 @@ def inversion_solve(
         {
             "iter": 0,
             "objective": objective0,
-            "max_violation": _merit(problem, x, 0.0, False)[2],
+            "max_violation": max([0.0] + [v.excess for v in verdicts0]),
             "step_norm": 0.0,
         }
     ]

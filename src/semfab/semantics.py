@@ -685,7 +685,6 @@ def check_material_property(
     prop: PropertySpec,
     fld: MaterialField,
     tol: float = 1e-10,
-    max_iter: int | None = None,
 ) -> PropertyVerdict:
     """Check a property that needs material assumptions (and maybe a solve)."""
     if prop.category != "material_dependent":
@@ -698,20 +697,14 @@ def check_material_property(
     if prop.quantity == "mass":
         measured = float(np.dot(fld.density, spec.mesh.volumes()))
     elif prop.quantity == "max_displacement":
-        sol = fem.solve(
-            fem.assemble(spec, fld, "elasticity"), tol=tol, max_iter=max_iter
-        )
+        sol = fem.solve(fem.assemble(spec, fld, "elasticity"), tol=tol)
         disp = sol.values[list(prop.vertices)]
         measured = float(np.linalg.norm(disp, axis=1).max())
     elif prop.quantity == "nodal_temperature":
-        sol = fem.solve(
-            fem.assemble(spec, fld, "conduction"), tol=tol, max_iter=max_iter
-        )
+        sol = fem.solve(fem.assemble(spec, fld, "conduction"), tol=tol)
         measured = float(sol.values[list(prop.vertices)].max())
     elif prop.quantity == "average_temperature":
-        sol = fem.solve(
-            fem.assemble(spec, fld, "conduction"), tol=tol, max_iter=max_iter
-        )
+        sol = fem.solve(fem.assemble(spec, fld, "conduction"), tol=tol)
         weights = vertex_volume_weights(spec.mesh)
         measured = float(np.dot(weights, sol.values) / weights.sum())
     else:  # pragma: no cover - _QUANTITIES is the single source of quantities

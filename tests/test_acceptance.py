@@ -21,15 +21,9 @@ from conftest import (
     write_bar_files,
 )
 
-from semfab import _kernels, cli, fem, mesh, optimize, printsim, semantics
+from semfab import cli, fem, mesh, optimize, printsim, semantics
 
 DOCS_EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # timed criteria must measure compute, not JIT compilation
-    _kernels.warmup()
 
 
 def _pass(num, name, detail=""):

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from semfab.errors import SolverFailure, WellPosednessError
 from semfab.fem import (
+    DENSE_CUTOFF,
     FemSystem,
     adjoint_solve,
     assemble,
@@ -201,12 +202,17 @@ def test_assemble_requires_dirichlet_data():
 
 
 def test_zero_load_gives_zero_displacement():
-    mesh = generate_box_mesh(2, 2, 2, [1.0, 1.0, 1.0])
-    spec = fixed_bottom_spec(mesh)
-    sol = solve(assemble(spec, MaterialField.uniform(mesh.n_elements, young=10.0),
-                         "elasticity"))
-    assert np.abs(sol.values).max() == 0.0
-    assert all(np.abs(r).max() == 0.0 for r in sol.reactions.values())
+    # one mesh on each side of the dense cutoff
+    for cells, size, method in (((2, 2, 2), [1.0, 1.0, 1.0], "dense"),
+                                ((3, 3, 8), [1.0, 1.0, 8.0], "sparse_lu")):
+        mesh = generate_box_mesh(*cells, size)
+        spec = fixed_bottom_spec(mesh)
+        sol = solve(assemble(
+            spec, MaterialField.uniform(mesh.n_elements, young=10.0), "elasticity"
+        ))
+        assert sol.method == method
+        assert np.abs(sol.values).max() == 0.0
+        assert all(np.abs(r).max() == 0.0 for r in sol.reactions.values())
 
 
 def linear_patch_spec(mesh, A):
@@ -277,24 +283,29 @@ def test_reactions_balance_applied_load():
     assert_allclose(total, [0.0, 0.0, 100.0], atol=1e-8 * 100.0)
 
 
-def test_pcg_path_matches_dense_path():
+def test_sparse_path_matches_dense_solve():
     # large enough to cross the dense cutoff
     mesh, spec, fld, top = shaft_problem(n_radial=32, n_axial=10)
     system = assemble(spec, fld, "elasticity")
+    assert system.free.size >= DENSE_CUTOFF
     sol = solve(system, tol=1e-12)
-    assert sol.method == "pcg"
+    assert sol.method == "sparse_lu"
+    assert sol.residual <= 1e-12
     K_ff = system.K[system.free][:, system.free].toarray()
     dense = np.linalg.solve(K_ff, system.rhs)
-    pcg = sol.values.reshape(-1)[system.free]
-    assert np.abs(pcg - dense).max() <= 1e-9 * max(1.0, np.abs(dense).max())
+    sparse = sol.values.reshape(-1)[system.free]
+    assert np.abs(sparse - dense).max() <= 1e-9 * max(1.0, np.abs(dense).max())
 
 
 def test_solver_failure_carries_residual_history():
+    # a tol below the residual that the sparse factorization achieves
     mesh, spec, fld, top = shaft_problem(n_radial=32, n_axial=10)
     system = assemble(spec, fld, "elasticity")
+    achieved = solve(system).residual
+    assert 0.0 < achieved <= 1e-10
     with pytest.raises(SolverFailure) as err:
-        solve(system, tol=1e-14, max_iter=3)
-    assert len(err.value.residual_history) == 4
+        solve(system, tol=achieved / 10.0)
+    assert err.value.residual_history == [achieved]
 
 
 def _manual_system(K, b):
@@ -313,14 +324,13 @@ def _manual_system(K, b):
 
 
 def test_indefinite_matrix_flagged_dense_and_iterative():
-    n = 4
-    K = scipy.sparse.identity(n + 1, format="csr") * -1.0
-    with pytest.raises(WellPosednessError):
-        solve(_manual_system(K, np.ones(n)))
-    n = 400
-    K = scipy.sparse.identity(n + 1, format="csr") * -1.0
-    with pytest.raises(WellPosednessError):
-        solve(_manual_system(K, np.ones(n)))
+    # indefinite and singular reduced blocks, on each side of the cutoff
+    for n in (4, 400):
+        indefinite = scipy.sparse.identity(n + 1, format="csr") * -1.0
+        singular = scipy.sparse.diags(np.r_[np.ones(n - 1), 0.0, 1.0]).tocsr()
+        for K in (indefinite, singular):
+            with pytest.raises(WellPosednessError):
+                solve(_manual_system(K, np.ones(n)))
 
 
 def test_conduction_bar_linear_profile_exact():
@@ -386,15 +396,17 @@ def test_compliance_decreases_when_any_element_stiffens():
 
 
 def test_adjoint_solve_matches_direct_inverse():
-    mesh, spec, fld, top = shaft_problem(n_radial=8, n_axial=3)
-    system = assemble(spec, fld, "elasticity")
-    w = np.zeros(3 * mesh.n_vertices)
-    w[3 * int(top[0]) + 2] = 1.0
-    lam = adjoint_solve(system, w)
-    K_ff = system.K[system.free][:, system.free].toarray()
-    expected = np.linalg.solve(K_ff, w[system.free])
-    assert_allclose(lam[system.free], expected, atol=1e-9 * np.abs(expected).max())
-    assert np.abs(lam[system.prescribed]).max() == 0.0
+    for n_radial, n_axial in ((8, 3), (32, 10)):  # dense and sparse path
+        mesh, spec, fld, top = shaft_problem(n_radial=n_radial, n_axial=n_axial)
+        system = assemble(spec, fld, "elasticity")
+        w = np.zeros(3 * mesh.n_vertices)
+        w[3 * int(top[0]) + 2] = 1.0
+        lam = adjoint_solve(system, w)
+        K_ff = system.K[system.free][:, system.free].toarray()
+        expected = np.linalg.solve(K_ff, w[system.free])
+        assert_allclose(lam[system.free], expected,
+                        atol=1e-9 * np.abs(expected).max())
+        assert np.abs(lam[system.prescribed]).max() == 0.0
 
 
 def test_verify_nodal_bounds():

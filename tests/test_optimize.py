@@ -385,6 +385,15 @@ def test_trace_schema_and_jsonl_dump(tmp_path):
                                "step_norm"}
 
 
+def test_zero_iteration_solve_count_is_pinned():
+    # the start-point check, the phase's first merit evaluation and the
+    # final check; the trace's start entry reuses the start-point check
+    result = optimize.inversion_solve(cube_compliance_problem(), max_iter=0)
+    assert result.iterations == 0 and result.feasible
+    assert result.fem_solves == 3
+    assert result.trace[0]["max_violation"] == 0.0
+
+
 def test_free_elements_need_finite_ranges():
     m = mesh.generate_box_mesh(1, 1, 1, (1.0, 1.0, 1.0))
     bottom = [i for i in range(m.n_vertices) if m.vertices[i, 2] < 1e-9]

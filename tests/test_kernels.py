@@ -1,26 +1,7 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 import scipy.sparse
-from numpy.testing import assert_allclose
 
-from semfab import _kernels as K
-
-
-def random_problem(seed=0, n_verts=50, n_tets=30):
-    rng = np.random.default_rng(seed)
-    verts = rng.normal(scale=3.0, size=(n_verts, 3))
-    tets = np.array(
-        [rng.choice(n_verts, 4, replace=False) for _ in range(n_tets)],
-        dtype=np.int64,
-    )
-    young = rng.uniform(1.0, 500.0, n_tets)
-    poisson = rng.uniform(-0.4, 0.45, n_tets)
-    cond = rng.uniform(0.1, 5.0, n_tets)
-    return verts, tets, young, poisson, cond
+from semfab import fem
 
 
 def spd_system(seed=1, n=150):
@@ -31,113 +12,11 @@ def spd_system(seed=1, n=150):
     return A, b
 
 
-needs_numba = pytest.mark.skipif(
-    not K.NUMBA_ENABLED, reason="numba backend not active"
-)
-
-
-@needs_numba
-def test_geometry_kernels_agree_across_backends():
-    verts, tets, young, poisson, cond = random_problem()
-    assert_allclose(
-        K._tet_volumes_numba(verts, tets),
-        K._tet_volumes_numpy(verts, tets),
-        rtol=1e-13,
-        atol=1e-15,
-    )
-    v_nb, g_nb = K._shape_data_numba(verts, tets)
-    v_np, g_np = K._shape_data_numpy(verts, tets)
-    assert_allclose(v_nb, v_np, rtol=1e-13, atol=1e-15)
-    assert_allclose(g_nb, g_np, rtol=1e-12, atol=1e-13)
-
-
-@needs_numba
-def test_element_matrix_kernels_agree_across_backends():
-    verts, tets, young, poisson, cond = random_problem(seed=4)
-    ke_nb = K._elasticity_matrices_numba(verts, tets, young, poisson)
-    ke_np = K._elasticity_matrices_numpy(verts, tets, young, poisson)
-    scale = np.abs(ke_np).max()
-    assert np.abs(ke_nb - ke_np).max() <= 1e-12 * scale
-    kc_nb = K._conduction_matrices_numba(verts, tets, cond)
-    kc_np = K._conduction_matrices_numpy(verts, tets, cond)
-    assert np.abs(kc_nb - kc_np).max() <= 1e-12 * np.abs(kc_np).max()
-
-
-@needs_numba
-def test_pcg_backends_reach_same_solution():
-    A, b = spd_system()
-    inv_diag = 1.0 / A.diagonal()
-    args = (
-        A.indptr.astype(np.int64),
-        A.indices.astype(np.int64),
-        A.data,
-        b,
-        inv_diag,
-        np.zeros_like(b),
-        1e-12,
-        2000,
-    )
-    x_nb, it_nb, hist_nb, st_nb = K._pcg_csr_numba(*args)
-    x_np, it_np, hist_np, st_np = K._pcg_csr_numpy(*args)
-    assert st_nb == K.PCG_CONVERGED and st_np == K.PCG_CONVERGED
-    exact = np.linalg.solve(A.toarray(), b)
-    assert np.abs(x_nb - exact).max() <= 1e-9 * np.abs(exact).max()
-    assert np.abs(x_np - exact).max() <= 1e-9 * np.abs(exact).max()
-
-
 def test_pcg_zero_rhs_returns_zero():
+    # The sparse LU that replaced the PCG keeps its zero-rhs contract:
+    # an exact zero solution and a zero relative residual.
     A, _ = spd_system()
     b = np.zeros(A.shape[0])
-    x, iters, hist, status = K.pcg_csr(
-        A.indptr.astype(np.int64), A.indices.astype(np.int64), A.data,
-        b, 1.0 / A.diagonal(), np.ones_like(b), 1e-12, 100,
-    )
-    assert status == K.PCG_CONVERGED
-    assert iters == 0
+    x = fem._sparse_factor(A).solve(b)
     assert np.all(x == 0.0)
-
-
-def test_pcg_status_codes():
-    A, b = spd_system()
-    common = (
-        A.indptr.astype(np.int64), A.indices.astype(np.int64), A.data, b,
-        1.0 / A.diagonal(), np.zeros_like(b),
-    )
-    x, iters, hist, status = K.pcg_csr(*common, 1e-14, 2)
-    assert status == K.PCG_MAX_ITER
-    assert len(hist) == iters + 1
-
-    neg = scipy.sparse.identity(b.size, format="csr") * -1.0
-    x, iters, hist, status = K.pcg_csr(
-        neg.indptr.astype(np.int64), neg.indices.astype(np.int64), neg.data,
-        b, -np.ones_like(b), np.zeros_like(b), 1e-12, 10,
-    )
-    assert status == K.PCG_INDEFINITE
-
-
-def test_pcg_history_is_relative_and_converged():
-    A, b = spd_system(seed=9)
-    x, iters, hist, status = K.pcg_csr(
-        A.indptr.astype(np.int64), A.indices.astype(np.int64), A.data, b,
-        1.0 / A.diagonal(), np.zeros_like(b), 1e-11, 2000,
-    )
-    assert status == K.PCG_CONVERGED
-    assert hist[0] == 1.0  # started from x0 = 0
-    assert hist[-1] <= 1e-11
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, SEMFAB_NUMBA="0")
-    code = (
-        "from semfab import _kernels as K; "
-        "print(K.NUMBA_ENABLED, K.tet_volumes is K._tet_volumes_numpy)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "True"]
-
-
-def test_warmup_runs_all_kernels():
-    K.warmup()
+    assert fem._relative_residual(A, x, b) == 0.0

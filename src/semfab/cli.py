@@ -179,15 +179,9 @@ def cmd_verify(args):
     else:
         with open(args.field, encoding="utf-8") as fh:
             field = semantics.field_from_dict(json.load(fh))
-    tol = _resolve(args, "tol")
-    verdicts = []
-    for prop in spec.properties:
-        if prop.category == "direct":
-            verdicts.append(semantics.check_direct_property(spec, prop))
-        else:
-            verdicts.append(
-                semantics.check_material_property(spec, prop, field, tol=tol)
-            )
+    verdicts, _ = semantics.check_properties(
+        spec, field, tol=_resolve(args, "tol")
+    )
     print(_verdict_table(verdicts))
     failed = [v.name for v in verdicts if not v.passed]
     if failed:

@@ -1,16 +1,26 @@
 """Direct stiffness method on tetrahedra: linear elasticity and its scalar
 analogue, steady-state heat conduction.
 
+K is linear in Young's modulus at a fixed Poisson ratio and linear in the
+conductivity, so every element matrix is its parameter times a unit matrix
+k̂_e. An :class:`AssemblyPlan`, built once per (specification, physics),
+holds the unit matrices, the fixed CSR pattern of K with the slot of every
+element entry in it, the free/prescribed split and the pattern of the free
+block K_ff. Assembly scales the unit matrices and sums them into the fixed
+pattern in ascending element order, so results are reproducible bit for bit.
+
 Boundary conditions are imposed by reduction: prescribed dofs are eliminated,
 the free block is solved (dense Cholesky under 300 free dofs, sparse LU
-above), and reactions are recovered as (K U - F_ext) at the
-prescribed dofs. Assembly is serial and in ascending element order, so
-results are reproducible bit for bit.
+above), and reactions are recovered as (K U - F_ext) at the prescribed dofs.
+A system factors K_ff once, on its first solve; the adjoint solves of the
+same system reuse that factor, with the same definiteness checks and the
+same residual guard.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -22,6 +32,7 @@ from .errors import SolverFailure, WellPosednessError
 
 DENSE_CUTOFF = 300  # free dofs below this solve via Cholesky
 DEFAULT_TOL = 1e-10
+_DOFS_PER_VERTEX = {"elasticity": 3, "conduction": 1}
 
 
 @dataclass(frozen=True)
@@ -29,6 +40,30 @@ class ElementMatrix:
     element: int
     matrix: np.ndarray
     dof_map: np.ndarray
+
+
+@dataclass(frozen=True)
+class AssemblyPlan:
+    """The parts of one (specification, physics) system that the material
+    field does not change; see the module docstring."""
+
+    physics: str
+    n_vertices: int
+    dofs_per_vertex: int
+    element_dofs: np.ndarray  # (m, k) global dof of each element-matrix row
+    unit: np.ndarray  # (m, k, k) element matrices at unit E or conductivity
+    poisson: np.ndarray | None  # Poisson ratios of the elasticity `unit`
+    scatter: np.ndarray  # (m*k*k,) slot in K.data of each element entry
+    indptr: np.ndarray  # CSR pattern of K
+    indices: np.ndarray
+    f_ext: np.ndarray
+    free: np.ndarray
+    prescribed: np.ndarray
+    prescribed_values: np.ndarray
+    u_prescribed: np.ndarray  # full-length, prescribed values, zero elsewhere
+    ff_slots: np.ndarray  # slot in K.data of each K_ff entry, CSC order
+    ff_indptr: np.ndarray  # CSC pattern of K_ff
+    ff_indices: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -42,6 +77,15 @@ class FemSystem:
     rhs: np.ndarray  # f_ext[free] - K[free, prescribed] @ prescribed_values
     n_vertices: int
     dofs_per_vertex: int
+    # set by assemble; a system built by hand takes K_ff from K and has no
+    # element sensitivities
+    K_ff: scipy.sparse.csc_matrix | None = None
+    unit: np.ndarray | None = None
+    element_dofs: np.ndarray | None = None
+    # (K_ff, method, solve) of the factored free block, made by the first
+    # solve; it only caches what K_ff determines, so the system stays a value
+    _factor: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
 
 @dataclass(frozen=True)
@@ -106,27 +150,25 @@ def element_conductance(tet_coords, conductivity: float) -> ElementMatrix:
     return ElementMatrix(0, k, np.arange(4))
 
 
-def element_matrices(mesh, fld, physics: str) -> np.ndarray:
-    """Batch element matrices for a whole mesh, (m,12,12) or (m,4,4)."""
-    vols = mesh.volumes()
-    eps = 1e-12 * mesh.bbox_diagonal() ** 3
-    bad = np.flatnonzero(vols <= eps)
-    if bad.size:
-        raise ValueError(f"degenerate tet {bad[0]}, signed volume {vols[bad[0]]:.3e}")
+def _element_parameter(fld, physics: str) -> np.ndarray:
+    """The per-element parameter K is linear in, after the field's checks."""
     if physics == "elasticity":
         if np.any(fld.young <= 0.0):
             raise ValueError("young modulus must be positive for every element")
         _check_poisson(fld.poisson)
-        return _kernels.elasticity_matrices(
-            mesh.vertices, mesh.tets, fld.young, fld.poisson
-        )
-    if physics == "conduction":
-        if np.any(fld.conductivity <= 0.0):
-            raise ValueError("conductivity must be positive for every element")
-        return _kernels.conduction_matrices(
-            mesh.vertices, mesh.tets, fld.conductivity
-        )
-    raise ValueError(f"unknown physics {physics!r}")
+        return fld.young
+    if np.any(fld.conductivity <= 0.0):
+        raise ValueError("conductivity must be positive for every element")
+    return fld.conductivity
+
+
+def _unit_matrices(mesh, physics: str, poisson) -> np.ndarray:
+    """Element matrices at unit Young modulus or conductivity, (m,k,k)."""
+    ones = np.ones(mesh.n_elements)
+    if physics == "elasticity":
+        return _kernels.elasticity_matrices(mesh.vertices, mesh.tets, ones,
+                                            poisson)
+    return _kernels.conduction_matrices(mesh.vertices, mesh.tets, ones)
 
 
 def element_dof_maps(tets: np.ndarray, dofs_per_vertex: int) -> np.ndarray:
@@ -138,26 +180,8 @@ def element_dof_maps(tets: np.ndarray, dofs_per_vertex: int) -> np.ndarray:
     return em.reshape(tets.shape[0], -1)
 
 
-def assemble(spec, fld, physics: str) -> FemSystem:
-    """Build the global system for a bound specification and material field.
-
-    `spec` supplies the mesh, prescribed values, and applied loads/fluxes;
-    `fld` supplies per-element parameters. Raises WellPosednessError when the
-    requested physics has no Dirichlet data at all.
-    """
-    mesh = spec.mesh
-    matrices = element_matrices(mesh, fld, physics)
-    dpv = 3 if physics == "elasticity" else 1
-    ndof = dpv * mesh.n_vertices
-
-    em = element_dof_maps(mesh.tets, dpv)
-    k = matrices.shape[1]
-    rows = np.repeat(em, k, axis=1).reshape(-1)
-    cols = np.tile(em, (1, k)).reshape(-1)
-    K = scipy.sparse.coo_matrix(
-        (matrices.reshape(-1), (rows, cols)), shape=(ndof, ndof)
-    ).tocsr()
-
+def _boundary_data(spec, physics: str, ndof: int):
+    """Applied loads and the sorted prescribed dofs with their values."""
     f_ext = np.zeros(ndof)
     prescribed_map: dict[int, float] = {}
     if physics == "elasticity":
@@ -171,31 +195,153 @@ def assemble(spec, fld, physics: str) -> FemSystem:
             f_ext[vid] += flux
         for vid, temp in spec.prescribed_temperatures.items():
             prescribed_map[vid] = temp
-
     if not prescribed_map:
         raise WellPosednessError(
             f"no prescribed values for {physics}; the system is singular"
         )
     prescribed = np.array(sorted(prescribed_map), dtype=np.int64)
     prescribed_values = np.array([prescribed_map[d] for d in prescribed])
+    return f_ext, prescribed, prescribed_values
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
+    """Build the field-independent part of the `physics` system of `spec`.
+
+    `fld` supplies the Poisson ratios of the elasticity unit matrices; a
+    field with other ratios still assembles from the plan, at the cost of
+    building its unit matrices again. Raises ValueError for an unknown
+    physics or a degenerate tet, and WellPosednessError when the physics
+    has no Dirichlet data at all.
+    """
+    if physics not in _DOFS_PER_VERTEX:
+        raise ValueError(f"unknown physics {physics!r}")
+    mesh = spec.mesh
+    dpv = _DOFS_PER_VERTEX[physics]
+    ndof = dpv * mesh.n_vertices
+    f_ext, prescribed, prescribed_values = _boundary_data(spec, physics, ndof)
+
+    vols = mesh.volumes()
+    eps = 1e-12 * mesh.bbox_diagonal() ** 3
+    bad = np.flatnonzero(vols <= eps)
+    if bad.size:
+        raise ValueError(f"degenerate tet {bad[0]}, signed volume {vols[bad[0]]:.3e}")
+    poisson = None
+    if physics == "elasticity":
+        _check_poisson(fld.poisson)
+        poisson = np.array(fld.poisson, dtype=np.float64)
+    unit = _unit_matrices(mesh, physics, poisson)
+
+    # sorted unique (row, col) keys are K's CSR order; the inverse index is
+    # the slot each element entry is summed into
+    em = element_dof_maps(mesh.tets, dpv)
+    k = em.shape[1]
+    rows = np.repeat(em, k, axis=1).reshape(-1)
+    cols = np.tile(em, (1, k)).reshape(-1)
+    keys, scatter = np.unique(rows * ndof + cols, return_inverse=True)
+    counts = np.bincount(keys // ndof, minlength=ndof)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    slots = scipy.sparse.csr_matrix(
+        (np.arange(1, keys.size + 1), keys % ndof, indptr), shape=(ndof, ndof)
+    )
+
     mask = np.ones(ndof, dtype=bool)
     mask[prescribed] = False
     free = np.flatnonzero(mask)
-    rhs = f_ext[free] - K[free][:, prescribed] @ prescribed_values
-    return FemSystem(
+    u_prescribed = np.zeros(ndof)
+    u_prescribed[prescribed] = prescribed_values
+    ff = slots[free][:, free].tocsc()
+    ff.sort_indices()
+    plan = AssemblyPlan(
         physics=physics,
-        K=K,
+        n_vertices=mesh.n_vertices,
+        dofs_per_vertex=dpv,
+        element_dofs=em,
+        unit=unit,
+        poisson=poisson,
+        scatter=scatter,
+        indptr=slots.indptr,
+        indices=slots.indices,
         f_ext=f_ext,
         free=free,
         prescribed=prescribed,
         prescribed_values=prescribed_values,
+        u_prescribed=u_prescribed,
+        ff_slots=ff.data - 1,
+        ff_indptr=ff.indptr,
+        ff_indices=ff.indices,
+    )
+    # every system assembled from the plan shares these arrays
+    _read_only(unit, scatter, slots.indptr, slots.indices, f_ext, free,
+               prescribed, prescribed_values, u_prescribed, plan.ff_slots,
+               ff.indptr, ff.indices)
+    return plan
+
+
+def assemble(spec, fld, physics: str, plan: AssemblyPlan | None = None
+             ) -> FemSystem:
+    """Build the global system for a bound specification and material field.
+
+    `spec` supplies the mesh, prescribed values, and applied loads/fluxes;
+    `fld` supplies per-element parameters. `plan` is `assembly_plan(spec,
+    physics, ...)`, built here when not given. Raises ValueError for a
+    non-positive parameter or a Poisson ratio outside (-1, 0.5), and
+    WellPosednessError when the requested physics has no Dirichlet data.
+    """
+    if plan is None:
+        plan = assembly_plan(spec, physics, fld)
+    elif plan.physics != physics:
+        raise ValueError(f"plan is for {plan.physics}, not {physics}")
+    scale = _element_parameter(fld, physics)
+    unit = plan.unit
+    if plan.poisson is not None and not np.array_equal(fld.poisson,
+                                                       plan.poisson):
+        unit = _unit_matrices(spec.mesh, physics, fld.poisson)
+    ndof = plan.dofs_per_vertex * plan.n_vertices
+    data = np.bincount(
+        plan.scatter,
+        weights=(scale[:, None, None] * unit).reshape(-1),
+        minlength=plan.indices.size,
+    )
+    K = scipy.sparse.csr_matrix((data, plan.indices, plan.indptr),
+                                shape=(ndof, ndof))
+    K_ff = scipy.sparse.csc_matrix(
+        (data[plan.ff_slots], plan.ff_indices, plan.ff_indptr),
+        shape=(plan.free.size, plan.free.size),
+    )
+    rhs = plan.f_ext[plan.free] - (K @ plan.u_prescribed)[plan.free]
+    return FemSystem(
+        physics=physics,
+        K=K,
+        f_ext=plan.f_ext,
+        free=plan.free,
+        prescribed=plan.prescribed,
+        prescribed_values=plan.prescribed_values,
         rhs=rhs,
-        n_vertices=mesh.n_vertices,
-        dofs_per_vertex=dpv,
+        n_vertices=plan.n_vertices,
+        dofs_per_vertex=plan.dofs_per_vertex,
+        K_ff=K_ff,
+        unit=unit,
+        element_dofs=plan.element_dofs,
     )
 
 
-def _sparse_factor(K_ff: scipy.sparse.csr_matrix):
+def element_sensitivity(system: FemSystem, lam: np.ndarray,
+                        u: np.ndarray) -> np.ndarray:
+    """lam_e . k̂_e u_e for every element e, which is d(lam . K u)/dp_e for
+    the parameter p that K is linear in (Young's modulus at fixed Poisson
+    ratio, or conductivity). `lam` and `u` are full-length dof vectors."""
+    if system.unit is None:
+        raise ValueError("element sensitivities need a system from assemble")
+    maps = system.element_dofs
+    return np.einsum("ei,eij,ej->e", lam[maps], system.unit, u[maps])
+
+
+def _sparse_factor(K_ff: scipy.sparse.spmatrix):
     """Sparse LU of the reduced block, pivoting on the diagonal only.
 
     Diagonal pivoting makes the factorization a symmetric L D L^T with D on
@@ -221,34 +367,44 @@ def _relative_residual(K_ff, x: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(K_ff @ x - b) / bnorm) if bnorm > 0 else 0.0
 
 
-def _solve_free(system: FemSystem, tol: float):
-    """Solve the reduced SPD block; returns (x, residual, method).
+def _factor(system: FemSystem):
+    """(K_ff, method, solve) of the system's free block, factored once."""
+    if system._factor is None:
+        K_ff = system.K_ff
+        if K_ff is None:
+            K_ff = system.K[system.free][:, system.free].tocsc()
+        if K_ff.shape[0] < DENSE_CUTOFF:
+            try:
+                chol = scipy.linalg.cho_factor(K_ff.toarray())
+            except np.linalg.LinAlgError as exc:
+                raise WellPosednessError(
+                    f"reduced matrix is not positive definite: {exc}"
+                ) from exc
+            factor = (K_ff, "dense", functools.partial(scipy.linalg.cho_solve,
+                                                       chol))
+        else:
+            factor = (K_ff, "sparse_lu", _sparse_factor(K_ff).solve)
+        object.__setattr__(system, "_factor", factor)
+    return system._factor
+
+
+def _solve_free(system: FemSystem, b: np.ndarray, tol: float):
+    """Solve K_ff x = b; returns (x, residual, method).
 
     The sparse path raises SolverFailure when the relative residual exceeds
     `tol`. The dense path returns its residual unchecked.
     """
-    K_ff = system.K[system.free][:, system.free].tocsr()
-    b = system.rhs
-    n = b.shape[0]
-    if n == 0:
+    if b.shape[0] == 0:
         return np.zeros(0), 0.0, "dense"
-    if n < DENSE_CUTOFF:
-        try:
-            chol = scipy.linalg.cho_factor(K_ff.toarray())
-        except np.linalg.LinAlgError as exc:
-            raise WellPosednessError(
-                f"reduced matrix is not positive definite: {exc}"
-            ) from exc
-        x = scipy.linalg.cho_solve(chol, b)
-        return x, _relative_residual(K_ff, x, b), "dense"
-    x = _sparse_factor(K_ff).solve(b)
+    K_ff, method, factor_solve = _factor(system)
+    x = factor_solve(b)
     res = _relative_residual(K_ff, x, b)
-    if res > tol:
+    if method == "sparse_lu" and res > tol:
         raise SolverFailure(
             f"sparse LU left relative residual {res:.3e} above tol {tol:g}",
             residual_history=[res],
         )
-    return x, res, "sparse_lu"
+    return x, res, method
 
 
 def solve(system: FemSystem, tol: float = DEFAULT_TOL) -> FieldSolution:
@@ -259,7 +415,7 @@ def solve(system: FemSystem, tol: float = DEFAULT_TOL) -> FieldSolution:
     """
     if tol is None:
         tol = DEFAULT_TOL
-    x, res, method = _solve_free(system, tol)
+    x, res, method = _solve_free(system, system.rhs, tol)
     ndof = system.dofs_per_vertex * system.n_vertices
     U = np.zeros(ndof)
     U[system.free] = x
@@ -289,20 +445,11 @@ def solve(system: FemSystem, tol: float = DEFAULT_TOL) -> FieldSolution:
 
 def adjoint_solve(system: FemSystem, weights: np.ndarray,
                   tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Solve K_ff lambda = w_f; returns the full-length adjoint vector with
-    zeros at prescribed dofs. `weights` has one entry per global dof."""
-    reduced = FemSystem(
-        physics=system.physics,
-        K=system.K,
-        f_ext=np.zeros_like(system.f_ext),
-        free=system.free,
-        prescribed=system.prescribed,
-        prescribed_values=np.zeros_like(system.prescribed_values),
-        rhs=np.asarray(weights, dtype=np.float64)[system.free],
-        n_vertices=system.n_vertices,
-        dofs_per_vertex=system.dofs_per_vertex,
-    )
-    x, _, _ = _solve_free(reduced, tol)
+    """Solve K_ff lambda = w_f with the system's factor; returns the
+    full-length adjoint vector with zeros at prescribed dofs. `weights` has
+    one entry per global dof."""
+    weights = np.asarray(weights, dtype=np.float64)
+    x, _, _ = _solve_free(system, weights[system.free], tol)
     lam = np.zeros(len(weights))
     lam[system.free] = x
     return lam

@@ -6,6 +6,7 @@ Units are millimetres throughout. All generated meshes are conforming
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -35,8 +36,33 @@ class VolumetricMesh:
         return self.tets.shape[0]
 
     def volumes(self) -> np.ndarray:
-        """Signed volume of every tet (positive for valid meshes)."""
-        return _kernels.tet_volumes(self.vertices, self.tets)
+        """Signed volume of every tet (positive for valid meshes).
+
+        Computed once per mesh; the array is read-only.
+        """
+        return self._volumes
+
+    def vertex_volume_weights(self) -> np.ndarray:
+        """Nodal weights w_i = sum of V_e/4 over elements touching vertex i.
+
+        Computed once per mesh; the array is read-only.
+        """
+        return self._vertex_weights
+
+    # a mesh is immutable, so what depends on it alone is cached on it
+    @functools.cached_property
+    def _volumes(self) -> np.ndarray:
+        vols = _kernels.tet_volumes(self.vertices, self.tets)
+        vols.flags.writeable = False
+        return vols
+
+    @functools.cached_property
+    def _vertex_weights(self) -> np.ndarray:
+        weights = np.zeros(self.n_vertices)
+        np.add.at(weights, self.tets.reshape(-1),
+                  np.repeat(self.volumes() / 4.0, 4))
+        weights.flags.writeable = False
+        return weights
 
     def centroids(self) -> np.ndarray:
         return self.vertices[self.tets].mean(axis=1)

@@ -299,10 +299,8 @@ class _PropertyConstraint:
 
 
 def _average_temperature(problem, ctx, need_grad):
-    from .semantics import vertex_volume_weights
-
     solution = ctx.solution("conduction")
-    weights = vertex_volume_weights(problem.spec.mesh)
+    weights = problem.spec.mesh.vertex_volume_weights()
     total = weights.sum()
     measured = float(weights @ solution.values) / total
     if not need_grad or problem.parameter != "conductivity":
@@ -311,19 +309,23 @@ def _average_temperature(problem, ctx, need_grad):
 
 
 class _FemContext:
-    """Caches solves and element matrices for one parameter vector."""
+    """Systems and solves at one parameter vector.
+
+    A context is handed on, explicitly, to the next evaluation at the same
+    point, so that point is not assembled, factored or solved again.
+    """
 
     def __init__(self, problem, x):
         self.problem = problem
         self.field = problem.field_for(x)
         self._systems = {}
         self._solutions = {}
-        self._matrices = {}
 
     def system(self, physics):
         if physics not in self._systems:
             self._systems[physics] = fem.assemble(
-                self.problem.spec, self.field, physics
+                self.problem.spec, self.field, physics,
+                plan=self.problem.assembly_plan(physics),
             )
         return self._systems[physics]
 
@@ -334,13 +336,6 @@ class _FemContext:
             )
             self.problem.solve_count += 1
         return self._solutions[physics]
-
-    def matrices(self, physics):
-        if physics not in self._matrices:
-            self._matrices[physics] = fem.element_matrices(
-                self.problem.spec.mesh, self.field, physics
-            )
-        return self._matrices[physics]
 
     def n_dofs(self, physics):
         dpv = 3 if physics == "elasticity" else 1
@@ -358,17 +353,9 @@ class _FemContext:
         return self._element_sensitivity(physics, lam)
 
     def _element_sensitivity(self, physics, lam):
-        mesh = self.problem.spec.mesh
-        dpv = 3 if physics == "elasticity" else 1
-        maps = fem.element_dof_maps(mesh.tets, dpv)
-        primal = self.primal_flat(physics)
-        matrices = self.matrices(physics)
-        values = self.field.values(self.problem.parameter)
-        return (
-            -np.einsum(
-                "ei,eij,ej->e", lam[maps], matrices, primal[maps]
-            )
-            / values
+        # u solves K u = f, so d(lam . u)/dp_e = -lam . (dK/dp_e) u
+        return -fem.element_sensitivity(
+            self.system(physics), lam, self.primal_flat(physics)
         )
 
 
@@ -424,10 +411,11 @@ class InversionProblem:
             lipschitz = _lipschitz_from_spec(spec, self.parameter)
         self.lipschitz = lipschitz
         self.solve_count = 0
+        self._plans = {}
 
     def with_frozen(self, frozen_idx, frozen_values):
         """Same problem with a different frozen/free split."""
-        return InversionProblem(
+        problem = InversionProblem(
             self.spec,
             self.objective,
             parameter=self.parameter,
@@ -437,6 +425,17 @@ class InversionProblem:
             lipschitz=self.lipschitz,
             solver_tol=self.solver_tol,
         )
+        # same spec and base field, so the same assembly plans
+        problem._plans = self._plans
+        return problem
+
+    def assembly_plan(self, physics):
+        """The :class:`fem.AssemblyPlan` of ``physics``, built on first use."""
+        if physics not in self._plans:
+            self._plans[physics] = fem.assembly_plan(
+                self.spec, physics, self.base_field
+            )
+        return self._plans[physics]
 
     def field_for(self, x):
         return self.base_field.with_values(
@@ -558,9 +557,13 @@ def evaluate_objective(problem, free_values):
     return value, grad[problem.free_idx]
 
 
-def _merit(problem, x, weight, need_grad):
-    """Objective plus squared-hinge penalties; also the raw max violation."""
-    ctx = problem.context(x)
+def _merit(problem, x, weight, need_grad, ctx=None):
+    """Objective plus squared-hinge penalties; also the raw max violation.
+
+    ``ctx``, when given, is a context at ``x`` whose solves are reused.
+    """
+    if ctx is None:
+        ctx = problem.context(x)
     if need_grad:
         obj, grad = problem.objective_and_gradient(x, ctx)
     else:
@@ -586,9 +589,13 @@ def _merit(problem, x, weight, need_grad):
     return merit, obj, max_violation, grad
 
 
-def verify_constraints(problem, x, feas_tol=DEFAULT_FEAS_TOL):
-    """Penalty-free feasibility check; returns (feasible, verdicts, objective)."""
-    ctx = problem.context(x)
+def verify_constraints(problem, x, feas_tol=DEFAULT_FEAS_TOL, ctx=None):
+    """Penalty-free feasibility check; returns (feasible, verdicts, objective).
+
+    ``ctx``, when given, is a context at ``x`` whose solves are reused.
+    """
+    if ctx is None:
+        ctx = problem.context(x)
     objective = problem.objective_value(x, ctx)
     verdicts = []
     for constraint in problem.constraints:
@@ -625,8 +632,14 @@ def verify_constraints(problem, x, feas_tol=DEFAULT_FEAS_TOL):
     return feasible, tuple(verdicts), objective
 
 
-def _pgd_phase(problem, x, weight, tol, max_iter, trace, iter_offset):
-    """One penalty phase of projected gradient descent in box coordinates."""
+def _pgd_phase(problem, x, weight, tol, max_iter, trace, iter_offset,
+               ctx=None):
+    """One penalty phase of projected gradient descent in box coordinates.
+
+    ``ctx`` is a context at ``x``, used when the phase starts at exactly
+    ``x``. Returns the final point, the iteration count and the context of
+    the final point, or None when the last evaluation was elsewhere.
+    """
     free = problem.free_idx
     lo = problem.boxes[free, 0]
     width = problem.boxes[free, 1] - lo
@@ -638,7 +651,10 @@ def _pgd_phase(problem, x, weight, tol, max_iter, trace, iter_offset):
         return full
 
     xi = np.clip((x[free] - lo) / scale, 0.0, 1.0)
-    merit, obj, max_violation, grad = _merit(problem, compose(xi), weight, True)
+    x_cur = compose(xi)
+    if ctx is None or not np.array_equal(x_cur, x):
+        ctx = problem.context(x_cur)
+    merit, obj, max_violation, grad = _merit(problem, x_cur, weight, True, ctx)
     grad_xi = grad[free] * width
     # per-coordinate curvature estimates: penalty walls and the smooth
     # objective can differ by many orders, so one scalar step starves
@@ -656,11 +672,14 @@ def _pgd_phase(problem, x, weight, tol, max_iter, trace, iter_offset):
         direction = grad_xi / curv
         step_ok = False
         trial = 1.0
+        ctx = None  # the line search drops the current point's context
         while trial >= MIN_STEP:
             xi_try = np.clip(xi - trial * direction, 0.0, 1.0)
             step = xi_try - xi
+            x_try = compose(xi_try)
+            ctx = problem.context(x_try)
             merit_try, obj_try, viol_try, _ = _merit(
-                problem, compose(xi_try), weight, False
+                problem, x_try, weight, False, ctx
             )
             # roundoff allowance: near the optimum a genuine descent step
             # can produce a merit difference that rounds to zero
@@ -670,14 +689,15 @@ def _pgd_phase(problem, x, weight, tol, max_iter, trace, iter_offset):
                 break
             trial *= 0.5
         if not step_ok:
+            ctx = None  # the last evaluation was not at the current point
             break
         step_norm = float(np.linalg.norm((xi_try - xi) * width))
         xi_prev, grad_prev = xi, grad_xi
-        xi = xi_try
+        xi, x_cur = xi_try, x_try
         iterations += 1
         merit_prev = merit
         merit, obj, max_violation, grad = _merit(
-            problem, compose(xi), weight, True
+            problem, x_cur, weight, True, ctx
         )
         if merit_prev - merit <= 1e-14 * (1.0 + abs(merit_prev)):
             stagnant += 1
@@ -696,7 +716,7 @@ def _pgd_phase(problem, x, weight, tol, max_iter, trace, iter_offset):
                 "step_norm": step_norm,
             }
         )
-    return compose(xi), iterations
+    return x_cur, iterations, ctx
 
 
 def inversion_solve(
@@ -723,7 +743,10 @@ def inversion_solve(
             problem.boxes[problem.free_idx, 0],
             problem.boxes[problem.free_idx, 1],
         )
-    feasible0, verdicts0, objective0 = verify_constraints(problem, x, feas_tol)
+    ctx = problem.context(x)
+    feasible0, verdicts0, objective0 = verify_constraints(
+        problem, x, feas_tol, ctx
+    )
     trace = [
         {
             "iter": 0,
@@ -751,11 +774,15 @@ def inversion_solve(
     total_iters = 0
     feasible, verdicts, objective = False, (), objective0
     for _ in range(max_escalations + 1):
-        x, iterations = _pgd_phase(
-            problem, x, weight, tol, max_iter, trace, total_iters
+        x, iterations, ctx = _pgd_phase(
+            problem, x, weight, tol, max_iter, trace, total_iters, ctx
         )
         total_iters += iterations
-        feasible, verdicts, objective = verify_constraints(problem, x, feas_tol)
+        if ctx is None:
+            ctx = problem.context(x)
+        feasible, verdicts, objective = verify_constraints(
+            problem, x, feas_tol, ctx
+        )
         if feasible:
             break
         # the equilibrium excess of a squared hinge scales as 1/weight, so

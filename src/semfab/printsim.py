@@ -106,10 +106,30 @@ class SensorModel:
 
 
 @dataclasses.dataclass(frozen=True)
-class Measurement:
-    layer: int
-    element: int
-    log_value: float
+class MeasurementLog:
+    """Every sensor reading of a print, one entry per (layer, element) read,
+    as three columns in reading order."""
+
+    layer: np.ndarray = dataclasses.field(
+        default_factory=lambda: np.empty(0, dtype=np.intp))
+    element: np.ndarray = dataclasses.field(
+        default_factory=lambda: np.empty(0, dtype=np.intp))
+    log_value: np.ndarray = dataclasses.field(
+        default_factory=lambda: np.empty(0))
+
+    def __len__(self):
+        return self.element.size
+
+    def extended(self, layer, elements, log_values):
+        """A new log with one layer's readings appended."""
+        elements = np.asarray(elements, dtype=np.intp)
+        return MeasurementLog(
+            layer=np.concatenate(
+                [self.layer, np.full(elements.size, layer, dtype=np.intp)]),
+            element=np.concatenate([self.element, elements]),
+            log_value=np.concatenate(
+                [self.log_value, np.asarray(log_values, dtype=np.float64)]),
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,7 +147,8 @@ class EstimatorState:
     value: np.ndarray
     counts: np.ndarray
     prior_variance: float
-    measurements: tuple = ()
+    measurements: MeasurementLog = dataclasses.field(
+        default_factory=MeasurementLog)
 
     @classmethod
     def from_commanded(cls, commanded_values, prior_sd=DEFAULT_PRIOR_SD):
@@ -189,17 +210,14 @@ class EstimatorState:
         mean[ids] = post_mean
         var[ids] = post_var
         counts[ids] += 1
-        new_records = tuple(
-            Measurement(int(layer), int(e), float(m))
-            for e, m in zip(ids, measured_log)
-        )
         return EstimatorState(
             mean_log=mean,
             variance=var,
             value=value,
             counts=counts,
             prior_variance=self.prior_variance,
-            measurements=self.measurements + new_records,
+            measurements=self.measurements.extended(int(layer), ids,
+                                                    measured_log),
         )
 
 
@@ -259,7 +277,8 @@ class PrintState:
     achieved: MaterialField
     estimated: MaterialField
     history: tuple = ()
-    measurements: tuple = ()
+    measurements: MeasurementLog = dataclasses.field(
+        default_factory=MeasurementLog)
 
     @property
     def n_layers(self):
@@ -293,7 +312,8 @@ class PrintReport:
     layer_height: float
     parameter: str
     abort: AbortDecision | None = None
-    measurements: tuple = ()
+    measurements: MeasurementLog = dataclasses.field(
+        default_factory=MeasurementLog)
 
     def __post_init__(self):
         if self.outcome == "success" and any(
@@ -453,27 +473,13 @@ def control_step(state, problem, strategy, previous_result, model=None,
     )
 
 
-_SOLVE_QUANTITIES = (
-    "max_displacement", "nodal_temperature", "average_temperature"
-)
-
-
-def final_verification(problem, achieved_field, tol=optimize.DEFAULT_TOL):
-    """Check every annotated property under the ground-truth field."""
-    verdicts = []
-    solves = 0
-    for prop in problem.spec.properties:
-        if prop.category == "direct":
-            verdicts.append(semantics.check_direct_property(problem.spec, prop))
-        else:
-            verdicts.append(
-                semantics.check_material_property(
-                    problem.spec, prop, achieved_field, tol=tol
-                )
-            )
-            if prop.quantity in _SOLVE_QUANTITIES:
-                solves += 1
-    return tuple(verdicts), solves
+def final_verification(problem, achieved_field):
+    """Check every annotated property under the ground-truth field, at the
+    problem's FEM tolerance; returns (verdicts, FEM solves made)."""
+    return semantics.check_properties(
+        problem.spec, achieved_field, tol=problem.solver_tol,
+        plan_for=problem.assembly_plan,
+    )
 
 
 def run_print(problem, initial_plan, actuator, sensor, policy, seed,
@@ -571,9 +577,7 @@ def run_print(problem, initial_plan, actuator, sensor, policy, seed,
             abort=abort,
             measurements=state.measurements,
         )
-    verdicts, verification_solves = final_verification(
-        problem, state.achieved, tol=tol
-    )
+    verdicts, verification_solves = final_verification(problem, state.achieved)
     outcome = "success" if all(v.passed for v in verdicts) else "spec_fail"
     return PrintReport(
         outcome=outcome,

@@ -689,31 +689,72 @@ def check_material_property(
     """Check a property that needs material assumptions (and maybe a solve)."""
     if prop.category != "material_dependent":
         raise ValueError(f"property {prop.name!r} is direct, not material_dependent")
+    _check_field_size(spec, fld)
+    return _material_verdict(
+        spec, prop, fld, lambda physics: _solve(spec, fld, physics, tol, None)
+    )
+
+
+def check_properties(
+    spec: BoundSpecification,
+    fld: MaterialField,
+    tol: float = 1e-10,
+    plan_for=None,
+) -> tuple[tuple[PropertyVerdict, ...], int]:
+    """Check every property of `spec` under `fld`; returns the verdicts in
+    property order and the number of FEM solves made.
+
+    Each physics is assembled and solved at most once, however many
+    properties read its solution. `plan_for(physics)`, when given, supplies
+    the assembly plan of `spec` for that physics.
+    """
+    _check_field_size(spec, fld)
+    solutions = {}
+
+    def solution(physics):
+        if physics not in solutions:
+            solutions[physics] = _solve(spec, fld, physics, tol, plan_for)
+        return solutions[physics]
+
+    verdicts = tuple(
+        check_direct_property(spec, prop)
+        if prop.category == "direct"
+        else _material_verdict(spec, prop, fld, solution)
+        for prop in spec.properties
+    )
+    return verdicts, len(solutions)
+
+
+def _check_field_size(spec: BoundSpecification, fld: MaterialField) -> None:
     if fld.n_elements != spec.mesh.n_elements:
         raise ValueError("field does not match mesh element count")
 
+
+def _solve(spec, fld, physics, tol, plan_for):
     from . import fem  # deferred: fem does not depend back on this module
 
+    plan = None if plan_for is None else plan_for(physics)
+    return fem.solve(fem.assemble(spec, fld, physics, plan=plan), tol=tol)
+
+
+def _material_verdict(spec, prop, fld, solution) -> PropertyVerdict:
     if prop.quantity == "mass":
         measured = float(np.dot(fld.density, spec.mesh.volumes()))
     elif prop.quantity == "max_displacement":
-        sol = fem.solve(fem.assemble(spec, fld, "elasticity"), tol=tol)
-        disp = sol.values[list(prop.vertices)]
+        disp = solution("elasticity").values[list(prop.vertices)]
         measured = float(np.linalg.norm(disp, axis=1).max())
     elif prop.quantity == "nodal_temperature":
-        sol = fem.solve(fem.assemble(spec, fld, "conduction"), tol=tol)
-        measured = float(sol.values[list(prop.vertices)].max())
+        measured = float(solution("conduction").values[list(prop.vertices)].max())
     elif prop.quantity == "average_temperature":
-        sol = fem.solve(fem.assemble(spec, fld, "conduction"), tol=tol)
         weights = vertex_volume_weights(spec.mesh)
-        measured = float(np.dot(weights, sol.values) / weights.sum())
+        temps = solution("conduction").values
+        measured = float(np.dot(weights, temps) / weights.sum())
     else:  # pragma: no cover - _QUANTITIES is the single source of quantities
         raise ValueError(f"unhandled quantity {prop.quantity!r}")
     return _verdict(prop, measured)
 
 
 def vertex_volume_weights(mesh: VolumetricMesh) -> np.ndarray:
-    """Nodal weights w_i = sum of V_e/4 over elements touching vertex i."""
-    weights = np.zeros(mesh.n_vertices)
-    np.add.at(weights, mesh.tets.reshape(-1), np.repeat(mesh.volumes() / 4.0, 4))
-    return weights
+    """Nodal weights w_i = sum of V_e/4 over elements touching vertex i,
+    computed once per mesh; the array is read-only."""
+    return mesh.vertex_volume_weights()

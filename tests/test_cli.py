@@ -1,13 +1,15 @@
 """Command-level tests: exit codes, greppable failure lines, file outputs."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import bar_tip_displacement, layered_bar_problem, write_bar_files
 
-from semfab import cli, mesh, printsim, semantics
+from semfab import cli, fem, mesh, printsim, semantics
 
+DOCS_EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 BOX = (60000.0, 120000.0)
 E_HI = BOX[1]
 
@@ -101,6 +103,28 @@ def test_verify_nominal_failing_bound_exits_1(tmp_path, capsys):
     assert rc == 1
     assert "FAIL" in out
     assert "SEMFAB-FAIL[verify]" in out and "tip" in out
+
+
+def test_verify_thermal_plate_solves_conduction_once(tmp_path, monkeypatch,
+                                                    capsys):
+    # hot_edge and bulk_heat both read the one conduction solution
+    mesh_path = tmp_path / "plate_mesh.json"
+    mesh.save_mesh(mesh.generate_box_mesh(4, 1, 4, (4.0, 1.0, 4.0)),
+                   mesh_path)
+    solved = []
+    original = fem.solve
+
+    def counted(system, *args, **kwargs):
+        solved.append(system.physics)
+        return original(system, *args, **kwargs)
+
+    monkeypatch.setattr(fem, "solve", counted)
+    rc = run_cli("verify", mesh_path, DOCS_EXAMPLES / "thermal-plate.json",
+                 "--nominal")
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "hot_edge" in out and "bulk_heat" in out
+    assert solved == ["conduction"]
 
 
 def test_verify_explicit_field_file(tmp_path, capsys):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from semfab import fem
 from semfab.errors import SolverFailure, WellPosednessError
 from semfab.fem import (
     DENSE_CUTOFF,
@@ -446,3 +448,103 @@ def test_solution_dump_shape():
     assert set(doc["reactions"]) == {
         str(int(v)) for v in np.flatnonzero(mesh.vertices[:, 2] == 0.0)
     }
+
+
+def _reference_K(mesh, fld, physics):
+    """Global K by a per-call COO build from the direct element kernels."""
+    from semfab import _kernels
+
+    if physics == "elasticity":
+        dpv = 3
+        mats = _kernels.elasticity_matrices(
+            mesh.vertices, mesh.tets, fld.young, fld.poisson)
+    else:
+        dpv = 1
+        mats = _kernels.conduction_matrices(
+            mesh.vertices, mesh.tets, fld.conductivity)
+    em = (mesh.tets[:, :, None] * dpv + np.arange(dpv)).reshape(
+        mesh.n_elements, -1)
+    k = em.shape[1]
+    rows = np.repeat(em, k, axis=1).reshape(-1)
+    cols = np.tile(em, (1, k)).reshape(-1)
+    ndof = dpv * mesh.n_vertices
+    return scipy.sparse.coo_matrix(
+        (mats.reshape(-1), (rows, cols)), shape=(ndof, ndof)).tocsr()
+
+
+def _random_field(rng, m, poisson):
+    return MaterialField(
+        young=rng.uniform(1.0, 500.0, m),
+        poisson=poisson,
+        conductivity=rng.uniform(0.05, 5.0, m),
+        density=np.ones(m),
+        provenance=np.full(m, "commanded", dtype="<U9"),
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       physics=st.sampled_from(["elasticity", "conduction"]))
+def test_plan_assembly_matches_coo_reference(seed, physics):
+    rng = np.random.default_rng(seed)
+    mesh = generate_box_mesh(2, 2, 3, [1.0, 1.3, 2.0])
+    jitter = rng.uniform(-0.05, 0.05, mesh.vertices.shape)
+    mesh = VolumetricMesh(mesh.vertices + jitter, mesh.tets)
+    z = mesh.vertices[:, 2]
+    bottom = np.flatnonzero(z < 0.1)
+    doc = {"vertex_annotations": {str(int(v)): {"displacement": "fixed",
+                                                "temperature": 300.0}
+                                  for v in bottom}}
+    for v in np.flatnonzero(z > 1.9):
+        doc["vertex_annotations"][str(int(v))] = {"force": [0.1, 0.0, -1.0],
+                                                  "flux": 0.5}
+    spec = bind_to_mesh(layer_from_dict(doc), mesh)
+    m = mesh.n_elements
+    poisson = rng.uniform(-0.5, 0.45, m)
+    fields = [_random_field(rng, m, poisson) for _ in range(2)]
+    # other Poisson ratios than the plan was built with
+    fields.append(_random_field(rng, m, rng.uniform(-0.5, 0.45, m)))
+    plan = fem.assembly_plan(spec, physics, fields[0])
+    for fld in fields:
+        system = assemble(spec, fld, physics, plan=plan)
+        ref = _reference_K(mesh, fld, physics)
+        scale = abs(ref).max()
+        assert abs(system.K - ref).max() <= 1e-12 * scale
+        free, fixed = system.free, system.prescribed
+        ref_ff = ref[free][:, free]
+        assert abs(system.K_ff - ref_ff).max() <= 1e-12 * scale
+        ref_rhs = system.f_ext[free] - ref[free][:, fixed] @ \
+            system.prescribed_values
+        assert np.abs(system.rhs - ref_rhs).max() <= \
+            1e-12 * np.abs(ref_rhs).max()
+
+
+def test_adjoint_reuses_the_primal_factor(monkeypatch):
+    factorizations = []
+    for name, module in (("_sparse_factor", fem),
+                         ("cho_factor", scipy.linalg)):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, **kwargs):
+            factorizations.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    for n_radial, n_axial, method in ((8, 3, "dense"),
+                                      (32, 10, "sparse_lu")):
+        mesh, spec, fld, top = shaft_problem(n_radial=n_radial,
+                                             n_axial=n_axial)
+        system = assemble(spec, fld, "elasticity")
+        factorizations.clear()
+        assert solve(system).method == method
+        K_ff = system.K[system.free][:, system.free].toarray()
+        for v in top[:2]:
+            w = np.zeros(3 * mesh.n_vertices)
+            w[3 * int(v) + 2] = 1.0
+            lam = adjoint_solve(system, w)
+            expected = np.linalg.solve(K_ff, w[system.free])
+            residual = np.linalg.norm(K_ff @ lam[system.free] - w[system.free])
+            assert residual <= fem.DEFAULT_TOL * np.linalg.norm(w)
+            assert_allclose(lam[system.free], expected,
+                            atol=1e-9 * np.abs(expected).max())
+        assert len(factorizations) == 1

@@ -386,11 +386,11 @@ def test_trace_schema_and_jsonl_dump(tmp_path):
 
 
 def test_zero_iteration_solve_count_is_pinned():
-    # the start-point check, the phase's first merit evaluation and the
-    # final check; the trace's start entry reuses the start-point check
+    # one solve, at the start point: the trace's start entry, the phase's
+    # first merit evaluation and the final check all reuse its context
     result = optimize.inversion_solve(cube_compliance_problem(), max_iter=0)
     assert result.iterations == 0 and result.feasible
-    assert result.fem_solves == 3
+    assert result.fem_solves == 1
     assert result.trace[0]["max_violation"] == 0.0
 
 

@@ -264,6 +264,32 @@ def test_same_seed_reports_are_bitwise_identical(bar):
     assert printsim.report_to_dict(a) != printsim.report_to_dict(c)
 
 
+@pytest.mark.parametrize("strategy", ["full", "warm_start"])
+def test_in_process_replay_reports_are_byte_identical(bar, tmp_path,
+                                                      strategy):
+    # seed A, seed B, seed A on one fresh problem: its assembly plans are
+    # built during the first run and reused by the others, and nothing
+    # they or the solver contexts keep may carry state from run to run
+    _, _, nominal = bar
+    problem = layered_bar_problem(4, d_max=1.08 * nominal, young_box=BOX)
+    plan = optimize.inversion_solve(problem)
+    kwargs = dict(
+        actuator=printsim.ActuatorModel(gain=0.95, drift_rate=0.01,
+                                        noise_sd=0.02),
+        sensor=printsim.SensorModel(noise_sd=0.01, availability="all"),
+        policy=printsim.ControlPolicy(strategy=strategy),
+        layer_height=1.0,
+    )
+    reports = []
+    for i, seed in enumerate((11, 12, 11)):
+        path = tmp_path / f"report{i}.json"
+        printsim.save_report(
+            printsim.run_print(problem, plan, seed=seed, **kwargs), path)
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[2]
+    assert reports[0] != reports[1]
+
+
 def test_severe_degradation_aborts_with_certificate(bar):
     problem, plan, _ = bar
     report = printsim.run_print(

@@ -389,7 +389,8 @@ def build_parser():
     shared.add_argument("--tol", type=_positive_float, default=None,
                         help="optimize, simulate: the optimizer's "
                         "projected-gradient tolerance; verify: the largest "
-                        "relative residual accepted from a sparse FEM solve")
+                        "normwise backward error |K x - b|_1 / (|K|_1 |x|_1 "
+                        "+ |b|_1) accepted from a FEM solve")
     shared.add_argument("--max-iter", dest="max_iter", type=_positive_int,
                         default=None, help="optimizer iteration cap")
     shared.add_argument("--log-level", dest="log_level", default=None,

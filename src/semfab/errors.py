@@ -33,7 +33,7 @@ class WellPosednessError(SemfabError, ValueError):
 
 
 class SolverFailure(SemfabError, RuntimeError):
-    """Linear solve left a relative residual above the requested tolerance."""
+    """Linear solve left a backward error above the requested tolerance."""
 
     def __init__(self, message: str, residual_history=None):
         super().__init__(message)

@@ -14,7 +14,8 @@ the free block is solved (dense Cholesky under 300 free dofs, sparse LU
 above), and reactions are recovered as (K U - F_ext) at the prescribed dofs.
 A system factors K_ff once, on its first solve; the adjoint solves of the
 same system reuse that factor, with the same definiteness checks and the
-same residual guard.
+same residual guard. The guard bounds the normwise backward error
+||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1) on both solver paths.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import SolverFailure, WellPosednessError
 
 DENSE_CUTOFF = 300  # free dofs below this solve via Cholesky
 DEFAULT_TOL = 1e-10
+_TINY = np.finfo(np.float64).tiny
 _DOFS_PER_VERTEX = {"elasticity": 3, "conduction": 1}
 
 
@@ -82,8 +84,9 @@ class FemSystem:
     K_ff: scipy.sparse.csc_matrix | None = None
     unit: np.ndarray | None = None
     element_dofs: np.ndarray | None = None
-    # (K_ff, method, solve) of the factored free block, made by the first
-    # solve; it only caches what K_ff determines, so the system stays a value
+    # (K_ff, ||K_ff||_1, method, solve) of the factored free block, made by
+    # the first solve; it only caches what K_ff determines, so the system
+    # stays a value
     _factor: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
@@ -275,8 +278,10 @@ def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
         ff_indptr=ff.indptr,
         ff_indices=ff.indices,
     )
-    # every system assembled from the plan shares these arrays
-    _read_only(unit, scatter, slots.indptr, slots.indices, f_ext, free,
+    # every system assembled from the plan shares these arrays; `scatter`
+    # stays writeable only because np.bincount copies a read-only index
+    # array on every call
+    _read_only(unit, slots.indptr, slots.indices, f_ext, free,
                prescribed, prescribed_values, u_prescribed, plan.ff_slots,
                ff.indptr, ff.indices)
     return plan
@@ -341,6 +346,21 @@ def element_sensitivity(system: FemSystem, lam: np.ndarray,
     return np.einsum("ei,eij,ej->e", lam[maps], system.unit, u[maps])
 
 
+def pseudo_loads(system: FemSystem, u: np.ndarray) -> scipy.sparse.csc_matrix:
+    """The sparse (ndof x m) matrix whose column e is (dK/dp_e) u = k̂_e u_e,
+    with one nonzero per element dof. `u` is a full-length dof vector."""
+    if system.unit is None:
+        raise ValueError("pseudo-loads need a system from assemble")
+    maps = system.element_dofs
+    m, k = maps.shape
+    data = np.einsum("eij,ej->ei", system.unit, u[maps])
+    ndof = system.dofs_per_vertex * system.n_vertices
+    return scipy.sparse.csc_matrix(
+        (data.reshape(-1), maps.reshape(-1), np.arange(0, m * k + 1, k)),
+        shape=(ndof, m),
+    )
+
+
 def _sparse_factor(K_ff: scipy.sparse.spmatrix):
     """Sparse LU of the reduced block, pivoting on the diagonal only.
 
@@ -362,13 +382,27 @@ def _sparse_factor(K_ff: scipy.sparse.spmatrix):
     return lu
 
 
-def _relative_residual(K_ff, x: np.ndarray, b: np.ndarray) -> float:
-    bnorm = np.linalg.norm(b)
-    return float(np.linalg.norm(K_ff @ x - b) / bnorm) if bnorm > 0 else 0.0
+def _backward_error(K_ff, norm: float, x: np.ndarray, b: np.ndarray) -> float:
+    """Largest columnwise ||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1);
+    `norm` is ||K_ff||_1. A zero denominator means x = b = 0, so r = 0."""
+    r = np.abs(K_ff @ x - b).sum(axis=0)
+    scale = norm * np.abs(x).sum(axis=0) + np.abs(b).sum(axis=0)
+    return float(np.max(r / np.maximum(scale, _TINY)))
+
+
+def _one_norm(K_ff) -> float:
+    """||K_ff||_1, the largest absolute column sum of a CSC matrix."""
+    # the padded zero is what an empty last column reads; the sums of empty
+    # columns are then zeroed
+    sums = np.add.reduceat(np.append(np.abs(K_ff.data), 0.0),
+                           K_ff.indptr[:-1])
+    sums[np.diff(K_ff.indptr) == 0] = 0.0
+    return float(sums.max(initial=0.0))
 
 
 def _factor(system: FemSystem):
-    """(K_ff, method, solve) of the system's free block, factored once."""
+    """(K_ff, ||K_ff||_1, method, solve) of the system's free block,
+    factored once."""
     if system._factor is None:
         K_ff = system.K_ff
         if K_ff is None:
@@ -380,28 +414,31 @@ def _factor(system: FemSystem):
                 raise WellPosednessError(
                     f"reduced matrix is not positive definite: {exc}"
                 ) from exc
-            factor = (K_ff, "dense", functools.partial(scipy.linalg.cho_solve,
-                                                       chol))
+            factor = (K_ff, _one_norm(K_ff), "dense",
+                      functools.partial(scipy.linalg.cho_solve, chol))
         else:
-            factor = (K_ff, "sparse_lu", _sparse_factor(K_ff).solve)
+            factor = (K_ff, _one_norm(K_ff), "sparse_lu",
+                      _sparse_factor(K_ff).solve)
         object.__setattr__(system, "_factor", factor)
     return system._factor
 
 
 def _solve_free(system: FemSystem, b: np.ndarray, tol: float):
-    """Solve K_ff x = b; returns (x, residual, method).
+    """Solve K_ff x = b for a vector or for each column of a matrix b;
+    returns (x, backward error, method).
 
-    The sparse path raises SolverFailure when the relative residual exceeds
-    `tol`. The dense path returns its residual unchecked.
+    Both paths raise SolverFailure when the normwise backward error
+    ||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1) of any column
+    exceeds `tol`.
     """
     if b.shape[0] == 0:
-        return np.zeros(0), 0.0, "dense"
-    K_ff, method, factor_solve = _factor(system)
+        return np.zeros(b.shape), 0.0, "dense"
+    K_ff, norm, method, factor_solve = _factor(system)
     x = factor_solve(b)
-    res = _relative_residual(K_ff, x, b)
-    if method == "sparse_lu" and res > tol:
+    res = _backward_error(K_ff, norm, x, b)
+    if not res <= tol:  # a NaN error fails too
         raise SolverFailure(
-            f"sparse LU left relative residual {res:.3e} above tol {tol:g}",
+            f"{method} solve left backward error {res:.3e} above tol {tol:g}",
             residual_history=[res],
         )
     return x, res, method
@@ -410,8 +447,9 @@ def _solve_free(system: FemSystem, b: np.ndarray, tol: float):
 def solve(system: FemSystem, tol: float = DEFAULT_TOL) -> FieldSolution:
     """Solve K U = F under the system's boundary conditions.
 
-    `tol` is the largest relative residual ||K_ff x - b|| / ||b|| accepted
-    from the sparse path; see `_solve_free`.
+    `tol` is the largest normwise backward error
+    ||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1) accepted on either
+    solver path; the solution's `residual` is that backward error.
     """
     if tol is None:
         tol = DEFAULT_TOL
@@ -446,11 +484,12 @@ def solve(system: FemSystem, tol: float = DEFAULT_TOL) -> FieldSolution:
 def adjoint_solve(system: FemSystem, weights: np.ndarray,
                   tol: float = DEFAULT_TOL) -> np.ndarray:
     """Solve K_ff lambda = w_f with the system's factor; returns the
-    full-length adjoint vector with zeros at prescribed dofs. `weights` has
-    one entry per global dof."""
+    full-length adjoint with zeros at prescribed dofs. `weights` has one
+    entry per global dof, or one row per global dof and one column per
+    right-hand side, all solved with the one factor."""
     weights = np.asarray(weights, dtype=np.float64)
     x, _, _ = _solve_free(system, weights[system.free], tol)
-    lam = np.zeros(len(weights))
+    lam = np.zeros(weights.shape)
     lam[system.free] = x
     return lam
 

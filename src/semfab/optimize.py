@@ -15,6 +15,17 @@ passes; if escalation runs out, the best iterate is returned with
 After upstream values drift, :func:`reoptimize_after_drift` either re-runs the
 solver from the previous optimum or applies a second-order warm start built
 from a quadratic model of the objective around the previous base point.
+
+:func:`build_quadratic_model` first splits the free variables at the base
+point. A variable is *active* when it sits exactly on a box bound and the
+gradient pushes outward; it stays pinned at its base value, as first-order
+sensitivity theory for bound constraints prescribes. The model holds the
+Hessian rows of the k inactive variables only (k x n). On an
+:class:`InversionProblem` they come from the exact second-order adjoint:
+K is linear in the parameter, so the Hessian is a product of pseudo-load
+matrices and K_ff^-1, and each row costs one back-substitution with the
+base point's factor (two for the non-self-adjoint average temperature).
+A model whose variables are all active costs the base-point solve alone.
 """
 
 from __future__ import annotations
@@ -76,6 +87,9 @@ class OptimizationResult:
     fem_solves: int
     strategy: str
     trace: tuple
+    # why a warm start fell back to a full solve: "model_invalid",
+    # "base_point" or "warm_infeasible"; None when it did not
+    fallback: str | None = None
 
     @property
     def free_values(self) -> np.ndarray:
@@ -84,32 +98,54 @@ class OptimizationResult:
 
 @dataclasses.dataclass(frozen=True)
 class QuadraticModel:
-    """Second-order expansion of the objective at an approximate minimizer.
+    """Second-order expansion of the objective at an approximate minimizer,
+    over the variables that were free and off their bounds there.
 
-    ``F_yz`` is the mixed block: rows follow ``free_idx``, columns follow
-    ``frozen_idx``, so a frozen perturbation dy shifts the free stationary
-    point by ``-F_zz^-1 (F_yz @ dy)``.
+    ``rows`` holds the Hessian rows of ``inactive_idx`` (k x n); the
+    ``active_idx`` variables stay at their base values. For the current
+    frozen/free split, ``z_idx`` are the free inactive variables, ``F_zz``
+    their block and ``F_yz`` the mixed block (rows follow ``z_idx``, columns
+    follow ``frozen_idx``), so a frozen perturbation dy shifts the z
+    variables by ``-F_zz^-1 (F_yz @ dy)``.
     """
 
     base_values: np.ndarray
+    gradient: np.ndarray
+    inactive_idx: np.ndarray
+    active_idx: np.ndarray
+    rows: np.ndarray
     frozen_idx: np.ndarray
     free_idx: np.ndarray
-    gradient: np.ndarray
-    hessian: np.ndarray
-    F_yy: np.ndarray
+    z_idx: np.ndarray
     F_zz: np.ndarray
     F_yz: np.ndarray
     chol: tuple
 
     @classmethod
-    def from_hessian(cls, hessian, gradient, base_values, frozen_idx, free_idx):
-        """Slice a full Hessian for a frozen/free split; checks F_zz is PD."""
+    def from_hessian(cls, rows, inactive_idx, active_idx, gradient,
+                     base_values, frozen_idx, free_idx):
+        """Slice the stored Hessian rows for a frozen/free split; checks
+        that F_zz is positive definite.
+
+        The split made at the base point is kept: active variables stay
+        pinned, inactive ones that are frozen now enter through F_yz. A free
+        variable that was frozen when the rows were built is not covered.
+        """
+        inactive_idx = np.asarray(inactive_idx, dtype=np.intp)
+        active_idx = np.asarray(active_idx, dtype=np.intp)
         frozen_idx = np.asarray(frozen_idx, dtype=np.intp)
         free_idx = np.asarray(free_idx, dtype=np.intp)
-        F_yy = hessian[np.ix_(frozen_idx, frozen_idx)]
-        F_zz = hessian[np.ix_(free_idx, free_idx)]
-        F_yz = hessian[np.ix_(free_idx, frozen_idx)]
-        if F_zz.shape[0]:
+        if not np.all(np.isin(free_idx, inactive_idx)
+                      | np.isin(free_idx, active_idx)):
+            raise ModelInvalidError(
+                "the model does not cover every free variable"
+            )
+        pos = np.flatnonzero(np.isin(inactive_idx, free_idx))
+        z_idx = inactive_idx[pos]
+        F_zz = rows[np.ix_(pos, z_idx)]
+        F_zz = 0.5 * (F_zz + F_zz.T)
+        F_yz = rows[np.ix_(pos, frozen_idx)]
+        if z_idx.size:
             try:
                 chol = scipy.linalg.cho_factor(F_zz)
             except scipy.linalg.LinAlgError as exc:
@@ -120,11 +156,13 @@ class QuadraticModel:
             chol = (np.zeros((0, 0)), True)
         return cls(
             base_values=np.asarray(base_values, dtype=float).copy(),
+            gradient=np.asarray(gradient, dtype=float).copy(),
+            inactive_idx=inactive_idx,
+            active_idx=active_idx,
+            rows=rows,
             frozen_idx=frozen_idx,
             free_idx=free_idx,
-            gradient=np.asarray(gradient, dtype=float).copy(),
-            hessian=hessian,
-            F_yy=F_yy,
+            z_idx=z_idx,
             F_zz=F_zz,
             F_yz=F_yz,
             chol=chol,
@@ -211,6 +249,26 @@ class FunctionProblem:
         return float(self._objective(x)), np.asarray(
             self._gradient(x), dtype=float
         )
+
+    def objective_hessian(self, x, ctx, cols):
+        """Hessian columns ``cols``, (n, len(cols)), by central differences
+        of the gradient: two evaluations per column, with steps of 1e-3
+        times the variable's box width (1e-3 max(1, |x|) when unbounded)."""
+        cols = np.asarray(cols, dtype=np.intp)
+        x = np.asarray(x, dtype=float)
+        widths = self.boxes[cols, 1] - self.boxes[cols, 0]
+        steps = 1e-3 * np.where(np.isfinite(widths) & (widths > 0.0), widths,
+                                np.maximum(1.0, np.abs(x[cols])))
+        columns = np.empty((self.n_variables, cols.size))
+        for i, (j, h) in enumerate(zip(cols, steps)):
+            forward = x.copy()
+            forward[j] += h
+            backward = x.copy()
+            backward[j] -= h
+            _, gf = self.objective_and_gradient(forward)
+            _, gb = self.objective_and_gradient(backward)
+            columns[:, i] = (gf - gb) / (2.0 * h)
+        return columns
 
 
 class _PropertyConstraint:
@@ -344,13 +402,19 @@ class _FemContext:
     def primal_flat(self, physics):
         return self.solution(physics).values.reshape(-1)
 
-    def adjoint_sensitivity(self, physics, weights):
-        """d(weights . u)/d(parameter) per element, via one adjoint solve."""
+    def adjoint(self, physics, weights):
+        """Adjoint solve with the system's factor for a weight vector, or for
+        each column of a weight matrix; counts one solve per column."""
         lam = fem.adjoint_solve(
             self.system(physics), weights, tol=self.problem.solver_tol
         )
-        self.problem.solve_count += 1
-        return self._element_sensitivity(physics, lam)
+        self.problem.solve_count += 1 if lam.ndim == 1 else lam.shape[1]
+        return lam
+
+    def adjoint_sensitivity(self, physics, weights):
+        """d(weights . u)/d(parameter) per element, via one adjoint solve."""
+        return self._element_sensitivity(physics,
+                                         self.adjoint(physics, weights))
 
     def _element_sensitivity(self, physics, lam):
         # u solves K u = f, so d(lam . u)/dp_e = -lam . (dK/dp_e) u
@@ -479,6 +543,38 @@ class InversionProblem:
             return value, ctx._element_sensitivity("elasticity", lam)
         _, grad = _average_temperature(self, ctx, need_grad=True)
         return value, grad
+
+    def objective_hessian(self, x, ctx, cols):
+        """Hessian columns ``cols``, (n, len(cols)), by the second-order
+        adjoint method on the factor of the system at ``x``.
+
+        With G_u the pseudo-loads of the primal u (column e is k̂_e u_e, see
+        :func:`fem.pseudo_loads`), compliance has H = 2 G_uᵀ K_ff⁻¹ G_u: one
+        back-substitution per column. The average temperature, with λ the
+        adjoint of its volume weights and G_λ its pseudo-loads, has
+        H = G_λᵀ K_ff⁻¹ G_u + G_uᵀ K_ff⁻¹ G_λ: the adjoint plus two
+        back-substitutions per column. Mass, and a parameter the objective
+        does not differentiate against, has H = 0.
+        """
+        cols = np.asarray(cols, dtype=np.intp)
+        physics, grad_param = OBJECTIVES[self.objective]
+        if self.objective == "mass" or self.parameter != grad_param \
+                or not cols.size:
+            return np.zeros((self.n_variables, cols.size))
+        ctx = ctx or self.context(x)
+        system = ctx.system(physics)
+        G_u = fem.pseudo_loads(system, ctx.primal_flat(physics))
+        if self.objective == "compliance":
+            return 2.0 * (G_u.T @ ctx.adjoint(physics, G_u[:, cols].toarray()))
+        weights = self.spec.mesh.vertex_volume_weights()
+        G_lam = fem.pseudo_loads(
+            system, ctx.adjoint(physics, weights / weights.sum())
+        )
+        solved = ctx.adjoint(physics, np.hstack(
+            [G_u[:, cols].toarray(), G_lam[:, cols].toarray()]
+        ))
+        return (G_lam.T @ solved[:, :cols.size]
+                + G_u.T @ solved[:, cols.size:])
 
 
 def _check_free_boxes(boxes, free_idx):
@@ -642,12 +738,15 @@ def _pgd_phase(problem, x, weight, tol, max_iter, trace, iter_offset,
     """
     free = problem.free_idx
     lo = problem.boxes[free, 0]
-    width = problem.boxes[free, 1] - lo
+    hi = problem.boxes[free, 1]
+    width = hi - lo
     scale = np.where(width > 0.0, width, 1.0)
 
     def compose(xi):
+        # lo + width can round past hi; a coordinate clipped to 1 must land
+        # on the bound bit for bit, where the warm start's active set looks
         full = x.copy()
-        full[free] = lo + xi * width
+        full[free] = np.where(xi == 1.0, hi, lo + xi * width)
         return full
 
     xi = np.clip((x[free] - lo) / scale, 0.0, 1.0)
@@ -826,58 +925,54 @@ def _projected_gradient_norm(problem, x, grad):
     return float(np.linalg.norm(projected, np.inf)) if projected.size else 0.0
 
 
-def build_quadratic_model(
-    problem, base_values, grad_tol=1e-6, step_scale=1e-3
-):
+def build_quadratic_model(problem, base_values, grad_tol=1e-6):
     """Quadratic expansion of the objective at an approximate minimizer.
 
-    The Hessian comes from central differences of the analytic gradient with
-    steps of ``step_scale`` times each variable's box width.  Raises
-    :class:`BasePointError` when the base point is not near-stationary and
-    :class:`ModelInvalidError` when the free-block Hessian is not positive
-    definite.
+    A free variable that sits exactly on a box bound with the gradient
+    pushing outward is active and stays pinned; the model holds the Hessian
+    rows of the k inactive variables, from ``problem.objective_hessian``:
+    exact second-order adjoint on an :class:`InversionProblem` (the
+    base-point solve plus one back-substitution per inactive variable for
+    compliance), central differences of the gradient on a
+    :class:`FunctionProblem`. Raises :class:`BasePointError` when the base
+    point is not near-stationary and :class:`ModelInvalidError` when the
+    inactive block of the Hessian is not positive definite.
     """
     x = problem.pin(base_values)
-    n = problem.n_variables
-    _, grad = problem.objective_and_gradient(x, problem.context(x))
+    ctx = problem.context(x)
+    _, grad = problem.objective_and_gradient(x, ctx)
     pg = _projected_gradient_norm(problem, x, grad)
     if pg > grad_tol:
         raise BasePointError(
             f"projected gradient norm {pg:.3e} exceeds {grad_tol:.3e} "
             "at the model base point"
         )
-    widths = problem.boxes[:, 1] - problem.boxes[:, 0]
-    steps = np.where(
-        np.isfinite(widths) & (widths > 0.0),
-        step_scale * widths,
-        step_scale * np.maximum(1.0, np.abs(x)),
-    )
-    hessian = np.empty((n, n))
-    for j in range(n):
-        forward = x.copy()
-        forward[j] += steps[j]
-        backward = x.copy()
-        backward[j] -= steps[j]
-        _, gf = problem.objective_and_gradient(forward, problem.context(forward))
-        _, gb = problem.objective_and_gradient(backward, problem.context(backward))
-        hessian[:, j] = (gf - gb) / (2.0 * steps[j])
-    hessian = 0.5 * (hessian + hessian.T)
+    free = problem.free_idx
+    g = grad[free]
+    active = (((x[free] == problem.boxes[free, 1]) & (g < 0.0))
+              | ((x[free] == problem.boxes[free, 0]) & (g > 0.0)))
+    inactive = free[~active]
+    rows = problem.objective_hessian(x, ctx, inactive).T
     return QuadraticModel.from_hessian(
-        hessian, grad, x, problem.frozen_idx, problem.free_idx
+        rows, inactive, free[active], grad, x, problem.frozen_idx, free
     )
 
 
 def warm_start_update(model, delta_y):
     """Free-value shift predicted by the model for a frozen perturbation.
 
-    ``delta_y`` is ordered like ``model.frozen_idx``.
+    ``delta_y`` is ordered like ``model.frozen_idx``; the shift is ordered
+    like ``model.free_idx`` and is zero on the active variables.
     """
     delta_y = np.asarray(delta_y, dtype=float).reshape(-1)
     if delta_y.size != model.frozen_idx.size:
         raise ValueError("delta_y must align with the model's frozen set")
-    if not model.free_idx.size:
-        return np.zeros(0)
-    return -scipy.linalg.cho_solve(model.chol, model.F_yz @ delta_y)
+    shift = np.zeros(model.free_idx.size)
+    if model.z_idx.size:
+        shift[np.isin(model.free_idx, model.z_idx)] = -scipy.linalg.cho_solve(
+            model.chol, model.F_yz @ delta_y
+        )
+    return shift
 
 
 def reoptimize_after_drift(
@@ -896,7 +991,8 @@ def reoptimize_after_drift(
     model's base point (the previous optimum when ``model`` is omitted).  The
     warm strategy applies the quadratic-model shift and keeps it only if a
     penalty-free feasibility check passes; otherwise, and for any model
-    failure, it falls back to a full solve seeded at the previous values.
+    failure, it falls back to a full solve seeded at the previous values,
+    and the result's ``fallback`` says why.
     """
     if strategy not in ("warm_start", "full"):
         raise ValueError(f"unknown strategy: {strategy!r}")
@@ -905,6 +1001,7 @@ def reoptimize_after_drift(
     if delta_y.size != problem.frozen_idx.size:
         raise ValueError("delta_y must align with the problem's frozen set")
 
+    fallback = None
     if strategy == "warm_start":
         if not np.any(delta_y):
             return dataclasses.replace(
@@ -918,7 +1015,9 @@ def reoptimize_after_drift(
                 model = build_quadratic_model(problem, previous_result.values)
             if not np.array_equal(model.frozen_idx, problem.frozen_idx):
                 model = QuadraticModel.from_hessian(
-                    model.hessian,
+                    model.rows,
+                    model.inactive_idx,
+                    model.active_idx,
                     model.gradient,
                     model.base_values,
                     problem.frozen_idx,
@@ -948,8 +1047,11 @@ def reoptimize_after_drift(
                     strategy="warm_start",
                     trace=(),
                 )
-        except (ModelInvalidError, BasePointError):
-            pass
+            fallback = "warm_infeasible"
+        except ModelInvalidError:
+            fallback = "model_invalid"
+        except BasePointError:
+            fallback = "base_point"
 
     result = inversion_solve(
         problem,
@@ -959,5 +1061,5 @@ def reoptimize_after_drift(
         feas_tol=feas_tol,
     )
     return dataclasses.replace(
-        result, fem_solves=problem.solve_count - start
+        result, fem_solves=problem.solve_count - start, fallback=fallback
     )

@@ -233,6 +233,9 @@ class LayerRecord:
     max_violation: float
     fem_solves: int
     mean_commanded: float
+    # why a "full" layer of a warm-start policy did not take the warm step:
+    # "model_invalid", "base_point" or "warm_infeasible"; None otherwise
+    fallback: str | None = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -413,13 +416,15 @@ def _element_layer_index(partition, n_elements):
 
 def control_step(state, problem, strategy, previous_result, model=None,
                  plant_model=None, tol=optimize.DEFAULT_TOL,
-                 feas_tol=optimize.DEFAULT_FEAS_TOL):
+                 feas_tol=optimize.DEFAULT_FEAS_TOL, fallback=None):
     """Re-plan the unprinted remainder around the estimated printed state.
 
     Freezes printed elements at posterior means, re-optimizes the rest, and
     writes new commanded values.  Reads only estimated and commanded fields.
     Returns the updated PrintState, or an AbortDecision when no admissible
-    completion satisfies the constraints.
+    completion satisfies the constraints.  ``fallback`` is recorded as the
+    reason a warm-start policy re-plans with ``strategy="full"``, unless the
+    re-plan reports its own.
     """
     printed = state.printed_elements()
     if printed.size == 0:
@@ -464,6 +469,7 @@ def control_step(state, problem, strategy, previous_result, model=None,
         max_violation=max(excesses) if excesses else 0.0,
         fem_solves=result.fem_solves,
         mean_commanded=float(commanded.values(state.parameter).mean()),
+        fallback=result.fallback or fallback,
     )
     return dataclasses.replace(
         state,
@@ -500,6 +506,7 @@ def run_print(problem, initial_plan, actuator, sensor, policy, seed,
     solves_start = problem.solve_count
     model = None
     strategy = policy.strategy
+    fallback = None
     abort = None
 
     while not state.done:
@@ -534,12 +541,14 @@ def run_print(problem, initial_plan, actuator, sensor, policy, seed,
                     model = optimize.build_quadratic_model(
                         problem, initial_plan.values
                     )
-                except (optimize.ModelInvalidError, optimize.BasePointError):
-                    strategy = "full"  # re-solve each layer instead
+                except optimize.ModelInvalidError:
+                    strategy, fallback = "full", "model_invalid"
+                except optimize.BasePointError:
+                    strategy, fallback = "full", "base_point"
         outcome = control_step(
             state, problem, strategy, initial_plan,
             model=model, plant_model=policy.plant_model,
-            tol=tol, feas_tol=feas_tol,
+            tol=tol, feas_tol=feas_tol, fallback=fallback,
         )
         if isinstance(outcome, AbortDecision):
             abort = outcome
@@ -785,6 +794,7 @@ def report_to_dict(report):
                 "max_violation": _finite_or_none(rec.max_violation),
                 "fem_solves": rec.fem_solves,
                 "mean_commanded": rec.mean_commanded,
+                "fallback": rec.fallback,
             }
             for rec in report.history
         ],
@@ -813,11 +823,11 @@ def history_to_csv(report, path):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["layer", "strategy", "objective", "max_violation",
-             "fem_solves", "mean_commanded"]
+             "fem_solves", "mean_commanded", "fallback"]
         )
         for rec in report.history:
             writer.writerow(
                 [rec.layer, rec.strategy, cell(rec.objective),
                  cell(rec.max_violation), rec.fem_solves,
-                 cell(rec.mean_commanded)]
+                 cell(rec.mean_commanded), rec.fallback or ""]
             )

@@ -223,7 +223,7 @@ def test_simulate_identity_plant_succeeds(tmp_path, capsys):
     assert report["outcome"] == "success"
     rows = (tmp_path / "sim" / "history.csv").read_text().splitlines()
     assert rows[0] == ("layer,strategy,objective,max_violation,"
-                       "fem_solves,mean_commanded")
+                       "fem_solves,mean_commanded,fallback")
     assert len(rows) == 1 + 4
 
 

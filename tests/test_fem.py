@@ -548,3 +548,73 @@ def test_adjoint_reuses_the_primal_factor(monkeypatch):
             assert_allclose(lam[system.free], expected,
                             atol=1e-9 * np.abs(expected).max())
         assert len(factorizations) == 1
+
+
+@pytest.mark.parametrize("n_radial, n_axial, method",
+                         [(8, 3, "dense"), (32, 10, "sparse_lu")])
+def test_residual_guard_has_one_meaning_on_both_paths(n_radial, n_axial,
+                                                      method):
+    # the backward error is checked against tol on either side of the cutoff
+    mesh, spec, fld, top = shaft_problem(n_radial=n_radial, n_axial=n_axial)
+    system = assemble(spec, fld, "elasticity")
+    sol = solve(system)
+    assert sol.method == method
+    assert 0.0 < sol.residual <= fem.DEFAULT_TOL
+    with pytest.raises(SolverFailure) as err:
+        solve(system, tol=sol.residual / 10.0)
+    assert err.value.residual_history == [sol.residual]
+
+
+def test_adjoint_solve_matrix_weights_solve_every_column(monkeypatch):
+    factorizations = []
+    for name, module in (("_sparse_factor", fem),
+                         ("cho_factor", scipy.linalg)):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, **kwargs):
+            factorizations.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    rng = np.random.default_rng(5)
+    for n_radial, n_axial in ((8, 3), (32, 10)):  # dense and sparse path
+        mesh, spec, fld, top = shaft_problem(n_radial=n_radial,
+                                             n_axial=n_axial)
+        system = assemble(spec, fld, "elasticity")
+        factorizations.clear()
+        W = rng.normal(size=(3 * mesh.n_vertices, 4))
+        lam = adjoint_solve(system, W)
+        assert len(factorizations) == 1
+        assert lam.shape == W.shape
+        assert np.abs(lam[system.prescribed]).max() == 0.0
+        K_ff = system.K[system.free][:, system.free].toarray()
+        for j in range(W.shape[1]):
+            expected = np.linalg.solve(K_ff, W[system.free, j])
+            assert_allclose(lam[system.free, j], expected,
+                            atol=1e-9 * np.abs(expected).max())
+        assert len(factorizations) == 1
+
+
+def test_pseudo_loads_give_the_element_sensitivities():
+    mesh, spec, fld, top = shaft_problem()
+    system = assemble(spec, fld, "elasticity")
+    u = solve(system).values.reshape(-1)
+    lam = np.random.default_rng(2).normal(size=u.size)
+    G = fem.pseudo_loads(system, u)
+    assert G.shape == (u.size, mesh.n_elements)
+    assert np.all(np.diff(G.indptr) == 12)
+    assert_allclose(G.T @ lam, fem.element_sensitivity(system, lam, u),
+                    rtol=1e-12, atol=1e-12 * np.abs(G.T @ lam).max())
+
+
+def test_one_norm_is_the_largest_absolute_column_sum():
+    rng = np.random.default_rng(9)
+    for n, density in ((6, 0.0), (7, 0.3), (40, 0.05)):
+        A = scipy.sparse.random(n, n, density=density, random_state=rng,
+                                data_rvs=lambda k: rng.normal(size=k))
+        keep = np.ones(n)
+        keep[-1] = 0.0  # an empty last column
+        A = (A @ scipy.sparse.diags(keep)).tocsc()
+        A.eliminate_zeros()
+        expected = np.abs(A.toarray()).sum(axis=0).max()
+        assert fem._one_norm(A) == pytest.approx(expected, rel=1e-15)

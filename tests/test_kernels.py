@@ -14,9 +14,9 @@ def spd_system(seed=1, n=150):
 
 def test_pcg_zero_rhs_returns_zero():
     # The sparse LU that replaced the PCG keeps its zero-rhs contract:
-    # an exact zero solution and a zero relative residual.
+    # an exact zero solution and a zero backward error.
     A, _ = spd_system()
     b = np.zeros(A.shape[0])
     x = fem._sparse_factor(A).solve(b)
     assert np.all(x == 0.0)
-    assert fem._relative_residual(A, x, b) == 0.0
+    assert fem._backward_error(A, 1.0, x, b) == 0.0

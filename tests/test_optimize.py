@@ -4,13 +4,15 @@ quadratic warm-start machinery."""
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import bar_tip_displacement, layered_bar_problem
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semfab import mesh, optimize, semantics
+from semfab import fem, mesh, optimize, semantics
 from semfab.errors import BasePointError, ModelInvalidError
 
 
@@ -238,6 +240,67 @@ def test_average_temperature_gradient_matches_central_differences():
         assert grad[e] == pytest.approx(approx, rel=1e-4)
 
 
+def hessian_fd_errors(problem, x, cols, rel_steps):
+    """Largest relative gap between ``objective_hessian`` columns and central
+    differences of the adjoint gradient, per relative step; also the solves
+    the Hessian took on a context whose primal is already solved."""
+    ctx = problem.context(x)
+    ctx.solution(optimize.OBJECTIVES[problem.objective][0])
+    before = problem.solve_count
+    H = problem.objective_hessian(x, ctx, cols)
+    solves = problem.solve_count - before
+    assert H.shape == (problem.n_variables, len(cols))
+    errors = []
+    for rel in rel_steps:
+        fd = np.empty_like(H)
+        for i, j in enumerate(cols):
+            h = rel * x[j]
+            xp = x.copy()
+            xp[j] += h
+            xm = x.copy()
+            xm[j] -= h
+            _, gp = problem.objective_and_gradient(xp)
+            _, gm = problem.objective_and_gradient(xm)
+            fd[:, i] = (gp - gm) / (2 * h)
+        errors.append(np.abs(fd - H).max() / np.abs(H).max())
+    return errors, solves
+
+
+def test_compliance_hessian_matches_central_differences_dense():
+    problem = cube_compliance_problem()
+    assert problem.assembly_plan("elasticity").free.size < fem.DENSE_CUTOFF
+    x = np.random.default_rng(7).uniform(60.0, 180.0, problem.n_variables)
+    cols = np.arange(problem.n_variables)
+    errors, solves = hessian_fd_errors(problem, x, cols, (1e-2, 1e-3, 1e-4))
+    assert solves == cols.size  # one back-substitution per column
+    # central differences are second order: 10x smaller steps, ~100x less
+    assert errors[0] / errors[1] >= 50.0 and errors[1] / errors[2] >= 50.0
+    assert errors[2] <= 1e-7
+
+
+def test_compliance_hessian_matches_central_differences_sparse():
+    problem = layered_bar_problem(8, 1.0, (60e3, 120e3), section=(3, 3))
+    assert problem.assembly_plan("elasticity").free.size >= fem.DENSE_CUTOFF
+    rng = np.random.default_rng(11)
+    x = rng.uniform(70e3, 110e3, problem.n_variables)
+    cols = np.sort(rng.choice(problem.n_variables, 5, replace=False))
+    errors, solves = hessian_fd_errors(problem, x, cols, (1e-2, 1e-3))
+    assert solves == cols.size
+    assert errors[0] / errors[1] >= 50.0
+    assert errors[1] <= 1e-6
+
+
+def test_average_temperature_hessian_matches_central_differences():
+    problem = chain_conduction_problem()
+    x = np.array([1.0, 4.4, 9.0, 9.5, 10.0])
+    cols = np.array([1, 3, 4])
+    errors, solves = hessian_fd_errors(problem, x, cols, (1e-1, 1e-2))
+    # the adjoint of the volume weights, then two per column
+    assert solves == 1 + 2 * cols.size
+    assert errors[0] / errors[1] >= 50.0
+    assert errors[1] <= 1e-4
+
+
 def test_evaluate_objective_returns_free_slice():
     problem = cube_compliance_problem(frozen_idx=[0], frozen_values=[100.0])
     value, grad_free = optimize.evaluate_objective(
@@ -447,17 +510,26 @@ def test_lipschitz_pairs_come_from_shared_faces():
 
 
 def test_quadratic_model_recovers_polynomial_blocks():
-    problem = optimize.FunctionProblem(
-        lambda x: x[0] ** 2 + x[1] ** 2 + x[0] * x[1],
-        lambda x: np.array([2 * x[0] + x[1], 2 * x[1] + x[0]]),
-        [[-1, 1], [-1, 1]],
-        frozen_idx=[0],
-        frozen_values=[0.0],
-    )
-    model = optimize.build_quadratic_model(problem, np.zeros(2))
-    np.testing.assert_allclose(model.F_yy, [[2.0]], atol=1e-6)
+    def polynomial_problem(frozen_idx, frozen_values):
+        return optimize.FunctionProblem(
+            lambda x: x[0] ** 2 + x[1] ** 2 + x[0] * x[1],
+            lambda x: np.array([2 * x[0] + x[1], 2 * x[1] + x[0]]),
+            [[-1, 1], [-1, 1]],
+            frozen_idx=frozen_idx,
+            frozen_values=frozen_values,
+        )
+
+    model = optimize.build_quadratic_model(polynomial_problem([0], [0.0]),
+                                           np.zeros(2))
+    np.testing.assert_allclose(model.rows, [[1.0, 2.0]], atol=1e-6)
     np.testing.assert_allclose(model.F_zz, [[2.0]], atol=1e-6)
     np.testing.assert_allclose(model.F_yz, [[1.0]], atol=1e-6)
+    # the frozen block is not stored; with nothing frozen, variable 0 is
+    # inactive and its stored row carries it
+    unfrozen = optimize.build_quadratic_model(polynomial_problem([], []),
+                                              np.zeros(2))
+    np.testing.assert_array_equal(unfrozen.inactive_idx, [0, 1])
+    np.testing.assert_allclose(unfrozen.rows[0, 0], 2.0, atol=1e-6)
 
 
 def test_mass_objective_model_is_invalid():
@@ -619,3 +691,108 @@ def test_drift_to_infeasible_returns_certificate_on_both_strategies():
         )
         assert not result.feasible
         assert "tip" in result.violated
+
+
+def test_bound_active_variables_stay_pinned_by_the_warm_start():
+    # variable 2 ends on its upper bound with the gradient pushing outward;
+    # lo + (hi - lo) rounds past hi = 0.45, so this also checks that the
+    # plan lands on the bound bit for bit
+    Q = np.array([[3.0, 0.8, 0.2], [0.8, 2.0, 0.5], [0.2, 0.5, 1.5]])
+    b = np.array([0.5, -1.0, 2.0])
+
+    def problem(frozen_value):
+        return optimize.FunctionProblem(
+            lambda x: 0.5 * x @ Q @ x - b @ x,
+            lambda x: Q @ x - b,
+            [[-5, 5], [-5, 5], [0.15, 0.45]],
+            frozen_idx=[0],
+            frozen_values=[frozen_value],
+        )
+
+    base = optimize.inversion_solve(problem(0.0), tol=1e-13)
+    assert base.values[2] == 0.45
+    model = optimize.build_quadratic_model(problem(0.0), base.values)
+    assert model.inactive_idx.tolist() == [1]
+    assert model.active_idx.tolist() == [2]
+    assert model.rows.shape == (1, 3)
+    warm = optimize.reoptimize_after_drift(
+        problem(0.3), base, [0.3], strategy="warm_start", model=model
+    )
+    full = optimize.reoptimize_after_drift(
+        problem(0.3), base, [0.3], strategy="full", tol=1e-13
+    )
+    assert warm.strategy == "warm_start" and warm.fallback is None
+    assert warm.values[2] == 0.45
+    # exactly quadratic with the bound still active: the warm step is exact
+    assert warm.values[1:] == pytest.approx(full.values[1:], abs=1e-10)
+
+
+def upper_bound_bar(n_layers):
+    """Compliance bar whose plan sits on the upper E bound of every element,
+    with the tip bound 8% above the displacement that bound gives."""
+    box = (60e3, 120e3)
+    probe = layered_bar_problem(n_layers, d_max=1.0, young_box=box)
+    nominal = bar_tip_displacement(probe, np.full(probe.n_variables, box[1]))
+    problem = layered_bar_problem(n_layers, d_max=1.08 * nominal,
+                                  young_box=box)
+    plan = optimize.inversion_solve(problem)
+    assert plan.feasible and np.all(plan.values == box[1])
+    return problem, plan
+
+
+def test_model_at_an_all_active_plan_costs_one_solve():
+    problem, plan = upper_bound_bar(10)
+    before = problem.solve_count
+    model = optimize.build_quadratic_model(problem, plan.values)
+    assert problem.solve_count - before == 1  # the base point's primal
+    assert model.z_idx.size == 0 and model.rows.shape == (0, 60)
+    assert model.active_idx.tolist() == list(range(60))
+    # the warm step is the identity on the free block
+    assert np.array_equal(optimize.warm_start_update(model, []), np.zeros(60))
+
+
+def test_model_build_allocates_nothing_square_over_elements():
+    # what the build needs grows like the element count m (assembly, the
+    # factor, the gradient: about 2 kB per element here), a dense n x n
+    # array like 8 m^2 bytes; at 600 elements one such array alone is over
+    # the bound
+    problem, plan = upper_bound_bar(100)
+    n = problem.n_variables
+    assert n >= 240
+    tracemalloc.start()
+    try:
+        optimize.build_quadratic_model(problem, plan.values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * np.dtype(np.float64).itemsize
+
+
+def test_warm_fallbacks_name_their_reason():
+    # a model of the mass objective has a zero Hessian
+    problem = cube_compliance_problem(frozen_idx=[0], frozen_values=[60.0])
+    mass = optimize.InversionProblem(
+        problem.spec, "mass", parameter="young",
+        frozen_idx=[0], frozen_values=[60.0],
+    )
+    base = optimize.inversion_solve(mass)
+    shifted = mass.with_frozen([0], [61.0])
+    result = optimize.reoptimize_after_drift(shifted, base, [1.0])
+    assert result.strategy == "full" and result.fallback == "model_invalid"
+    # a base point far from stationary
+    quad = quadratic_problem(0.3)
+    start = optimize.inversion_solve(quadratic_problem(0.0), max_iter=0)
+    result = optimize.reoptimize_after_drift(quad, start, [0.3])
+    assert result.strategy == "full" and result.fallback == "base_point"
+    # a warm step that breaks the tip bound: the first layer prints at
+    # half stiffness and every other element is already on its bound
+    bar, plan = upper_bound_bar(4)
+    first = np.arange(6)
+    soft = 0.5 * plan.values[first]
+    for strategy, reason in (("warm_start", "warm_infeasible"),
+                             ("full", None)):
+        result = optimize.reoptimize_after_drift(
+            bar.with_frozen(first, soft), plan, soft - plan.values[first],
+            strategy=strategy,
+        )
+        assert result.strategy == "full" and result.fallback == reason

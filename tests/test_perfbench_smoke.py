@@ -1,6 +1,7 @@
-"""The smallest rung of the benchmark: one short bar-pcg run must finish
-and pass its own checks (plan feasible and on the reference optimum, every
-print a success, report bytes repeating across passes)."""
+"""The smallest rung of the benchmark: one short run of a workload must
+finish and pass its own checks (plan feasible and on the reference optimum,
+every print a success, report bytes repeating across passes). bar-warm-cli
+also takes the warm-start path through the in-process CLI."""
 
 import json
 import subprocess
@@ -10,12 +11,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_bar_pcg_benchmark_run_is_correct():
+def run_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "bar-pcg",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "0.1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stderr
+
+
+def test_bar_pcg_benchmark_run_is_correct():
+    run_is_correct("bar-pcg")
+
+
+def test_bar_warm_cli_benchmark_run_is_correct():
+    run_is_correct("bar-warm-cli")

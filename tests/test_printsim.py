@@ -290,6 +290,62 @@ def test_in_process_replay_reports_are_byte_identical(bar, tmp_path,
     assert reports[0] != reports[1]
 
 
+def drifting_print_kwargs(strategy, noise_sd=0.01):
+    """Gain 0.9 with 0.5% drift per layer, a calibrated controller, and
+    `noise_sd` on both the actuator and the sensor."""
+    return dict(
+        actuator=printsim.ActuatorModel(gain=0.9, drift_rate=0.005,
+                                        noise_sd=noise_sd),
+        sensor=printsim.SensorModel(noise_sd=noise_sd),
+        policy=printsim.ControlPolicy(
+            strategy=strategy,
+            plant_model=printsim.ActuatorModel(gain=0.9, drift_rate=0.005),
+        ),
+        layer_height=1.0,
+    )
+
+
+def test_warm_start_engages_on_every_layer_under_drift():
+    # the plan sits on the upper E bound, so every variable is bound-active
+    # and the model costs the base-point solve alone
+    probe = layered_bar_problem(10, d_max=1.0, young_box=BOX)
+    nominal = bar_tip_displacement(probe, np.full(60, E_HI))
+    problem = layered_bar_problem(10, d_max=1.08 * nominal, young_box=BOX)
+    plan = optimize.inversion_solve(problem)
+    assert np.all(plan.values == E_HI)
+    warm = printsim.run_print(problem, plan, seed=5,
+                              **drifting_print_kwargs("warm_start"))
+    assert warm.outcome == "success"
+    assert len(warm.history) == 10
+    assert all(rec.strategy == "warm_start" and rec.fallback is None
+               for rec in warm.history)
+    # the model, one feasibility check per layer, the final verification
+    assert warm.fem_solves == 1 + 10 + 1
+
+
+def test_failed_model_build_is_recorded_as_the_fallback(bar, tmp_path):
+    # the mass objective does not depend on E, so its model is invalid and
+    # every layer is re-solved in full; noise-free, so no layer aborts
+    _, _, nominal = bar
+    problem = layered_bar_problem(4, d_max=1.08 * nominal, young_box=BOX,
+                                  objective="mass")
+    plan = optimize.inversion_solve(problem)
+    assert plan.feasible
+    report = printsim.run_print(problem, plan, seed=5,
+                                **drifting_print_kwargs("warm_start", 0.0))
+    assert len(report.history) == 4
+    assert all(rec.strategy == "full" and rec.fallback == "model_invalid"
+               for rec in report.history)
+    json_path = tmp_path / "report.json"
+    printsim.save_report(report, json_path)
+    doc = json.loads(json_path.read_text())
+    assert {rec["fallback"] for rec in doc["history"]} == {"model_invalid"}
+    csv_path = tmp_path / "history.csv"
+    printsim.history_to_csv(report, csv_path)
+    rows = csv_path.read_text().splitlines()
+    assert all(row.endswith(",model_invalid") for row in rows[1:])
+
+
 def test_severe_degradation_aborts_with_certificate(bar):
     problem, plan, _ = bar
     report = printsim.run_print(
@@ -454,5 +510,5 @@ def test_report_and_csv_serialization(bar, tmp_path):
     printsim.history_to_csv(report, csv_path)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == ("layer,strategy,objective,max_violation,"
-                        "fem_solves,mean_commanded")
+                        "fem_solves,mean_commanded,fallback")
     assert len(lines) == 1 + len(report.history)

@@ -392,8 +392,9 @@ def _backward_error(K_ff, norm: float, x: np.ndarray, b: np.ndarray) -> float:
 
 def _one_norm(K_ff) -> float:
     """||K_ff||_1, the largest absolute column sum of a CSC matrix."""
-    # the padded zero is what an empty last column reads; the sums of empty
-    # columns are then zeroed
+    # reduceat returns the entry at the start of an empty range, so empty
+    # columns are zeroed afterwards; the pad keeps an empty last column's
+    # start inside the array
     sums = np.add.reduceat(np.append(np.abs(K_ff.data), 0.0),
                            K_ff.indptr[:-1])
     sums[np.diff(K_ff.indptr) == 0] = 0.0

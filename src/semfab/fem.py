@@ -278,10 +278,8 @@ def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
         ff_indptr=ff.indptr,
         ff_indices=ff.indices,
     )
-    # every system assembled from the plan shares these arrays; `scatter`
-    # stays writeable only because np.bincount copies a read-only index
-    # array on every call
-    _read_only(unit, slots.indptr, slots.indices, f_ext, free,
+    # every system assembled from the plan shares these arrays
+    _read_only(unit, scatter, slots.indptr, slots.indices, f_ext, free,
                prescribed, prescribed_values, u_prescribed, plan.ff_slots,
                ff.indptr, ff.indices)
     return plan
@@ -346,21 +344,6 @@ def element_sensitivity(system: FemSystem, lam: np.ndarray,
     return np.einsum("ei,eij,ej->e", lam[maps], system.unit, u[maps])
 
 
-def pseudo_loads(system: FemSystem, u: np.ndarray) -> scipy.sparse.csc_matrix:
-    """The sparse (ndof x m) matrix whose column e is (dK/dp_e) u = k̂_e u_e,
-    with one nonzero per element dof. `u` is a full-length dof vector."""
-    if system.unit is None:
-        raise ValueError("pseudo-loads need a system from assemble")
-    maps = system.element_dofs
-    m, k = maps.shape
-    data = np.einsum("eij,ej->ei", system.unit, u[maps])
-    ndof = system.dofs_per_vertex * system.n_vertices
-    return scipy.sparse.csc_matrix(
-        (data.reshape(-1), maps.reshape(-1), np.arange(0, m * k + 1, k)),
-        shape=(ndof, m),
-    )
-
-
 def _sparse_factor(K_ff: scipy.sparse.spmatrix):
     """Sparse LU of the reduced block, pivoting on the diagonal only.
 
@@ -383,11 +366,11 @@ def _sparse_factor(K_ff: scipy.sparse.spmatrix):
 
 
 def _backward_error(K_ff, norm: float, x: np.ndarray, b: np.ndarray) -> float:
-    """Largest columnwise ||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1);
-    `norm` is ||K_ff||_1. A zero denominator means x = b = 0, so r = 0."""
-    r = np.abs(K_ff @ x - b).sum(axis=0)
-    scale = norm * np.abs(x).sum(axis=0) + np.abs(b).sum(axis=0)
-    return float(np.max(r / np.maximum(scale, _TINY)))
+    """||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1); `norm` is
+    ||K_ff||_1. A zero denominator means x = b = 0, so the error is 0."""
+    r = np.abs(K_ff @ x - b).sum()
+    scale = norm * np.abs(x).sum() + np.abs(b).sum()
+    return float(r / max(scale, _TINY))
 
 
 def _one_norm(K_ff) -> float:
@@ -425,15 +408,13 @@ def _factor(system: FemSystem):
 
 
 def _solve_free(system: FemSystem, b: np.ndarray, tol: float):
-    """Solve K_ff x = b for a vector or for each column of a matrix b;
-    returns (x, backward error, method).
+    """Solve K_ff x = b; returns (x, backward error, method).
 
     Both paths raise SolverFailure when the normwise backward error
-    ||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1) of any column
-    exceeds `tol`.
+    ||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1) exceeds `tol`.
     """
     if b.shape[0] == 0:
-        return np.zeros(b.shape), 0.0, "dense"
+        return np.zeros(0), 0.0, "dense"
     K_ff, norm, method, factor_solve = _factor(system)
     x = factor_solve(b)
     res = _backward_error(K_ff, norm, x, b)
@@ -485,12 +466,11 @@ def solve(system: FemSystem, tol: float = DEFAULT_TOL) -> FieldSolution:
 def adjoint_solve(system: FemSystem, weights: np.ndarray,
                   tol: float = DEFAULT_TOL) -> np.ndarray:
     """Solve K_ff lambda = w_f with the system's factor; returns the
-    full-length adjoint with zeros at prescribed dofs. `weights` has one
-    entry per global dof, or one row per global dof and one column per
-    right-hand side, all solved with the one factor."""
+    full-length adjoint vector with zeros at prescribed dofs. `weights` has
+    one entry per global dof."""
     weights = np.asarray(weights, dtype=np.float64)
     x, _, _ = _solve_free(system, weights[system.free], tol)
-    lam = np.zeros(weights.shape)
+    lam = np.zeros(len(weights))
     lam[system.free] = x
     return lam
 

@@ -20,12 +20,9 @@ from a quadratic model of the objective around the previous base point.
 point. A variable is *active* when it sits exactly on a box bound and the
 gradient pushes outward; it stays pinned at its base value, as first-order
 sensitivity theory for bound constraints prescribes. The model holds the
-Hessian rows of the k inactive variables only (k x n). On an
-:class:`InversionProblem` they come from the exact second-order adjoint:
-K is linear in the parameter, so the Hessian is a product of pseudo-load
-matrices and K_ff^-1, and each row costs one back-substitution with the
-base point's factor (two for the non-self-adjoint average temperature).
-A model whose variables are all active costs the base-point solve alone.
+Hessian rows of the k inactive variables only (k x n), from central
+differences of the gradient: two evaluations per inactive variable. A model
+whose variables are all active costs the base-point evaluation alone.
 """
 
 from __future__ import annotations
@@ -250,26 +247,6 @@ class FunctionProblem:
             self._gradient(x), dtype=float
         )
 
-    def objective_hessian(self, x, ctx, cols):
-        """Hessian columns ``cols``, (n, len(cols)), by central differences
-        of the gradient: two evaluations per column, with steps of 1e-3
-        times the variable's box width (1e-3 max(1, |x|) when unbounded)."""
-        cols = np.asarray(cols, dtype=np.intp)
-        x = np.asarray(x, dtype=float)
-        widths = self.boxes[cols, 1] - self.boxes[cols, 0]
-        steps = 1e-3 * np.where(np.isfinite(widths) & (widths > 0.0), widths,
-                                np.maximum(1.0, np.abs(x[cols])))
-        columns = np.empty((self.n_variables, cols.size))
-        for i, (j, h) in enumerate(zip(cols, steps)):
-            forward = x.copy()
-            forward[j] += h
-            backward = x.copy()
-            backward[j] -= h
-            _, gf = self.objective_and_gradient(forward)
-            _, gb = self.objective_and_gradient(backward)
-            columns[:, i] = (gf - gb) / (2.0 * h)
-        return columns
-
 
 class _PropertyConstraint:
     """Annotated bound on a solved or direct quantity.
@@ -402,19 +379,13 @@ class _FemContext:
     def primal_flat(self, physics):
         return self.solution(physics).values.reshape(-1)
 
-    def adjoint(self, physics, weights):
-        """Adjoint solve with the system's factor for a weight vector, or for
-        each column of a weight matrix; counts one solve per column."""
+    def adjoint_sensitivity(self, physics, weights):
+        """d(weights . u)/d(parameter) per element, via one adjoint solve."""
         lam = fem.adjoint_solve(
             self.system(physics), weights, tol=self.problem.solver_tol
         )
-        self.problem.solve_count += 1 if lam.ndim == 1 else lam.shape[1]
-        return lam
-
-    def adjoint_sensitivity(self, physics, weights):
-        """d(weights . u)/d(parameter) per element, via one adjoint solve."""
-        return self._element_sensitivity(physics,
-                                         self.adjoint(physics, weights))
+        self.problem.solve_count += 1
+        return self._element_sensitivity(physics, lam)
 
     def _element_sensitivity(self, physics, lam):
         # u solves K u = f, so d(lam . u)/dp_e = -lam . (dK/dp_e) u
@@ -543,38 +514,6 @@ class InversionProblem:
             return value, ctx._element_sensitivity("elasticity", lam)
         _, grad = _average_temperature(self, ctx, need_grad=True)
         return value, grad
-
-    def objective_hessian(self, x, ctx, cols):
-        """Hessian columns ``cols``, (n, len(cols)), by the second-order
-        adjoint method on the factor of the system at ``x``.
-
-        With G_u the pseudo-loads of the primal u (column e is k̂_e u_e, see
-        :func:`fem.pseudo_loads`), compliance has H = 2 G_uᵀ K_ff⁻¹ G_u: one
-        back-substitution per column. The average temperature, with λ the
-        adjoint of its volume weights and G_λ its pseudo-loads, has
-        H = G_λᵀ K_ff⁻¹ G_u + G_uᵀ K_ff⁻¹ G_λ: the adjoint plus two
-        back-substitutions per column. Mass, and a parameter the objective
-        does not differentiate against, has H = 0.
-        """
-        cols = np.asarray(cols, dtype=np.intp)
-        physics, grad_param = OBJECTIVES[self.objective]
-        if self.objective == "mass" or self.parameter != grad_param \
-                or not cols.size:
-            return np.zeros((self.n_variables, cols.size))
-        ctx = ctx or self.context(x)
-        system = ctx.system(physics)
-        G_u = fem.pseudo_loads(system, ctx.primal_flat(physics))
-        if self.objective == "compliance":
-            return 2.0 * (G_u.T @ ctx.adjoint(physics, G_u[:, cols].toarray()))
-        weights = self.spec.mesh.vertex_volume_weights()
-        G_lam = fem.pseudo_loads(
-            system, ctx.adjoint(physics, weights / weights.sum())
-        )
-        solved = ctx.adjoint(physics, np.hstack(
-            [G_u[:, cols].toarray(), G_lam[:, cols].toarray()]
-        ))
-        return (G_lam.T @ solved[:, :cols.size]
-                + G_u.T @ solved[:, cols.size:])
 
 
 def _check_free_boxes(boxes, free_idx):
@@ -930,17 +869,15 @@ def build_quadratic_model(problem, base_values, grad_tol=1e-6):
 
     A free variable that sits exactly on a box bound with the gradient
     pushing outward is active and stays pinned; the model holds the Hessian
-    rows of the k inactive variables, from ``problem.objective_hessian``:
-    exact second-order adjoint on an :class:`InversionProblem` (the
-    base-point solve plus one back-substitution per inactive variable for
-    compliance), central differences of the gradient on a
-    :class:`FunctionProblem`. Raises :class:`BasePointError` when the base
-    point is not near-stationary and :class:`ModelInvalidError` when the
-    inactive block of the Hessian is not positive definite.
+    rows of the k inactive variables only, from central differences of the
+    analytic gradient with steps of 1e-3 times each variable's box width:
+    the base-point evaluation plus two per inactive variable.  Raises
+    :class:`BasePointError` when the base point is not near-stationary and
+    :class:`ModelInvalidError` when the inactive block of the Hessian is not
+    positive definite.
     """
     x = problem.pin(base_values)
-    ctx = problem.context(x)
-    _, grad = problem.objective_and_gradient(x, ctx)
+    _, grad = problem.objective_and_gradient(x, problem.context(x))
     pg = _projected_gradient_norm(problem, x, grad)
     if pg > grad_tol:
         raise BasePointError(
@@ -952,7 +889,19 @@ def build_quadratic_model(problem, base_values, grad_tol=1e-6):
     active = (((x[free] == problem.boxes[free, 1]) & (g < 0.0))
               | ((x[free] == problem.boxes[free, 0]) & (g > 0.0)))
     inactive = free[~active]
-    rows = problem.objective_hessian(x, ctx, inactive).T
+    widths = problem.boxes[inactive, 1] - problem.boxes[inactive, 0]
+    steps = 1e-3 * np.where(np.isfinite(widths) & (widths > 0.0), widths,
+                            np.maximum(1.0, np.abs(x[inactive])))
+    # the Hessian is symmetric, so column j of it is row j
+    rows = np.empty((inactive.size, problem.n_variables))
+    for i, (j, h) in enumerate(zip(inactive, steps)):
+        forward = x.copy()
+        forward[j] += h
+        backward = x.copy()
+        backward[j] -= h
+        _, gf = problem.objective_and_gradient(forward, problem.context(forward))
+        _, gb = problem.objective_and_gradient(backward, problem.context(backward))
+        rows[i] = (gf - gb) / (2.0 * h)
     return QuadraticModel.from_hessian(
         rows, inactive, free[active], grad, x, problem.frozen_idx, free
     )

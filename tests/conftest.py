@@ -23,15 +23,13 @@ def consistent_face_loads(m, verts, total_force):
     return loads
 
 
-def bar_mesh_and_doc(n_layers, d_max, young_box, P=1000.0, section=(1, 1)):
+def bar_mesh_and_doc(n_layers, d_max, young_box, P=1000.0):
     """Cantilever bar mesh plus its annotation document.
 
     Bottom face fixed, distributed load of magnitude P pulling the top face
     down, tip displacement bounded by an annotated property named "tip".
-    ``section`` is the number of cells across the 1 x 1 cross-section.
     """
-    m = mesh.generate_box_mesh(section[0], section[1], n_layers,
-                               (1.0, 1.0, float(n_layers)))
+    m = mesh.generate_box_mesh(1, 1, n_layers, (1.0, 1.0, float(n_layers)))
     bottom = [i for i in range(m.n_vertices) if m.vertices[i, 2] < 1e-9]
     top = [i for i in range(m.n_vertices)
            if m.vertices[i, 2] > n_layers - 1e-9]
@@ -59,9 +57,9 @@ def bar_mesh_and_doc(n_layers, d_max, young_box, P=1000.0, section=(1, 1)):
 
 
 def layered_bar_problem(n_layers, d_max, young_box, P=1000.0,
-                        objective="compliance", section=(1, 1)):
+                        objective="compliance"):
     """InversionProblem over the young modulus for the annotated bar."""
-    m, doc = bar_mesh_and_doc(n_layers, d_max, young_box, P, section)
+    m, doc = bar_mesh_and_doc(n_layers, d_max, young_box, P)
     spec = semantics.bind_to_mesh(semantics.layer_from_dict(doc), m)
     return optimize.InversionProblem(spec, objective, parameter="young")
 

@@ -562,48 +562,6 @@ def test_dense_path_checks_the_residual_guard_too():
     assert err.value.residual_history == [sol.residual]
 
 
-def test_adjoint_solve_matrix_weights_solve_every_column(monkeypatch):
-    factorizations = []
-    for name, module in (("_sparse_factor", fem),
-                         ("cho_factor", scipy.linalg)):
-        original = getattr(module, name)
-
-        def counted(*args, _original=original, **kwargs):
-            factorizations.append(1)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-    rng = np.random.default_rng(5)
-    for n_radial, n_axial in ((8, 3), (32, 10)):  # dense and sparse path
-        mesh, spec, fld, top = shaft_problem(n_radial=n_radial,
-                                             n_axial=n_axial)
-        system = assemble(spec, fld, "elasticity")
-        factorizations.clear()
-        W = rng.normal(size=(3 * mesh.n_vertices, 4))
-        lam = adjoint_solve(system, W)
-        assert len(factorizations) == 1
-        assert lam.shape == W.shape
-        assert np.abs(lam[system.prescribed]).max() == 0.0
-        K_ff = system.K[system.free][:, system.free].toarray()
-        for j in range(W.shape[1]):
-            expected = np.linalg.solve(K_ff, W[system.free, j])
-            assert_allclose(lam[system.free, j], expected,
-                            atol=1e-9 * np.abs(expected).max())
-        assert len(factorizations) == 1
-
-
-def test_pseudo_loads_give_the_element_sensitivities():
-    mesh, spec, fld, top = shaft_problem()
-    system = assemble(spec, fld, "elasticity")
-    u = solve(system).values.reshape(-1)
-    lam = np.random.default_rng(2).normal(size=u.size)
-    G = fem.pseudo_loads(system, u)
-    assert G.shape == (u.size, mesh.n_elements)
-    assert np.all(np.diff(G.indptr) == 12)
-    assert_allclose(G.T @ lam, fem.element_sensitivity(system, lam, u),
-                    rtol=1e-12, atol=1e-12 * np.abs(G.T @ lam).max())
-
-
 def test_one_norm_is_the_largest_absolute_column_sum():
     rng = np.random.default_rng(9)
     for n, density in ((6, 0.0), (7, 0.3), (40, 0.05)):

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mesh as mesh_mod
-from . import optimize, printsim, semantics
+from . import fem, optimize, printsim, semantics
 from .errors import (
     AnnotationParseError,
     BindError,
@@ -145,11 +145,14 @@ def _load_bound_spec(mesh_path, annotation_path):
     return spec
 
 
-def _resolve(args, name):
+def _resolve(args, name, default=None):
+    """The flag, else the config key, else ``default`` or the global one."""
     value = getattr(args, name)
     if value is not None:
         return value
-    return args._config.get(name, _GLOBAL_DEFAULTS[name])
+    if default is None:
+        default = _GLOBAL_DEFAULTS[name]
+    return args._config.get(name, default)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +183,7 @@ def cmd_verify(args):
         with open(args.field, encoding="utf-8") as fh:
             field = semantics.field_from_dict(json.load(fh))
     verdicts, _ = semantics.check_properties(
-        spec, field, tol=_resolve(args, "tol")
+        spec, field, tol=_resolve(args, "tol", fem.DEFAULT_TOL)
     )
     print(_verdict_table(verdicts))
     failed = [v.name for v in verdicts if not v.passed]
@@ -342,21 +345,9 @@ def cmd_report(args):
         )
     if doc["verdicts"]:
         print("\nfinal verification (achieved field):")
-        header = ("property", "quantity", "measured", "margin", "status")
-        rows = [header]
-        for v in doc["verdicts"]:
-            rows.append(
-                (
-                    v["name"],
-                    v["quantity"],
-                    f"{v['measured']:.6g}",
-                    f"{v['margin']:.3g}",
-                    "PASS" if v["passed"] else "FAIL",
-                )
-            )
-        widths = [max(len(r[c]) for r in rows) for c in range(5)]
-        for row in rows:
-            print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        print(_verdict_table(
+            semantics.PropertyVerdict(**v) for v in doc["verdicts"]
+        ))
     if doc["history"]:
         print("\nlayer  strategy    fem_solves  mean_commanded")
         for rec in doc["history"]:

@@ -11,6 +11,9 @@ Armijo backtracking.  Bound-type constraints enter through squared-hinge
 penalties whose weight escalates until a penalty-free feasibility check
 passes; if escalation runs out, the best iterate is returned with
 ``feasible=False`` and the violated constraint names as a certificate.
+A property passes that check only when it meets its bound exactly, the
+test :func:`semantics.check_properties` applies, so each property hinge
+aims ``FEAS_TOL * max(1, |bound|)`` inside the bound.
 
 After upstream values drift, :func:`reoptimize_after_drift` either re-runs the
 solver from the previous optimum or applies a second-order warm start built
@@ -23,6 +26,11 @@ sensitivity theory for bound constraints prescribes. The model holds the
 Hessian rows of the k inactive variables only (k x n), from central
 differences of the gradient: two evaluations per inactive variable. A model
 whose variables are all active costs the base-point evaluation alone.
+
+The model keeps only what the base point determines. Each re-plan freezes
+a different set of printed elements, so :func:`warm_start_update` slices
+the blocks of the split it is given and solves ``F_zz dz = -F_yz dy``
+there.
 """
 
 from __future__ import annotations
@@ -47,7 +55,11 @@ OBJECTIVES = {
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 500
-DEFAULT_FEAS_TOL = 1e-6
+# feasibility slack, relative to max(1, |bound|): property hinges aim this
+# far inside their bounds, and the Lipschitz verdict accepts this excess
+FEAS_TOL = 1e-6
+# largest projected-gradient norm accepted at a quadratic model's base point
+MODEL_GRAD_TOL = 1e-6
 PENALTY_GROWTH = 10.0
 MAX_ESCALATIONS = 6
 ARMIJO_C = 1e-4
@@ -88,82 +100,26 @@ class OptimizationResult:
     # "base_point" or "warm_infeasible"; None when it did not
     fallback: str | None = None
 
-    @property
-    def free_values(self) -> np.ndarray:
-        return self.values[self.free_index]
-
 
 @dataclasses.dataclass(frozen=True)
 class QuadraticModel:
-    """Second-order expansion of the objective at an approximate minimizer,
-    over the variables that were free and off their bounds there.
+    """Second-order expansion of the objective at an approximate minimizer.
 
-    ``rows`` holds the Hessian rows of ``inactive_idx`` (k x n); the
-    ``active_idx`` variables stay at their base values. For the current
-    frozen/free split, ``z_idx`` are the free inactive variables, ``F_zz``
-    their block and ``F_yz`` the mixed block (rows follow ``z_idx``, columns
-    follow ``frozen_idx``), so a frozen perturbation dy shifts the z
-    variables by ``-F_zz^-1 (F_yz @ dy)``.
+    ``rows`` holds the Hessian rows of the bound-inactive variables
+    ``inactive_idx`` (k x n); the ``active_idx`` variables stay at their
+    ``base_values``. Nothing here depends on a frozen/free split:
+    :func:`warm_start_update` slices the blocks of the split it is given.
     """
 
     base_values: np.ndarray
-    gradient: np.ndarray
     inactive_idx: np.ndarray
     active_idx: np.ndarray
     rows: np.ndarray
-    frozen_idx: np.ndarray
-    free_idx: np.ndarray
-    z_idx: np.ndarray
-    F_zz: np.ndarray
-    F_yz: np.ndarray
-    chol: tuple
 
-    @classmethod
-    def from_hessian(cls, rows, inactive_idx, active_idx, gradient,
-                     base_values, frozen_idx, free_idx):
-        """Slice the stored Hessian rows for a frozen/free split; checks
-        that F_zz is positive definite.
 
-        The split made at the base point is kept: active variables stay
-        pinned, inactive ones that are frozen now enter through F_yz. A free
-        variable that was frozen when the rows were built is not covered.
-        """
-        inactive_idx = np.asarray(inactive_idx, dtype=np.intp)
-        active_idx = np.asarray(active_idx, dtype=np.intp)
-        frozen_idx = np.asarray(frozen_idx, dtype=np.intp)
-        free_idx = np.asarray(free_idx, dtype=np.intp)
-        if not np.all(np.isin(free_idx, inactive_idx)
-                      | np.isin(free_idx, active_idx)):
-            raise ModelInvalidError(
-                "the model does not cover every free variable"
-            )
-        pos = np.flatnonzero(np.isin(inactive_idx, free_idx))
-        z_idx = inactive_idx[pos]
-        F_zz = rows[np.ix_(pos, z_idx)]
-        F_zz = 0.5 * (F_zz + F_zz.T)
-        F_yz = rows[np.ix_(pos, frozen_idx)]
-        if z_idx.size:
-            try:
-                chol = scipy.linalg.cho_factor(F_zz)
-            except scipy.linalg.LinAlgError as exc:
-                raise ModelInvalidError(
-                    "free-block Hessian is not positive definite"
-                ) from exc
-        else:
-            chol = (np.zeros((0, 0)), True)
-        return cls(
-            base_values=np.asarray(base_values, dtype=float).copy(),
-            gradient=np.asarray(gradient, dtype=float).copy(),
-            inactive_idx=inactive_idx,
-            active_idx=active_idx,
-            rows=rows,
-            frozen_idx=frozen_idx,
-            free_idx=free_idx,
-            z_idx=z_idx,
-            F_zz=F_zz,
-            F_yz=F_yz,
-            chol=chol,
-        )
+def _feas_margin(bound):
+    """How far inside ``bound`` a property's penalty hinge aims."""
+    return FEAS_TOL * max(1.0, abs(bound))
 
 
 class SyntheticConstraint:
@@ -175,18 +131,18 @@ class SyntheticConstraint:
         self._excess_fn = excess_fn
         self._grad_fn = grad_fn
 
-    def evaluate(self, x, ctx, need_grad=False):
+    def evaluate(self, x, ctx):
         excess = float(self._excess_fn(x))
-        grad = None
-        if need_grad and excess > 0.0 and self._grad_fn is not None:
-            grad = np.asarray(self._grad_fn(x), dtype=float)
-        return excess, self.bound + excess, grad
+        return excess, self.bound + excess
 
     def penalty(self, x, ctx, need_grad=False):
-        excess, _, grad = self.evaluate(x, ctx, need_grad)
-        if excess <= 0.0:
+        hinge = self.evaluate(x, ctx)[0] + _feas_margin(self.bound)
+        if hinge <= 0.0:
             return 0.0, None
-        return excess * excess, None if grad is None else 2.0 * excess * grad
+        if not need_grad or self._grad_fn is None:
+            return hinge * hinge, None
+        grad = np.asarray(self._grad_fn(x), dtype=float)
+        return hinge * hinge, 2.0 * hinge * grad
 
 
 class FunctionProblem:
@@ -253,9 +209,11 @@ class _PropertyConstraint:
 
     ``evaluate`` reports the verdict quantities (worst vertex for tagged
     properties).  ``penalty`` is the squared-hinge term the solver descends
-    on; for vertex-set properties it sums per-vertex hinges, which keeps the
-    merit differentiable when several vertices tie at the maximum, and its
-    gradient needs a single adjoint solve with combined weights.
+    on, aimed ``_feas_margin(bound)`` inside the bound; for vertex-set
+    properties it sums per-vertex hinges, which keeps the merit
+    differentiable when several vertices tie at the maximum.  Its gradient
+    needs one adjoint solve with combined weights, and none when no hinge is
+    active.
     """
 
     def __init__(self, problem, prop):
@@ -273,47 +231,49 @@ class _PropertyConstraint:
         temps = ctx.solution("conduction").values[verts]
         return temps, verts, None
 
-    def _scalar_measure(self, x, ctx, need_grad):
-        if self.prop.quantity == "mass":
-            volumes = self.problem.spec.mesh.volumes()
+    def evaluate(self, x, ctx):
+        quantity = self.prop.quantity
+        if quantity == "mass":
             density = (
                 x if self.problem.parameter == "density" else ctx.field.density
             )
-            grad = volumes if self.problem.parameter == "density" else None
-            return float(density @ volumes), (grad if need_grad else None)
-        return _average_temperature(self.problem, ctx, need_grad)
-
-    def evaluate(self, x, ctx, need_grad=False):
-        quantity = self.prop.quantity
-        if quantity in ("mass", "average_temperature"):
-            measured, grad_meas = self._scalar_measure(x, ctx, need_grad)
+            measured = float(density @ self.problem.spec.mesh.volumes())
+        elif quantity == "average_temperature":
+            measured, _ = _average_temperature(self.problem, ctx, False)
         else:
             values, _, _ = self._vertex_values(ctx)
-            measured, grad_meas = float(values.max()), None
+            measured = float(values.max())
         if self.prop.op == "le":
-            excess, sign = measured - self.bound, 1.0
-        else:
-            excess, sign = self.bound - measured, -1.0
-        grad = None
-        if need_grad and excess > 0.0 and grad_meas is not None:
-            grad = sign * grad_meas
-        return excess, measured, grad
+            return measured - self.bound, measured
+        return self.bound - measured, measured
+
+    def _scalar_gradient(self, ctx):
+        """Gradient of the mass or average temperature, None when it does
+        not depend on the optimized parameter."""
+        if self.prop.quantity == "mass":
+            if self.problem.parameter != "density":
+                return None
+            return self.problem.spec.mesh.volumes()
+        _, grad = _average_temperature(self.problem, ctx, need_grad=True)
+        return grad
 
     def penalty(self, x, ctx, need_grad=False):
         """Squared-hinge value and its gradient over all elements."""
         quantity = self.prop.quantity
+        margin = _feas_margin(self.bound)
         if quantity in ("mass", "average_temperature"):
-            excess, _, grad = self.evaluate(x, ctx, need_grad)
-            if excess <= 0.0:
+            hinge = self.evaluate(x, ctx)[0] + margin
+            if hinge <= 0.0:
                 return 0.0, None
-            value = excess * excess
+            grad = self._scalar_gradient(ctx) if need_grad else None
             if grad is None:
-                return value, None
-            return value, 2.0 * excess * grad
+                return hinge * hinge, None
+            sign = 1.0 if self.prop.op == "le" else -1.0
+            return hinge * hinge, 2.0 * hinge * sign * grad
         values, verts, disp = self._vertex_values(ctx)
-        excess = values - self.bound  # le is the only op for tagged bounds
-        active = excess > 0.0
-        value = float(np.sum(excess[active] ** 2))
+        hinge = values - self.bound + margin  # le is the only op here
+        active = hinge > 0.0
+        value = float(np.sum(hinge[active] ** 2))
         if not need_grad or not np.any(active):
             return value, None
         if quantity == "max_displacement":
@@ -321,7 +281,7 @@ class _PropertyConstraint:
                 return value, None
             weights = np.zeros(ctx.n_dofs("elasticity"))
             for v, e, u, mag in zip(
-                verts[active], excess[active], disp[active], values[active]
+                verts[active], hinge[active], disp[active], values[active]
             ):
                 if mag > 0.0:
                     weights[3 * v : 3 * v + 3] = 2.0 * e * u / mag
@@ -329,7 +289,7 @@ class _PropertyConstraint:
         if self.problem.parameter != "conductivity":
             return value, None
         weights = np.zeros(ctx.n_dofs("conduction"))
-        weights[verts[active]] = 2.0 * excess[active]
+        weights[verts[active]] = 2.0 * hinge[active]
         return value, ctx.adjoint_sensitivity("conduction", weights)
 
 
@@ -607,7 +567,7 @@ def _merit(problem, x, weight, need_grad, ctx=None):
     merit = obj
     max_violation = 0.0
     for constraint in problem.constraints:
-        excess, _, _ = constraint.evaluate(x, ctx, need_grad=False)
+        excess, _ = constraint.evaluate(x, ctx)
         max_violation = max(max_violation, excess)
         pvalue, pgrad = constraint.penalty(x, ctx, need_grad=need_grad)
         merit += weight * pvalue
@@ -624,25 +584,27 @@ def _merit(problem, x, weight, need_grad, ctx=None):
     return merit, obj, max_violation, grad
 
 
-def verify_constraints(problem, x, feas_tol=DEFAULT_FEAS_TOL, ctx=None):
+def verify_constraints(problem, x, ctx=None):
     """Penalty-free feasibility check; returns (feasible, verdicts, objective).
 
-    ``ctx``, when given, is a context at ``x`` whose solves are reused.
+    A property passes only at excess <= 0, the test final verification
+    applies; the Lipschitz surrogate, which final verification does not
+    check, passes up to ``FEAS_TOL * max(1, gamma)``.  ``ctx``, when given,
+    is a context at ``x`` whose solves are reused.
     """
     if ctx is None:
         ctx = problem.context(x)
     objective = problem.objective_value(x, ctx)
     verdicts = []
     for constraint in problem.constraints:
-        excess, measured, _ = constraint.evaluate(x, ctx, need_grad=False)
-        scale = max(1.0, abs(constraint.bound))
+        excess, measured = constraint.evaluate(x, ctx)
         verdicts.append(
             ConstraintVerdict(
                 name=constraint.name,
                 measured=measured,
                 bound=constraint.bound,
                 excess=excess,
-                passed=bool(excess <= feas_tol * scale),
+                passed=bool(excess <= 0.0),
             )
         )
     if problem.lipschitz is not None:
@@ -653,14 +615,13 @@ def verify_constraints(problem, x, feas_tol=DEFAULT_FEAS_TOL, ctx=None):
         ratio = 0.0
         if excess.size and lip.distances[worst] > 0.0:
             ratio = float(abs(diffs[worst]) / lip.distances[worst])
-        scale = max(1.0, abs(lip.gamma))
         verdicts.append(
             ConstraintVerdict(
                 name="field_regularity",
                 measured=ratio,
                 bound=lip.gamma,
                 excess=max_excess,
-                passed=bool(max_excess <= feas_tol * scale),
+                passed=bool(max_excess <= _feas_margin(lip.gamma)),
             )
         )
     feasible = all(v.passed for v in verdicts)
@@ -762,9 +723,6 @@ def inversion_solve(
     tol=DEFAULT_TOL,
     max_iter=DEFAULT_MAX_ITER,
     x0=None,
-    feas_tol=DEFAULT_FEAS_TOL,
-    initial_weight=1.0,
-    max_escalations=MAX_ESCALATIONS,
 ):
     """Minimize the objective over free elements subject to annotated bounds.
 
@@ -782,9 +740,7 @@ def inversion_solve(
             problem.boxes[problem.free_idx, 1],
         )
     ctx = problem.context(x)
-    feasible0, verdicts0, objective0 = verify_constraints(
-        problem, x, feas_tol, ctx
-    )
+    feasible0, verdicts0, objective0 = verify_constraints(problem, x, ctx)
     trace = [
         {
             "iter": 0,
@@ -808,25 +764,23 @@ def inversion_solve(
             strategy="full",
             trace=tuple(trace),
         )
-    weight = float(initial_weight)
+    weight = 1.0
     total_iters = 0
     feasible, verdicts, objective = False, (), objective0
-    for _ in range(max_escalations + 1):
+    for _ in range(MAX_ESCALATIONS + 1):
         x, iterations, ctx = _pgd_phase(
             problem, x, weight, tol, max_iter, trace, total_iters, ctx
         )
         total_iters += iterations
         if ctx is None:
             ctx = problem.context(x)
-        feasible, verdicts, objective = verify_constraints(
-            problem, x, feas_tol, ctx
-        )
+        feasible, verdicts, objective = verify_constraints(problem, x, ctx)
         if feasible:
             break
         # the equilibrium excess of a squared hinge scales as 1/weight, so
         # jump by the measured overshoot ratio when plain x10 will not do
         ratio = max(
-            v.excess / (feas_tol * max(1.0, abs(v.bound)))
+            v.excess / _feas_margin(v.bound)
             for v in verdicts
             if not v.passed
         )
@@ -864,7 +818,7 @@ def _projected_gradient_norm(problem, x, grad):
     return float(np.linalg.norm(projected, np.inf)) if projected.size else 0.0
 
 
-def build_quadratic_model(problem, base_values, grad_tol=1e-6):
+def build_quadratic_model(problem, base_values):
     """Quadratic expansion of the objective at an approximate minimizer.
 
     A free variable that sits exactly on a box bound with the gradient
@@ -873,15 +827,15 @@ def build_quadratic_model(problem, base_values, grad_tol=1e-6):
     analytic gradient with steps of 1e-3 times each variable's box width:
     the base-point evaluation plus two per inactive variable.  Raises
     :class:`BasePointError` when the base point is not near-stationary and
-    :class:`ModelInvalidError` when the inactive block of the Hessian is not
-    positive definite.
+    :class:`ModelInvalidError` when the model fails the checks of
+    :func:`warm_start_update` on ``problem``'s own frozen/free split.
     """
     x = problem.pin(base_values)
     _, grad = problem.objective_and_gradient(x, problem.context(x))
     pg = _projected_gradient_norm(problem, x, grad)
-    if pg > grad_tol:
+    if pg > MODEL_GRAD_TOL:
         raise BasePointError(
-            f"projected gradient norm {pg:.3e} exceeds {grad_tol:.3e} "
+            f"projected gradient norm {pg:.3e} exceeds {MODEL_GRAD_TOL:.3e} "
             "at the model base point"
         )
     free = problem.free_idx
@@ -902,25 +856,44 @@ def build_quadratic_model(problem, base_values, grad_tol=1e-6):
         _, gf = problem.objective_and_gradient(forward, problem.context(forward))
         _, gb = problem.objective_and_gradient(backward, problem.context(backward))
         rows[i] = (gf - gb) / (2.0 * h)
-    return QuadraticModel.from_hessian(
-        rows, inactive, free[active], grad, x, problem.frozen_idx, free
-    )
+    model = QuadraticModel(x, inactive, free[active], rows)
+    # a zero shift on this problem's own split runs the model's checks
+    warm_start_update(model, problem, np.zeros(problem.frozen_idx.size))
+    return model
 
 
-def warm_start_update(model, delta_y):
+def warm_start_update(model, problem, delta_y):
     """Free-value shift predicted by the model for a frozen perturbation.
 
-    ``delta_y`` is ordered like ``model.frozen_idx``; the shift is ordered
-    like ``model.free_idx`` and is zero on the active variables.
+    Slices the model for ``problem``'s frozen/free split: z are the free
+    inactive variables, F_zz their Hessian block and F_yz the mixed block
+    against the frozen ones, so the frozen shift ``delta_y`` (ordered like
+    ``problem.frozen_idx``) moves z by ``-F_zz^-1 (F_yz @ delta_y)``.  The
+    shift is ordered like ``problem.free_idx`` and is zero on the active
+    variables.  Raises :class:`ModelInvalidError` when the model does not
+    cover every free variable or F_zz is not positive definite.
     """
     delta_y = np.asarray(delta_y, dtype=float).reshape(-1)
-    if delta_y.size != model.frozen_idx.size:
-        raise ValueError("delta_y must align with the model's frozen set")
-    shift = np.zeros(model.free_idx.size)
-    if model.z_idx.size:
-        shift[np.isin(model.free_idx, model.z_idx)] = -scipy.linalg.cho_solve(
-            model.chol, model.F_yz @ delta_y
-        )
+    if delta_y.size != problem.frozen_idx.size:
+        raise ValueError("delta_y must align with the problem's frozen set")
+    free = problem.free_idx
+    if not np.all(np.isin(free, model.inactive_idx)
+                  | np.isin(free, model.active_idx)):
+        raise ModelInvalidError("the model does not cover every free variable")
+    pos = np.flatnonzero(np.isin(model.inactive_idx, free))
+    shift = np.zeros(free.size)
+    if not pos.size:
+        return shift
+    z_idx = model.inactive_idx[pos]
+    F_zz = model.rows[np.ix_(pos, z_idx)]
+    try:
+        chol = scipy.linalg.cho_factor(0.5 * (F_zz + F_zz.T))
+    except scipy.linalg.LinAlgError as exc:
+        raise ModelInvalidError(
+            "free-block Hessian is not positive definite"
+        ) from exc
+    F_yz = model.rows[np.ix_(pos, problem.frozen_idx)]
+    shift[np.isin(free, z_idx)] = -scipy.linalg.cho_solve(chol, F_yz @ delta_y)
     return shift
 
 
@@ -932,12 +905,12 @@ def reoptimize_after_drift(
     model=None,
     tol=DEFAULT_TOL,
     max_iter=DEFAULT_MAX_ITER,
-    feas_tol=DEFAULT_FEAS_TOL,
 ):
     """Update the free elements after the frozen ones drifted by ``delta_y``.
 
     ``delta_y`` is ordered like ``problem.frozen_idx`` and measured from the
-    model's base point (the previous optimum when ``model`` is omitted).  The
+    model's base point (the previous optimum when ``model`` is omitted); the
+    model may come from a problem with another frozen/free split.  The
     warm strategy applies the quadratic-model shift and keeps it only if a
     penalty-free feasibility check passes; otherwise, and for any model
     failure, it falls back to a full solve seeded at the previous values,
@@ -962,17 +935,7 @@ def reoptimize_after_drift(
         try:
             if model is None:
                 model = build_quadratic_model(problem, previous_result.values)
-            if not np.array_equal(model.frozen_idx, problem.frozen_idx):
-                model = QuadraticModel.from_hessian(
-                    model.rows,
-                    model.inactive_idx,
-                    model.active_idx,
-                    model.gradient,
-                    model.base_values,
-                    problem.frozen_idx,
-                    problem.free_idx,
-                )
-            delta_z = warm_start_update(model, delta_y)
+            delta_z = warm_start_update(model, problem, delta_y)
             free = problem.free_idx
             x = problem.pin(model.base_values)
             x[free] = np.clip(
@@ -980,9 +943,7 @@ def reoptimize_after_drift(
                 problem.boxes[free, 0],
                 problem.boxes[free, 1],
             )
-            feasible, verdicts, objective = verify_constraints(
-                problem, x, feas_tol
-            )
+            feasible, verdicts, objective = verify_constraints(problem, x)
             if feasible:
                 return OptimizationResult(
                     values=x,
@@ -1003,11 +964,7 @@ def reoptimize_after_drift(
             fallback = "base_point"
 
     result = inversion_solve(
-        problem,
-        tol=tol,
-        max_iter=max_iter,
-        x0=previous_result.values,
-        feas_tol=feas_tol,
+        problem, tol=tol, max_iter=max_iter, x0=previous_result.values
     )
     return dataclasses.replace(
         result, fem_solves=problem.solve_count - start, fallback=fallback

@@ -415,8 +415,7 @@ def _element_layer_index(partition, n_elements):
 
 
 def control_step(state, problem, strategy, previous_result, model=None,
-                 plant_model=None, tol=optimize.DEFAULT_TOL,
-                 feas_tol=optimize.DEFAULT_FEAS_TOL, fallback=None):
+                 plant_model=None, tol=optimize.DEFAULT_TOL, fallback=None):
     """Re-plan the unprinted remainder around the estimated printed state.
 
     Freezes printed elements at posterior means, re-optimizes the rest, and
@@ -434,7 +433,7 @@ def control_step(state, problem, strategy, previous_result, model=None,
     delta_y = estimates - previous_result.values[printed]
     result = optimize.reoptimize_after_drift(
         shifted, previous_result, delta_y,
-        strategy=strategy, model=model, tol=tol, feas_tol=feas_tol,
+        strategy=strategy, model=model, tol=tol,
     )
     layer = state.frontier - 1
     if not result.feasible:
@@ -489,8 +488,7 @@ def final_verification(problem, achieved_field):
 
 
 def run_print(problem, initial_plan, actuator, sensor, policy, seed,
-              layer_height, tol=optimize.DEFAULT_TOL,
-              feas_tol=optimize.DEFAULT_FEAS_TOL):
+              layer_height, tol=optimize.DEFAULT_TOL):
     """Run the full closed loop and report the outcome.
 
     Per layer: print, observe, update the posterior, and (when the policy
@@ -548,7 +546,7 @@ def run_print(problem, initial_plan, actuator, sensor, policy, seed,
         outcome = control_step(
             state, problem, strategy, initial_plan,
             model=model, plant_model=policy.plant_model,
-            tol=tol, feas_tol=feas_tol, fallback=fallback,
+            tol=tol, fallback=fallback,
         )
         if isinstance(outcome, AbortDecision):
             abort = outcome

@@ -127,6 +127,24 @@ def test_verify_thermal_plate_solves_conduction_once(tmp_path, monkeypatch,
     assert solved == ["conduction"]
 
 
+def test_verify_defaults_to_the_library_fem_tolerance(tmp_path, monkeypatch,
+                                                      capsys):
+    # the FEM tolerance final verification solves at, not the optimizer's
+    mesh_path, ann_path = write_bar_files(tmp_path, 2, 0.05, BOX)
+    tols = []
+    original = semantics.check_properties
+
+    def captured(*args, tol, **kwargs):
+        tols.append(tol)
+        return original(*args, tol=tol, **kwargs)
+
+    monkeypatch.setattr(semantics, "check_properties", captured)
+    assert run_cli("verify", mesh_path, ann_path, "--nominal") == 0
+    assert run_cli("verify", mesh_path, ann_path, "--nominal",
+                   "--tol", "1e-8") == 0
+    assert tols == [fem.DEFAULT_TOL, 1e-8]
+
+
 def test_verify_explicit_field_file(tmp_path, capsys):
     mesh_path, ann_path = write_bar_files(tmp_path, 4, 0.05, BOX)
     m = mesh.load_mesh(mesh_path)

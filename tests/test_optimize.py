@@ -460,9 +460,9 @@ def test_quadratic_model_recovers_polynomial_blocks():
 
     model = optimize.build_quadratic_model(polynomial_problem([0], [0.0]),
                                            np.zeros(2))
+    # variable 1's row: F_yz = 1 in column 0, F_zz = 2 in column 1
+    np.testing.assert_array_equal(model.inactive_idx, [1])
     np.testing.assert_allclose(model.rows, [[1.0, 2.0]], atol=1e-6)
-    np.testing.assert_allclose(model.F_zz, [[2.0]], atol=1e-6)
-    np.testing.assert_allclose(model.F_yz, [[1.0]], atol=1e-6)
     # the frozen block is not stored; with nothing frozen, variable 0 is
     # inactive and its stored row carries it
     unfrozen = optimize.build_quadratic_model(polynomial_problem([], []),
@@ -493,7 +493,7 @@ def test_warm_start_zero_delta_returns_zero_shift():
     problem = exp_coupled_problem(0.0)
     base = optimize.inversion_solve(problem, tol=1e-12)
     model = optimize.build_quadratic_model(problem, base.values)
-    delta_z = optimize.warm_start_update(model, [0.0])
+    delta_z = optimize.warm_start_update(model, problem, [0.0])
     assert np.array_equal(delta_z, np.zeros(2))
 
 
@@ -506,12 +506,30 @@ def test_warm_start_sign_oracle():
         frozen_values=[0.0],
     )
     model = optimize.build_quadratic_model(problem, np.zeros(2))
-    delta_z = optimize.warm_start_update(model, [0.1])
+    delta_z = optimize.warm_start_update(model, problem, [0.1])
     # brute-force minimum of F(0.1, z) over z
     zs = np.linspace(-1, 1, 2_000_001)
     brute = zs[np.argmin(0.1**2 + zs**2 + 0.1 * zs)]
     assert delta_z == pytest.approx([-0.05], abs=1e-12)
     assert delta_z == pytest.approx([brute], abs=1e-6)
+
+
+def test_warm_start_rejects_a_split_the_model_does_not_cover():
+    # variable 0 was frozen at the base point, so the model holds nothing
+    # that could move it once it is free
+    def polynomial_problem(frozen_idx, frozen_values):
+        return optimize.FunctionProblem(
+            lambda x: x[0] ** 2 + x[1] ** 2 + x[0] * x[1],
+            lambda x: np.array([2 * x[0] + x[1], 2 * x[1] + x[0]]),
+            [[-1, 1], [-1, 1]],
+            frozen_idx=frozen_idx,
+            frozen_values=frozen_values,
+        )
+
+    model = optimize.build_quadratic_model(polynomial_problem([0], [0.0]),
+                                           np.zeros(2))
+    with pytest.raises(ModelInvalidError):
+        optimize.warm_start_update(model, polynomial_problem([], []), [])
 
 
 def test_warm_start_equals_full_on_quadratic():
@@ -684,10 +702,11 @@ def test_model_at_an_all_active_plan_costs_one_solve():
     before = problem.solve_count
     model = optimize.build_quadratic_model(problem, plan.values)
     assert problem.solve_count - before == 1  # the base point's primal
-    assert model.z_idx.size == 0 and model.rows.shape == (0, 60)
+    assert model.rows.shape == (0, 60)
     assert model.active_idx.tolist() == list(range(60))
     # the warm step is the identity on the free block
-    assert np.array_equal(optimize.warm_start_update(model, []), np.zeros(60))
+    assert np.array_equal(optimize.warm_start_update(model, problem, []),
+                          np.zeros(60))
 
 
 def test_model_build_allocates_nothing_square_over_elements():

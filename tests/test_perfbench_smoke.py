@@ -1,7 +1,8 @@
 """The smallest rung of the benchmark: one short run of a workload must
 finish and pass its own checks (plan feasible and on the reference optimum,
 every print a success, report bytes repeating across passes). bar-warm-cli
-also takes the warm-start path through the in-process CLI."""
+also takes the warm-start path through the in-process CLI; plate-thermal
+is the one with conduction, adjoint solves and a Lipschitz penalty."""
 
 import json
 import subprocess
@@ -28,3 +29,7 @@ def test_bar_pcg_benchmark_run_is_correct():
 
 def test_bar_warm_cli_benchmark_run_is_correct():
     run_is_correct("bar-warm-cli")
+
+
+def test_plate_thermal_benchmark_run_is_correct():
+    run_is_correct("plate-thermal")

@@ -346,6 +346,40 @@ def test_failed_model_build_is_recorded_as_the_fallback(bar, tmp_path):
     assert all(row.endswith(",model_invalid") for row in rows[1:])
 
 
+def test_nonstationary_plan_is_recorded_as_the_base_point_fallback(bar):
+    # a plan stopped before its first step is not a minimizer, so the model
+    # build raises BasePointError and every layer is re-solved in full
+    _, _, nominal = bar
+    problem = layered_bar_problem(4, d_max=1.5 * nominal, young_box=BOX)
+    plan = optimize.inversion_solve(problem, max_iter=0)
+    assert plan.feasible and plan.iterations == 0
+    report = printsim.run_print(problem, plan, seed=5,
+                                **drifting_print_kwargs("warm_start"))
+    assert report.outcome == "success"
+    assert len(report.history) == 4
+    assert all(rec.strategy == "full" and rec.fallback == "base_point"
+               for rec in report.history)
+    # the failed build's base-point solve, 7 on the layers, the final check
+    assert report.fem_solves == 1 + 7 + 1
+
+
+def test_plan_reported_feasible_passes_final_verification(bar):
+    # nothing in the mass objective pulls E down, so the penalty alone stops
+    # the plan at the tip bound; a plan called feasible must meet it exactly,
+    # as final verification demands, and a compensated print of it succeed
+    _, _, nominal = bar
+    problem = layered_bar_problem(4, d_max=1.08 * nominal, young_box=BOX,
+                                  objective="mass")
+    plan = optimize.inversion_solve(problem)
+    assert plan.feasible
+    verdicts, _ = printsim.final_verification(
+        problem, problem.field_for(plan.values))
+    assert all(v.passed for v in verdicts)
+    report = printsim.run_print(problem, plan, seed=5,
+                                **drifting_print_kwargs("full", 0.0))
+    assert report.outcome == "success"
+
+
 def test_severe_degradation_aborts_with_certificate(bar):
     problem, plan, _ = bar
     report = printsim.run_print(

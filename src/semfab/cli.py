@@ -35,6 +35,7 @@ _GLOBAL_DEFAULTS = {
     "max_iter": optimize.DEFAULT_MAX_ITER,
     "log_level": "warning",
 }
+_LOG_LEVELS = ["debug", "info", "warning", "error"]
 
 
 class ExitStatus(enum.IntEnum):
@@ -385,7 +386,7 @@ def build_parser():
     shared.add_argument("--max-iter", dest="max_iter", type=_positive_int,
                         default=None, help="optimizer iteration cap")
     shared.add_argument("--log-level", dest="log_level", default=None,
-                        choices=["debug", "info", "warning", "error"])
+                        choices=_LOG_LEVELS)
     shared.add_argument("--config", default=None,
                         help="JSON file mirroring the global flags")
 
@@ -459,9 +460,19 @@ def build_parser():
 def _load_config(path):
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("config must be a JSON object")
     unknown = set(doc) - set(_GLOBAL_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    if doc.get("log_level", "warning") not in _LOG_LEVELS:
+        raise ValueError(f"config log_level must be one of {_LOG_LEVELS}")
+    for name, check in (("tol", _positive_float), ("max_iter", _positive_int)):
+        if name in doc:
+            try:  # the flag's converter, on the text argparse would pass it
+                doc[name] = check(str(doc[name]))
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"config {name}: {exc}") from exc
     return doc
 
 

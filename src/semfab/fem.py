@@ -10,28 +10,26 @@ block K_ff. Assembly scales the unit matrices and sums them into the fixed
 pattern in ascending element order, so results are reproducible bit for bit.
 
 Boundary conditions are imposed by reduction: prescribed dofs are eliminated,
-the free block is solved (dense Cholesky under 300 free dofs, sparse LU
-above), and reactions are recovered as (K U - F_ext) at the prescribed dofs.
-A system factors K_ff once, on its first solve; the adjoint solves of the
-same system reuse that factor, with the same definiteness checks and the
-same residual guard. The guard bounds the normwise backward error
-||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1) on both solver paths.
+the free block is solved by banded Cholesky in a reverse Cuthill-McKee order
+that the plan fixes from the pattern of K_ff, and reactions are recovered as
+(K U - F_ext) at the prescribed dofs. A system factors K_ff once, on its first
+solve; the adjoint solves of the same system reuse that factor and its
+residual guard. The guard bounds the normwise backward error
+||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import _kernels
 from .errors import SolverFailure, WellPosednessError
 
-DENSE_CUTOFF = 300  # free dofs below this solve via Cholesky
 DEFAULT_TOL = 1e-10
 _TINY = np.finfo(np.float64).tiny
 _DOFS_PER_VERTEX = {"elasticity": 3, "conduction": 1}
@@ -66,6 +64,7 @@ class AssemblyPlan:
     ff_slots: np.ndarray  # slot in K.data of each K_ff entry, CSC order
     ff_indptr: np.ndarray  # CSC pattern of K_ff
     ff_indices: np.ndarray
+    band: tuple  # _band_layout of the K_ff pattern
 
 
 @dataclass(frozen=True)
@@ -79,13 +78,14 @@ class FemSystem:
     rhs: np.ndarray  # f_ext[free] - K[free, prescribed] @ prescribed_values
     n_vertices: int
     dofs_per_vertex: int
-    # set by assemble; a system built by hand takes K_ff from K and has no
-    # element sensitivities
+    # set by assemble; a system built by hand takes K_ff from K, lays out
+    # its band when it is factored and has no element sensitivities
     K_ff: scipy.sparse.csc_matrix | None = None
+    band: tuple | None = None
     unit: np.ndarray | None = None
     element_dofs: np.ndarray | None = None
-    # (K_ff, ||K_ff||_1, method, solve) of the factored free block, made by
-    # the first solve; it only caches what K_ff determines, so the system
+    # (K_ff, ||K_ff||_1, order, band factor) of the factored free block, made
+    # by the first solve; it only caches what K_ff determines, so the system
     # stays a value
     _factor: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
@@ -99,7 +99,6 @@ class FieldSolution:
     values: np.ndarray
     reactions: dict[int, np.ndarray | float]
     residual: float
-    method: str
 
 
 @dataclass(frozen=True)
@@ -259,6 +258,7 @@ def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
     u_prescribed[prescribed] = prescribed_values
     ff = slots[free][:, free].tocsc()
     ff.sort_indices()
+    band = _band_layout(ff)
     plan = AssemblyPlan(
         physics=physics,
         n_vertices=mesh.n_vertices,
@@ -277,11 +277,12 @@ def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
         ff_slots=ff.data - 1,
         ff_indptr=ff.indptr,
         ff_indices=ff.indices,
+        band=band,
     )
     # every system assembled from the plan shares these arrays
     _read_only(unit, scatter, slots.indptr, slots.indices, f_ext, free,
                prescribed, prescribed_values, u_prescribed, plan.ff_slots,
-               ff.indptr, ff.indices)
+               ff.indptr, ff.indices, band[0], band[2], band[3])
     return plan
 
 
@@ -328,6 +329,7 @@ def assemble(spec, fld, physics: str, plan: AssemblyPlan | None = None
         n_vertices=plan.n_vertices,
         dofs_per_vertex=plan.dofs_per_vertex,
         K_ff=K_ff,
+        band=plan.band,
         unit=unit,
         element_dofs=plan.element_dofs,
     )
@@ -344,25 +346,22 @@ def element_sensitivity(system: FemSystem, lam: np.ndarray,
     return np.einsum("ei,eij,ej->e", lam[maps], system.unit, u[maps])
 
 
-def _sparse_factor(K_ff: scipy.sparse.spmatrix):
-    """Sparse LU of the reduced block, pivoting on the diagonal only.
-
-    Diagonal pivoting makes the factorization a symmetric L D L^T with D on
-    U's diagonal, so by Sylvester's law of inertia the block is SPD exactly
-    when the row and column orders agree and D is positive.
-    """
-    try:
-        lu = scipy.sparse.linalg.splu(
-            K_ff.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:
-        raise WellPosednessError(f"reduced matrix is singular: {exc}") from exc
-    if not np.array_equal(lu.perm_r, lu.perm_c) or np.any(lu.U.diagonal() <= 0.0):
-        raise WellPosednessError("reduced matrix is not positive definite")
-    return lu
+def _band_layout(K_ff: scipy.sparse.csc_matrix) -> tuple:
+    """(order, bw, take, slots) for factoring K_ff as a band: the reverse
+    Cuthill-McKee order of its symmetric pattern, the half-bandwidth bw of
+    K_ff in that order, and for each entry K_ff.data[take[i]] of the
+    reordered upper triangle its flat index slots[i] in LAPACK's
+    (bw + 1) x n upper band, column-major so LAPACK factors it in place."""
+    n = K_ff.shape[0]
+    order = (reverse_cuthill_mckee(K_ff, symmetric_mode=True) if n
+             else np.zeros(0, dtype=np.int32))  # RCM rejects an empty graph
+    position = np.argsort(order)
+    coo = K_ff.tocoo()
+    rows, cols = position[coo.row], position[coo.col]
+    take = np.flatnonzero(rows <= cols)
+    offset = cols[take] - rows[take]
+    bw = int(offset.max(initial=0))
+    return order, bw, take, cols[take] * (bw + 1) + bw - offset
 
 
 def _backward_error(K_ff, norm: float, x: np.ndarray, b: np.ndarray) -> float:
@@ -385,57 +384,56 @@ def _one_norm(K_ff) -> float:
 
 
 def _factor(system: FemSystem):
-    """(K_ff, ||K_ff||_1, method, solve) of the system's free block,
+    """(K_ff, ||K_ff||_1, order, band factor) of the system's free block,
     factored once."""
     if system._factor is None:
         K_ff = system.K_ff
         if K_ff is None:
             K_ff = system.K[system.free][:, system.free].tocsc()
-        if K_ff.shape[0] < DENSE_CUTOFF:
-            try:
-                chol = scipy.linalg.cho_factor(K_ff.toarray())
-            except np.linalg.LinAlgError as exc:
-                raise WellPosednessError(
-                    f"reduced matrix is not positive definite: {exc}"
-                ) from exc
-            factor = (K_ff, _one_norm(K_ff), "dense",
-                      functools.partial(scipy.linalg.cho_solve, chol))
-        else:
-            factor = (K_ff, _one_norm(K_ff), "sparse_lu",
-                      _sparse_factor(K_ff).solve)
-        object.__setattr__(system, "_factor", factor)
+        order, bw, take, slots = system.band or _band_layout(K_ff)
+        ab = np.zeros((bw + 1, K_ff.shape[0]), order="F")
+        ab.reshape(-1, order="F")[slots] = K_ff.data[take]
+        try:
+            chol = scipy.linalg.cholesky_banded(ab, overwrite_ab=True)
+        except np.linalg.LinAlgError as exc:
+            raise WellPosednessError(
+                f"reduced matrix is not positive definite: {exc}"
+            ) from exc
+        object.__setattr__(system, "_factor",
+                           (K_ff, _one_norm(K_ff), order, chol))
     return system._factor
 
 
 def _solve_free(system: FemSystem, b: np.ndarray, tol: float):
-    """Solve K_ff x = b; returns (x, backward error, method).
+    """Solve K_ff x = b; returns (x, backward error).
 
-    Both paths raise SolverFailure when the normwise backward error
+    Raises SolverFailure when the normwise backward error
     ||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1) exceeds `tol`.
     """
     if b.shape[0] == 0:
-        return np.zeros(0), 0.0, "dense"
-    K_ff, norm, method, factor_solve = _factor(system)
-    x = factor_solve(b)
+        return np.zeros(0), 0.0
+    K_ff, norm, order, chol = _factor(system)
+    x = np.empty(b.shape[0])
+    x[order] = scipy.linalg.cho_solve_banded((chol, False), b[order])
     res = _backward_error(K_ff, norm, x, b)
     if not res <= tol:  # a NaN error fails too
         raise SolverFailure(
-            f"{method} solve left backward error {res:.3e} above tol {tol:g}",
+            f"solve left backward error {res:.3e} above tol {tol:g}",
             residual_history=[res],
         )
-    return x, res, method
+    return x, res
 
 
 def solve(system: FemSystem, tol: float = DEFAULT_TOL) -> FieldSolution:
     """Solve K U = F under the system's boundary conditions.
 
     `tol` is the largest normwise backward error
-    ||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1) accepted on either
-    solver path; the solution's `residual` is that backward error.
+    ||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1) accepted; the
+    solution's `residual` is that backward error.
     """
     if tol is None:
         tol = DEFAULT_TOL
-    x, res, method = _solve_free(system, system.rhs, tol)
+    x, res = _solve_free(system, system.rhs, tol)
     ndof = system.dofs_per_vertex * system.n_vertices
     U = np.zeros(ndof)
     U[system.free] = x
@@ -459,7 +457,6 @@ def solve(system: FemSystem, tol: float = DEFAULT_TOL) -> FieldSolution:
         values=values,
         reactions=reactions,
         residual=res,
-        method=method,
     )
 
 
@@ -469,7 +466,7 @@ def adjoint_solve(system: FemSystem, weights: np.ndarray,
     full-length adjoint vector with zeros at prescribed dofs. `weights` has
     one entry per global dof."""
     weights = np.asarray(weights, dtype=np.float64)
-    x, _, _ = _solve_free(system, weights[system.free], tol)
+    x, _ = _solve_free(system, weights[system.free], tol)
     lam = np.zeros(len(weights))
     lam[system.free] = x
     return lam
@@ -514,6 +511,5 @@ def solution_to_dict(solution: FieldSolution) -> dict:
         "diagnostics": {
             "physics": solution.physics,
             "residual": solution.residual,
-            "method": solution.method,
         },
     }

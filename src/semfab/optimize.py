@@ -45,6 +45,7 @@ import scipy.linalg
 from . import fem
 from .errors import BasePointError, ModelInvalidError
 from .mesh import face_adjacency
+from .semantics import PARAMETERS, MaterialField
 
 # objective name -> (physics, parameter it differentiates against)
 OBJECTIVES = {
@@ -491,17 +492,12 @@ def _box_midpoints(boxes):
 
 
 def _midpoint_field(spec):
-    from .semantics import MaterialField, PARAMETERS
-
     defaults = {"young": 1.0, "poisson": 0.0, "conductivity": 1.0, "density": 1.0}
     values = {}
     for name in PARAMETERS:
         box = spec.parameter_box(name)
         mid = _box_midpoints(box)
-        fallback = defaults[name]
-        if name == "poisson":
-            fallback = 0.0
-        mid = np.where(np.isfinite(mid), mid, fallback)
+        mid = np.where(np.isfinite(mid), mid, defaults[name])
         values[name] = mid
     return MaterialField(
         young=values["young"],

@@ -97,8 +97,6 @@ class SensorModel:
             raise ValueError("nothing printed yet, nothing to observe")
         if self.availability == "all":
             layers = state.partition.layers[: state.frontier]
-            if not layers:
-                return np.empty(0, dtype=np.intp)
             return np.sort(np.concatenate(layers)).astype(np.intp)
         return np.sort(
             np.asarray(state.partition.layers[state.frontier - 1], dtype=np.intp)

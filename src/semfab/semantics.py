@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import fem
 from .errors import AnnotationParseError, BindError, WellPosednessError
 from .mesh import VolumetricMesh
 
@@ -684,7 +685,7 @@ def check_material_property(
     spec: BoundSpecification,
     prop: PropertySpec,
     fld: MaterialField,
-    tol: float = 1e-10,
+    tol: float = fem.DEFAULT_TOL,
 ) -> PropertyVerdict:
     """Check a property that needs material assumptions (and maybe a solve)."""
     if prop.category != "material_dependent":
@@ -698,7 +699,7 @@ def check_material_property(
 def check_properties(
     spec: BoundSpecification,
     fld: MaterialField,
-    tol: float = 1e-10,
+    tol: float = fem.DEFAULT_TOL,
     plan_for=None,
 ) -> tuple[tuple[PropertyVerdict, ...], int]:
     """Check every property of `spec` under `fld`; returns the verdicts in
@@ -731,8 +732,6 @@ def _check_field_size(spec: BoundSpecification, fld: MaterialField) -> None:
 
 
 def _solve(spec, fld, physics, tol, plan_for):
-    from . import fem  # deferred: fem does not depend back on this module
-
     plan = None if plan_for is None else plan_for(physics)
     return fem.solve(fem.assemble(spec, fld, physics, plan=plan), tol=tol)
 

@@ -396,6 +396,30 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
     assert "speed" in err
 
 
+@pytest.mark.parametrize("command, config", [
+    ("optimize", {"tol": None}),
+    ("optimize", {"tol": "abc"}),
+    ("optimize", {"max_iter": 2.5}),
+    ("optimize", {"max_iter": -3}),
+    ("optimize", {"log_level": "loud"}),
+    ("verify", {"tol": -1}),
+    ("verify", []),
+])
+def test_config_values_are_checked_like_their_flags(tmp_path, capsys,
+                                                    command, config):
+    mesh_path, ann_path = write_bar_files(tmp_path, 2, 0.05, BOX)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    extra = (["--nominal"] if command == "verify" else
+             ["--objective", "compliance", "-o", tmp_path / "field.json"])
+    rc = run_cli(command, mesh_path, ann_path, *extra,
+                 "--config", config_path)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "SEMFAB-ERR[usage]" in err
+    assert all(key in err for key in config)
+
+
 def test_unknown_subcommand_exits_2(capsys):
     rc = run_cli("frobnicate")
     assert rc == 2

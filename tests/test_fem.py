@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from numpy.testing import assert_allclose
 from semfab import fem
 from semfab.errors import SolverFailure, WellPosednessError
 from semfab.fem import (
-    DENSE_CUTOFF,
     FemSystem,
     adjoint_solve,
     assemble,
@@ -204,16 +204,16 @@ def test_assemble_requires_dirichlet_data():
 
 
 def test_zero_load_gives_zero_displacement():
-    # one mesh on each side of the dense cutoff
-    for cells, size, method in (((2, 2, 2), [1.0, 1.0, 1.0], "dense"),
-                                ((3, 3, 8), [1.0, 1.0, 8.0], "sparse_lu")):
+    # an exact zero solution and a zero backward error
+    for cells, size in (((2, 2, 2), [1.0, 1.0, 1.0]),
+                        ((3, 3, 8), [1.0, 1.0, 8.0])):
         mesh = generate_box_mesh(*cells, size)
         spec = fixed_bottom_spec(mesh)
         sol = solve(assemble(
             spec, MaterialField.uniform(mesh.n_elements, young=10.0), "elasticity"
         ))
-        assert sol.method == method
         assert np.abs(sol.values).max() == 0.0
+        assert sol.residual == 0.0
         assert all(np.abs(r).max() == 0.0 for r in sol.reactions.values())
 
 
@@ -286,12 +286,9 @@ def test_reactions_balance_applied_load():
 
 
 def test_sparse_path_matches_dense_solve():
-    # large enough to cross the dense cutoff
     mesh, spec, fld, top = shaft_problem(n_radial=32, n_axial=10)
     system = assemble(spec, fld, "elasticity")
-    assert system.free.size >= DENSE_CUTOFF
     sol = solve(system, tol=1e-12)
-    assert sol.method == "sparse_lu"
     assert sol.residual <= 1e-12
     K_ff = system.K[system.free][:, system.free].toarray()
     dense = np.linalg.solve(K_ff, system.rhs)
@@ -300,7 +297,7 @@ def test_sparse_path_matches_dense_solve():
 
 
 def test_solver_failure_carries_residual_history():
-    # a tol below the residual that the sparse factorization achieves
+    # a tol below the residual that the factorization achieves
     mesh, spec, fld, top = shaft_problem(n_radial=32, n_axial=10)
     system = assemble(spec, fld, "elasticity")
     achieved = solve(system).residual
@@ -326,7 +323,7 @@ def _manual_system(K, b):
 
 
 def test_indefinite_matrix_flagged_dense_and_iterative():
-    # indefinite and singular reduced blocks, on each side of the cutoff
+    # indefinite and singular reduced blocks, small and large
     for n in (4, 400):
         indefinite = scipy.sparse.identity(n + 1, format="csr") * -1.0
         singular = scipy.sparse.diags(np.r_[np.ones(n - 1), 0.0, 1.0]).tocsr()
@@ -398,7 +395,7 @@ def test_compliance_decreases_when_any_element_stiffens():
 
 
 def test_adjoint_solve_matches_direct_inverse():
-    for n_radial, n_axial in ((8, 3), (32, 10)):  # dense and sparse path
+    for n_radial, n_axial in ((8, 3), (32, 10)):  # a small and a large block
         mesh, spec, fld, top = shaft_problem(n_radial=n_radial, n_axial=n_axial)
         system = assemble(spec, fld, "elasticity")
         w = np.zeros(3 * mesh.n_vertices)
@@ -521,22 +518,19 @@ def test_plan_assembly_matches_coo_reference(seed, physics):
 
 def test_adjoint_reuses_the_primal_factor(monkeypatch):
     factorizations = []
-    for name, module in (("_sparse_factor", fem),
-                         ("cho_factor", scipy.linalg)):
-        original = getattr(module, name)
+    original = scipy.linalg.cholesky_banded
 
-        def counted(*args, _original=original, **kwargs):
-            factorizations.append(1)
-            return _original(*args, **kwargs)
+    def counted(*args, **kwargs):
+        factorizations.append(1)
+        return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
-    for n_radial, n_axial, method in ((8, 3, "dense"),
-                                      (32, 10, "sparse_lu")):
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", counted)
+    for n_radial, n_axial in ((8, 3), (32, 10)):
         mesh, spec, fld, top = shaft_problem(n_radial=n_radial,
                                              n_axial=n_axial)
         system = assemble(spec, fld, "elasticity")
         factorizations.clear()
-        assert solve(system).method == method
+        solve(system)
         K_ff = system.K[system.free][:, system.free].toarray()
         for v in top[:2]:
             w = np.zeros(3 * mesh.n_vertices)
@@ -551,15 +545,43 @@ def test_adjoint_reuses_the_primal_factor(monkeypatch):
 
 
 def test_dense_path_checks_the_residual_guard_too():
-    # the sparse-path twin is test_solver_failure_carries_residual_history
+    # the larger-mesh twin is test_solver_failure_carries_residual_history
     mesh, spec, fld, top = shaft_problem(n_radial=8, n_axial=3)
     system = assemble(spec, fld, "elasticity")
     sol = solve(system)
-    assert sol.method == "dense"
     assert 0.0 < sol.residual <= fem.DEFAULT_TOL
     with pytest.raises(SolverFailure) as err:
         solve(system, tol=sol.residual / 10.0)
     assert err.value.residual_history == [sol.residual]
+
+
+def test_solve_allocates_nothing_square_in_the_free_dofs():
+    # a 1x1x20 bar has 240 free dofs; one n x n float64 array is over the
+    # bound, while its band factor is 15 x n
+    mesh = generate_box_mesh(1, 1, 20, [1.0, 1.0, 20.0])
+    system = assemble(fixed_bottom_spec(mesh),
+                      MaterialField.uniform(mesh.n_elements), "elasticity")
+    n = system.free.size
+    assert n == 240
+    tracemalloc.start()
+    try:
+        solve(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * np.dtype(np.float64).itemsize
+
+
+def test_fully_prescribed_system_has_nothing_to_factor():
+    mesh = generate_box_mesh(1, 1, 1, [1.0, 1.0, 1.0])
+    temps = 300.0 + np.arange(mesh.n_vertices)
+    doc = {"vertex_annotations": {str(v): {"temperature": float(t)}
+                                  for v, t in enumerate(temps)}}
+    spec = bind_to_mesh(layer_from_dict(doc), mesh)
+    sol = solve(assemble(spec, MaterialField.uniform(mesh.n_elements),
+                         "conduction"))
+    assert np.array_equal(sol.values, temps)
+    assert sol.residual == 0.0
 
 
 def test_one_norm_is_the_largest_absolute_column_sum():

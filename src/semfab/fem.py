@@ -6,8 +6,12 @@ conductivity, so every element matrix is its parameter times a unit matrix
 k̂_e. An :class:`AssemblyPlan`, built once per (specification, physics),
 holds the unit matrices, the fixed CSR pattern of K with the slot of every
 element entry in it, the free/prescribed split and the pattern of the free
-block K_ff. Assembly scales the unit matrices and sums them into the fixed
-pattern in ascending element order, so results are reproducible bit for bit.
+block K_ff. K's pattern is built over the pairs of mesh vertices that share
+an element and expanded per dof, each vertex pair becoming a full block of
+dofs, so its cost grows with the vertex graph and not with every dof pair
+of every element. Assembly scales the unit matrices and sums them into the
+fixed pattern in ascending element order, so results are reproducible bit
+for bit.
 
 Boundary conditions are imposed by reduction: prescribed dofs are eliminated,
 the free block is solved by banded Cholesky in a reverse Cuthill-McKee order
@@ -54,7 +58,7 @@ class AssemblyPlan:
     unit: np.ndarray  # (m, k, k) element matrices at unit E or conductivity
     poisson: np.ndarray | None  # Poisson ratios of the elasticity `unit`
     scatter: np.ndarray  # (m*k*k,) slot in K.data of each element entry
-    indptr: np.ndarray  # CSR pattern of K
+    indptr: np.ndarray  # CSR pattern of K, vertex pairs expanded per dof
     indices: np.ndarray
     f_ext: np.ndarray
     free: np.ndarray
@@ -211,6 +215,40 @@ def _read_only(*arrays):
         a.flags.writeable = False
 
 
+def _pattern(tets: np.ndarray, n_vertices: int, dpv: int):
+    """(indptr, indices, scatter) of K's CSR pattern for `dpv` dofs per
+    vertex, built over vertex pairs and expanded per dof.
+
+    The sorted unique vertex-pair keys a*n + b are the vertex graph's CSR
+    order, and their inverse index is the vertex slot s of each element
+    entry. Dof row a*d + i holds the d*deg(a) entries of vertex row a, by
+    neighbour b and then by j, so entry (a*d + i, b*d + j) sits at
+    d*d*vptr[a] + i*d*deg(a) + d*(s - vptr[a]) + j. `scatter` has the slot
+    of every element-matrix entry, in (m, k, k) order flattened.
+    """
+    m, n, d = tets.shape[0], n_vertices, dpv
+    a = tets[:, :, None]
+    keys, vslot = np.unique((a * n + tets[:, None, :]).reshape(-1),
+                            return_inverse=True)
+    deg = np.bincount(keys // n, minlength=n)
+    vptr = np.concatenate([[0], np.cumsum(deg)])
+    row_len = np.repeat(d * deg, d)
+    indptr = np.concatenate([[0], np.cumsum(row_len)])
+    # dof row a*d + i repeats vertex row a's columns b*d + j
+    cols = ((keys % n)[:, None] * d + np.arange(d)).reshape(-1)
+    row_start = np.repeat(d * vptr[:-1], d)
+    indices = cols[np.arange(indptr[-1])
+                   - np.repeat(indptr[:-1] - row_start, row_len)]
+    # scatter[e, α, i, β, j] for local vertices α, β, filled in place
+    vertex_part = d * (d - 1) * vptr[a] + d * vslot.reshape(m, 4, 4)
+    row_part = np.arange(d) * (d * deg[a])
+    scatter = np.empty((m, 4, d, 4, d), dtype=np.int64)
+    np.add(vertex_part[:, :, None, :, None],
+           row_part[:, :, :, None, None], out=scatter)
+    scatter += np.arange(d)
+    return indptr, indices, scatter.reshape(-1)
+
+
 def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
     """Build the field-independent part of the `physics` system of `spec`.
 
@@ -238,17 +276,10 @@ def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
         poisson = np.array(fld.poisson, dtype=np.float64)
     unit = _unit_matrices(mesh, physics, poisson)
 
-    # sorted unique (row, col) keys are K's CSR order; the inverse index is
-    # the slot each element entry is summed into
     em = element_dof_maps(mesh.tets, dpv)
-    k = em.shape[1]
-    rows = np.repeat(em, k, axis=1).reshape(-1)
-    cols = np.tile(em, (1, k)).reshape(-1)
-    keys, scatter = np.unique(rows * ndof + cols, return_inverse=True)
-    counts = np.bincount(keys // ndof, minlength=ndof)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indptr, indices, scatter = _pattern(mesh.tets, mesh.n_vertices, dpv)
     slots = scipy.sparse.csr_matrix(
-        (np.arange(1, keys.size + 1), keys % ndof, indptr), shape=(ndof, ndof)
+        (np.arange(1, indices.size + 1), indices, indptr), shape=(ndof, ndof)
     )
 
     mask = np.ones(ndof, dtype=bool)

@@ -249,35 +249,51 @@ def generate_shaft_mesh(
 _TET_FACES = ((0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2))
 
 
+def _tet_faces(tets: np.ndarray) -> np.ndarray:
+    """The 4 outward-wound faces of each tet; face 4e+f is from tet e."""
+    return tets[:, np.array(_TET_FACES)].reshape(-1, 3)
+
+
+def _group_rows(keys: np.ndarray):
+    """Group the equal rows of an integer table whose rows are sorted.
+
+    Returns (order, starts, counts): `order` sorts the rows by column 0,
+    then 1, ..., keeping equal rows in index order, and group g is
+    keys[order[starts[g]:starts[g] + counts[g]]]. Groups come in ascending
+    lexicographic order of their rows.
+    """
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, order.size))
+    return order, starts, counts
+
+
 def boundary_faces(mesh: VolumetricMesh) -> np.ndarray:
-    """Outward-oriented boundary triangles, shape (t, 3)."""
-    tets = mesh.tets
-    faces = np.empty((tets.shape[0] * 4, 3), dtype=np.int64)
-    for f, (a, b, c) in enumerate(_TET_FACES):
-        faces[f::4, 0] = tets[:, a]
-        faces[f::4, 1] = tets[:, b]
-        faces[f::4, 2] = tets[:, c]
-    keys = np.sort(faces, axis=1)
-    _, inverse, counts = np.unique(
-        keys, axis=0, return_inverse=True, return_counts=True
-    )
-    return faces[counts[inverse] == 1]
+    """Outward-oriented boundary triangles, shape (t, 3).
+
+    A boundary face is one that exactly one tet has; the faces come in the
+    order of their tets.
+    """
+    faces = _tet_faces(mesh.tets)
+    order, starts, counts = _group_rows(np.sort(faces, axis=1))
+    lone = np.zeros(faces.shape[0], dtype=bool)
+    lone[order[starts[counts == 1]]] = True
+    return faces[lone]
 
 
 def face_adjacency(mesh: VolumetricMesh) -> np.ndarray:
-    """Pairs of element ids sharing a triangular face, shape (k, 2)."""
-    tets = mesh.tets
-    keys = np.sort(tets[:, np.array(_TET_FACES)].reshape(-1, 3), axis=1)
-    _, inverse, counts = np.unique(
-        keys, axis=0, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(inverse, kind="stable")
-    elem_of_face = order // 4
-    starts = np.cumsum(counts) - counts
-    shared = counts == 2
-    return np.column_stack(
-        [elem_of_face[starts[shared]], elem_of_face[starts[shared] + 1]]
-    )
+    """Pairs of element ids sharing a triangular face, shape (k, 2).
+
+    Only a face that exactly two tets have gives a pair, the lower element
+    id first; a face of three or more tets (see validate_mesh) gives none.
+    Pairs come in ascending order of their sorted face vertex triples.
+    """
+    order, starts, counts = _group_rows(np.sort(_tet_faces(mesh.tets), axis=1))
+    first = starts[counts == 2]
+    return np.column_stack([order[first] // 4, order[first + 1] // 4])
 
 
 def validate_mesh(mesh: VolumetricMesh) -> ValidationReport:
@@ -313,28 +329,29 @@ def validate_mesh(mesh: VolumetricMesh) -> ValidationReport:
         )
 
     if good.size:
-        keys = np.sort(
-            good[:, np.array(_TET_FACES)].reshape(-1, 3), axis=1
-        )
-        uniq, counts = np.unique(keys, axis=0, return_counts=True)
+        keys = np.sort(_tet_faces(good), axis=1)
+        order, starts, counts = _group_rows(keys)
         for f in np.flatnonzero(counts > 2):
+            face = keys[order[starts[f]]]
             violations.append(
-                Violation("face_overshared", int(uniq[f][0]),
-                          f"face {tuple(int(x) for x in uniq[f])} shared by "
+                Violation("face_overshared", int(face[0]),
+                          f"face {tuple(int(x) for x in face)} shared by "
                           f"{counts[f]} tets")
             )
-        # boundary must close up: every boundary edge on exactly 2 boundary tris
-        bnd = uniq[counts == 1]
+        # boundary must close up: every boundary edge on exactly 2 boundary
+        # tris; a boundary face is one of exactly one tet
+        bnd = keys[order[starts[counts == 1]]]
         if bnd.size:
             edges = np.sort(
                 bnd[:, np.array([(0, 1), (1, 2), (0, 2)])].reshape(-1, 2), axis=1
             )
-            euniq, ecounts = np.unique(edges, axis=0, return_counts=True)
+            eorder, estarts, ecounts = _group_rows(edges)
             for idx in np.flatnonzero(ecounts != 2):
+                edge = edges[eorder[estarts[idx]]]
                 violations.append(
                     Violation(
-                        "nonmanifold_boundary", int(euniq[idx][0]),
-                        f"boundary edge {tuple(int(x) for x in euniq[idx])} "
+                        "nonmanifold_boundary", int(edge[0]),
+                        f"boundary edge {tuple(int(x) for x in edge)} "
                         f"lies on {ecounts[idx]} boundary faces",
                     )
                 )

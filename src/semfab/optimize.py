@@ -873,10 +873,15 @@ def warm_start_update(model, problem, delta_y):
     if delta_y.size != problem.frozen_idx.size:
         raise ValueError("delta_y must align with the problem's frozen set")
     free = problem.free_idx
-    if not np.all(np.isin(free, model.inactive_idx)
-                  | np.isin(free, model.active_idx)):
+    inactive = np.zeros(problem.n_variables, dtype=bool)
+    inactive[model.inactive_idx] = True
+    covered = inactive.copy()
+    covered[model.active_idx] = True
+    if not covered[free].all():
         raise ModelInvalidError("the model does not cover every free variable")
-    pos = np.flatnonzero(np.isin(model.inactive_idx, free))
+    is_free = np.zeros(problem.n_variables, dtype=bool)
+    is_free[free] = True
+    pos = np.flatnonzero(is_free[model.inactive_idx])
     shift = np.zeros(free.size)
     if not pos.size:
         return shift
@@ -889,7 +894,7 @@ def warm_start_update(model, problem, delta_y):
             "free-block Hessian is not positive definite"
         ) from exc
     F_yz = model.rows[np.ix_(pos, problem.frozen_idx)]
-    shift[np.isin(free, z_idx)] = -scipy.linalg.cho_solve(chol, F_yz @ delta_y)
+    shift[inactive[free]] = -scipy.linalg.cho_solve(chol, F_yz @ delta_y)
     return shift
 
 

@@ -296,8 +296,10 @@ class PrintState:
         return np.sort(np.concatenate(layers)).astype(np.intp)
 
     def unprinted_elements(self):
-        n = self.commanded.n_elements
-        return np.setdiff1d(np.arange(n, dtype=np.intp), self.printed_elements())
+        unprinted = np.ones(self.commanded.n_elements, dtype=bool)
+        for layer in self.partition.layers[: self.frontier]:
+            unprinted[layer] = False
+        return np.flatnonzero(unprinted)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -595,3 +595,90 @@ def test_one_norm_is_the_largest_absolute_column_sum():
         A.eliminate_zeros()
         expected = np.abs(A.toarray()).sum(axis=0).max()
         assert fem._one_norm(A) == pytest.approx(expected, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the plan's pattern against the dof-key construction
+
+
+def _dof_key_pattern(mesh, dpv, free):
+    """scatter, K's CSR pattern and K_ff's CSC pattern and band, from the
+    sorted unique keys row * ndof + col of every element entry."""
+    em = (mesh.tets[:, :, None] * dpv + np.arange(dpv)).reshape(
+        mesh.n_elements, -1)
+    k = em.shape[1]
+    ndof = dpv * mesh.n_vertices
+    rows = np.repeat(em, k, axis=1).reshape(-1)
+    cols = np.tile(em, (1, k)).reshape(-1)
+    keys, scatter = np.unique(rows * ndof + cols, return_inverse=True)
+    counts = np.bincount(keys // ndof, minlength=ndof)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    slots = scipy.sparse.csr_matrix(
+        (np.arange(1, keys.size + 1), keys % ndof, indptr), shape=(ndof, ndof)
+    )
+    ff = slots[free][:, free].tocsc()
+    ff.sort_indices()
+    return {
+        "scatter": scatter,
+        "indptr": slots.indptr,
+        "indices": slots.indices,
+        "ff_slots": ff.data - 1,
+        "ff_indptr": ff.indptr,
+        "ff_indices": ff.indices,
+        "band": fem._band_layout(ff),
+    }
+
+
+def _pattern_cases():
+    rng = np.random.default_rng(4)
+    box = generate_box_mesh(2, 3, 4, [1.0, 1.5, 2.0])
+    perm = rng.permutation(box.n_vertices)
+    vertices = np.empty_like(box.vertices)
+    vertices[perm] = box.vertices + rng.uniform(-0.05, 0.05,
+                                                box.vertices.shape)
+    relabelled = VolumetricMesh(vertices, perm[box.tets])
+    shaft = generate_shaft_mesh(1.0, 4.0, 9, 3)
+    return [box, relabelled, shaft]
+
+
+@pytest.mark.parametrize("physics", ["elasticity", "conduction"])
+@pytest.mark.parametrize("case", range(3))
+def test_plan_pattern_matches_the_dof_key_construction(physics, case):
+    mesh = _pattern_cases()[case]
+    z = mesh.vertices[:, 2]
+    doc = {"vertex_annotations": {
+        str(int(v)): {"displacement": "fixed", "temperature": 300.0}
+        for v in np.flatnonzero(z < z.min() + 0.15)}}
+    spec = bind_to_mesh(layer_from_dict(doc), mesh)
+    m = mesh.n_elements
+    fld = _random_field(np.random.default_rng(case), m,
+                        np.linspace(-0.3, 0.45, m))
+    plan = fem.assembly_plan(spec, physics, fld)
+    ref = _dof_key_pattern(mesh, plan.dofs_per_vertex, plan.free)
+    for name in ("scatter", "indptr", "indices", "ff_slots", "ff_indptr",
+                 "ff_indices"):
+        got, want = getattr(plan, name), ref[name]
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    order, bw, take, slots = plan.band
+    want_order, want_bw, want_take, want_slots = ref["band"]
+    assert bw == want_bw
+    for got, want in ((order, want_order), (take, want_take),
+                      (slots, want_slots)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_plan_peak_memory_stays_near_what_it_keeps():
+    # the 4x4x12 bar: 1152 tets, 12 x 12 entries each
+    mesh = generate_box_mesh(4, 4, 12, [4.0, 4.0, 12.0])
+    spec = fixed_bottom_spec(mesh)
+    fld = MaterialField.uniform(mesh.n_elements)
+    mesh.volumes()  # cached on the mesh, not part of the plan
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        plan = fem.assembly_plan(spec, "elasticity", fld)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan.scatter.size == mesh.n_elements * 144
+    assert peak - before < 2.5 * (kept - before)

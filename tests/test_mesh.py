@@ -8,8 +8,10 @@ from numpy.testing import assert_allclose
 
 from semfab.errors import MeshFormatError
 from semfab.mesh import (
+    _TET_FACES,
     VolumetricMesh,
     boundary_faces,
+    face_adjacency,
     generate_box_mesh,
     generate_shaft_mesh,
     layer_partition,
@@ -248,3 +250,106 @@ def test_load_rejects_malformed_documents(tmp_path):
     truncated.write_text('{"vertices": [[0')
     with pytest.raises(MeshFormatError):
         load_mesh(truncated)
+
+
+# ---------------------------------------------------------------------------
+# face grouping against a reference built on np.unique(..., axis=0)
+
+
+def _oracle_topology(mesh):
+    """(face_adjacency, boundary_faces, face violations) by row-wise unique."""
+    faces = mesh.tets[:, np.array(_TET_FACES)].reshape(-1, 3)
+    keys = np.sort(faces, axis=1)
+    uniq, inverse, counts = np.unique(
+        keys, axis=0, return_inverse=True, return_counts=True
+    )
+    elem_of_face = np.argsort(inverse, kind="stable") // 4
+    starts = np.cumsum(counts) - counts
+    shared = starts[counts == 2]
+    pairs = np.column_stack([elem_of_face[shared], elem_of_face[shared + 1]])
+    boundary = faces[counts[inverse] == 1]
+
+    violations = []
+    for f in np.flatnonzero(counts > 2):
+        violations.append(("face_overshared", int(uniq[f][0]),
+                           f"face {tuple(int(x) for x in uniq[f])} shared by "
+                           f"{counts[f]} tets"))
+    bnd = uniq[counts == 1]
+    edges = np.sort(bnd[:, [(0, 1), (1, 2), (0, 2)]].reshape(-1, 2), axis=1)
+    euniq, ecounts = np.unique(edges, axis=0, return_counts=True)
+    for e in np.flatnonzero(ecounts != 2):
+        violations.append(("nonmanifold_boundary", int(euniq[e][0]),
+                           f"boundary edge {tuple(int(x) for x in euniq[e])} "
+                           f"lies on {ecounts[e]} boundary faces"))
+    return pairs, boundary, violations
+
+
+def _relabelled(mesh, rng, jitter):
+    """The mesh with shuffled vertex ids and tet order and moved vertices."""
+    perm = rng.permutation(mesh.n_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[perm] = mesh.vertices + rng.uniform(-jitter, jitter,
+                                                 mesh.vertices.shape)
+    tets = perm[mesh.tets][rng.permutation(mesh.n_elements)]
+    return VolumetricMesh(vertices, tets)
+
+
+def _with_tet_on_an_interior_face(mesh):
+    """The mesh plus one tet on its first interior face (in the oracle's
+    order), so that face belongs to three tets."""
+    faces = np.sort(mesh.tets[:, np.array(_TET_FACES)].reshape(-1, 3), axis=1)
+    uniq, counts = np.unique(faces, axis=0, return_counts=True)
+    a, b, c = uniq[np.flatnonzero(counts == 2)[0]]
+    pts = mesh.vertices[[a, b, c]]
+    normal = np.cross(pts[1] - pts[0], pts[2] - pts[0])
+    apex = pts.mean(axis=0) + 0.1 * normal / np.linalg.norm(normal)
+    # the apex lies along (b - a) x (c - a), so (a, b, c, apex) has a
+    # positive volume
+    vertices = np.vstack([mesh.vertices, apex])
+    tets = np.vstack([mesh.tets, [[a, b, c, mesh.n_vertices]]])
+    return VolumetricMesh(vertices, tets), (a, b, c)
+
+
+def _topology_meshes():
+    rng = np.random.default_rng(11)
+    box = generate_box_mesh(3, 2, 4, [1.0, 2.0, 3.0])
+    yield generate_box_mesh(1, 1, 1, [1.0, 1.0, 1.0])
+    yield box
+    yield generate_box_mesh(5, 4, 3, [2.0, 1.0, 1.5])
+    yield _relabelled(box, rng, 0.05)
+    yield _relabelled(generate_box_mesh(4, 4, 4, [1.0, 1.0, 1.0]), rng, 0.02)
+    yield generate_shaft_mesh(1.0, 3.0, 7, 3)
+    yield _relabelled(generate_shaft_mesh(2.0, 1.0, 12, 2), rng, 0.0)
+    yield _with_tet_on_an_interior_face(box)[0]
+    yield VolumetricMesh(box.vertices, np.vstack([box.tets, box.tets[5:6]]))
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_face_grouping_matches_the_unique_reference(index):
+    mesh = list(_topology_meshes())[index]
+    pairs, boundary, violations = _oracle_topology(mesh)
+    got = face_adjacency(mesh)
+    assert got.dtype == pairs.dtype and np.array_equal(got, pairs)
+    got = boundary_faces(mesh)
+    assert got.dtype == boundary.dtype and np.array_equal(got, boundary)
+    face_kinds = {"face_overshared", "nonmanifold_boundary"}
+    assert [(v.kind, v.index, v.message)
+            for v in validate_mesh(mesh).violations
+            if v.kind in face_kinds] == violations
+
+
+def test_a_face_of_three_tets_gives_no_adjacency_pair():
+    box = generate_box_mesh(3, 2, 4, [1.0, 2.0, 3.0])
+    mesh, face = _with_tet_on_an_interior_face(box)
+    extra = mesh.n_elements - 1
+    assert mesh.volumes()[extra] > 0
+    pairs = face_adjacency(mesh)
+    # the two tets of the box that had the face lose their pair, and the
+    # extra tet pairs with nothing
+    assert len(pairs) == len(face_adjacency(box)) - 1
+    assert extra not in pairs
+    report = validate_mesh(mesh)
+    overshared = [v for v in report.violations if v.kind == "face_overshared"]
+    assert [(v.index, v.message) for v in overshared] == [
+        (int(face[0]), f"face {tuple(int(x) for x in face)} shared by 3 tets")
+    ]

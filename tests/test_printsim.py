@@ -546,3 +546,26 @@ def test_report_and_csv_serialization(bar, tmp_path):
     assert lines[0] == ("layer,strategy,objective,max_violation,"
                         "fem_solves,mean_commanded,fallback")
     assert len(lines) == 1 + len(report.history)
+
+
+def test_printed_and_unprinted_elements_split_the_mesh_at_every_frontier():
+    from semfab import mesh
+    from semfab.semantics import MaterialField
+
+    plate = mesh.generate_box_mesh(8, 8, 8, [8.0, 8.0, 8.0])
+    partition = mesh.layer_partition(plate, 1.0)
+    assert partition.n_layers == 8
+    n = plate.n_elements
+    fld = MaterialField.uniform(n)
+    for frontier in range(partition.n_layers + 1):
+        state = printsim.PrintState(partition, frontier, "conductivity", 0,
+                                    fld, fld, fld)
+        printed = state.printed_elements()
+        unprinted = state.unprinted_elements()
+        for ids in (printed, unprinted):
+            assert ids.dtype == np.intp
+            assert np.all(np.diff(ids) > 0)
+        assert np.array_equal(np.sort(np.concatenate([printed, unprinted])),
+                              np.arange(n))
+        assert np.array_equal(
+            unprinted, np.setdiff1d(np.arange(n, dtype=np.intp), printed))

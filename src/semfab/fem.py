@@ -4,14 +4,16 @@ analogue, steady-state heat conduction.
 K is linear in Young's modulus at a fixed Poisson ratio and linear in the
 conductivity, so every element matrix is its parameter times a unit matrix
 k̂_e. An :class:`AssemblyPlan`, built once per (specification, physics),
-holds the unit matrices, the fixed CSR pattern of K with the slot of every
-element entry in it, the free/prescribed split and the pattern of the free
-block K_ff. K's pattern is built over the pairs of mesh vertices that share
-an element and expanded per dof, each vertex pair becoming a full block of
-dofs, so its cost grows with the vertex graph and not with every dof pair
-of every element. Assembly scales the unit matrices and sums them into the
-fixed pattern in ascending element order, so results are reproducible bit
-for bit.
+holds the fixed CSR pattern of K, the free/prescribed split, the pattern of
+the free block K_ff, and assembly as one linear operator S from element
+parameters to K's entries: a sparse matrix whose column e holds k̂_e's
+entries at their slots in K.data. K's pattern is built over the pairs of
+mesh vertices that share an element and expanded per dof, each vertex pair
+becoming a full block of dofs, so its cost grows with the vertex graph and
+not with every dof pair of every element. Assembly is K.data = S p, which
+adds the scaled unit matrices into the pattern in ascending element order,
+so results are reproducible bit for bit. The element sensitivities
+lam . k̂_e u of all elements are one product with S's transpose.
 
 Boundary conditions are imposed by reduction: prescribed dofs are eliminated,
 the free block is solved by banded Cholesky in a reverse Cuthill-McKee order
@@ -54,12 +56,14 @@ class AssemblyPlan:
     physics: str
     n_vertices: int
     dofs_per_vertex: int
-    element_dofs: np.ndarray  # (m, k) global dof of each element-matrix row
-    unit: np.ndarray  # (m, k, k) element matrices at unit E or conductivity
-    poisson: np.ndarray | None  # Poisson ratios of the elasticity `unit`
-    scatter: np.ndarray  # (m*k*k,) slot in K.data of each element entry
+    poisson: np.ndarray | None  # Poisson ratios of the elasticity unit matrices
+    # (nnz K, m) CSC: column e holds the unit matrix k̂_e, (k, k) flattened,
+    # at the slots of its entries in K.data, so K.data = S @ p
+    S: scipy.sparse.csc_matrix
+    S_T: scipy.sparse.csr_matrix  # S's transpose, sharing S's arrays
     indptr: np.ndarray  # CSR pattern of K, vertex pairs expanded per dof
     indices: np.ndarray
+    row_sizes: np.ndarray  # entries in each row of K's pattern
     f_ext: np.ndarray
     free: np.ndarray
     prescribed: np.ndarray
@@ -86,8 +90,7 @@ class FemSystem:
     # its band when it is factored and has no element sensitivities
     K_ff: scipy.sparse.csc_matrix | None = None
     band: tuple | None = None
-    unit: np.ndarray | None = None
-    element_dofs: np.ndarray | None = None
+    plan: AssemblyPlan | None = None
     # (K_ff, ||K_ff||_1, order, band factor) of the factored free block, made
     # by the first solve; it only caches what K_ff determines, so the system
     # stays a value
@@ -168,24 +171,6 @@ def _element_parameter(fld, physics: str) -> np.ndarray:
     return fld.conductivity
 
 
-def _unit_matrices(mesh, physics: str, poisson) -> np.ndarray:
-    """Element matrices at unit Young modulus or conductivity, (m,k,k)."""
-    ones = np.ones(mesh.n_elements)
-    if physics == "elasticity":
-        return _kernels.elasticity_matrices(mesh.vertices, mesh.tets, ones,
-                                            poisson)
-    return _kernels.conduction_matrices(mesh.vertices, mesh.tets, ones)
-
-
-def element_dof_maps(tets: np.ndarray, dofs_per_vertex: int) -> np.ndarray:
-    if dofs_per_vertex == 1:
-        return tets
-    em = (
-        tets[:, :, None] * dofs_per_vertex + np.arange(dofs_per_vertex)[None, None, :]
-    )
-    return em.reshape(tets.shape[0], -1)
-
-
 def _boundary_data(spec, physics: str, ndof: int):
     """Applied loads and the sorted prescribed dofs with their values."""
     f_ext = np.zeros(ndof)
@@ -224,7 +209,8 @@ def _pattern(tets: np.ndarray, n_vertices: int, dpv: int):
     entry. Dof row a*d + i holds the d*deg(a) entries of vertex row a, by
     neighbour b and then by j, so entry (a*d + i, b*d + j) sits at
     d*d*vptr[a] + i*d*deg(a) + d*(s - vptr[a]) + j. `scatter` has the slot
-    of every element-matrix entry, in (m, k, k) order flattened.
+    of every element-matrix entry, in (m, k, k) order flattened, as int32
+    when the m*k*k entries can be counted in it.
     """
     m, n, d = tets.shape[0], n_vertices, dpv
     a = tets[:, :, None]
@@ -242,7 +228,8 @@ def _pattern(tets: np.ndarray, n_vertices: int, dpv: int):
     # scatter[e, α, i, β, j] for local vertices α, β, filled in place
     vertex_part = d * (d - 1) * vptr[a] + d * vslot.reshape(m, 4, 4)
     row_part = np.arange(d) * (d * deg[a])
-    scatter = np.empty((m, 4, d, 4, d), dtype=np.int64)
+    fits = m * 16 * d * d <= np.iinfo(np.int32).max
+    scatter = np.empty((m, 4, d, 4, d), dtype=np.int32 if fits else np.int64)
     np.add(vertex_part[:, :, None, :, None],
            row_part[:, :, :, None, None], out=scatter)
     scatter += np.arange(d)
@@ -253,10 +240,9 @@ def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
     """Build the field-independent part of the `physics` system of `spec`.
 
     `fld` supplies the Poisson ratios of the elasticity unit matrices; a
-    field with other ratios still assembles from the plan, at the cost of
-    building its unit matrices again. Raises ValueError for an unknown
-    physics or a degenerate tet, and WellPosednessError when the physics
-    has no Dirichlet data at all.
+    field with other ratios is assembled from a plan of its own. Raises
+    ValueError for an unknown physics or a degenerate tet, and
+    WellPosednessError when the physics has no Dirichlet data at all.
     """
     if physics not in _DOFS_PER_VERTEX:
         raise ValueError(f"unknown physics {physics!r}")
@@ -270,17 +256,30 @@ def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
     bad = np.flatnonzero(vols <= eps)
     if bad.size:
         raise ValueError(f"degenerate tet {bad[0]}, signed volume {vols[bad[0]]:.3e}")
+    # element matrices at unit Young modulus or conductivity, (m, k, k)
+    ones = np.ones(mesh.n_elements)
     poisson = None
     if physics == "elasticity":
         _check_poisson(fld.poisson)
         poisson = np.array(fld.poisson, dtype=np.float64)
-    unit = _unit_matrices(mesh, physics, poisson)
+        unit = _kernels.elasticity_matrices(mesh.vertices, mesh.tets, ones,
+                                            poisson)
+    else:
+        unit = _kernels.conduction_matrices(mesh.vertices, mesh.tets, ones)
 
-    em = element_dof_maps(mesh.tets, dpv)
     indptr, indices, scatter = _pattern(mesh.tets, mesh.n_vertices, dpv)
     slots = scipy.sparse.csr_matrix(
         (np.arange(1, indices.size + 1), indices, indptr), shape=(ndof, ndof)
     )
+    m, nnz, kk = mesh.n_elements, indices.size, unit.shape[1] * unit.shape[2]
+    # S and its transpose share one set of read-only arrays; `data` views
+    # `unit`
+    S_parts = (unit.reshape(-1), scatter,
+               np.arange(0, m * kk + 1, kk, dtype=scatter.dtype))
+    _read_only(*S_parts)
+    S = scipy.sparse.csc_matrix(S_parts, shape=(nnz, m))
+    S_T = scipy.sparse.csr_matrix(S_parts, shape=(m, nnz))
+    row_sizes = np.diff(slots.indptr).astype(np.intp)
 
     mask = np.ones(ndof, dtype=bool)
     mask[prescribed] = False
@@ -294,12 +293,12 @@ def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
         physics=physics,
         n_vertices=mesh.n_vertices,
         dofs_per_vertex=dpv,
-        element_dofs=em,
-        unit=unit,
         poisson=poisson,
-        scatter=scatter,
+        S=S,
+        S_T=S_T,
         indptr=slots.indptr,
         indices=slots.indices,
+        row_sizes=row_sizes,
         f_ext=f_ext,
         free=free,
         prescribed=prescribed,
@@ -311,7 +310,7 @@ def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
         band=band,
     )
     # every system assembled from the plan shares these arrays
-    _read_only(unit, scatter, slots.indptr, slots.indices, f_ext, free,
+    _read_only(slots.indptr, slots.indices, row_sizes, f_ext, free,
                prescribed, prescribed_values, u_prescribed, plan.ff_slots,
                ff.indptr, ff.indices, band[0], band[2], band[3])
     return plan
@@ -327,21 +326,15 @@ def assemble(spec, fld, physics: str, plan: AssemblyPlan | None = None
     non-positive parameter or a Poisson ratio outside (-1, 0.5), and
     WellPosednessError when the requested physics has no Dirichlet data.
     """
-    if plan is None:
-        plan = assembly_plan(spec, physics, fld)
-    elif plan.physics != physics:
+    if plan is not None and plan.physics != physics:
         raise ValueError(f"plan is for {plan.physics}, not {physics}")
+    if plan is None or (plan.poisson is not None
+                        and not np.array_equal(fld.poisson, plan.poisson)):
+        plan = assembly_plan(spec, physics, fld)
     scale = _element_parameter(fld, physics)
-    unit = plan.unit
-    if plan.poisson is not None and not np.array_equal(fld.poisson,
-                                                       plan.poisson):
-        unit = _unit_matrices(spec.mesh, physics, fld.poisson)
     ndof = plan.dofs_per_vertex * plan.n_vertices
-    data = np.bincount(
-        plan.scatter,
-        weights=(scale[:, None, None] * unit).reshape(-1),
-        minlength=plan.indices.size,
-    )
+    # column by column, so each slot sums its entries in element order
+    data = plan.S @ scale
     K = scipy.sparse.csr_matrix((data, plan.indices, plan.indptr),
                                 shape=(ndof, ndof))
     K_ff = scipy.sparse.csc_matrix(
@@ -361,8 +354,7 @@ def assemble(spec, fld, physics: str, plan: AssemblyPlan | None = None
         dofs_per_vertex=plan.dofs_per_vertex,
         K_ff=K_ff,
         band=plan.band,
-        unit=unit,
-        element_dofs=plan.element_dofs,
+        plan=plan,
     )
 
 
@@ -370,11 +362,16 @@ def element_sensitivity(system: FemSystem, lam: np.ndarray,
                         u: np.ndarray) -> np.ndarray:
     """lam_e . k̂_e u_e for every element e, which is d(lam . K u)/dp_e for
     the parameter p that K is linear in (Young's modulus at fixed Poisson
-    ratio, or conductivity). `lam` and `u` are full-length dof vectors."""
-    if system.unit is None:
+    ratio, or conductivity). `lam` and `u` are full-length dof vectors.
+
+    d(lam . K u)/dp = S^T (lam_i u_j over the entries (i, j) of K's
+    pattern), since K.data = S p."""
+    plan = system.plan
+    if plan is None:
         raise ValueError("element sensitivities need a system from assemble")
-    maps = system.element_dofs
-    return np.einsum("ei,eij,ej->e", lam[maps], system.unit, u[maps])
+    # row i repeated over its entries; take is faster than fancy indexing
+    # with the pattern's int32 columns
+    return plan.S_T @ (np.repeat(lam, plan.row_sizes) * u.take(plan.indices))
 
 
 def _band_layout(K_ff: scipy.sparse.csc_matrix) -> tuple:

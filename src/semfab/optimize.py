@@ -15,6 +15,14 @@ A property passes that check only when it meets its bound exactly, the
 test :func:`semantics.check_properties` applies, so each property hinge
 aims ``FEAS_TOL * max(1, |bound|)`` inside the bound.
 
+A gradient costs one adjoint solve per physics. The objective and every
+active penalty hand their terms to one accumulator: a direct gradient, an
+adjoint load w for a solved quantity w . u, or for the self-adjoint
+compliance f . u the vector u itself. The loads of a physics are summed
+and solved once with the primal factor, and the element sensitivities of
+the sum come from one product with the transpose of the assembly plan's
+operator (see :mod:`semfab.fem`).
+
 After upstream values drift, :func:`reoptimize_after_drift` either re-runs the
 solver from the previous optimum or applies a second-order warm start built
 from a quadratic model of the objective around the previous base point.
@@ -53,6 +61,8 @@ OBJECTIVES = {
     "average_temperature": ("conduction", "conductivity"),
     "mass": (None, "density"),
 }
+# the parameter each physics' K is linear in
+_LINEAR_IN = {"elasticity": "young", "conduction": "conductivity"}
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 500
@@ -123,6 +133,48 @@ def _feas_margin(bound):
     return FEAS_TOL * max(1.0, abs(bound))
 
 
+class _Gradient:
+    """The gradient terms of one evaluation, summed before any solve.
+
+    A term with a direct gradient adds it. A term on a solved quantity
+    w . u hands over its adjoint load w instead, and the self-adjoint
+    compliance f . u the vector u itself. :meth:`total` then makes one
+    adjoint solve per physics for the summed load W and contracts once:
+    the gradient of the sum is -lam . (dK/dp_e) u with lam = K^-1 W,
+    plus u for the compliance. Loads on a physics whose K is not linear in
+    the optimized parameter carry no gradient and are dropped.
+    """
+
+    def __init__(self, problem):
+        self.direct = np.zeros(problem.n_variables)
+        self.parameter = problem.parameter
+        self.loads = {}  # physics -> summed dof weights
+        self.self_adjoint = set()  # physics whose u is part of the adjoint
+
+    def add(self, grad, scale=1.0):
+        self.direct += scale * grad
+
+    def add_load(self, physics, weights, scale=1.0):
+        if _LINEAR_IN[physics] == self.parameter:
+            self.loads[physics] = self.loads.get(physics, 0.0) + scale * weights
+
+    def add_self_adjoint(self, physics):
+        if _LINEAR_IN[physics] == self.parameter:
+            self.self_adjoint.add(physics)
+
+    def total(self, ctx):
+        grad = self.direct
+        for physics in sorted(self.loads.keys() | self.self_adjoint):
+            u = ctx.solution(physics).values.reshape(-1)
+            lam = u if physics in self.self_adjoint else np.zeros(u.size)
+            load = self.loads.get(physics)
+            if load is not None and np.any(load):
+                lam = ctx.adjoint(physics, load) + lam
+            # u solves K u = f, so d(lam . u)/dp_e = -lam . (dK/dp_e) u
+            grad -= fem.element_sensitivity(ctx.system(physics), lam, u)
+        return grad
+
+
 class SyntheticConstraint:
     """Inequality for FunctionProblem tests; excess > 0 means violated."""
 
@@ -136,14 +188,16 @@ class SyntheticConstraint:
         excess = float(self._excess_fn(x))
         return excess, self.bound + excess
 
-    def penalty(self, x, ctx, need_grad=False):
+    def penalty(self, x, ctx, grad=None, scale=1.0):
+        """Squared-hinge value; adds ``scale`` times its gradient to the
+        :class:`_Gradient` ``grad`` when one is given."""
         hinge = self.evaluate(x, ctx)[0] + _feas_margin(self.bound)
         if hinge <= 0.0:
-            return 0.0, None
-        if not need_grad or self._grad_fn is None:
-            return hinge * hinge, None
-        grad = np.asarray(self._grad_fn(x), dtype=float)
-        return hinge * hinge, 2.0 * hinge * grad
+            return 0.0
+        if grad is not None and self._grad_fn is not None:
+            grad.add(np.asarray(self._grad_fn(x), dtype=float),
+                     2.0 * hinge * scale)
+        return hinge * hinge
 
 
 class FunctionProblem:
@@ -152,6 +206,8 @@ class FunctionProblem:
     ``solve_count`` counts objective evaluations, standing in for FEM solves
     when this class is used to benchmark restart strategies.
     """
+
+    parameter = None  # no material parameter, so no adjoint loads
 
     def __init__(
         self,
@@ -194,15 +250,16 @@ class FunctionProblem:
         x = _box_midpoints(self.boxes)
         return self.pin(x)
 
-    def objective_value(self, x, ctx=None):
+    def objective_value(self, x, ctx=None, grad=None):
+        """The objective; adds its gradient to ``grad`` when one is given."""
         self.solve_count += 1
+        if grad is not None:
+            grad.add(np.asarray(self._gradient(x), dtype=float))
         return float(self._objective(x))
 
     def objective_and_gradient(self, x, ctx=None):
-        self.solve_count += 1
-        return float(self._objective(x)), np.asarray(
-            self._gradient(x), dtype=float
-        )
+        grad = _Gradient(self)
+        return self.objective_value(x, ctx, grad), grad.total(ctx)
 
 
 class _PropertyConstraint:
@@ -212,9 +269,9 @@ class _PropertyConstraint:
     properties).  ``penalty`` is the squared-hinge term the solver descends
     on, aimed ``_feas_margin(bound)`` inside the bound; for vertex-set
     properties it sums per-vertex hinges, which keeps the merit
-    differentiable when several vertices tie at the maximum.  Its gradient
-    needs one adjoint solve with combined weights, and none when no hinge is
-    active.
+    differentiable when several vertices tie at the maximum.  A solved
+    quantity hands its gradient over as an adjoint load, and none when no
+    hinge is active.
     """
 
     def __init__(self, problem, prop):
@@ -240,7 +297,7 @@ class _PropertyConstraint:
             )
             measured = float(density @ self.problem.spec.mesh.volumes())
         elif quantity == "average_temperature":
-            measured, _ = _average_temperature(self.problem, ctx, False)
+            measured = _average_temperature(self.problem, ctx)
         else:
             values, _, _ = self._vertex_values(ctx)
             measured = float(values.max())
@@ -248,60 +305,53 @@ class _PropertyConstraint:
             return measured - self.bound, measured
         return self.bound - measured, measured
 
-    def _scalar_gradient(self, ctx):
-        """Gradient of the mass or average temperature, None when it does
-        not depend on the optimized parameter."""
-        if self.prop.quantity == "mass":
-            if self.problem.parameter != "density":
-                return None
-            return self.problem.spec.mesh.volumes()
-        _, grad = _average_temperature(self.problem, ctx, need_grad=True)
-        return grad
-
-    def penalty(self, x, ctx, need_grad=False):
-        """Squared-hinge value and its gradient over all elements."""
+    def penalty(self, x, ctx, grad=None, scale=1.0):
+        """Squared-hinge value; adds ``scale`` times its gradient terms to
+        the :class:`_Gradient` ``grad`` when one is given."""
         quantity = self.prop.quantity
         margin = _feas_margin(self.bound)
         if quantity in ("mass", "average_temperature"):
             hinge = self.evaluate(x, ctx)[0] + margin
             if hinge <= 0.0:
-                return 0.0, None
-            grad = self._scalar_gradient(ctx) if need_grad else None
-            if grad is None:
-                return hinge * hinge, None
-            sign = 1.0 if self.prop.op == "le" else -1.0
-            return hinge * hinge, 2.0 * hinge * sign * grad
+                return 0.0
+            if grad is not None:
+                sign = 1.0 if self.prop.op == "le" else -1.0
+                coeff = 2.0 * hinge * sign * scale
+                if quantity == "average_temperature":
+                    _average_temperature(self.problem, ctx, grad, coeff)
+                elif self.problem.parameter == "density":
+                    grad.add(self.problem.spec.mesh.volumes(), coeff)
+            return hinge * hinge
         values, verts, disp = self._vertex_values(ctx)
         hinge = values - self.bound + margin  # le is the only op here
         active = hinge > 0.0
         value = float(np.sum(hinge[active] ** 2))
-        if not need_grad or not np.any(active):
-            return value, None
+        if grad is None or not np.any(active):
+            return value
         if quantity == "max_displacement":
-            if self.problem.parameter != "young":
-                return value, None
             weights = np.zeros(ctx.n_dofs("elasticity"))
             for v, e, u, mag in zip(
                 verts[active], hinge[active], disp[active], values[active]
             ):
                 if mag > 0.0:
                     weights[3 * v : 3 * v + 3] = 2.0 * e * u / mag
-            return value, ctx.adjoint_sensitivity("elasticity", weights)
-        if self.problem.parameter != "conductivity":
-            return value, None
-        weights = np.zeros(ctx.n_dofs("conduction"))
-        weights[verts[active]] = 2.0 * hinge[active]
-        return value, ctx.adjoint_sensitivity("conduction", weights)
+            grad.add_load("elasticity", weights, scale)
+        else:
+            weights = np.zeros(ctx.n_dofs("conduction"))
+            weights[verts[active]] = 2.0 * hinge[active]
+            grad.add_load("conduction", weights, scale)
+        return value
 
 
-def _average_temperature(problem, ctx, need_grad):
+def _average_temperature(problem, ctx, grad=None, scale=1.0):
+    """Volume-weighted mean temperature; adds ``scale`` times its adjoint
+    load to ``grad`` when one is given."""
     solution = ctx.solution("conduction")
     weights = problem.spec.mesh.vertex_volume_weights()
     total = weights.sum()
-    measured = float(weights @ solution.values) / total
-    if not need_grad or problem.parameter != "conductivity":
-        return measured, None
-    return measured, ctx.adjoint_sensitivity("conduction", weights / total)
+    if grad is not None:
+        grad.add_load("conduction", weights / total, scale)
+    return float(weights @ solution.values) / total
 
 
 class _FemContext:
@@ -337,22 +387,14 @@ class _FemContext:
         dpv = 3 if physics == "elasticity" else 1
         return self.problem.spec.mesh.n_vertices * dpv
 
-    def primal_flat(self, physics):
-        return self.solution(physics).values.reshape(-1)
-
-    def adjoint_sensitivity(self, physics, weights):
-        """d(weights . u)/d(parameter) per element, via one adjoint solve."""
+    def adjoint(self, physics, weights):
+        """K^-1 weights at the free dofs, zero at the prescribed ones, by one
+        solve with the primal factor."""
         lam = fem.adjoint_solve(
             self.system(physics), weights, tol=self.problem.solver_tol
         )
         self.problem.solve_count += 1
-        return self._element_sensitivity(physics, lam)
-
-    def _element_sensitivity(self, physics, lam):
-        # u solves K u = f, so d(lam . u)/dp_e = -lam . (dK/dp_e) u
-        return -fem.element_sensitivity(
-            self.system(physics), lam, self.primal_flat(physics)
-        )
+        return lam
 
 
 class InversionProblem:
@@ -434,9 +476,7 @@ class InversionProblem:
         return self._plans[physics]
 
     def field_for(self, x):
-        return self.base_field.with_values(
-            np.arange(self.n_variables), self.parameter, x
-        )
+        return self.base_field.with_values(slice(None), self.parameter, x)
 
     def context(self, x):
         return _FemContext(self, x)
@@ -449,32 +489,29 @@ class InversionProblem:
     def start_values(self):
         return self.pin(_box_midpoints(self.boxes))
 
-    def objective_value(self, x, ctx=None):
+    def objective_value(self, x, ctx=None, grad=None):
+        """The objective; adds its gradient terms to the :class:`_Gradient`
+        ``grad`` when one is given."""
         ctx = ctx or self.context(x)
         if self.objective == "compliance":
             solution = ctx.solution("elasticity")
             system = ctx.system("elasticity")
+            if grad is not None:
+                # self-adjoint: the adjoint equals the displacement vector
+                grad.add_self_adjoint("elasticity")
             return float(system.f_ext @ solution.values.reshape(-1))
         if self.objective == "average_temperature":
-            measured, _ = _average_temperature(self, ctx, need_grad=False)
-            return measured
-        density = x if self.parameter == "density" else ctx.field.density
-        return float(density @ self.spec.mesh.volumes())
+            return _average_temperature(self, ctx, grad)
+        if self.parameter == "density":
+            if grad is not None:
+                grad.add(self.spec.mesh.volumes())
+            return float(x @ self.spec.mesh.volumes())
+        return float(ctx.field.density @ self.spec.mesh.volumes())
 
     def objective_and_gradient(self, x, ctx=None):
         ctx = ctx or self.context(x)
-        value = self.objective_value(x, ctx)
-        physics, grad_param = OBJECTIVES[self.objective]
-        if self.parameter != grad_param:
-            return value, np.zeros(self.n_variables)
-        if self.objective == "mass":
-            return value, self.spec.mesh.volumes().copy()
-        if self.objective == "compliance":
-            # self-adjoint: the adjoint equals the displacement vector
-            lam = ctx.primal_flat("elasticity")
-            return value, ctx._element_sensitivity("elasticity", lam)
-        _, grad = _average_temperature(self, ctx, need_grad=True)
-        return value, grad
+        grad = _Gradient(self)
+        return self.objective_value(x, ctx, grad), grad.total(ctx)
 
 
 def _check_free_boxes(boxes, free_idx):
@@ -555,28 +592,23 @@ def _merit(problem, x, weight, need_grad, ctx=None):
     """
     if ctx is None:
         ctx = problem.context(x)
-    if need_grad:
-        obj, grad = problem.objective_and_gradient(x, ctx)
-    else:
-        obj = problem.objective_value(x, ctx)
-        grad = None
+    terms = _Gradient(problem) if need_grad else None
+    obj = problem.objective_value(x, ctx, terms)
     merit = obj
     max_violation = 0.0
     for constraint in problem.constraints:
         excess, _ = constraint.evaluate(x, ctx)
         max_violation = max(max_violation, excess)
-        pvalue, pgrad = constraint.penalty(x, ctx, need_grad=need_grad)
-        merit += weight * pvalue
-        if need_grad and pgrad is not None:
-            grad = grad + weight * pgrad
+        merit += weight * constraint.penalty(x, ctx, terms, weight)
     if problem.lipschitz is not None:
         value, max_excess, lgrad = _lipschitz_penalty(
             problem.lipschitz, x, need_grad
         )
         merit += weight * value
         max_violation = max(max_violation, max_excess)
-        if need_grad and lgrad is not None:
-            grad = grad + weight * lgrad
+        if need_grad:
+            terms.add(lgrad, weight)
+    grad = terms.total(ctx) if need_grad else None
     return merit, obj, max_violation, grad
 
 

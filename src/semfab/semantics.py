@@ -186,12 +186,28 @@ class MaterialField:
         )
 
     def with_values(self, indices, parameter: str, values, provenance=None):
-        """Copy with `parameter` overwritten at `indices` (copy-on-update)."""
-        out = self.copy()
-        out.values(parameter)[indices] = values
-        if provenance is not None:
-            out.provenance[indices] = provenance
-        return out
+        """Field with `parameter` overwritten at `indices`, and `provenance`
+        too when given. Only the arrays that change are copied; the result
+        shares the others with this field as read-only views, so `copy()`
+        it before writing into them."""
+        changed = self.values(parameter).copy()
+        changed[indices] = values
+        if provenance is None:
+            tags = _shared_view(self.provenance)
+        else:
+            tags = self.provenance.copy()
+            tags[indices] = provenance
+        return MaterialField(
+            *(changed if name == parameter else _shared_view(getattr(self, name))
+              for name in PARAMETERS),
+            tags,
+        )
+
+
+def _shared_view(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.setflags(write=False)
+    return view
 
 
 def field_to_dict(fld: MaterialField) -> dict:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from semfab import fem
+from semfab import _kernels, fem
 from semfab.errors import SolverFailure, WellPosednessError
 from semfab.fem import (
     FemSystem,
@@ -641,9 +641,9 @@ def _pattern_cases():
     return [box, relabelled, shaft]
 
 
-@pytest.mark.parametrize("physics", ["elasticity", "conduction"])
-@pytest.mark.parametrize("case", range(3))
-def test_plan_pattern_matches_the_dof_key_construction(physics, case):
+def _pattern_problem(case):
+    """(mesh, spec, field) of a `_pattern_cases` mesh with its bottom fixed
+    in both physics and Poisson ratios from -0.3 to 0.45."""
     mesh = _pattern_cases()[case]
     z = mesh.vertices[:, 2]
     doc = {"vertex_annotations": {
@@ -653,18 +653,77 @@ def test_plan_pattern_matches_the_dof_key_construction(physics, case):
     m = mesh.n_elements
     fld = _random_field(np.random.default_rng(case), m,
                         np.linspace(-0.3, 0.45, m))
+    return mesh, spec, fld
+
+
+def _unit_and_parameter(mesh, fld, physics):
+    """Element matrices at unit parameter, (m, k, k), and the parameter K
+    is linear in, from the element kernels."""
+    ones = np.ones(mesh.n_elements)
+    if physics == "elasticity":
+        return (_kernels.elasticity_matrices(mesh.vertices, mesh.tets, ones,
+                                             fld.poisson), fld.young)
+    return (_kernels.conduction_matrices(mesh.vertices, mesh.tets, ones),
+            fld.conductivity)
+
+
+@pytest.mark.parametrize("physics", ["elasticity", "conduction"])
+@pytest.mark.parametrize("case", range(3))
+def test_plan_pattern_matches_the_dof_key_construction(physics, case):
+    mesh, spec, fld = _pattern_problem(case)
     plan = fem.assembly_plan(spec, physics, fld)
     ref = _dof_key_pattern(mesh, plan.dofs_per_vertex, plan.free)
-    for name in ("scatter", "indptr", "indices", "ff_slots", "ff_indptr",
-                 "ff_indices"):
+    for name in ("indptr", "indices", "ff_slots", "ff_indptr", "ff_indices"):
         got, want = getattr(plan, name), ref[name]
         assert got.dtype == want.dtype and np.array_equal(got, want), name
+    # the assembly operator's row indices are the scatter, in int32
+    assert plan.S.indices.dtype == np.int32
+    assert np.array_equal(plan.S.indices, ref["scatter"])
     order, bw, take, slots = plan.band
     want_order, want_bw, want_take, want_slots = ref["band"]
     assert bw == want_bw
     for got, want in ((order, want_order), (take, want_take),
                       (slots, want_slots)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("physics", ["elasticity", "conduction"])
+@pytest.mark.parametrize("case", range(3))
+def test_operator_assembly_is_the_bincount_sum_bit_for_bit(physics, case):
+    # K.data = S @ p adds each slot's entries in ascending element order,
+    # the order of a bincount over the flattened (m, k, k) entries
+    mesh, spec, fld = _pattern_problem(case)
+    plan = fem.assembly_plan(spec, physics, fld)
+    ref = _dof_key_pattern(mesh, plan.dofs_per_vertex, plan.free)
+    unit, p = _unit_and_parameter(mesh, fld, physics)
+    want = np.bincount(ref["scatter"],
+                       weights=(p[:, None, None] * unit).reshape(-1),
+                       minlength=plan.indices.size)
+    got = assemble(spec, fld, physics, plan=plan).K.data
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("physics", ["elasticity", "conduction"])
+@pytest.mark.parametrize("case", range(3))
+def test_element_sensitivity_matches_the_einsum_contraction(physics, case):
+    mesh, spec, fld = _pattern_problem(case)
+    plan = fem.assembly_plan(spec, physics, fld)
+    rng = np.random.default_rng(10 + case)
+    dpv = plan.dofs_per_vertex
+    maps = (mesh.tets[:, :, None] * dpv + np.arange(dpv)).reshape(
+        mesh.n_elements, -1)
+    # the plan's own ratios, then others, which assemble from a plan of
+    # their own
+    other = _random_field(rng, mesh.n_elements,
+                          rng.uniform(-0.5, 0.45, mesh.n_elements))
+    for f in (fld, other):
+        system = assemble(spec, f, physics, plan=plan)
+        lam = rng.normal(size=dpv * mesh.n_vertices)
+        u = rng.normal(size=lam.size)
+        unit, _ = _unit_and_parameter(mesh, f, physics)
+        want = np.einsum("ei,eij,ej->e", lam[maps], unit, u[maps])
+        got = fem.element_sensitivity(system, lam, u)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_plan_peak_memory_stays_near_what_it_keeps():
@@ -680,5 +739,5 @@ def test_plan_peak_memory_stays_near_what_it_keeps():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert plan.scatter.size == mesh.n_elements * 144
+    assert plan.S.indices.size == mesh.n_elements * 144
     assert peak - before < 2.5 * (kept - before)

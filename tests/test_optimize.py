@@ -12,7 +12,7 @@ from conftest import bar_tip_displacement, layered_bar_problem
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semfab import mesh, optimize, semantics
+from semfab import _kernels, fem, mesh, optimize, semantics
 from semfab.errors import BasePointError, ModelInvalidError
 
 
@@ -238,6 +238,89 @@ def test_average_temperature_gradient_matches_central_differences():
     fd = fd_objective_gradient(problem, x, range(5), 1e-3)
     for e, approx in fd.items():
         assert grad[e] == pytest.approx(approx, rel=1e-4)
+
+
+def _hot_block_problem():
+    """A heated 2x2x3 block: average-temperature objective, and hinges on
+    the top vertices' and the average temperature, with bounds at half the
+    rise above the 300 K base at conductivity 0.25."""
+    m = mesh.generate_box_mesh(2, 2, 3, (1.0, 1.0, 1.5))
+    z = m.vertices[:, 2]
+    bottom, top = np.flatnonzero(z < 1e-9), np.flatnonzero(z > 1.5 - 1e-9)
+    annotations = {str(v): {"temperature": 300.0} for v in bottom}
+    annotations.update({str(v): {"flux": 0.3} for v in top})
+    ranges = {"conductivity": [0.1, 0.4], "young": [1.0, 1.0],
+              "poisson": [0.0, 0.0], "density": [1.0, 1.0]}
+    doc = box_layer_doc(ranges, vertex_annotations=annotations)
+    spec = semantics.bind_to_mesh(semantics.layer_from_dict(doc), m)
+    base = optimize.InversionProblem(spec, "average_temperature")
+    x = np.full(m.n_elements, 0.25)
+    ctx = base.context(x)
+    hot = ctx.solution("conduction").values[top].max()
+    average = base.objective_value(x, ctx)
+    doc["global_properties"] = [
+        {"name": "hot_face", "quantity": "nodal_temperature", "op": "le",
+         "bound": 300.0 + 0.5 * (hot - 300.0),
+         "vertices": [int(v) for v in top]},
+        {"name": "bulk_heat", "quantity": "average_temperature", "op": "le",
+         "bound": 300.0 + 0.5 * (average - 300.0)},
+    ]
+    spec = semantics.bind_to_mesh(semantics.layer_from_dict(doc), m)
+    return optimize.InversionProblem(spec, "average_temperature"), top
+
+
+def test_merit_gradient_makes_one_adjoint_solve(monkeypatch):
+    # bounds well below the temperatures: both hinges active on every top
+    # vertex, so the objective and two hinges hand over adjoint loads
+    problem, top = _hot_block_problem()
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.1, 0.4, problem.n_variables)
+    weight = 10.0
+    solves = []
+    original = fem.adjoint_solve
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "adjoint_solve", counted)
+    merit, _, _, grad = optimize._merit(problem, x, weight, True)
+    assert len(solves) == 1
+
+    # the per-term sum: one adjoint solve per term, contracted by einsum
+    ctx = problem.context(x)
+    system = ctx.system("conduction")
+    u = ctx.solution("conduction").values
+    unit = _kernels.conduction_matrices(
+        problem.spec.mesh.vertices, problem.spec.mesh.tets,
+        np.ones(problem.n_variables))
+    tets = problem.spec.mesh.tets
+
+    def gradient_of(weights):
+        lam = original(system, weights)
+        return -np.einsum("ei,eij,ej->e", lam[tets], unit, u[tets])
+
+    w = problem.spec.mesh.vertex_volume_weights()
+    objective = gradient_of(w / w.sum())
+    hot, bulk = problem.constraints
+    margin = optimize._feas_margin
+    bulk_hinge = float(w @ u) / w.sum() - bulk.bound + margin(bulk.bound)
+    hot_hinge = u[top] - hot.bound + margin(hot.bound)
+    assert bulk_hinge > 0.0 and np.all(hot_hinge > 0.0)
+    hot_weights = np.zeros(u.size)
+    hot_weights[top] = 2.0 * hot_hinge
+    want = (objective + weight * 2.0 * bulk_hinge * objective
+            + weight * gradient_of(hot_weights))
+    assert np.abs(grad - want).max() <= 1e-10 * np.abs(want).max()
+
+    for e in rng.choice(problem.n_variables, size=6, replace=False):
+        h = 1e-4 * x[e]
+        hi, lo = x.copy(), x.copy()
+        hi[e] += h
+        lo[e] -= h
+        fd = (optimize._merit(problem, hi, weight, False)[0]
+              - optimize._merit(problem, lo, weight, False)[0]) / (2 * h)
+        assert grad[e] == pytest.approx(fd, rel=1e-5)
 
 
 def test_evaluate_objective_returns_free_slice():

@@ -347,6 +347,30 @@ def test_material_field_copy_on_update():
                       np.full(3, "commanded"))
 
 
+def test_with_values_copies_only_what_changes():
+    fld = MaterialField.uniform(4, young=10.0, conductivity=2.0)
+    before = fld.copy()
+    out = fld.with_values([1, 2], "young", [20.0, 30.0])
+    for name in ("young", "poisson", "conductivity", "density",
+                 "provenance"):
+        assert np.array_equal(getattr(fld, name), getattr(before, name))
+        assert getattr(fld, name).flags.writeable
+    assert not np.shares_memory(out.young, fld.young)
+    for name in ("poisson", "conductivity", "density", "provenance"):
+        shared = getattr(out, name)
+        assert np.shares_memory(shared, getattr(fld, name))
+        with pytest.raises(ValueError):
+            shared[0] = shared[1]
+    tagged = fld.with_values([3], "conductivity", 5.0, provenance="estimated")
+    assert not np.shares_memory(tagged.provenance, fld.provenance)
+    assert tagged.provenance[3] == "estimated"
+    assert fld.provenance[3] == "commanded"
+    writable = out.copy()
+    writable.conductivity[0] = 7.0
+    writable.provenance[0] = "achieved"
+    assert fld.conductivity[0] == 2.0 and fld.provenance[0] == "commanded"
+
+
 def test_material_field_dict_roundtrip():
     fld = MaterialField.uniform(3, young=5.0, poisson=0.1, conductivity=2.0,
                                 density=1e-6, provenance="achieved")

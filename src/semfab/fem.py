@@ -4,32 +4,35 @@ analogue, steady-state heat conduction.
 K is linear in Young's modulus at a fixed Poisson ratio and linear in the
 conductivity, so every element matrix is its parameter times a unit matrix
 k̂_e. An :class:`AssemblyPlan`, built once per (specification, physics),
-holds the fixed CSR pattern of K, the free/prescribed split, the pattern of
-the free block K_ff, and assembly as one linear operator S from element
-parameters to K's entries: a sparse matrix whose column e holds k̂_e's
-entries at their slots in K.data. K's pattern is built over the pairs of
-mesh vertices that share an element and expanded per dof, each vertex pair
-becoming a full block of dofs, so its cost grows with the vertex graph and
-not with every dof pair of every element. Assembly is K.data = S p, which
-adds the scaled unit matrices into the pattern in ascending element order,
-so results are reproducible bit for bit. The element sensitivities
-lam . k̂_e u of all elements are one product with S's transpose.
+holds the fixed CSR pattern of K, the free/prescribed split, where the free
+block K_ff sits in K.data and in a band, and assembly as one linear operator
+S from element parameters to K's entries: a sparse matrix whose column e
+holds k̂_e's entries at their slots in K.data. K's pattern is built over the
+pairs of mesh vertices that share an element and expanded per dof, each
+vertex pair becoming a full block of dofs, so its cost grows with the vertex
+graph and not with every dof pair of every element. Assembly is K.data =
+S p, which adds the scaled unit matrices into the pattern in ascending
+element order, so results are reproducible bit for bit. The element
+sensitivities lam . k̂_e u of all elements are one product with S's
+transpose.
 
-Boundary conditions are imposed by reduction: prescribed dofs are eliminated,
-the free block is solved by banded Cholesky in a reverse Cuthill-McKee order
-that the plan fixes from the pattern of K_ff, and reactions are recovered as
-(K U - F_ext) at the prescribed dofs. A system factors K_ff once, on its first
-solve; the adjoint solves of the same system reuse that factor and its
-residual guard. The guard bounds the normwise backward error
-||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1).
+K is the only sparse matrix an evaluation builds. Prescribed dofs are
+eliminated: K_ff is copied from K.data straight into LAPACK's band storage,
+in a reverse Cuthill-McKee order fixed by the plan, and factored once per
+system, on its first solve, by LAPACK's banded Cholesky dpbtrf. Each
+right-hand side, adjoint ones included, is one dpbtrs with that factor and
+the guard on the normwise backward error
+||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1). Reactions,
+(K U - F_ext) at the prescribed dofs, are computed when first read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -70,9 +73,8 @@ class AssemblyPlan:
     prescribed_values: np.ndarray
     u_prescribed: np.ndarray  # full-length, prescribed values, zero elsewhere
     ff_slots: np.ndarray  # slot in K.data of each K_ff entry, CSC order
-    ff_indptr: np.ndarray  # CSC pattern of K_ff
-    ff_indices: np.ndarray
-    band: tuple  # _band_layout of the K_ff pattern
+    ff_indptr: np.ndarray  # column pointers of K_ff
+    band: tuple  # _band_layout of K_ff
 
 
 @dataclass(frozen=True)
@@ -86,14 +88,11 @@ class FemSystem:
     rhs: np.ndarray  # f_ext[free] - K[free, prescribed] @ prescribed_values
     n_vertices: int
     dofs_per_vertex: int
-    # set by assemble; a system built by hand takes K_ff from K, lays out
-    # its band when it is factored and has no element sensitivities
-    K_ff: scipy.sparse.csc_matrix | None = None
-    band: tuple | None = None
+    # set by assemble; a system built by hand lays out its free block from
+    # its own K when it is factored and has no element sensitivities
     plan: AssemblyPlan | None = None
-    # (K_ff, ||K_ff||_1, order, band factor) of the factored free block, made
-    # by the first solve; it only caches what K_ff determines, so the system
-    # stays a value
+    # (||K_ff||_1, order, band factor), made by the first solve; it only
+    # caches what K determines, so the system stays a value
     _factor: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
@@ -104,8 +103,21 @@ class FieldSolution:
 
     physics: str
     values: np.ndarray
-    reactions: dict[int, np.ndarray | float]
     residual: float
+    system: FemSystem = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def reactions(self) -> dict[int, np.ndarray | float]:
+        """(K U - F_ext) at the prescribed dofs: a 3-vector per vertex for
+        elasticity, a float per vertex for conduction."""
+        s = self.system
+        r = (s.K @ self.values.reshape(-1) - s.f_ext)[s.prescribed]
+        if s.dofs_per_vertex == 1:
+            return {int(d): float(v) for d, v in zip(s.prescribed, r)}
+        reactions: dict[int, np.ndarray | float] = {}
+        for dof, v in zip(s.prescribed, r):
+            reactions.setdefault(int(dof) // 3, np.zeros(3))[dof % 3] = v
+        return reactions
 
 
 @dataclass(frozen=True)
@@ -122,7 +134,7 @@ def _volume_epsilon(coords: np.ndarray) -> float:
 
 
 def _check_poisson(poisson: np.ndarray) -> None:
-    if np.any(poisson <= -1.0) or np.any(poisson >= 0.5):
+    if not ((poisson > -1.0) & (poisson < 0.5)).all():  # NaN fails too
         raise ValueError("poisson ratio must lie in (-1, 0.5)")
 
 
@@ -160,15 +172,13 @@ def element_conductance(tet_coords, conductivity: float) -> ElementMatrix:
 
 
 def _element_parameter(fld, physics: str) -> np.ndarray:
-    """The per-element parameter K is linear in, after the field's checks."""
-    if physics == "elasticity":
-        if np.any(fld.young <= 0.0):
-            raise ValueError("young modulus must be positive for every element")
-        _check_poisson(fld.poisson)
-        return fld.young
-    if np.any(fld.conductivity <= 0.0):
-        raise ValueError("conductivity must be positive for every element")
-    return fld.conductivity
+    """The per-element parameter K is linear in, checked; the Poisson
+    ratios are checked by the plan, which assembly matches them to."""
+    name, p = (("young modulus", fld.young) if physics == "elasticity"
+               else ("conductivity", fld.conductivity))
+    if not ((p > 0.0) & (p < np.inf)).all():  # NaN fails both comparisons
+        raise ValueError(f"{name} must be positive and finite everywhere")
+    return p
 
 
 def _boundary_data(spec, physics: str, ndof: int):
@@ -210,7 +220,8 @@ def _pattern(tets: np.ndarray, n_vertices: int, dpv: int):
     neighbour b and then by j, so entry (a*d + i, b*d + j) sits at
     d*d*vptr[a] + i*d*deg(a) + d*(s - vptr[a]) + j. `scatter` has the slot
     of every element-matrix entry, in (m, k, k) order flattened, as int32
-    when the m*k*k entries can be counted in it.
+    when the m*k*k entries can be counted in it; indptr and indices are
+    int32 when K's entries can, the index type SciPy would store.
     """
     m, n, d = tets.shape[0], n_vertices, dpv
     a = tets[:, :, None]
@@ -233,7 +244,8 @@ def _pattern(tets: np.ndarray, n_vertices: int, dpv: int):
     np.add(vertex_part[:, :, None, :, None],
            row_part[:, :, :, None, None], out=scatter)
     scatter += np.arange(d)
-    return indptr, indices, scatter.reshape(-1)
+    idx = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
+    return indptr.astype(idx), indices.astype(idx), scatter.reshape(-1)
 
 
 def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
@@ -268,9 +280,6 @@ def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
         unit = _kernels.conduction_matrices(mesh.vertices, mesh.tets, ones)
 
     indptr, indices, scatter = _pattern(mesh.tets, mesh.n_vertices, dpv)
-    slots = scipy.sparse.csr_matrix(
-        (np.arange(1, indices.size + 1), indices, indptr), shape=(ndof, ndof)
-    )
     m, nnz, kk = mesh.n_elements, indices.size, unit.shape[1] * unit.shape[2]
     # S and its transpose share one set of read-only arrays; `data` views
     # `unit`
@@ -279,16 +288,14 @@ def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
     _read_only(*S_parts)
     S = scipy.sparse.csc_matrix(S_parts, shape=(nnz, m))
     S_T = scipy.sparse.csr_matrix(S_parts, shape=(m, nnz))
-    row_sizes = np.diff(slots.indptr).astype(np.intp)
+    row_sizes = np.diff(indptr).astype(np.intp)
 
     mask = np.ones(ndof, dtype=bool)
     mask[prescribed] = False
     free = np.flatnonzero(mask)
     u_prescribed = np.zeros(ndof)
     u_prescribed[prescribed] = prescribed_values
-    ff = slots[free][:, free].tocsc()
-    ff.sort_indices()
-    band = _band_layout(ff)
+    ff_slots, ff_indptr, band = _free_block(indptr, indices, free)
     plan = AssemblyPlan(
         physics=physics,
         n_vertices=mesh.n_vertices,
@@ -296,23 +303,22 @@ def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
         poisson=poisson,
         S=S,
         S_T=S_T,
-        indptr=slots.indptr,
-        indices=slots.indices,
+        indptr=indptr,
+        indices=indices,
         row_sizes=row_sizes,
         f_ext=f_ext,
         free=free,
         prescribed=prescribed,
         prescribed_values=prescribed_values,
         u_prescribed=u_prescribed,
-        ff_slots=ff.data - 1,
-        ff_indptr=ff.indptr,
-        ff_indices=ff.indices,
+        ff_slots=ff_slots,
+        ff_indptr=ff_indptr,
         band=band,
     )
     # every system assembled from the plan shares these arrays
-    _read_only(slots.indptr, slots.indices, row_sizes, f_ext, free,
-               prescribed, prescribed_values, u_prescribed, plan.ff_slots,
-               ff.indptr, ff.indices, band[0], band[2], band[3])
+    _read_only(indptr, indices, row_sizes, f_ext, free,
+               prescribed, prescribed_values, u_prescribed, ff_slots,
+               ff_indptr, band[0], band[2], band[3])
     return plan
 
 
@@ -323,8 +329,8 @@ def assemble(spec, fld, physics: str, plan: AssemblyPlan | None = None
     `spec` supplies the mesh, prescribed values, and applied loads/fluxes;
     `fld` supplies per-element parameters. `plan` is `assembly_plan(spec,
     physics, ...)`, built here when not given. Raises ValueError for a
-    non-positive parameter or a Poisson ratio outside (-1, 0.5), and
-    WellPosednessError when the requested physics has no Dirichlet data.
+    parameter that is not positive and finite or a Poisson ratio outside
+    (-1, 0.5), and WellPosednessError when the physics has no Dirichlet data.
     """
     if plan is not None and plan.physics != physics:
         raise ValueError(f"plan is for {plan.physics}, not {physics}")
@@ -337,10 +343,6 @@ def assemble(spec, fld, physics: str, plan: AssemblyPlan | None = None
     data = plan.S @ scale
     K = scipy.sparse.csr_matrix((data, plan.indices, plan.indptr),
                                 shape=(ndof, ndof))
-    K_ff = scipy.sparse.csc_matrix(
-        (data[plan.ff_slots], plan.ff_indices, plan.ff_indptr),
-        shape=(plan.free.size, plan.free.size),
-    )
     rhs = plan.f_ext[plan.free] - (K @ plan.u_prescribed)[plan.free]
     return FemSystem(
         physics=physics,
@@ -352,8 +354,6 @@ def assemble(spec, fld, physics: str, plan: AssemblyPlan | None = None
         rhs=rhs,
         n_vertices=plan.n_vertices,
         dofs_per_vertex=plan.dofs_per_vertex,
-        K_ff=K_ff,
-        band=plan.band,
         plan=plan,
     )
 
@@ -374,76 +374,93 @@ def element_sensitivity(system: FemSystem, lam: np.ndarray,
     return plan.S_T @ (np.repeat(lam, plan.row_sizes) * u.take(plan.indices))
 
 
-def _band_layout(K_ff: scipy.sparse.csc_matrix) -> tuple:
-    """(order, bw, take, slots) for factoring K_ff as a band: the reverse
-    Cuthill-McKee order of its symmetric pattern, the half-bandwidth bw of
-    K_ff in that order, and for each entry K_ff.data[take[i]] of the
-    reordered upper triangle its flat index slots[i] in LAPACK's
-    (bw + 1) x n upper band, column-major so LAPACK factors it in place."""
-    n = K_ff.shape[0]
-    order = (reverse_cuthill_mckee(K_ff, symmetric_mode=True) if n
+def _free_block(indptr, indices, free) -> tuple:
+    """(ff_slots, ff_indptr, band) of the free block K_ff of K's CSR
+    pattern (indptr, indices): the slot in K.data of each K_ff entry in CSC
+    order, the column pointers of K_ff and its `_band_layout`."""
+    n = indptr.size - 1
+    # 1 + each entry's slot, so that a slice says where its entries are
+    slots = scipy.sparse.csr_matrix(
+        (np.arange(1, indices.size + 1), indices, indptr), shape=(n, n))
+    ff = slots[free][:, free].tocsc()
+    ff.sort_indices()
+    return ff.data - 1, ff.indptr, _band_layout(ff)
+
+
+def _band_layout(ff: scipy.sparse.csc_matrix) -> tuple:
+    """(order, bw, src, slots) for factoring K_ff as a band, from `ff`, its
+    CSC slice of `_free_block`'s slot matrix: the reverse Cuthill-McKee
+    order of its symmetric pattern, the half-bandwidth bw of K_ff in that
+    order, and for each entry K.data[src[i]] of the reordered upper triangle
+    its flat index slots[i] in LAPACK's (bw + 1) x n upper band,
+    column-major so LAPACK factors it in place."""
+    n = ff.shape[0]
+    order = (reverse_cuthill_mckee(ff, symmetric_mode=True) if n
              else np.zeros(0, dtype=np.int32))  # RCM rejects an empty graph
     position = np.argsort(order)
-    coo = K_ff.tocoo()
+    coo = ff.tocoo()
     rows, cols = position[coo.row], position[coo.col]
     take = np.flatnonzero(rows <= cols)
     offset = cols[take] - rows[take]
     bw = int(offset.max(initial=0))
-    return order, bw, take, cols[take] * (bw + 1) + bw - offset
+    return order, bw, coo.data[take] - 1, cols[take] * (bw + 1) + bw - offset
 
 
-def _backward_error(K_ff, norm: float, x: np.ndarray, b: np.ndarray) -> float:
-    """||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1); `norm` is
-    ||K_ff||_1. A zero denominator means x = b = 0, so the error is 0."""
-    r = np.abs(K_ff @ x - b).sum()
-    scale = norm * np.abs(x).sum() + np.abs(b).sum()
-    return float(r / max(scale, _TINY))
-
-
-def _one_norm(K_ff) -> float:
-    """||K_ff||_1, the largest absolute column sum of a CSC matrix."""
+def _one_norm(data: np.ndarray, indptr: np.ndarray) -> float:
+    """The largest absolute column sum of the CSC matrix with these entries
+    and column pointers."""
     # reduceat returns the entry at the start of an empty range, so empty
     # columns are zeroed afterwards; the pad keeps an empty last column's
     # start inside the array
-    sums = np.add.reduceat(np.append(np.abs(K_ff.data), 0.0),
-                           K_ff.indptr[:-1])
-    sums[np.diff(K_ff.indptr) == 0] = 0.0
+    sums = np.add.reduceat(np.append(np.abs(data), 0.0), indptr[:-1])
+    sums[np.diff(indptr) == 0] = 0.0
     return float(sums.max(initial=0.0))
 
 
 def _factor(system: FemSystem):
-    """(K_ff, ||K_ff||_1, order, band factor) of the system's free block,
-    factored once."""
+    """(||K_ff||_1, order, band factor) of the system's free block,
+    factored once by LAPACK's dpbtrf on a band filled from K.data."""
     if system._factor is None:
-        K_ff = system.K_ff
-        if K_ff is None:
-            K_ff = system.K[system.free][:, system.free].tocsc()
-        order, bw, take, slots = system.band or _band_layout(K_ff)
-        ab = np.zeros((bw + 1, K_ff.shape[0]), order="F")
-        ab.reshape(-1, order="F")[slots] = K_ff.data[take]
-        try:
-            chol = scipy.linalg.cholesky_banded(ab, overwrite_ab=True)
-        except np.linalg.LinAlgError as exc:
+        plan, K = system.plan, system.K
+        ff_slots, ff_indptr, (order, bw, src, slots) = (
+            (plan.ff_slots, plan.ff_indptr, plan.band) if plan is not None
+            else _free_block(K.indptr, K.indices, system.free))
+        ab = np.zeros((bw + 1, order.size), order="F")
+        ab.reshape(-1, order="F")[slots] = K.data[src]
+        chol, info = scipy.linalg.lapack.dpbtrf(ab, lower=0, overwrite_ab=1)
+        if info != 0:
             raise WellPosednessError(
-                f"reduced matrix is not positive definite: {exc}"
-            ) from exc
-        object.__setattr__(system, "_factor",
-                           (K_ff, _one_norm(K_ff), order, chol))
+                f"reduced matrix is not positive definite (dpbtrf info {info})"
+            )
+        object.__setattr__(system, "_factor", (
+            _one_norm(K.data[ff_slots], ff_indptr), order, chol))
     return system._factor
 
 
-def _solve_free(system: FemSystem, b: np.ndarray, tol: float):
+def _solve_free(system: FemSystem, b: np.ndarray, tol: float | None):
     """Solve K_ff x = b; returns (x, backward error).
 
     Raises SolverFailure when the normwise backward error
-    ||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1) exceeds `tol`.
+    ||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1) exceeds `tol`, which
+    defaults to DEFAULT_TOL when None.
     """
+    if tol is None:
+        tol = DEFAULT_TOL
     if b.shape[0] == 0:
         return np.zeros(0), 0.0
-    K_ff, norm, order, chol = _factor(system)
+    norm, order, chol = _factor(system)
     x = np.empty(b.shape[0])
-    x[order] = scipy.linalg.cho_solve_banded((chol, False), b[order])
-    res = _backward_error(K_ff, norm, x, b)
+    # dpbtrs reports only illegal arguments, which its wrapper's shape
+    # checks rule out
+    x[order] = scipy.linalg.lapack.dpbtrs(chol, b[order], lower=0,
+                                          overwrite_b=1)[0]
+    # K x at the free rows, x padded with zeros, is K_ff x: the same products
+    # in the same order, as the prescribed columns add only zeros
+    padded = np.zeros(system.K.shape[0])
+    padded[system.free] = x
+    r = np.abs((system.K @ padded)[system.free] - b).sum()
+    # a zero scale means x = b = 0, so the error is 0
+    res = float(r / max(norm * np.abs(x).sum() + np.abs(b).sum(), _TINY))
     if not res <= tol:  # a NaN error fails too
         raise SolverFailure(
             f"solve left backward error {res:.3e} above tol {tol:g}",
@@ -456,43 +473,25 @@ def solve(system: FemSystem, tol: float = DEFAULT_TOL) -> FieldSolution:
     """Solve K U = F under the system's boundary conditions.
 
     `tol` is the largest normwise backward error
-    ||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1) accepted; the
-    solution's `residual` is that backward error.
+    ||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1) accepted, DEFAULT_TOL
+    when None; the solution's `residual` is that backward error.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     x, res = _solve_free(system, system.rhs, tol)
-    ndof = system.dofs_per_vertex * system.n_vertices
-    U = np.zeros(ndof)
+    U = np.zeros(system.dofs_per_vertex * system.n_vertices)
     U[system.free] = x
     U[system.prescribed] = system.prescribed_values
-
-    reaction_vec = (system.K @ U - system.f_ext)[system.prescribed]
-    reactions: dict[int, np.ndarray | float] = {}
-    if system.dofs_per_vertex == 3:
-        for dof, r in zip(system.prescribed, reaction_vec):
-            vid, ax = divmod(int(dof), 3)
-            reactions.setdefault(vid, np.zeros(3))[ax] = r
-    else:
-        for dof, r in zip(system.prescribed, reaction_vec):
-            reactions[int(dof)] = float(r)
-
     values = U.reshape(system.n_vertices, system.dofs_per_vertex)
     if system.dofs_per_vertex == 1:
         values = values[:, 0]
-    return FieldSolution(
-        physics=system.physics,
-        values=values,
-        reactions=reactions,
-        residual=res,
-    )
+    return FieldSolution(physics=system.physics, values=values, residual=res,
+                         system=system)
 
 
 def adjoint_solve(system: FemSystem, weights: np.ndarray,
                   tol: float = DEFAULT_TOL) -> np.ndarray:
     """Solve K_ff lambda = w_f with the system's factor; returns the
     full-length adjoint vector with zeros at prescribed dofs. `weights` has
-    one entry per global dof."""
+    one entry per global dof; `tol` is as for `solve`."""
     weights = np.asarray(weights, dtype=np.float64)
     x, _ = _solve_free(system, weights[system.free], tol)
     lam = np.zeros(len(weights))

@@ -179,13 +179,13 @@ def cmd_gen_mesh(args):
 def cmd_verify(args):
     spec = _load_bound_spec(args.mesh, args.annotation)
     if args.nominal:
-        field = optimize._midpoint_field(spec)
+        field = spec.midpoint_field()
     else:
         with open(args.field, encoding="utf-8") as fh:
             field = semantics.field_from_dict(json.load(fh))
-    verdicts, _ = semantics.check_properties(
+    verdicts = semantics.check_properties(semantics.FieldEvaluation(
         spec, field, tol=_resolve(args, "tol", fem.DEFAULT_TOL)
-    )
+    ))
     print(_verdict_table(verdicts))
     failed = [v.name for v in verdicts if not v.passed]
     if failed:

@@ -143,8 +143,7 @@ def element_stiffness(tet_coords, young: float, poisson: float) -> ElementMatrix
     coords = np.asarray(tet_coords, dtype=np.float64)
     if coords.shape != (4, 3):
         raise ValueError("tet_coords must be 4 points in 3d")
-    if young <= 0.0:
-        raise ValueError("young modulus must be positive")
+    _check_parameter("young modulus", np.asarray([young]))
     _check_poisson(np.asarray([poisson]))
     tets = np.array([[0, 1, 2, 3]], dtype=np.int64)
     vol = _kernels.tet_volumes(coords, tets)[0]
@@ -161,8 +160,7 @@ def element_conductance(tet_coords, conductivity: float) -> ElementMatrix:
     coords = np.asarray(tet_coords, dtype=np.float64)
     if coords.shape != (4, 3):
         raise ValueError("tet_coords must be 4 points in 3d")
-    if conductivity <= 0.0:
-        raise ValueError("conductivity must be positive")
+    _check_parameter("conductivity", np.asarray([conductivity]))
     tets = np.array([[0, 1, 2, 3]], dtype=np.int64)
     vol = _kernels.tet_volumes(coords, tets)[0]
     if vol <= _volume_epsilon(coords):
@@ -171,13 +169,17 @@ def element_conductance(tet_coords, conductivity: float) -> ElementMatrix:
     return ElementMatrix(0, k, np.arange(4))
 
 
+def _check_parameter(name: str, p: np.ndarray) -> None:
+    if not ((p > 0.0) & (p < np.inf)).all():  # NaN fails both comparisons
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def _element_parameter(fld, physics: str) -> np.ndarray:
     """The per-element parameter K is linear in, checked; the Poisson
     ratios are checked by the plan, which assembly matches them to."""
     name, p = (("young modulus", fld.young) if physics == "elasticity"
                else ("conductivity", fld.conductivity))
-    if not ((p > 0.0) & (p < np.inf)).all():  # NaN fails both comparisons
-        raise ValueError(f"{name} must be positive and finite everywhere")
+    _check_parameter(name, p)
     return p
 
 

@@ -45,15 +45,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 
 import numpy as np
 import scipy.linalg
 
-from . import fem
+from . import fem, semantics
 from .errors import BasePointError, ModelInvalidError
 from .mesh import face_adjacency
-from .semantics import PARAMETERS, MaterialField
 
 # objective name -> (physics, parameter it differentiates against)
 OBJECTIVES = {
@@ -203,8 +201,8 @@ class SyntheticConstraint:
 class FunctionProblem:
     """Box-constrained problem over a plain vector.
 
-    ``solve_count`` counts objective evaluations, standing in for FEM solves
-    when this class is used to benchmark restart strategies.
+    ``stats.fem_solves`` counts objective evaluations, standing in for FEM
+    solves when this class is used to benchmark restart strategies.
     """
 
     parameter = None  # no material parameter, so no adjoint loads
@@ -236,7 +234,7 @@ class FunctionProblem:
         _check_free_boxes(self.boxes, self.free_idx)
         self.constraints = tuple(constraints)
         self.lipschitz = lipschitz
-        self.solve_count = 0
+        self.stats = semantics.RunStats()
 
     def context(self, x):
         return None
@@ -252,7 +250,7 @@ class FunctionProblem:
 
     def objective_value(self, x, ctx=None, grad=None):
         """The objective; adds its gradient to ``grad`` when one is given."""
-        self.solve_count += 1
+        self.stats.fem_solves += 1
         if grad is not None:
             grad.add(np.asarray(self._gradient(x), dtype=float))
         return float(self._objective(x))
@@ -266,12 +264,12 @@ class _PropertyConstraint:
     """Annotated bound on a solved or direct quantity.
 
     ``evaluate`` reports the verdict quantities (worst vertex for tagged
-    properties).  ``penalty`` is the squared-hinge term the solver descends
-    on, aimed ``_feas_margin(bound)`` inside the bound; for vertex-set
-    properties it sums per-vertex hinges, which keeps the merit
-    differentiable when several vertices tie at the maximum.  A solved
-    quantity hands its gradient over as an adjoint load, and none when no
-    hinge is active.
+    properties), measured by :func:`semantics.measure`.  ``penalty`` is the
+    squared-hinge term the solver descends on, aimed ``_feas_margin(bound)``
+    inside the bound; for vertex-set properties it sums per-vertex hinges,
+    which keeps the merit differentiable when several vertices tie at the
+    maximum.  A solved quantity hands its gradient over as an adjoint load,
+    and none when no hinge is active.
     """
 
     def __init__(self, problem, prop):
@@ -280,27 +278,15 @@ class _PropertyConstraint:
         self.name = prop.name
         self.bound = float(prop.bound)
 
-    def _vertex_values(self, ctx):
-        """Per-vertex magnitude and dof-space weight rows for the quantity."""
-        verts = np.asarray(self.prop.vertices, dtype=np.intp)
-        if self.prop.quantity == "max_displacement":
-            disp = ctx.solution("elasticity").values[verts]
-            return np.linalg.norm(disp, axis=1), verts, disp
-        temps = ctx.solution("conduction").values[verts]
-        return temps, verts, None
+    def _measure(self, ctx):
+        return semantics.measure(
+            self.problem.spec, self.prop.quantity, ctx, self.prop.vertices
+        )
 
     def evaluate(self, x, ctx):
-        quantity = self.prop.quantity
-        if quantity == "mass":
-            density = (
-                x if self.problem.parameter == "density" else ctx.field.density
-            )
-            measured = float(density @ self.problem.spec.mesh.volumes())
-        elif quantity == "average_temperature":
-            measured = _average_temperature(self.problem, ctx)
-        else:
-            values, _, _ = self._vertex_values(ctx)
-            measured = float(values.max())
+        measured = self._measure(ctx)
+        if self.prop.vertices:
+            measured = float(measured.max())
         if self.prop.op == "le":
             return measured - self.bound, measured
         return self.bound - measured, measured
@@ -310,7 +296,7 @@ class _PropertyConstraint:
         the :class:`_Gradient` ``grad`` when one is given."""
         quantity = self.prop.quantity
         margin = _feas_margin(self.bound)
-        if quantity in ("mass", "average_temperature"):
+        if not self.prop.vertices:
             hinge = self.evaluate(x, ctx)[0] + margin
             if hinge <= 0.0:
                 return 0.0
@@ -318,83 +304,38 @@ class _PropertyConstraint:
                 sign = 1.0 if self.prop.op == "le" else -1.0
                 coeff = 2.0 * hinge * sign * scale
                 if quantity == "average_temperature":
-                    _average_temperature(self.problem, ctx, grad, coeff)
+                    grad.add_load("conduction",
+                                  _average_temperature_load(self.problem.spec),
+                                  coeff)
                 elif self.problem.parameter == "density":
                     grad.add(self.problem.spec.mesh.volumes(), coeff)
             return hinge * hinge
-        values, verts, disp = self._vertex_values(ctx)
+        values = self._measure(ctx)
         hinge = values - self.bound + margin  # le is the only op here
         active = hinge > 0.0
         value = float(np.sum(hinge[active] ** 2))
         if grad is None or not np.any(active):
             return value
+        verts = np.asarray(self.prop.vertices, dtype=np.intp)[active]
         if quantity == "max_displacement":
-            weights = np.zeros(ctx.n_dofs("elasticity"))
-            for v, e, u, mag in zip(
-                verts[active], hinge[active], disp[active], values[active]
-            ):
+            u = ctx.solution("elasticity").values
+            weights = np.zeros(u.size)
+            for v, e, disp, mag in zip(verts, hinge[active], u[verts],
+                                       values[active]):
                 if mag > 0.0:
-                    weights[3 * v : 3 * v + 3] = 2.0 * e * u / mag
+                    weights[3 * v : 3 * v + 3] = 2.0 * e * disp / mag
             grad.add_load("elasticity", weights, scale)
         else:
-            weights = np.zeros(ctx.n_dofs("conduction"))
-            weights[verts[active]] = 2.0 * hinge[active]
+            weights = np.zeros(ctx.solution("conduction").values.size)
+            weights[verts] = 2.0 * hinge[active]
             grad.add_load("conduction", weights, scale)
         return value
 
 
-def _average_temperature(problem, ctx, grad=None, scale=1.0):
-    """Volume-weighted mean temperature; adds ``scale`` times its adjoint
-    load to ``grad`` when one is given."""
-    solution = ctx.solution("conduction")
-    weights = problem.spec.mesh.vertex_volume_weights()
-    total = weights.sum()
-    if grad is not None:
-        grad.add_load("conduction", weights / total, scale)
-    return float(weights @ solution.values) / total
-
-
-class _FemContext:
-    """Systems and solves at one parameter vector.
-
-    A context is handed on, explicitly, to the next evaluation at the same
-    point, so that point is not assembled, factored or solved again.
-    """
-
-    def __init__(self, problem, x):
-        self.problem = problem
-        self.field = problem.field_for(x)
-        self._systems = {}
-        self._solutions = {}
-
-    def system(self, physics):
-        if physics not in self._systems:
-            self._systems[physics] = fem.assemble(
-                self.problem.spec, self.field, physics,
-                plan=self.problem.assembly_plan(physics),
-            )
-        return self._systems[physics]
-
-    def solution(self, physics):
-        if physics not in self._solutions:
-            self._solutions[physics] = fem.solve(
-                self.system(physics), tol=self.problem.solver_tol
-            )
-            self.problem.solve_count += 1
-        return self._solutions[physics]
-
-    def n_dofs(self, physics):
-        dpv = 3 if physics == "elasticity" else 1
-        return self.problem.spec.mesh.n_vertices * dpv
-
-    def adjoint(self, physics, weights):
-        """K^-1 weights at the free dofs, zero at the prescribed ones, by one
-        solve with the primal factor."""
-        lam = fem.adjoint_solve(
-            self.system(physics), weights, tol=self.problem.solver_tol
-        )
-        self.problem.solve_count += 1
-        return lam
+def _average_temperature_load(spec):
+    """Adjoint load of the volume-weighted mean temperature w . T / sum(w)."""
+    weights = semantics.vertex_volume_weights(spec.mesh)
+    return weights / weights.sum()
 
 
 class InversionProblem:
@@ -438,7 +379,7 @@ class InversionProblem:
         self.free_idx = np.flatnonzero(mask)
         _check_free_boxes(self.boxes, self.free_idx)
         self.base_field = (
-            base_field if base_field is not None else _midpoint_field(spec)
+            base_field if base_field is not None else spec.midpoint_field()
         )
         self.constraints = tuple(
             _PropertyConstraint(self, prop)
@@ -448,7 +389,7 @@ class InversionProblem:
         if lipschitz == "auto":
             lipschitz = _lipschitz_from_spec(spec, self.parameter)
         self.lipschitz = lipschitz
-        self.solve_count = 0
+        self.stats = semantics.RunStats()
         self._plans = {}
 
     def with_frozen(self, frozen_idx, frozen_values):
@@ -463,8 +404,10 @@ class InversionProblem:
             lipschitz=self.lipschitz,
             solver_tol=self.solver_tol,
         )
-        # same spec and base field, so the same assembly plans
+        # same spec and base field, so the same assembly plans; the same
+        # run, so the same solve count
         problem._plans = self._plans
+        problem.stats = self.stats
         return problem
 
     def assembly_plan(self, physics):
@@ -478,8 +421,15 @@ class InversionProblem:
     def field_for(self, x):
         return self.base_field.with_values(slice(None), self.parameter, x)
 
+    def evaluation(self, fld):
+        """A :class:`semantics.FieldEvaluation` of ``fld`` on this problem's
+        plans, counting its solves in this problem's stats."""
+        return semantics.FieldEvaluation(
+            self.spec, fld, self.solver_tol, self.assembly_plan, self.stats
+        )
+
     def context(self, x):
-        return _FemContext(self, x)
+        return self.evaluation(self.field_for(x))
 
     def pin(self, x):
         x = np.array(x, dtype=float)
@@ -500,13 +450,14 @@ class InversionProblem:
                 # self-adjoint: the adjoint equals the displacement vector
                 grad.add_self_adjoint("elasticity")
             return float(system.f_ext @ solution.values.reshape(-1))
-        if self.objective == "average_temperature":
-            return _average_temperature(self, ctx, grad)
-        if self.parameter == "density":
-            if grad is not None:
+        if grad is not None:
+            if self.objective == "average_temperature":
+                grad.add_load("conduction",
+                              _average_temperature_load(self.spec))
+            elif self.parameter == "density":
                 grad.add(self.spec.mesh.volumes())
-            return float(x @ self.spec.mesh.volumes())
-        return float(ctx.field.density @ self.spec.mesh.volumes())
+        # the other objectives are property quantities
+        return semantics.measure(self.spec, self.objective, ctx)
 
     def objective_and_gradient(self, x, ctx=None):
         ctx = ctx or self.context(x)
@@ -526,23 +477,6 @@ def _box_midpoints(boxes):
     # inf - inf on unannotated parameters would warn; nan is the wanted result
     with np.errstate(invalid="ignore"):
         return 0.5 * (boxes[:, 0] + boxes[:, 1])
-
-
-def _midpoint_field(spec):
-    defaults = {"young": 1.0, "poisson": 0.0, "conductivity": 1.0, "density": 1.0}
-    values = {}
-    for name in PARAMETERS:
-        box = spec.parameter_box(name)
-        mid = _box_midpoints(box)
-        mid = np.where(np.isfinite(mid), mid, defaults[name])
-        values[name] = mid
-    return MaterialField(
-        young=values["young"],
-        poisson=values["poisson"],
-        conductivity=values["conductivity"],
-        density=values["density"],
-        provenance=np.full(spec.mesh.n_elements, "commanded", dtype="<U9"),
-    )
 
 
 def _lipschitz_from_spec(spec, parameter):
@@ -757,7 +691,7 @@ def inversion_solve(
     Returns an :class:`OptimizationResult`; infeasibility is reported through
     ``feasible=False`` plus the violated constraint names, never raised.
     """
-    start = problem.solve_count
+    start = problem.stats.fem_solves
     if x0 is None:
         x = problem.start_values()
     else:
@@ -788,7 +722,7 @@ def inversion_solve(
             verdicts=verdicts0,
             violated=tuple(v.name for v in verdicts0 if not v.passed),
             iterations=0,
-            fem_solves=problem.solve_count - start,
+            fem_solves=problem.stats.fem_solves - start,
             strategy="full",
             trace=tuple(trace),
         )
@@ -822,7 +756,7 @@ def inversion_solve(
         verdicts=verdicts,
         violated=violated,
         iterations=total_iters,
-        fem_solves=problem.solve_count - start,
+        fem_solves=problem.stats.fem_solves - start,
         strategy="full",
         trace=tuple(trace),
     )
@@ -951,7 +885,7 @@ def reoptimize_after_drift(
     """
     if strategy not in ("warm_start", "full"):
         raise ValueError(f"unknown strategy: {strategy!r}")
-    start = problem.solve_count
+    start = problem.stats.fem_solves
     delta_y = np.asarray(delta_y, dtype=float).reshape(-1)
     if delta_y.size != problem.frozen_idx.size:
         raise ValueError("delta_y must align with the problem's frozen set")
@@ -986,7 +920,7 @@ def reoptimize_after_drift(
                     verdicts=verdicts,
                     violated=(),
                     iterations=0,
-                    fem_solves=problem.solve_count - start,
+                    fem_solves=problem.stats.fem_solves - start,
                     strategy="warm_start",
                     trace=(),
                 )
@@ -1000,5 +934,5 @@ def reoptimize_after_drift(
         problem, tol=tol, max_iter=max_iter, x0=previous_result.values
     )
     return dataclasses.replace(
-        result, fem_solves=problem.solve_count - start, fallback=fallback
+        result, fem_solves=problem.stats.fem_solves - start, fallback=fallback
     )

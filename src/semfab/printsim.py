@@ -278,8 +278,6 @@ class PrintState:
     achieved: MaterialField
     estimated: MaterialField
     history: tuple = ()
-    measurements: MeasurementLog = dataclasses.field(
-        default_factory=MeasurementLog)
 
     @property
     def n_layers(self):
@@ -402,9 +400,7 @@ def apply_estimates(state, estimator):
         printed, state.parameter, estimator.value[printed],
         provenance="estimated",
     )
-    return dataclasses.replace(
-        state, estimated=estimated, measurements=estimator.measurements
-    )
+    return dataclasses.replace(state, estimated=estimated)
 
 
 def _element_layer_index(partition, n_elements):
@@ -480,11 +476,8 @@ def control_step(state, problem, strategy, previous_result, model=None,
 
 def final_verification(problem, achieved_field):
     """Check every annotated property under the ground-truth field, at the
-    problem's FEM tolerance; returns (verdicts, FEM solves made)."""
-    return semantics.check_properties(
-        problem.spec, achieved_field, tol=problem.solver_tol,
-        plan_for=problem.assembly_plan,
-    )
+    problem's FEM tolerance; the solves count in ``problem.stats``."""
+    return semantics.check_properties(problem.evaluation(achieved_field))
 
 
 def run_print(problem, initial_plan, actuator, sensor, policy, seed,
@@ -494,6 +487,7 @@ def run_print(problem, initial_plan, actuator, sensor, policy, seed,
     Per layer: print, observe, update the posterior, and (when the policy
     enables control) re-plan the remainder.  The loop stops early on an
     AbortDecision.  Completed prints are verified under the achieved field.
+    The report's ``fem_solves`` is what ``problem.stats`` counted meanwhile.
     """
     if not initial_plan.feasible:
         raise ValueError("initial plan must be feasible")
@@ -501,7 +495,7 @@ def run_print(problem, initial_plan, actuator, sensor, policy, seed,
     estimator = EstimatorState.from_commanded(
         state.commanded.values(state.parameter)
     )
-    solves_start = problem.solve_count
+    solves_start = problem.stats.fem_solves
     model = None
     strategy = policy.strategy
     fallback = None
@@ -567,25 +561,10 @@ def run_print(problem, initial_plan, actuator, sensor, policy, seed,
             break
         state = outcome
 
-    layer_solves = sum(rec.fem_solves for rec in state.history)
-    template_solves = problem.solve_count - solves_start
-    if abort is not None:
-        return PrintReport(
-            outcome="aborted",
-            verdicts=(),
-            history=state.history,
-            commanded=state.commanded,
-            achieved=state.achieved,
-            estimated=state.estimated,
-            fem_solves=template_solves + layer_solves,
-            seed=state.seed,
-            layer_height=layer_height,
-            parameter=state.parameter,
-            abort=abort,
-            measurements=state.measurements,
-        )
-    verdicts, verification_solves = final_verification(problem, state.achieved)
-    outcome = "success" if all(v.passed for v in verdicts) else "spec_fail"
+    verdicts, outcome = (), "aborted"
+    if abort is None:
+        verdicts = final_verification(problem, state.achieved)
+        outcome = "success" if all(v.passed for v in verdicts) else "spec_fail"
     return PrintReport(
         outcome=outcome,
         verdicts=verdicts,
@@ -593,11 +572,12 @@ def run_print(problem, initial_plan, actuator, sensor, policy, seed,
         commanded=state.commanded,
         achieved=state.achieved,
         estimated=state.estimated,
-        fem_solves=template_solves + layer_solves + verification_solves,
+        fem_solves=problem.stats.fem_solves - solves_start,
         seed=state.seed,
         layer_height=layer_height,
         parameter=state.parameter,
-        measurements=state.measurements,
+        abort=abort,
+        measurements=estimator.measurements,
     )
 
 

@@ -8,6 +8,11 @@ bounds) and an optional Lipschitz regularity requirement on one material
 field. Layers are parsed from and serialized to JSON; binding one to a mesh
 resolves all references and checks the problem is well posed.
 
+A :class:`FieldEvaluation` solves each physics of one material field at
+most once and counts every solve, adjoint ones too, in a :class:`RunStats`
+shared by a run; :func:`measure` reads each property quantity from it, for
+the final check and for the optimizer alike.
+
 Conventions:
   - a displacement box with zero width on all axes is a prescribed
     (Dirichlet) value; "fixed" is shorthand for the zero point
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -557,6 +562,22 @@ class BoundSpecification:
     def parameter_box(self, parameter: str) -> np.ndarray:
         return self.parameter_ranges[parameter]
 
+    def midpoint_field(self) -> MaterialField:
+        """Every parameter at the midpoint of its annotated range, tagged
+        "commanded"; an unannotated parameter takes its default value."""
+        defaults = {"young": 1.0, "poisson": 0.0, "conductivity": 1.0,
+                    "density": 1.0}
+        values = []
+        for name in PARAMETERS:
+            box = self.parameter_ranges[name]
+            # inf - inf on an unannotated range would warn; nan is wanted
+            with np.errstate(invalid="ignore"):
+                mid = 0.5 * (box[:, 0] + box[:, 1])
+            values.append(np.where(np.isfinite(mid), mid, defaults[name]))
+        return MaterialField(
+            *values, np.full(self.mesh.n_elements, "commanded", dtype="<U9")
+        )
+
     def admissibility_mask(self, fld: MaterialField) -> np.ndarray:
         """Per-element True where every parameter sits inside its range."""
         ok = np.ones(self.mesh.n_elements, dtype=bool)
@@ -674,10 +695,97 @@ def bind_to_mesh(layer: SemanticLayer, mesh: VolumetricMesh) -> BoundSpecificati
 
 
 # ---------------------------------------------------------------------------
-# property checks
+# field evaluation and property checks
 
 
-def _verdict(prop: PropertySpec, measured: float) -> PropertyVerdict:
+@dataclass
+class RunStats:
+    """What one run spent: the FEM solves it made, primal and adjoint.
+
+    One instance is shared by everything that solves for a run, so each
+    reported count is a difference of this one number.
+    """
+
+    fem_solves: int = 0
+
+
+class FieldEvaluation:
+    """The systems and solves of one material field on a specification.
+
+    Each physics is assembled and solved at most once, however many
+    quantities read its solution, and adjoint solves reuse its primal
+    factor. Every solve is counted in `stats`. `plan_for(physics)`, when
+    given, supplies the assembly plan of `spec` for that physics. An
+    evaluation is handed on, explicitly, to the next reader of the same
+    field, so that field is not assembled, factored or solved again.
+    """
+
+    def __init__(self, spec: BoundSpecification, fld: MaterialField,
+                 tol: float = fem.DEFAULT_TOL, plan_for=None,
+                 stats: RunStats | None = None):
+        if fld.n_elements != spec.mesh.n_elements:
+            raise ValueError("field does not match mesh element count")
+        self.spec = spec
+        self.field = fld
+        self.tol = tol
+        self.stats = RunStats() if stats is None else stats
+        self._plan_for = plan_for
+        self._systems = {}
+        self._solutions = {}
+
+    def system(self, physics: str) -> fem.FemSystem:
+        if physics not in self._systems:
+            plan = None if self._plan_for is None else self._plan_for(physics)
+            self._systems[physics] = fem.assemble(
+                self.spec, self.field, physics, plan=plan
+            )
+        return self._systems[physics]
+
+    def solution(self, physics: str) -> fem.FieldSolution:
+        if physics not in self._solutions:
+            self._solutions[physics] = fem.solve(
+                self.system(physics), tol=self.tol
+            )
+            self.stats.fem_solves += 1
+        return self._solutions[physics]
+
+    def adjoint(self, physics: str, weights: np.ndarray) -> np.ndarray:
+        """K^-1 weights at the free dofs, zero at the prescribed ones, by one
+        solve with the primal factor."""
+        lam = fem.adjoint_solve(self.system(physics), weights, tol=self.tol)
+        self.stats.fem_solves += 1
+        return lam
+
+
+def measure(spec: BoundSpecification, quantity: str,
+            evaluation: FieldEvaluation | None = None, vertices=()):
+    """The value of a property quantity on `spec`.
+
+    A local quantity (`max_displacement`, `nodal_temperature`) gives one
+    value per vertex of `vertices`, in that order, and its worst is their
+    maximum; a global one gives a float. Material-dependent quantities read
+    the field and solutions of `evaluation`.
+    """
+    if quantity == "volume":
+        return float(spec.mesh.volumes().sum())
+    if quantity == "mass":
+        return float(np.dot(evaluation.field.density, spec.mesh.volumes()))
+    if quantity == "max_displacement":
+        disp = evaluation.solution("elasticity").values[list(vertices)]
+        return np.linalg.norm(disp, axis=1)
+    if quantity == "nodal_temperature":
+        return evaluation.solution("conduction").values[list(vertices)]
+    if quantity == "average_temperature":
+        weights = vertex_volume_weights(spec.mesh)
+        temps = evaluation.solution("conduction").values
+        return float(np.dot(weights, temps) / weights.sum())
+    raise ValueError(f"unknown property quantity {quantity!r}")
+
+
+def _verdict(spec: BoundSpecification, prop: PropertySpec,
+             evaluation: FieldEvaluation | None = None) -> PropertyVerdict:
+    measured = measure(spec, prop.quantity, evaluation, prop.vertices)
+    measured = float(measured.max()) if prop.vertices else measured
     if prop.op == "le":
         margin = prop.bound - measured
     else:
@@ -693,8 +801,7 @@ def check_direct_property(
         raise ValueError(
             f"property {prop.name!r} is {prop.category}, not direct"
         )
-    measured = float(spec.mesh.volumes().sum())
-    return _verdict(prop, measured)
+    return _verdict(spec, prop)
 
 
 def check_material_property(
@@ -706,67 +813,19 @@ def check_material_property(
     """Check a property that needs material assumptions (and maybe a solve)."""
     if prop.category != "material_dependent":
         raise ValueError(f"property {prop.name!r} is direct, not material_dependent")
-    _check_field_size(spec, fld)
-    return _material_verdict(
-        spec, prop, fld, lambda physics: _solve(spec, fld, physics, tol, None)
-    )
+    return _verdict(spec, prop, FieldEvaluation(spec, fld, tol))
 
 
 def check_properties(
-    spec: BoundSpecification,
-    fld: MaterialField,
-    tol: float = fem.DEFAULT_TOL,
-    plan_for=None,
-) -> tuple[tuple[PropertyVerdict, ...], int]:
-    """Check every property of `spec` under `fld`; returns the verdicts in
-    property order and the number of FEM solves made.
-
-    Each physics is assembled and solved at most once, however many
-    properties read its solution. `plan_for(physics)`, when given, supplies
-    the assembly plan of `spec` for that physics.
-    """
-    _check_field_size(spec, fld)
-    solutions = {}
-
-    def solution(physics):
-        if physics not in solutions:
-            solutions[physics] = _solve(spec, fld, physics, tol, plan_for)
-        return solutions[physics]
-
-    verdicts = tuple(
-        check_direct_property(spec, prop)
-        if prop.category == "direct"
-        else _material_verdict(spec, prop, fld, solution)
-        for prop in spec.properties
+    evaluation: FieldEvaluation,
+) -> tuple[PropertyVerdict, ...]:
+    """Check every property of the evaluation's specification under its
+    field; returns the verdicts in property order. The solves made are
+    counted in `evaluation.stats`."""
+    return tuple(
+        _verdict(evaluation.spec, prop, evaluation)
+        for prop in evaluation.spec.properties
     )
-    return verdicts, len(solutions)
-
-
-def _check_field_size(spec: BoundSpecification, fld: MaterialField) -> None:
-    if fld.n_elements != spec.mesh.n_elements:
-        raise ValueError("field does not match mesh element count")
-
-
-def _solve(spec, fld, physics, tol, plan_for):
-    plan = None if plan_for is None else plan_for(physics)
-    return fem.solve(fem.assemble(spec, fld, physics, plan=plan), tol=tol)
-
-
-def _material_verdict(spec, prop, fld, solution) -> PropertyVerdict:
-    if prop.quantity == "mass":
-        measured = float(np.dot(fld.density, spec.mesh.volumes()))
-    elif prop.quantity == "max_displacement":
-        disp = solution("elasticity").values[list(prop.vertices)]
-        measured = float(np.linalg.norm(disp, axis=1).max())
-    elif prop.quantity == "nodal_temperature":
-        measured = float(solution("conduction").values[list(prop.vertices)].max())
-    elif prop.quantity == "average_temperature":
-        weights = vertex_volume_weights(spec.mesh)
-        temps = solution("conduction").values
-        measured = float(np.dot(weights, temps) / weights.sum())
-    else:  # pragma: no cover - _QUANTITIES is the single source of quantities
-        raise ValueError(f"unhandled quantity {prop.quantity!r}")
-    return _verdict(prop, measured)
 
 
 def vertex_volume_weights(mesh: VolumetricMesh) -> np.ndarray:

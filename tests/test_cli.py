@@ -134,9 +134,9 @@ def test_verify_defaults_to_the_library_fem_tolerance(tmp_path, monkeypatch,
     tols = []
     original = semantics.check_properties
 
-    def captured(*args, tol, **kwargs):
-        tols.append(tol)
-        return original(*args, tol=tol, **kwargs)
+    def captured(evaluation):
+        tols.append(evaluation.tol)
+        return original(evaluation)
 
     monkeypatch.setattr(semantics, "check_properties", captured)
     assert run_cli("verify", mesh_path, ann_path, "--nominal") == 0

@@ -154,6 +154,11 @@ def test_element_input_validation():
         element_conductance(REF_TET, 0.0)
     with pytest.raises(ValueError):
         element_stiffness(REF_TET[:3], 1.0, 0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            element_stiffness(REF_TET, bad, 0.2)
+        with pytest.raises(ValueError, match="positive and finite"):
+            element_conductance(REF_TET, bad)
 
 
 def fixed_bottom_spec(mesh, extra=None):

@@ -669,13 +669,13 @@ def test_warm_start_uses_strictly_fewer_solves():
 def test_zero_drift_short_circuits_without_fem_solves():
     problem, _, _ = series_bar_problem(d_max=0.018)
     base = optimize.inversion_solve(problem)
-    solves_before = problem.solve_count
+    solves_before = problem.stats.fem_solves
     unchanged = optimize.reoptimize_after_drift(
         problem, base, np.zeros(problem.frozen_idx.size),
         strategy="warm_start",
     )
     assert unchanged.fem_solves == 0
-    assert problem.solve_count == solves_before
+    assert problem.stats.fem_solves == solves_before
     assert np.array_equal(unchanged.values, base.values)
     assert unchanged.strategy == "warm_start"
 
@@ -782,9 +782,9 @@ def upper_bound_bar(n_layers):
 
 def test_model_at_an_all_active_plan_costs_one_solve():
     problem, plan = upper_bound_bar(10)
-    before = problem.solve_count
+    before = problem.stats.fem_solves
     model = optimize.build_quadratic_model(problem, plan.values)
-    assert problem.solve_count - before == 1  # the base point's primal
+    assert problem.stats.fem_solves - before == 1  # the base point's primal
     assert model.rows.shape == (0, 60)
     assert model.active_idx.tolist() == list(range(60))
     # the warm step is the identity on the free block

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import bar_tip_displacement, layered_bar_problem
 
-from semfab import optimize, printsim
+from semfab import fem, optimize, printsim
 from semfab.errors import CalibrationError, PrintCompleteError
 
 E_HI = 120000.0
@@ -372,7 +372,7 @@ def test_plan_reported_feasible_passes_final_verification(bar):
                                   objective="mass")
     plan = optimize.inversion_solve(problem)
     assert plan.feasible
-    verdicts, _ = printsim.final_verification(
+    verdicts = printsim.final_verification(
         problem, problem.field_for(plan.values))
     assert all(v.passed for v in verdicts)
     report = printsim.run_print(problem, plan, seed=5,
@@ -536,6 +536,10 @@ def test_report_and_csv_serialization(bar, tmp_path):
     json_path = tmp_path / "report.json"
     printsim.save_report(report, json_path)  # NaNs must serialize as null
     doc = json.loads(json_path.read_text())
+    assert set(doc) == {"outcome", "seed", "layer_height", "parameter",
+                        "fem_solves", "n_layers", "n_measurements", "abort",
+                        "verdicts", "history", "fields"}
+    assert set(doc["fields"]) == {"commanded", "achieved", "estimated"}
     assert doc["outcome"] == "aborted"
     assert doc["abort"]["violated"] == ["tip"]
     assert any(v is None for v in doc["fields"]["achieved"]["young"])
@@ -546,6 +550,37 @@ def test_report_and_csv_serialization(bar, tmp_path):
     assert lines[0] == ("layer,strategy,objective,max_violation,"
                         "fem_solves,mean_commanded,fallback")
     assert len(lines) == 1 + len(report.history)
+
+
+def test_reported_solve_counts_equal_the_solves_made(bar, monkeypatch):
+    # every fem.solve and fem.adjoint_solve call, counted from outside
+    calls = []
+    for name in ("solve", "adjoint_solve"):
+        original = getattr(fem, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(fem, name, counted)
+    _, _, nominal = bar
+    problem = layered_bar_problem(4, d_max=1.08 * nominal, young_box=BOX)
+    plan = optimize.inversion_solve(problem)
+    assert plan.fem_solves == len(calls) > 0
+    for strategy in ("full", "warm_start"):
+        calls.clear()
+        report = printsim.run_print(problem, plan, seed=3,
+                                    **drifting_print_kwargs(strategy))
+        assert report.outcome == "success"
+        assert report.fem_solves == len(calls) > 0
+    calls.clear()
+    aborted = printsim.run_print(
+        problem, plan, printsim.ActuatorModel(gain=0.4),
+        printsim.SensorModel(noise_sd=0.0), printsim.ControlPolicy(),
+        seed=7, layer_height=1.0,
+    )
+    assert aborted.outcome == "aborted"
+    assert aborted.fem_solves == len(calls) > 0
 
 
 def test_printed_and_unprinted_elements_split_the_mesh_at_every_frontier():

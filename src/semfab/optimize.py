@@ -15,6 +15,13 @@ A property passes that check only when it meets its bound exactly, the
 test :func:`semantics.check_properties` applies, so each property hinge
 aims ``FEAS_TOL * max(1, |bound|)`` inside the bound.
 
+Each penalty phase opens with a face trial: every free coordinate moves to
+the box face its merit gradient points at, the far end of the projection
+arc (Bertsekas 1976).  It is kept when it passes the Armijo test and the
+objective itself falls, so a plan whose optimum is a box corner gets there
+in one step; otherwise the line search goes on from a unit step, and the
+trial has cost one evaluation.
+
 A gradient costs one adjoint solve per physics. The objective and every
 active penalty hand their terms to one accumulator: a direct gradient, an
 adjoint load w for a solved quantity w . u, or for the self-adjoint
@@ -594,6 +601,13 @@ def _pgd_phase(problem, x, weight, tol, max_iter, trace, iter_offset,
                ctx=None):
     """One penalty phase of projected gradient descent in box coordinates.
 
+    The first iteration tries the face point first: each coordinate at 1
+    where the merit gradient is negative, at 0 where it is positive, and
+    unchanged where it is zero.  It is kept when it passes the Armijo test
+    and the objective itself falls; a step that lowers the penalty alone
+    would overshoot a bound no objective pulls against, so that progress
+    is left to the backtracking, which starts from a unit step.
+
     ``ctx`` is a context at ``x``, used when the phase starts at exactly
     ``x``. Returns the final point, the iteration count and the context of
     the final point, or None when the last evaluation was elsewhere.
@@ -632,10 +646,15 @@ def _pgd_phase(problem, x, weight, tol, max_iter, trace, iter_offset,
             break
         direction = grad_xi / curv
         step_ok = False
+        face = iterations == 0
         trial = 1.0
         ctx = None  # the line search drops the current point's context
         while trial >= MIN_STEP:
-            xi_try = np.clip(xi - trial * direction, 0.0, 1.0)
+            if face:
+                xi_try = np.where(grad_xi < 0.0, 1.0,
+                                  np.where(grad_xi > 0.0, 0.0, xi))
+            else:
+                xi_try = np.clip(xi - trial * direction, 0.0, 1.0)
             step = xi_try - xi
             x_try = compose(xi_try)
             ctx = problem.context(x_try)
@@ -645,10 +664,13 @@ def _pgd_phase(problem, x, weight, tol, max_iter, trace, iter_offset,
             # roundoff allowance: near the optimum a genuine descent step
             # can produce a merit difference that rounds to zero
             slack = 1e-15 * (1.0 + abs(merit))
-            if merit_try <= merit + ARMIJO_C * float(grad_xi @ step) + slack:
+            if (merit_try <= merit + ARMIJO_C * float(grad_xi @ step) + slack
+                    and (not face or obj_try < obj)):
                 step_ok = True
                 break
-            trial *= 0.5
+            if not face:
+                trial *= 0.5
+            face = False
         if not step_ok:
             ctx = None  # the last evaluation was not at the current point
             break

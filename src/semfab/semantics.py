@@ -714,10 +714,12 @@ class FieldEvaluation:
 
     Each physics is assembled and solved at most once, however many
     quantities read its solution, and adjoint solves reuse its primal
-    factor. Every solve is counted in `stats`. `plan_for(physics)`, when
-    given, supplies the assembly plan of `spec` for that physics. An
-    evaluation is handed on, explicitly, to the next reader of the same
-    field, so that field is not assembled, factored or solved again.
+    factor. Every solve is counted in `stats`, and every quantity that
+    :func:`measure` reads off the evaluation is computed once and kept.
+    `plan_for(physics)`, when given, supplies the assembly plan of `spec`
+    for that physics. An evaluation is handed on, explicitly, to the next
+    reader of the same field, so that field is not assembled, factored,
+    solved or measured again.
     """
 
     def __init__(self, spec: BoundSpecification, fld: MaterialField,
@@ -732,6 +734,7 @@ class FieldEvaluation:
         self._plan_for = plan_for
         self._systems = {}
         self._solutions = {}
+        self._measured = {}  # (quantity, vertices) -> measured value
 
     def system(self, physics: str) -> fem.FemSystem:
         if physics not in self._systems:
@@ -762,10 +765,26 @@ def measure(spec: BoundSpecification, quantity: str,
     """The value of a property quantity on `spec`.
 
     A local quantity (`max_displacement`, `nodal_temperature`) gives one
-    value per vertex of `vertices`, in that order, and its worst is their
-    maximum; a global one gives a float. Material-dependent quantities read
-    the field and solutions of `evaluation`.
+    value per vertex of `vertices`, in that order, as a read-only array,
+    and its worst is their maximum; a global one gives a float.
+    Material-dependent quantities read the field and solutions of
+    `evaluation`, which keeps each (quantity, vertices) value it has
+    measured, so asking again costs a lookup.
     """
+    if evaluation is None:
+        return _compute(spec, quantity, None, vertices)
+    key = (quantity, tuple(vertices))
+    if key not in evaluation._measured:
+        value = _compute(spec, quantity, evaluation, vertices)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        evaluation._measured[key] = value
+    return evaluation._measured[key]
+
+
+def _compute(spec: BoundSpecification, quantity: str,
+             evaluation: FieldEvaluation | None, vertices):
+    """:func:`measure` without the evaluation's memo."""
     if quantity == "volume":
         return float(spec.mesh.volumes().sum())
     if quantity == "mass":

@@ -23,13 +23,15 @@ def consistent_face_loads(m, verts, total_force):
     return loads
 
 
-def bar_mesh_and_doc(n_layers, d_max, young_box, P=1000.0):
+def bar_mesh_and_doc(n_layers, d_max, young_box, P=1000.0, cells=1):
     """Cantilever bar mesh plus its annotation document.
 
-    Bottom face fixed, distributed load of magnitude P pulling the top face
-    down, tip displacement bounded by an annotated property named "tip".
+    A 1 x 1 section of `cells` x `cells` columns, bottom face fixed,
+    distributed load of magnitude P pulling the top face down, tip
+    displacement bounded by an annotated property named "tip".
     """
-    m = mesh.generate_box_mesh(1, 1, n_layers, (1.0, 1.0, float(n_layers)))
+    m = mesh.generate_box_mesh(cells, cells, n_layers,
+                               (1.0, 1.0, float(n_layers)))
     bottom = [i for i in range(m.n_vertices) if m.vertices[i, 2] < 1e-9]
     top = [i for i in range(m.n_vertices)
            if m.vertices[i, 2] > n_layers - 1e-9]
@@ -57,9 +59,9 @@ def bar_mesh_and_doc(n_layers, d_max, young_box, P=1000.0):
 
 
 def layered_bar_problem(n_layers, d_max, young_box, P=1000.0,
-                        objective="compliance"):
+                        objective="compliance", cells=1):
     """InversionProblem over the young modulus for the annotated bar."""
-    m, doc = bar_mesh_and_doc(n_layers, d_max, young_box, P)
+    m, doc = bar_mesh_and_doc(n_layers, d_max, young_box, P, cells)
     spec = semantics.bind_to_mesh(semantics.layer_from_dict(doc), m)
     return optimize.InversionProblem(spec, objective, parameter="young")
 

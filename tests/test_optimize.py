@@ -240,10 +240,10 @@ def test_average_temperature_gradient_matches_central_differences():
         assert grad[e] == pytest.approx(approx, rel=1e-4)
 
 
-def _hot_block_problem():
+def _hot_block_problem(rise=0.5, conductivity=0.25, regularity=None):
     """A heated 2x2x3 block: average-temperature objective, and hinges on
-    the top vertices' and the average temperature, with bounds at half the
-    rise above the 300 K base at conductivity 0.25."""
+    the top vertices' and the average temperature, with bounds at ``rise``
+    times the rise above the 300 K base at ``conductivity``."""
     m = mesh.generate_box_mesh(2, 2, 3, (1.0, 1.0, 1.5))
     z = m.vertices[:, 2]
     bottom, top = np.flatnonzero(z < 1e-9), np.flatnonzero(z > 1.5 - 1e-9)
@@ -251,19 +251,20 @@ def _hot_block_problem():
     annotations.update({str(v): {"flux": 0.3} for v in top})
     ranges = {"conductivity": [0.1, 0.4], "young": [1.0, 1.0],
               "poisson": [0.0, 0.0], "density": [1.0, 1.0]}
-    doc = box_layer_doc(ranges, vertex_annotations=annotations)
+    doc = box_layer_doc(ranges, vertex_annotations=annotations,
+                        regularity=regularity)
     spec = semantics.bind_to_mesh(semantics.layer_from_dict(doc), m)
     base = optimize.InversionProblem(spec, "average_temperature")
-    x = np.full(m.n_elements, 0.25)
+    x = np.full(m.n_elements, conductivity)
     ctx = base.context(x)
     hot = ctx.solution("conduction").values[top].max()
     average = base.objective_value(x, ctx)
     doc["global_properties"] = [
         {"name": "hot_face", "quantity": "nodal_temperature", "op": "le",
-         "bound": 300.0 + 0.5 * (hot - 300.0),
+         "bound": 300.0 + rise * (hot - 300.0),
          "vertices": [int(v) for v in top]},
         {"name": "bulk_heat", "quantity": "average_temperature", "op": "le",
-         "bound": 300.0 + 0.5 * (average - 300.0)},
+         "bound": 300.0 + rise * (average - 300.0)},
     ]
     spec = semantics.bind_to_mesh(semantics.layer_from_dict(doc), m)
     return optimize.InversionProblem(spec, "average_temperature"), top
@@ -400,9 +401,9 @@ def test_solver_beats_625_grid_enumeration():
     assert result.objective <= best + 1e-6
 
 
-def test_constrained_quadratic_matches_kkt_point():
-    # min x.x subject to x0 + x1 >= 1 has its optimum at (0.5, 0.5)
-    problem = optimize.FunctionProblem(
+def halfspace_problem():
+    """min x.x subject to x0 + x1 >= 1, optimum at (0.5, 0.5)."""
+    return optimize.FunctionProblem(
         lambda x: float(x @ x),
         lambda x: 2.0 * x,
         [[-5, 5], [-5, 5]],
@@ -414,9 +415,106 @@ def test_constrained_quadratic_matches_kkt_point():
             )
         ],
     )
-    result = optimize.inversion_solve(problem)
+
+
+def interior_quadratic_problem():
+    """Separable quadratic on the unit square, minimizer (0.6, 0.3) inside."""
+    c, w = np.array([0.6, 0.3]), np.array([1.0, 4.0])
+    return optimize.FunctionProblem(
+        lambda x: float(w @ (x - c) ** 2),
+        lambda x: 2.0 * w * (x - c),
+        [[0, 1], [0, 1]],
+    )
+
+
+def compliance_block_bar():
+    """A 2x2x2 cantilever (48 tets), compliance objective, tip bound 1.08x
+    what the stiffest field gives; the midpoint field violates it."""
+    return layered_bar_problem(2, d_max=1.08 * 1000.0 * 2.0 / 120000.0,
+                               young_box=(60000.0, 120000.0), cells=2)
+
+
+def plate_block_problem():
+    """The heated block with bounds at 1.3x the rise that the upper
+    conductivity gives, and the Lipschitz surrogate on, as the benchmark's
+    plate is built; the midpoint field violates the hot-face bound."""
+    problem, _ = _hot_block_problem(
+        rise=1.3, conductivity=0.4,
+        regularity={"gamma": 0.2, "parameter": "conductivity"})
+    return problem
+
+
+def test_constrained_quadratic_matches_kkt_point():
+    result = optimize.inversion_solve(halfspace_problem())
     assert result.feasible
     assert result.values == pytest.approx([0.5, 0.5], abs=1e-5)
+
+
+@pytest.mark.parametrize("build, solves", [
+    # primal and adjoint at the midpoint, primal and adjoint at the corner
+    (plate_block_problem, 4),
+    # compliance is self-adjoint: one primal at each point, one final check
+    (compliance_block_bar, 3),
+])
+def test_face_trial_reaches_the_corner_in_one_iteration(build, solves):
+    problem = build()
+    assert not optimize.verify_constraints(problem,
+                                           problem.start_values())[0]
+    result = optimize.inversion_solve(problem)
+    assert result.feasible
+    assert result.iterations == 1
+    assert result.fem_solves == solves
+    assert np.array_equal(result.values, problem.boxes[:, 1])
+
+
+@pytest.mark.parametrize("build, phases, iterations, evaluations, point", [
+    # the face trial is rejected once per penalty phase; without it the
+    # same runs make 9 and 110 evaluations
+    (interior_quadratic_problem, 1, 2, 10, [0.6, 0.3]),
+    (halfspace_problem, 2, 18, 112, [0.500000249999375] * 2),
+])
+def test_rejected_face_trial_costs_one_evaluation_per_phase(
+        monkeypatch, build, phases, iterations, evaluations, point):
+    calls = []
+    original = optimize._pgd_phase
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "_pgd_phase", counted)
+    result = optimize.inversion_solve(build())
+    assert result.feasible
+    assert len(calls) == phases
+    assert result.iterations == iterations
+    assert result.fem_solves == evaluations
+    assert result.values == pytest.approx(point, rel=1e-12, abs=1e-15)
+
+
+def test_a_plan_measures_each_quantity_once_per_evaluation(monkeypatch):
+    computed, asked, evaluations = [], set(), []
+    measure, compute = semantics.measure, semantics._compute
+
+    def asking(spec, quantity, evaluation=None, vertices=()):
+        evaluations.append(evaluation)  # alive, so ids stay distinct
+        asked.add((quantity, tuple(vertices), id(evaluation)))
+        return measure(spec, quantity, evaluation, vertices)
+
+    def computing(*args):
+        computed.append(args[1])
+        return compute(*args)
+
+    monkeypatch.setattr(semantics, "measure", asking)
+    monkeypatch.setattr(semantics, "_compute", computing)
+    problem = plate_block_problem()
+    result = optimize.inversion_solve(problem)
+    assert result.feasible
+    assert len(evaluations) > len(asked)  # the memo was read
+    assert len(computed) == len(asked)
+    hot = next(c for c in problem.constraints if c.name == "hot_face")
+    values = measure(problem.spec, "nodal_temperature",
+                     problem.context(result.values), hot.prop.vertices)
+    assert not values.flags.writeable
 
 
 @settings(max_examples=40, deadline=None)

@@ -375,6 +375,10 @@ def test_plan_reported_feasible_passes_final_verification(bar):
     verdicts = printsim.final_verification(
         problem, problem.field_for(plan.values))
     assert all(v.passed for v in verdicts)
+    # the bound binds: a long step past it, which only the penalty would
+    # pull back, leaves the tip far inside and fails here
+    tip = next(v for v in verdicts if v.name == "tip")
+    assert tip.measured == pytest.approx(1.08 * nominal, rel=1e-4)
     report = printsim.run_print(problem, plan, seed=5,
                                 **drifting_print_kwargs("full", 0.0))
     assert report.outcome == "success"

@@ -118,15 +118,17 @@ def _seed_range(text):
 
 
 def _verdict_table(verdicts):
+    """Table of verdicts in the report's dict form
+    (:func:`semantics.verdict_to_dict`)."""
     rows = [("property", "quantity", "measured", "margin", "status")]
     for v in verdicts:
         rows.append(
             (
-                v.name,
-                v.quantity,
-                f"{v.measured:.6g}",
-                f"{v.margin:.3g}",
-                "PASS" if v.passed else "FAIL",
+                v["name"],
+                v["quantity"],
+                f"{v['measured']:.6g}",
+                f"{v['margin']:.3g}",
+                "PASS" if v["passed"] else "FAIL",
             )
         )
     widths = [max(len(r[c]) for r in rows) for c in range(5)]
@@ -186,7 +188,7 @@ def cmd_verify(args):
     verdicts = semantics.check_properties(semantics.FieldEvaluation(
         spec, field, tol=_resolve(args, "tol", fem.DEFAULT_TOL)
     ))
-    print(_verdict_table(verdicts))
+    print(_verdict_table(semantics.verdict_to_dict(v) for v in verdicts))
     failed = [v.name for v in verdicts if not v.passed]
     if failed:
         return _fail("verify", f"properties failed: {', '.join(failed)}")
@@ -346,9 +348,7 @@ def cmd_report(args):
         )
     if doc["verdicts"]:
         print("\nfinal verification (achieved field):")
-        print(_verdict_table(
-            semantics.PropertyVerdict(**v) for v in doc["verdicts"]
-        ))
+        print(_verdict_table(doc["verdicts"]))
     if doc["history"]:
         print("\nlayer  strategy    fem_solves  mean_commanded")
         for rec in doc["history"]:

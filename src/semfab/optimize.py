@@ -11,16 +11,24 @@ Armijo backtracking.  Bound-type constraints enter through squared-hinge
 penalties whose weight escalates until a penalty-free feasibility check
 passes; if escalation runs out, the best iterate is returned with
 ``feasible=False`` and the violated constraint names as a certificate.
-A property passes that check only when it meets its bound exactly, the
-test :func:`semantics.check_properties` applies, so each property hinge
-aims ``FEAS_TOL * max(1, |bound|)`` inside the bound.
+
+Each constraint has two methods.  ``check`` gives its
+:class:`semantics.Verdict` and its excesses c(x), one per vertex of a local
+property and one otherwise, by the test :func:`semantics.check` applies in
+final verification; a verdict passes at excess <= 0.  ``add_gradient``
+adds w . (gradient of c) for a weight vector w.  :func:`_merit` is the one
+loop over the constraints: the squared hinges, aimed
+``FEAS_TOL * max(1, |bound|)`` inside each bound, and their gradient
+weights ``2 * hinge`` come from the same excesses as the verdicts, and
+:func:`verify_constraints` is that loop with weight 0 and no gradient.
 
 Each penalty phase opens with a face trial: every free coordinate moves to
 the box face its merit gradient points at, the far end of the projection
 arc (Bertsekas 1976).  It is kept when it passes the Armijo test and the
 objective itself falls, so a plan whose optimum is a box corner gets there
 in one step; otherwise the line search goes on from a unit step, and the
-trial has cost one evaluation.
+trial has cost one evaluation.  An objective of another parameter than the
+one optimized (``mass`` over E, say) cannot fall, so its plan makes none.
 
 A gradient costs one adjoint solve per physics. The objective and every
 active penalty hand their terms to one accumulator: a direct gradient, an
@@ -80,15 +88,6 @@ PENALTY_GROWTH = 10.0
 MAX_ESCALATIONS = 6
 ARMIJO_C = 1e-4
 MIN_STEP = 1e-14
-
-
-@dataclasses.dataclass(frozen=True)
-class ConstraintVerdict:
-    name: str
-    measured: float
-    bound: float
-    excess: float
-    passed: bool
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,20 +188,19 @@ class SyntheticConstraint:
         self._excess_fn = excess_fn
         self._grad_fn = grad_fn
 
-    def evaluate(self, x, ctx):
+    def check(self, x, ctx):
+        """The verdict and the one excess, as :func:`semantics.check`."""
         excess = float(self._excess_fn(x))
-        return excess, self.bound + excess
+        verdict = semantics.Verdict(self.name, "synthetic",
+                                    self.bound + excess, self.bound, excess,
+                                    excess <= 0.0)
+        return verdict, np.array([excess])
 
-    def penalty(self, x, ctx, grad=None, scale=1.0):
-        """Squared-hinge value; adds ``scale`` times its gradient to the
-        :class:`_Gradient` ``grad`` when one is given."""
-        hinge = self.evaluate(x, ctx)[0] + _feas_margin(self.bound)
-        if hinge <= 0.0:
-            return 0.0
-        if grad is not None and self._grad_fn is not None:
-            grad.add(np.asarray(self._grad_fn(x), dtype=float),
-                     2.0 * hinge * scale)
-        return hinge * hinge
+    def add_gradient(self, x, ctx, w, grad, scale=1.0):
+        """Adds ``scale`` times ``w[0]`` times the excess gradient to the
+        :class:`_Gradient` ``grad``."""
+        if self._grad_fn is not None:
+            grad.add(np.asarray(self._grad_fn(x), dtype=float), w[0] * scale)
 
 
 class FunctionProblem:
@@ -213,6 +211,7 @@ class FunctionProblem:
     """
 
     parameter = None  # no material parameter, so no adjoint loads
+    face_trial = True  # the objective may depend on every variable
 
     def __init__(
         self,
@@ -270,13 +269,11 @@ class FunctionProblem:
 class _PropertyConstraint:
     """Annotated bound on a solved or direct quantity.
 
-    ``evaluate`` reports the verdict quantities (worst vertex for tagged
-    properties), measured by :func:`semantics.measure`.  ``penalty`` is the
-    squared-hinge term the solver descends on, aimed ``_feas_margin(bound)``
-    inside the bound; for vertex-set properties it sums per-vertex hinges,
-    which keeps the merit differentiable when several vertices tie at the
-    maximum.  A solved quantity hands its gradient over as an adjoint load,
-    and none when no hinge is active.
+    ``check`` gives the verdict and the excesses of :func:`semantics.check`:
+    one per vertex of a local property, which keeps a sum of per-vertex
+    hinges differentiable when several vertices tie at the maximum.
+    ``add_gradient`` hands over a solved quantity's gradient as an adjoint
+    load; a direct quantity has none.
     """
 
     def __init__(self, problem, prop):
@@ -285,58 +282,38 @@ class _PropertyConstraint:
         self.name = prop.name
         self.bound = float(prop.bound)
 
-    def _measure(self, ctx):
-        return semantics.measure(
-            self.problem.spec, self.prop.quantity, ctx, self.prop.vertices
-        )
+    def check(self, x, ctx):
+        return semantics.check(self.problem.spec, self.prop, ctx)
 
-    def evaluate(self, x, ctx):
-        measured = self._measure(ctx)
-        if self.prop.vertices:
-            measured = float(measured.max())
-        if self.prop.op == "le":
-            return measured - self.bound, measured
-        return self.bound - measured, measured
-
-    def penalty(self, x, ctx, grad=None, scale=1.0):
-        """Squared-hinge value; adds ``scale`` times its gradient terms to
-        the :class:`_Gradient` ``grad`` when one is given."""
-        quantity = self.prop.quantity
-        margin = _feas_margin(self.bound)
+    def add_gradient(self, x, ctx, w, grad, scale=1.0):
+        """Adds ``scale`` times w . (gradient of the excesses) to the
+        :class:`_Gradient` ``grad``; ``w`` is ordered like the excesses."""
+        spec, quantity = self.problem.spec, self.prop.quantity
         if not self.prop.vertices:
-            hinge = self.evaluate(x, ctx)[0] + margin
-            if hinge <= 0.0:
-                return 0.0
-            if grad is not None:
-                sign = 1.0 if self.prop.op == "le" else -1.0
-                coeff = 2.0 * hinge * sign * scale
-                if quantity == "average_temperature":
-                    grad.add_load("conduction",
-                                  _average_temperature_load(self.problem.spec),
-                                  coeff)
-                elif self.problem.parameter == "density":
-                    grad.add(self.problem.spec.mesh.volumes(), coeff)
-            return hinge * hinge
-        values = self._measure(ctx)
-        hinge = values - self.bound + margin  # le is the only op here
-        active = hinge > 0.0
-        value = float(np.sum(hinge[active] ** 2))
-        if grad is None or not np.any(active):
-            return value
-        verts = np.asarray(self.prop.vertices, dtype=np.intp)[active]
+            sign = 1.0 if self.prop.op == "le" else -1.0
+            coeff = w[0] * sign * scale
+            if quantity == "average_temperature":
+                grad.add_load("conduction", _average_temperature_load(spec),
+                              coeff)
+            elif quantity == "mass" and self.problem.parameter == "density":
+                grad.add(spec.mesh.volumes(), coeff)
+            return
+        # local quantities are "le" only
+        nonzero = np.flatnonzero(w)
+        verts = np.asarray(self.prop.vertices, dtype=np.intp)[nonzero]
         if quantity == "max_displacement":
             u = ctx.solution("elasticity").values
+            mags = semantics.measure(spec, quantity, ctx, self.prop.vertices)
             weights = np.zeros(u.size)
-            for v, e, disp, mag in zip(verts, hinge[active], u[verts],
-                                       values[active]):
+            for v, wv, disp, mag in zip(verts, w[nonzero], u[verts],
+                                        mags[nonzero]):
                 if mag > 0.0:
-                    weights[3 * v : 3 * v + 3] = 2.0 * e * disp / mag
+                    weights[3 * v : 3 * v + 3] += wv * disp / mag
             grad.add_load("elasticity", weights, scale)
         else:
             weights = np.zeros(ctx.solution("conduction").values.size)
-            weights[verts] = 2.0 * hinge[active]
+            np.add.at(weights, verts, w[nonzero])
             grad.add_load("conduction", weights, scale)
-        return value
 
 
 def _average_temperature_load(spec):
@@ -369,6 +346,13 @@ class InversionProblem:
         self.spec = spec
         self.objective = objective
         self.parameter = parameter or OBJECTIVES[objective][1]
+        if self.parameter not in ("young", "conductivity", "density"):
+            # K is not linear in poisson, so _Gradient would drop its loads
+            raise ValueError(f"cannot optimize {self.parameter!r}: the "
+                             "parameters are young, conductivity and density")
+        # an objective of another parameter is flat in this one, and a face
+        # trial is kept only when the objective falls
+        self.face_trial = OBJECTIVES[objective][1] == self.parameter
         self.solver_tol = float(solver_tol)
         m = spec.mesh.n_elements
         self.n_variables = m
@@ -389,9 +373,7 @@ class InversionProblem:
             base_field if base_field is not None else spec.midpoint_field()
         )
         self.constraints = tuple(
-            _PropertyConstraint(self, prop)
-            for prop in spec.properties
-            if prop.quantity != "volume"
+            _PropertyConstraint(self, prop) for prop in spec.properties
         )
         if lipschitz == "auto":
             lipschitz = _lipschitz_from_spec(spec, self.parameter)
@@ -504,18 +486,30 @@ def _lipschitz_excesses(lip, x):
 
 
 def _lipschitz_penalty(lip, x, need_grad):
+    """Squared-hinge value of the pairs, its gradient when ``need_grad``
+    (else None), and the verdict on the worst pair, which final
+    verification does not check and which passes up to
+    ``_feas_margin(gamma)``."""
     excess, diffs = _lipschitz_excesses(lip, x)
     active = excess > 0.0
     value = float(np.sum(excess[active] ** 2))
-    max_excess = float(excess.max()) if excess.size else 0.0
-    if not need_grad:
-        return value, max_excess, None
-    grad = np.zeros_like(x)
-    if np.any(active):
-        coeff = 2.0 * excess[active] * np.sign(diffs[active])
-        np.add.at(grad, lip.pairs[active, 0], coeff)
-        np.add.at(grad, lip.pairs[active, 1], -coeff)
-    return value, max_excess, grad
+    worst = int(np.argmax(excess)) if excess.size else 0
+    max_excess = float(excess[worst]) if excess.size else 0.0
+    ratio = 0.0
+    if excess.size and lip.distances[worst] > 0.0:
+        ratio = float(abs(diffs[worst]) / lip.distances[worst])
+    verdict = semantics.Verdict(
+        "field_regularity", "field_regularity", ratio, lip.gamma, max_excess,
+        max_excess <= _feas_margin(lip.gamma),
+    )
+    grad = None
+    if need_grad:
+        grad = np.zeros_like(x)
+        if np.any(active):
+            coeff = 2.0 * excess[active] * np.sign(diffs[active])
+            np.add.at(grad, lip.pairs[active, 0], coeff)
+            np.add.at(grad, lip.pairs[active, 1], -coeff)
+    return value, grad, verdict
 
 
 def evaluate_objective(problem, free_values):
@@ -527,30 +521,43 @@ def evaluate_objective(problem, free_values):
 
 
 def _merit(problem, x, weight, need_grad, ctx=None):
-    """Objective plus squared-hinge penalties; also the raw max violation.
+    """Objective plus squared-hinge penalties at ``x``.
 
-    ``ctx``, when given, is a context at ``x`` whose solves are reused.
+    Returns the merit, the objective, the verdict of every constraint and
+    of the Lipschitz surrogate, and the merit gradient (None unless
+    ``need_grad``). Each hinge aims ``_feas_margin(bound)`` inside its
+    bound and is taken from the same excesses as the verdict. ``ctx``,
+    when given, is a context at ``x`` whose solves are reused.
     """
     if ctx is None:
         ctx = problem.context(x)
     terms = _Gradient(problem) if need_grad else None
     obj = problem.objective_value(x, ctx, terms)
     merit = obj
-    max_violation = 0.0
+    verdicts = []
     for constraint in problem.constraints:
-        excess, _ = constraint.evaluate(x, ctx)
-        max_violation = max(max_violation, excess)
-        merit += weight * constraint.penalty(x, ctx, terms, weight)
+        verdict, excesses = constraint.check(x, ctx)
+        verdicts.append(verdict)
+        hinge = excesses + _feas_margin(constraint.bound)
+        active = hinge > 0.0
+        merit += weight * float((hinge[active] ** 2).sum())
+        if need_grad and np.any(active):
+            constraint.add_gradient(x, ctx, np.where(active, 2.0 * hinge, 0.0),
+                                    terms, weight)
     if problem.lipschitz is not None:
-        value, max_excess, lgrad = _lipschitz_penalty(
-            problem.lipschitz, x, need_grad
-        )
+        value, lgrad, verdict = _lipschitz_penalty(problem.lipschitz, x,
+                                                   need_grad)
         merit += weight * value
-        max_violation = max(max_violation, max_excess)
+        verdicts.append(verdict)
         if need_grad:
             terms.add(lgrad, weight)
     grad = terms.total(ctx) if need_grad else None
-    return merit, obj, max_violation, grad
+    return merit, obj, tuple(verdicts), grad
+
+
+def _max_violation(verdicts):
+    """The trace's ``max_violation``: the largest excess, or 0."""
+    return max([0.0] + [v.excess for v in verdicts])
 
 
 def verify_constraints(problem, x, ctx=None):
@@ -561,52 +568,21 @@ def verify_constraints(problem, x, ctx=None):
     check, passes up to ``FEAS_TOL * max(1, gamma)``.  ``ctx``, when given,
     is a context at ``x`` whose solves are reused.
     """
-    if ctx is None:
-        ctx = problem.context(x)
-    objective = problem.objective_value(x, ctx)
-    verdicts = []
-    for constraint in problem.constraints:
-        excess, measured = constraint.evaluate(x, ctx)
-        verdicts.append(
-            ConstraintVerdict(
-                name=constraint.name,
-                measured=measured,
-                bound=constraint.bound,
-                excess=excess,
-                passed=bool(excess <= 0.0),
-            )
-        )
-    if problem.lipschitz is not None:
-        lip = problem.lipschitz
-        excess, diffs = _lipschitz_excesses(lip, x)
-        worst = int(np.argmax(excess)) if excess.size else 0
-        max_excess = float(excess[worst]) if excess.size else 0.0
-        ratio = 0.0
-        if excess.size and lip.distances[worst] > 0.0:
-            ratio = float(abs(diffs[worst]) / lip.distances[worst])
-        verdicts.append(
-            ConstraintVerdict(
-                name="field_regularity",
-                measured=ratio,
-                bound=lip.gamma,
-                excess=max_excess,
-                passed=bool(max_excess <= _feas_margin(lip.gamma)),
-            )
-        )
-    feasible = all(v.passed for v in verdicts)
-    return feasible, tuple(verdicts), objective
+    _, objective, verdicts, _ = _merit(problem, x, 0.0, False, ctx)
+    return all(v.passed for v in verdicts), verdicts, objective
 
 
 def _pgd_phase(problem, x, weight, tol, max_iter, trace, iter_offset,
                ctx=None):
     """One penalty phase of projected gradient descent in box coordinates.
 
-    The first iteration tries the face point first: each coordinate at 1
-    where the merit gradient is negative, at 0 where it is positive, and
-    unchanged where it is zero.  It is kept when it passes the Armijo test
-    and the objective itself falls; a step that lowers the penalty alone
-    would overshoot a bound no objective pulls against, so that progress
-    is left to the backtracking, which starts from a unit step.
+    The first iteration tries the face point first, unless
+    ``problem.face_trial`` is false: each coordinate at 1 where the merit
+    gradient is negative, at 0 where it is positive, and unchanged where it
+    is zero.  It is kept when it passes the Armijo test and the objective
+    itself falls; a step that lowers the penalty alone would overshoot a
+    bound no objective pulls against, so that progress is left to the
+    backtracking, which starts from a unit step.
 
     ``ctx`` is a context at ``x``, used when the phase starts at exactly
     ``x``. Returns the final point, the iteration count and the context of
@@ -629,7 +605,7 @@ def _pgd_phase(problem, x, weight, tol, max_iter, trace, iter_offset,
     x_cur = compose(xi)
     if ctx is None or not np.array_equal(x_cur, x):
         ctx = problem.context(x_cur)
-    merit, obj, max_violation, grad = _merit(problem, x_cur, weight, True, ctx)
+    merit, obj, verdicts, grad = _merit(problem, x_cur, weight, True, ctx)
     grad_xi = grad[free] * width
     # per-coordinate curvature estimates: penalty walls and the smooth
     # objective can differ by many orders, so one scalar step starves
@@ -646,7 +622,7 @@ def _pgd_phase(problem, x, weight, tol, max_iter, trace, iter_offset,
             break
         direction = grad_xi / curv
         step_ok = False
-        face = iterations == 0
+        face = iterations == 0 and problem.face_trial
         trial = 1.0
         ctx = None  # the line search drops the current point's context
         while trial >= MIN_STEP:
@@ -658,7 +634,7 @@ def _pgd_phase(problem, x, weight, tol, max_iter, trace, iter_offset,
             step = xi_try - xi
             x_try = compose(xi_try)
             ctx = problem.context(x_try)
-            merit_try, obj_try, viol_try, _ = _merit(
+            merit_try, obj_try, _, _ = _merit(
                 problem, x_try, weight, False, ctx
             )
             # roundoff allowance: near the optimum a genuine descent step
@@ -679,7 +655,7 @@ def _pgd_phase(problem, x, weight, tol, max_iter, trace, iter_offset,
         xi, x_cur = xi_try, x_try
         iterations += 1
         merit_prev = merit
-        merit, obj, max_violation, grad = _merit(
+        merit, obj, verdicts, grad = _merit(
             problem, x_cur, weight, True, ctx
         )
         if merit_prev - merit <= 1e-14 * (1.0 + abs(merit_prev)):
@@ -695,7 +671,7 @@ def _pgd_phase(problem, x, weight, tol, max_iter, trace, iter_offset,
             {
                 "iter": iter_offset + iterations,
                 "objective": obj,
-                "max_violation": max_violation,
+                "max_violation": _max_violation(verdicts),
                 "step_norm": step_norm,
             }
         )
@@ -729,7 +705,7 @@ def inversion_solve(
         {
             "iter": 0,
             "objective": objective0,
-            "max_violation": max([0.0] + [v.excess for v in verdicts0]),
+            "max_violation": _max_violation(verdicts0),
             "step_norm": 0.0,
         }
     ]

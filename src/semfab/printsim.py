@@ -303,7 +303,7 @@ class PrintState:
 @dataclasses.dataclass(frozen=True)
 class PrintReport:
     outcome: str  # "success" | "spec_fail" | "aborted"
-    verdicts: tuple  # final PropertyVerdicts under the achieved field
+    verdicts: tuple  # final semantics.Verdicts under the achieved field
     history: tuple
     commanded: MaterialField
     achieved: MaterialField
@@ -754,16 +754,7 @@ def report_to_dict(report):
         "n_layers": len(report.history),
         "n_measurements": len(report.measurements),
         "abort": abort,
-        "verdicts": [
-            {
-                "name": v.name,
-                "quantity": v.quantity,
-                "passed": v.passed,
-                "measured": v.measured,
-                "margin": v.margin,
-            }
-            for v in report.verdicts
-        ],
+        "verdicts": [semantics.verdict_to_dict(v) for v in report.verdicts],
         "history": [
             {
                 "layer": rec.layer,

@@ -10,8 +10,9 @@ resolves all references and checks the problem is well posed.
 
 A :class:`FieldEvaluation` solves each physics of one material field at
 most once and counts every solve, adjoint ones too, in a :class:`RunStats`
-shared by a run; :func:`measure` reads each property quantity from it, for
-the final check and for the optimizer alike.
+shared by a run; :func:`measure` reads each property quantity from it, and
+:func:`check` judges a property by it, giving the one :class:`Verdict` and
+the excesses that the final check, the CLI and the optimizer all use.
 
 Conventions:
   - a displacement box with zero width on all axes is a prescribed
@@ -77,12 +78,23 @@ class PropertySpec:
 
 
 @dataclass(frozen=True)
-class PropertyVerdict:
+class Verdict:
+    """One bound checked against a field: ``measured`` is the worst value,
+    ``excess`` how far past ``bound`` it lies (negative inside), and the
+    check passes at ``excess <= 0``."""
+
     name: str
     quantity: str
-    passed: bool
     measured: float
-    margin: float
+    bound: float
+    excess: float
+    passed: bool
+
+    @property
+    def margin(self) -> float:
+        """How far inside the bound the worst value lies; 0.0 - excess keeps
+        a zero margin +0.0."""
+        return 0.0 - self.excess
 
 
 @dataclass(frozen=True)
@@ -787,6 +799,9 @@ def _compute(spec: BoundSpecification, quantity: str,
     """:func:`measure` without the evaluation's memo."""
     if quantity == "volume":
         return float(spec.mesh.volumes().sum())
+    if evaluation is None and quantity in _QUANTITIES:
+        raise ValueError(f"{quantity!r} depends on the material field; "
+                         "measure it on a FieldEvaluation")
     if quantity == "mass":
         return float(np.dot(evaluation.field.density, spec.mesh.volumes()))
     if quantity == "max_displacement":
@@ -801,48 +816,40 @@ def _compute(spec: BoundSpecification, quantity: str,
     raise ValueError(f"unknown property quantity {quantity!r}")
 
 
-def _verdict(spec: BoundSpecification, prop: PropertySpec,
-             evaluation: FieldEvaluation | None = None) -> PropertyVerdict:
+def check(spec: BoundSpecification, prop: PropertySpec,
+          evaluation: FieldEvaluation | None = None):
+    """Check `prop` under the field of `evaluation` (none is needed for a
+    direct property). Returns its :class:`Verdict` and the excesses it was
+    judged on, as an array: one per vertex of a local property, in vertex
+    order, or the one of a global property."""
     measured = measure(spec, prop.quantity, evaluation, prop.vertices)
-    measured = float(measured.max()) if prop.vertices else measured
-    if prop.op == "le":
-        margin = prop.bound - measured
-    else:
-        margin = measured - prop.bound
-    return PropertyVerdict(prop.name, prop.quantity, margin >= 0.0, measured, margin)
+    worst = float(measured.max()) if prop.vertices else measured
+    excess = worst - prop.bound if prop.op == "le" else prop.bound - worst
+    # local quantities are "le" only; rounding is monotone, so the largest
+    # of their excesses is the worst value's
+    excesses = measured - prop.bound if prop.vertices else np.array([excess])
+    return (Verdict(prop.name, prop.quantity, worst, prop.bound, excess,
+                    excess <= 0.0),
+            excesses)
 
 
-def check_direct_property(
-    spec: BoundSpecification, prop: PropertySpec
-) -> PropertyVerdict:
-    """Check a property computable from geometry alone."""
-    if prop.category != "direct":
-        raise ValueError(
-            f"property {prop.name!r} is {prop.category}, not direct"
-        )
-    return _verdict(spec, prop)
+def verdict_to_dict(verdict: Verdict) -> dict:
+    """A property's verdict as a report stores it and `semfab` prints it."""
+    return {
+        "name": verdict.name,
+        "quantity": verdict.quantity,
+        "passed": verdict.passed,
+        "measured": verdict.measured,
+        "margin": verdict.margin,
+    }
 
 
-def check_material_property(
-    spec: BoundSpecification,
-    prop: PropertySpec,
-    fld: MaterialField,
-    tol: float = fem.DEFAULT_TOL,
-) -> PropertyVerdict:
-    """Check a property that needs material assumptions (and maybe a solve)."""
-    if prop.category != "material_dependent":
-        raise ValueError(f"property {prop.name!r} is direct, not material_dependent")
-    return _verdict(spec, prop, FieldEvaluation(spec, fld, tol))
-
-
-def check_properties(
-    evaluation: FieldEvaluation,
-) -> tuple[PropertyVerdict, ...]:
+def check_properties(evaluation: FieldEvaluation) -> tuple[Verdict, ...]:
     """Check every property of the evaluation's specification under its
     field; returns the verdicts in property order. The solves made are
     counted in `evaluation.stats`."""
     return tuple(
-        _verdict(evaluation.spec, prop, evaluation)
+        check(evaluation.spec, prop, evaluation)[0]
         for prop in evaluation.spec.properties
     )
 

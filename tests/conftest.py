@@ -79,6 +79,6 @@ def write_bar_files(dirpath, n_layers, d_max, young_box, P=1000.0):
 def bar_tip_displacement(problem, values):
     """Ground-truth tip displacement for a given young field."""
     prop = next(p for p in problem.spec.properties if p.name == "tip")
-    return semantics.check_material_property(
-        problem.spec, prop, problem.field_for(np.asarray(values, float))
-    ).measured
+    evaluation = semantics.FieldEvaluation(
+        problem.spec, problem.field_for(np.asarray(values, float)))
+    return semantics.check(problem.spec, prop, evaluation)[0].measured

@@ -561,12 +561,10 @@ def test_criterion_10_round_trips(tmp_path):
         m.n_elements, young=BOX[1], poisson=0.0, density=8e-6)
     for prop1 in spec1.properties:
         prop2 = next(p for p in spec2.properties if p.name == prop1.name)
-        if prop1.category == "direct":
-            v1 = semantics.check_direct_property(spec1, prop1)
-            v2 = semantics.check_direct_property(spec2, prop2)
-        else:
-            v1 = semantics.check_material_property(spec1, prop1, fld)
-            v2 = semantics.check_material_property(spec2, prop2, fld)
+        v1 = semantics.check(spec1, prop1,
+                             semantics.FieldEvaluation(spec1, fld))[0]
+        v2 = semantics.check(spec2, prop2,
+                             semantics.FieldEvaluation(spec2, fld))[0]
         assert v1.passed == v2.passed
         assert v1.measured == pytest.approx(v2.measured, rel=1e-9)
     _pass(10, "format round-trips",

@@ -25,7 +25,8 @@ def run_cli(*args):
 
 
 def write_scenario(path, *, gain=1.0, actuator_noise=0.0, sensor_noise=0.0,
-                   strategy="warm_start", control=True, plant=None, seed=7):
+                   strategy="warm_start", control=True, plant=None, seed=7,
+                   parameter="young"):
     scenario = printsim.Scenario(
         mesh_path="bar_mesh.json",
         annotation_path="bar_annotation.json",
@@ -37,7 +38,7 @@ def write_scenario(path, *, gain=1.0, actuator_noise=0.0, sensor_noise=0.0,
         seed=seed,
         layer_height=1.0,
         objective="compliance",
-        parameter="young",
+        parameter=parameter,
     )
     printsim.save_scenario(scenario, path)
 
@@ -226,6 +227,20 @@ def test_optimize_infeasible_bound_exits_1_with_certificate(tmp_path, capsys):
     assert summary["violated"] == ["tip"]
 
 
+def test_poisson_is_not_an_optimizable_parameter(tmp_path, capsys):
+    mesh_path, ann_path = write_bar_files(tmp_path, 4, 0.05, BOX)
+    rc = run_cli("optimize", mesh_path, ann_path, "--objective", "compliance",
+                 "--parameter", "poisson", "-o", tmp_path / "field.json")
+    assert rc == 2
+    write_scenario(tmp_path / "scenario.json", parameter="poisson")
+    rc = run_cli("simulate", tmp_path / "scenario.json",
+                 "--out", tmp_path / "sim")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("SEMFAB-ERR[usage]") == 2 and "poisson" in err
+    assert not (tmp_path / "field.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -352,6 +367,26 @@ def test_report_renders_table_and_svg(tmp_path, capsys):
     text = svg.read_text()
     assert text.startswith("<svg")
     assert "polyline" in text
+
+
+def test_report_and_verify_print_the_same_verdict_rows(tmp_path, capsys):
+    mesh_path, ann_path = write_bar_files(tmp_path, 4, 0.05, BOX)
+    write_scenario(tmp_path / "scenario.json", gain=0.9, actuator_noise=0.02)
+    assert run_cli("simulate", tmp_path / "scenario.json",
+                   "--out", tmp_path / "sim") == 0
+    report = tmp_path / "sim" / "report.json"
+    achieved = tmp_path / "achieved.json"
+    achieved.write_text(
+        json.dumps(json.loads(report.read_text())["fields"]["achieved"]))
+    capsys.readouterr()
+    assert run_cli("report", report) == 0
+    reported = capsys.readouterr().out
+    assert run_cli("verify", mesh_path, ann_path, "--field", achieved) == 0
+    verified = capsys.readouterr().out.splitlines()
+    assert verified[-1] == "all 1 properties pass"
+    table = reported.split("final verification (achieved field):\n")[1]
+    assert table.split("\n\n")[0].splitlines() == verified[:-1]
+    assert verified[1].startswith("tip ")
 
 
 def test_report_missing_file_exits_2(tmp_path, capsys):

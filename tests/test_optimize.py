@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import bar_tip_displacement, layered_bar_problem
+from conftest import bar_mesh_and_doc, bar_tip_displacement, layered_bar_problem
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -334,8 +334,97 @@ def test_evaluate_objective_returns_free_slice():
     assert np.all(grad_free < 0.0)  # stiffening always lowers compliance
 
 
+def _tip_bar_at():
+    problem = compliance_block_bar()
+    x = np.random.default_rng(1).uniform(60e3, 120e3, problem.n_variables)
+    return problem, x
+
+
+def _hot_block_at():
+    problem, _ = _hot_block_problem()
+    x = np.random.default_rng(2).uniform(0.1, 0.4, problem.n_variables)
+    return problem, x
+
+
+def _mass_floor_at():
+    """Density over a 2x1x2 box, whose mass must reach a floor."""
+    m = mesh.generate_box_mesh(2, 1, 2, (1.0, 1.0, 1.0))
+    doc = box_layer_doc({"density": [1.0, 3.0]}, properties=[
+        {"name": "heavy", "quantity": "mass", "op": "ge", "bound": 2.5}])
+    spec = semantics.bind_to_mesh(semantics.layer_from_dict(doc), m)
+    problem = optimize.InversionProblem(spec, "mass")
+    x = np.random.default_rng(3).uniform(1.0, 3.0, problem.n_variables)
+    return problem, x
+
+
+def _synthetic_at():
+    curved = optimize.SyntheticConstraint(
+        "curved", lambda x: x[0] ** 2 + 3.0 * x[0] * x[1] - 1.0,
+        lambda x: np.array([2.0 * x[0] + 3.0 * x[1], 3.0 * x[0]]))
+    problem = optimize.FunctionProblem(
+        lambda x: 0.0, lambda x: np.zeros(2), [[-2, 2], [-2, 2]],
+        constraints=[curved])
+    return problem, np.array([0.7, 1.3])
+
+
+@pytest.mark.parametrize("build, name, entry", [
+    (_tip_bar_at, "tip", 4),  # max_displacement at one top vertex
+    (_hot_block_at, "hot_face", 3),  # nodal_temperature at one top vertex
+    (_hot_block_at, "bulk_heat", 0),  # average_temperature
+    (_mass_floor_at, "heavy", 0),  # mass over density, op "ge"
+    (_synthetic_at, "curved", 0),
+])
+def test_add_gradient_with_a_unit_weight_is_one_excess_gradient(
+        build, name, entry):
+    problem, x = build()
+    constraint = next(c for c in problem.constraints if c.name == name)
+    ctx = problem.context(x)
+    _, excesses = constraint.check(x, ctx)
+    w = np.zeros(excesses.size)
+    w[entry] = 1.0
+    terms = optimize._Gradient(problem)
+    constraint.add_gradient(x, ctx, w, terms)
+    row = terms.total(ctx)
+    assert np.any(row)
+
+    def excess(point):
+        return constraint.check(point, problem.context(point))[1][entry]
+
+    for e in range(problem.n_variables):
+        h = 1e-4 * abs(x[e])
+        hi, lo = x.copy(), x.copy()
+        hi[e] += h
+        lo[e] -= h
+        fd = (excess(hi) - excess(lo)) / (2 * h)
+        assert row[e] == pytest.approx(fd, rel=1e-5,
+                                       abs=1e-9 * np.abs(row).max())
+
+
 # ---------------------------------------------------------------------------
 # inversion_solve
+
+
+def test_poisson_cannot_be_optimized():
+    # K is not linear in poisson, so its gradient would read zero
+    spec = cube_compliance_problem().spec
+    with pytest.raises(ValueError, match="poisson"):
+        optimize.InversionProblem(spec, "compliance", parameter="poisson")
+
+
+@pytest.mark.parametrize("bound, violated", [(2.0, ("stock",)), (5.0, ())])
+def test_a_volume_bound_enters_the_plan(bound, violated):
+    # the 4-layer bar's volume is 4 whatever its field
+    m, doc = bar_mesh_and_doc(4, 1.0, (60e3, 120e3))
+    doc["global_properties"].append(
+        {"name": "stock", "quantity": "volume", "op": "le", "bound": bound})
+    spec = semantics.bind_to_mesh(semantics.layer_from_dict(doc), m)
+    result = optimize.inversion_solve(
+        optimize.InversionProblem(spec, "compliance"))
+    assert result.feasible is not violated
+    assert result.violated == violated
+    assert result.fem_solves == 2
+    stock = next(v for v in result.verdicts if v.name == "stock")
+    assert stock.measured == pytest.approx(4.0, rel=1e-12)
 
 
 def test_degenerate_density_boxes_return_midpoints():
@@ -467,6 +556,20 @@ def test_face_trial_reaches_the_corner_in_one_iteration(build, solves):
     assert np.array_equal(result.values, problem.boxes[:, 1])
 
 
+def test_a_flat_objective_skips_the_face_trial():
+    # the mass objective does not depend on E, so no face point can lower
+    # it; the bar with a binding tip bound plans in 18 solves, not 19
+    box = (60e3, 120e3)
+    probe = layered_bar_problem(10, d_max=1.0, young_box=box)
+    nominal = bar_tip_displacement(probe, np.full(probe.n_variables, box[1]))
+    problem = layered_bar_problem(10, d_max=1.08 * nominal, young_box=box,
+                                  objective="mass")
+    assert not problem.face_trial
+    result = optimize.inversion_solve(problem)
+    assert result.feasible
+    assert result.fem_solves == 18
+
+
 @pytest.mark.parametrize("build, phases, iterations, evaluations, point", [
     # the face trial is rejected once per penalty phase; without it the
     # same runs make 9 and 110 evaluations
@@ -507,9 +610,14 @@ def test_a_plan_measures_each_quantity_once_per_evaluation(monkeypatch):
     monkeypatch.setattr(semantics, "measure", asking)
     monkeypatch.setattr(semantics, "_compute", computing)
     problem = plate_block_problem()
+    built = len(evaluations)
     result = optimize.inversion_solve(problem)
     assert result.feasible
     assert len(evaluations) > len(asked)  # the memo was read
+    # the objective and two properties in each of five merit evaluations:
+    # the start point's check and gradient, the face trial, the corner's
+    # gradient and its check
+    assert len(evaluations) - built == 15
     assert len(computed) == len(asked)
     hot = next(c for c in problem.constraints if c.name == "hot_face")
     values = measure(problem.spec, "nodal_temperature",
@@ -600,11 +708,11 @@ def test_free_elements_need_finite_ranges():
 def test_lipschitz_zero_violation_contributes_nothing():
     problem = chain_conduction_problem(gamma=1.5)
     x = np.full(5, 4.0)  # uniform field: every pair difference is zero
-    value, max_excess, grad = optimize._lipschitz_penalty(
+    value, grad, verdict = optimize._lipschitz_penalty(
         problem.lipschitz, x, need_grad=True
     )
     assert value == 0.0
-    assert max_excess < 0.0
+    assert verdict.excess < 0.0 and verdict.passed
     assert np.array_equal(grad, np.zeros(5))
     merit, obj, _, merit_grad = optimize._merit(problem, x, 1000.0, True)
     _, obj_grad = problem.objective_and_gradient(x)

@@ -10,11 +10,11 @@ from numpy.testing import assert_allclose
 from semfab.errors import AnnotationParseError, BindError, WellPosednessError
 from semfab.mesh import boundary_faces, generate_box_mesh, generate_shaft_mesh
 from semfab.semantics import (
+    FieldEvaluation,
     MaterialField,
     PropertySpec,
     bind_to_mesh,
-    check_direct_property,
-    check_material_property,
+    check,
     field_from_dict,
     field_to_dict,
     layer_from_dict,
@@ -211,16 +211,16 @@ def prop(quantity, op, bound, vertices=()):
 def test_direct_volume_checks_on_unit_cube():
     mesh = generate_box_mesh(1, 1, 1, [1.0, 1.0, 1.0])
     spec = bind_to_mesh(layer_from_dict({}), mesh)
-    v = check_direct_property(spec, prop("volume", "le", 1.5))
+    v = check(spec, prop("volume", "le", 1.5))[0]
     assert v.passed and abs(v.measured - 1.0) < 1e-12 and abs(v.margin - 0.5) < 1e-12
-    v = check_direct_property(spec, prop("volume", "le", 0.5))
+    v = check(spec, prop("volume", "le", 0.5))[0]
     assert not v.passed and abs(v.measured - 1.0) < 1e-12
 
 
 def test_direct_volume_on_shaft_polygon_deficit():
     mesh = generate_shaft_mesh(1.0, 10.0, 64, 10)
     spec = bind_to_mesh(layer_from_dict({}), mesh)
-    v = check_direct_property(spec, prop("volume", "ge", 31.0))
+    v = check(spec, prop("volume", "ge", 31.0))[0]
     expected = 0.5 * 64 * math.sin(2 * math.pi / 64) * 10.0
     assert v.passed
     assert_allclose(v.measured, expected, rtol=1e-12)
@@ -230,10 +230,11 @@ def test_property_category_enforced():
     mesh = generate_box_mesh(1, 1, 1, [1.0, 1.0, 1.0])
     spec = bind_to_mesh(layer_from_dict({}), mesh)
     fld = MaterialField.uniform(mesh.n_elements)
+    # a material-dependent property needs a field; a direct one takes any
     with pytest.raises(ValueError):
-        check_direct_property(spec, prop("mass", "le", 1.0))
-    with pytest.raises(ValueError):
-        check_material_property(spec, prop("volume", "le", 1.0), fld)
+        check(spec, prop("mass", "le", 1.0))
+    assert check(spec, prop("volume", "le", 1.0),
+                 FieldEvaluation(spec, fld))[0].passed
 
 
 def test_mass_check_equals_density_times_volume():
@@ -241,8 +242,8 @@ def test_mass_check_equals_density_times_volume():
     spec = bind_to_mesh(layer_from_dict({}), mesh)
     rho = 2e-6
     fld = MaterialField.uniform(mesh.n_elements, density=rho)
-    volume = check_direct_property(spec, prop("volume", "le", 1e9)).measured
-    mass = check_material_property(spec, prop("mass", "le", 1.0), fld)
+    volume = check(spec, prop("volume", "le", 1e9))[0].measured
+    mass = check(spec, prop("mass", "le", 1.0), FieldEvaluation(spec, fld))[0]
     assert mass.passed
     assert_allclose(mass.measured, rho * volume, rtol=1e-12)
 
@@ -251,7 +252,7 @@ def test_mass_check_on_unit_cube():
     mesh = generate_box_mesh(1, 1, 1, [1.0, 1.0, 1.0])
     spec = bind_to_mesh(layer_from_dict({}), mesh)
     fld = MaterialField.uniform(mesh.n_elements, density=2e-6)
-    v = check_material_property(spec, prop("mass", "le", 3e-6), fld)
+    v = check(spec, prop("mass", "le", 3e-6), FieldEvaluation(spec, fld))[0]
     assert v.passed
     assert_allclose(v.measured, 2e-6, rtol=1e-12)
 
@@ -274,13 +275,13 @@ def shaft_displacement_setup(bound_scale):
 
 def test_displacement_property_with_generous_bound_passes():
     spec, fld = shaft_displacement_setup(2.0)
-    verdict = check_material_property(spec, spec.properties[0], fld)
+    verdict = check(spec, spec.properties[0], FieldEvaluation(spec, fld))[0]
     assert verdict.passed
 
 
 def test_displacement_property_with_tight_bound_fails():
     spec, fld = shaft_displacement_setup(0.5)
-    verdict = check_material_property(spec, spec.properties[0], fld)
+    verdict = check(spec, spec.properties[0], FieldEvaluation(spec, fld))[0]
     assert not verdict.passed
 
 
@@ -293,7 +294,7 @@ def test_direct_verdicts_invariant_under_vertex_relabeling():
     ]
     layer = layer_from_dict(doc)
     spec = bind_to_mesh(layer, mesh)
-    before = check_direct_property(spec, spec.properties[0])
+    before = check(spec, spec.properties[0])[0]
 
     perm = rng.permutation(mesh.n_vertices)
     new_vertices = np.empty_like(mesh.vertices)
@@ -306,7 +307,7 @@ def test_direct_verdicts_invariant_under_vertex_relabeling():
         for k, v in iso_doc.get("vertex_annotations", {}).items()
     }
     iso_spec = bind_to_mesh(layer_from_dict(iso_doc), iso_mesh)
-    after = check_direct_property(iso_spec, iso_spec.properties[0])
+    after = check(iso_spec, iso_spec.properties[0])[0]
     assert after.passed == before.passed
     assert_allclose(after.measured, before.measured, rtol=1e-12)
 

@@ -101,16 +101,16 @@ def _seed_range(text):
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise ValueError
-            seeds = list(range(lo, hi + 1))
         else:
-            seeds = [int(text)]
+            lo = hi = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a seed or inclusive seed range like 3..6"
         )
-    if any(s < 0 for s in seeds):
-        raise argparse.ArgumentTypeError("seeds must be nonnegative")
-    return seeds
+    # the bound run_print checks, here before any seed is planned or written
+    if lo < 0 or hi >= printsim.SEED_LIMIT:
+        raise argparse.ArgumentTypeError("seeds must be in [0, 2**63)")
+    return list(range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------------------

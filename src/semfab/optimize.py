@@ -47,8 +47,11 @@ point. A variable is *active* when it sits exactly on a box bound and the
 gradient pushes outward; it stays pinned at its base value, as first-order
 sensitivity theory for bound constraints prescribes. The model holds the
 Hessian rows of the k inactive variables only (k x n), from central
-differences of the gradient: two evaluations per inactive variable. A model
-whose variables are all active costs the base-point evaluation alone.
+differences of the gradient: two evaluations per inactive variable. The
+base-point gradient reads the plan's own evaluation, handed on through
+:class:`OptimizationResult`, so a model whose variables are all active
+costs no solve for the self-adjoint compliance and at most one adjoint
+solve on the plan's factor otherwise.
 
 The model keeps only what the base point determines. Each re-plan freezes
 a different set of printed elements, so :func:`warm_start_update` slices
@@ -92,11 +95,26 @@ MIN_STEP = 1e-14
 
 @dataclasses.dataclass(frozen=True)
 class LipschitzSpec:
-    """Smoothness surrogate: |x_a - x_b| <= gamma * dist for each pair."""
+    """Smoothness surrogate: |x_a - x_b| <= gamma * dist for each pair.
+
+    The per-pair bounds ``gamma * distances`` and the two columns of
+    ``pairs`` are made once, as contiguous arrays, so the excesses of a
+    point are one gather-subtract, an abs and a subtraction.
+    """
 
     gamma: float
     pairs: np.ndarray  # (k, 2) variable indices
     distances: np.ndarray  # (k,)
+    limits: np.ndarray = dataclasses.field(init=False, repr=False)
+    first: np.ndarray = dataclasses.field(init=False, repr=False)
+    second: np.ndarray = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "limits", self.gamma * self.distances)
+        object.__setattr__(self, "first",
+                           np.ascontiguousarray(self.pairs[:, 0]))
+        object.__setattr__(self, "second",
+                           np.ascontiguousarray(self.pairs[:, 1]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,6 +132,11 @@ class OptimizationResult:
     # why a warm start fell back to a full solve: "model_invalid",
     # "base_point" or "warm_infeasible"; None when it did not
     fallback: str | None = None
+    # the semantics.FieldEvaluation of ``values``, handed on to the next
+    # reader of that field (build_quadratic_model); None for a
+    # FunctionProblem, which has no field
+    evaluation: semantics.FieldEvaluation | None = dataclasses.field(
+        default=None, compare=False, repr=False)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -481,35 +504,38 @@ def _lipschitz_from_spec(spec, parameter):
 
 
 def _lipschitz_excesses(lip, x):
-    diffs = x[lip.pairs[:, 0]] - x[lip.pairs[:, 1]]
-    return np.abs(diffs) - lip.gamma * lip.distances, diffs
+    diffs = x[lip.first] - x[lip.second]
+    return np.abs(diffs) - lip.limits, diffs
 
 
-def _lipschitz_penalty(lip, x, need_grad):
-    """Squared-hinge value of the pairs, its gradient when ``need_grad``
-    (else None), and the verdict on the worst pair, which final
-    verification does not check and which passes up to
-    ``_feas_margin(gamma)``."""
-    excess, diffs = _lipschitz_excesses(lip, x)
-    active = excess > 0.0
-    value = float(np.sum(excess[active] ** 2))
+def _lipschitz_verdict(lip, excess, diffs):
+    """The verdict on the worst pair, which final verification does not
+    check and which passes up to ``_feas_margin(gamma)``."""
     worst = int(np.argmax(excess)) if excess.size else 0
     max_excess = float(excess[worst]) if excess.size else 0.0
     ratio = 0.0
     if excess.size and lip.distances[worst] > 0.0:
         ratio = float(abs(diffs[worst]) / lip.distances[worst])
-    verdict = semantics.Verdict(
+    return semantics.Verdict(
         "field_regularity", "field_regularity", ratio, lip.gamma, max_excess,
         max_excess <= _feas_margin(lip.gamma),
     )
+
+
+def _lipschitz_penalty(lip, x, need_grad):
+    """Squared-hinge value of the pairs, its gradient when ``need_grad``
+    (else None), and the verdict of :func:`_lipschitz_verdict`."""
+    excess, diffs = _lipschitz_excesses(lip, x)
+    active = excess > 0.0
+    value = float(np.sum(excess[active] ** 2))
     grad = None
     if need_grad:
         grad = np.zeros_like(x)
         if np.any(active):
             coeff = 2.0 * excess[active] * np.sign(diffs[active])
-            np.add.at(grad, lip.pairs[active, 0], coeff)
-            np.add.at(grad, lip.pairs[active, 1], -coeff)
-    return value, grad, verdict
+            np.add.at(grad, lip.first[active], coeff)
+            np.add.at(grad, lip.second[active], -coeff)
+    return value, grad, _lipschitz_verdict(lip, excess, diffs)
 
 
 def evaluate_objective(problem, free_values):
@@ -526,8 +552,10 @@ def _merit(problem, x, weight, need_grad, ctx=None):
     Returns the merit, the objective, the verdict of every constraint and
     of the Lipschitz surrogate, and the merit gradient (None unless
     ``need_grad``). Each hinge aims ``_feas_margin(bound)`` inside its
-    bound and is taken from the same excesses as the verdict. ``ctx``,
-    when given, is a context at ``x`` whose solves are reused.
+    bound and is taken from the same excesses as the verdict. At weight 0
+    no hinge is summed: the merit is the objective, and only the verdicts
+    are made. ``ctx``, when given, is a context at ``x`` whose solves are
+    reused.
     """
     if ctx is None:
         ctx = problem.context(x)
@@ -538,19 +566,23 @@ def _merit(problem, x, weight, need_grad, ctx=None):
     for constraint in problem.constraints:
         verdict, excesses = constraint.check(x, ctx)
         verdicts.append(verdict)
+        if not weight:
+            continue
         hinge = excesses + _feas_margin(constraint.bound)
         active = hinge > 0.0
         merit += weight * float((hinge[active] ** 2).sum())
         if need_grad and np.any(active):
             constraint.add_gradient(x, ctx, np.where(active, 2.0 * hinge, 0.0),
                                     terms, weight)
-    if problem.lipschitz is not None:
-        value, lgrad, verdict = _lipschitz_penalty(problem.lipschitz, x,
-                                                   need_grad)
+    lip = problem.lipschitz
+    if lip is not None and weight:
+        value, lgrad, verdict = _lipschitz_penalty(lip, x, need_grad)
         merit += weight * value
         verdicts.append(verdict)
         if need_grad:
             terms.add(lgrad, weight)
+    elif lip is not None:
+        verdicts.append(_lipschitz_verdict(lip, *_lipschitz_excesses(lip, x)))
     grad = terms.total(ctx) if need_grad else None
     return merit, obj, tuple(verdicts), grad
 
@@ -686,8 +718,9 @@ def inversion_solve(
 ):
     """Minimize the objective over free elements subject to annotated bounds.
 
-    Returns an :class:`OptimizationResult`; infeasibility is reported through
-    ``feasible=False`` plus the violated constraint names, never raised.
+    Returns an :class:`OptimizationResult`, with the evaluation of its final
+    point; infeasibility is reported through ``feasible=False`` plus the
+    violated constraint names, never raised.
     """
     start = problem.stats.fem_solves
     if x0 is None:
@@ -723,6 +756,7 @@ def inversion_solve(
             fem_solves=problem.stats.fem_solves - start,
             strategy="full",
             trace=tuple(trace),
+            evaluation=ctx,
         )
     weight = 1.0
     total_iters = 0
@@ -757,6 +791,7 @@ def inversion_solve(
         fem_solves=problem.stats.fem_solves - start,
         strategy="full",
         trace=tuple(trace),
+        evaluation=ctx,
     )
 
 
@@ -778,20 +813,42 @@ def _projected_gradient_norm(problem, x, grad):
     return float(np.linalg.norm(projected, np.inf)) if projected.size else 0.0
 
 
-def build_quadratic_model(problem, base_values):
+def _context_at(problem, x, evaluation):
+    """``evaluation`` when it can stand for ``problem.context(x)``: it is on
+    the problem's specification, solver tolerance and solve counter, and its
+    field holds the bits of the one at ``x`` in every parameter. Otherwise a
+    new context."""
+    if (evaluation is not None and evaluation.spec is problem.spec
+            and evaluation.tol == problem.solver_tol
+            and evaluation.stats is problem.stats):
+        fld = problem.field_for(x)
+        if all(evaluation.field.values(p).tobytes() == fld.values(p).tobytes()
+               for p in semantics.PARAMETERS):
+            return evaluation
+    return problem.context(x)
+
+
+def build_quadratic_model(problem, base_values, evaluation=None):
     """Quadratic expansion of the objective at an approximate minimizer.
 
     A free variable that sits exactly on a box bound with the gradient
     pushing outward is active and stays pinned; the model holds the Hessian
     rows of the k inactive variables only, from central differences of the
     analytic gradient with steps of 1e-3 times each variable's box width:
-    the base-point evaluation plus two per inactive variable.  Raises
-    :class:`BasePointError` when the base point is not near-stationary and
-    :class:`ModelInvalidError` when the model fails the checks of
-    :func:`warm_start_update` on ``problem``'s own frozen/free split.
+    the base-point gradient plus two evaluations per inactive variable.
+    ``evaluation`` (the plan's, from :class:`OptimizationResult`) stands
+    for the base point's when it is on ``problem``'s specification,
+    tolerance and solve counter at a bitwise-equal field; then the
+    base-point gradient makes no new factor, and no solve at all for the
+    self-adjoint compliance. Otherwise the base point is evaluated afresh,
+    with the same bits.  Raises :class:`BasePointError` when the base point
+    is not near-stationary and :class:`ModelInvalidError` when the model
+    fails the checks of :func:`warm_start_update` on ``problem``'s own
+    frozen/free split.
     """
     x = problem.pin(base_values)
-    _, grad = problem.objective_and_gradient(x, problem.context(x))
+    _, grad = problem.objective_and_gradient(
+        x, _context_at(problem, x, evaluation))
     pg = _projected_gradient_norm(problem, x, grad)
     if pg > MODEL_GRAD_TOL:
         raise BasePointError(
@@ -899,7 +956,8 @@ def reoptimize_after_drift(
             )
         try:
             if model is None:
-                model = build_quadratic_model(problem, previous_result.values)
+                model = build_quadratic_model(problem, previous_result.values,
+                                              previous_result.evaluation)
             delta_z = warm_start_update(model, problem, delta_y)
             free = problem.free_idx
             x = problem.pin(model.base_values)
@@ -908,7 +966,8 @@ def reoptimize_after_drift(
                 problem.boxes[free, 0],
                 problem.boxes[free, 1],
             )
-            feasible, verdicts, objective = verify_constraints(problem, x)
+            ctx = problem.context(x)
+            feasible, verdicts, objective = verify_constraints(problem, x, ctx)
             if feasible:
                 return OptimizationResult(
                     values=x,
@@ -921,6 +980,7 @@ def reoptimize_after_drift(
                     fem_solves=problem.stats.fem_solves - start,
                     strategy="warm_start",
                     trace=(),
+                    evaluation=ctx,
                 )
             fallback = "warm_infeasible"
         except ModelInvalidError:

@@ -29,6 +29,7 @@ _ACTUATOR_STREAM = 0
 _SENSOR_STREAM = 1
 
 DEFAULT_PRIOR_SD = 0.5  # broad prior on log-parameter before any measurement
+SEED_LIMIT = 2**63  # a seed is an integer in [0, SEED_LIMIT)
 
 
 def _stream(seed, layer, purpose):
@@ -38,7 +39,8 @@ def _stream(seed, layer, purpose):
 
 
 def _check_seed(seed):
-    if not isinstance(seed, (int, np.integer)) or seed < 0 or seed >= 2**63:
+    if (not isinstance(seed, (int, np.integer)) or seed < 0
+            or seed >= SEED_LIMIT):
         raise ValueError("seed must be an integer in [0, 2**63)")
     return int(seed)
 
@@ -531,7 +533,7 @@ def run_print(problem, initial_plan, actuator, sensor, policy, seed,
             if drifted:
                 try:
                     model = optimize.build_quadratic_model(
-                        problem, initial_plan.values
+                        problem, initial_plan.values, initial_plan.evaluation
                     )
                 except optimize.ModelInvalidError:
                     strategy, fallback = "full", "model_invalid"

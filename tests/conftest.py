@@ -1,8 +1,25 @@
 """Shared builders for closed-loop scenarios used across test modules."""
 
+import hashlib
+
 import numpy as np
 
-from semfab import mesh, optimize, semantics
+from semfab import fem, mesh, optimize, semantics
+
+
+def record_primal_solves(monkeypatch):
+    """Wraps `fem.solve`; the returned list gets one (physics, digest of
+    K.data) key per call, so a field solved twice shows as a repeated key."""
+    keys = []
+    original = fem.solve
+
+    def keyed(system, *args, **kwargs):
+        digest = hashlib.blake2b(system.K.data.tobytes(), digest_size=16)
+        keys.append((system.physics, digest.hexdigest()))
+        return original(system, *args, **kwargs)
+
+    monkeypatch.setattr(fem, "solve", keyed)
+    return keys
 
 
 def consistent_face_loads(m, verts, total_force):

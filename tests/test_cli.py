@@ -326,6 +326,30 @@ def test_simulate_seed_fanout_outputs_are_deterministic(tmp_path):
         (tmp_path / "a" / "report_6.json").read_bytes()
 
 
+def test_simulate_rejects_a_seed_of_2_63_before_any_work(tmp_path, capsys):
+    write_bar_files(tmp_path, 4, 0.06, BOX)
+    write_scenario(tmp_path / "scenario.json")
+    rc = run_cli("simulate", tmp_path / "scenario.json", "--out",
+                 tmp_path / "sim", "--seeds",
+                 "9223372036854775807..9223372036854775808")
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "SEMFAB-ERR[usage]" in captured.err and "2**63" in captured.err
+    assert "seed" not in captured.out
+    assert not (tmp_path / "sim").exists()
+
+
+def test_simulate_runs_the_largest_seed(tmp_path, capsys):
+    write_bar_files(tmp_path, 4, 0.06, BOX)
+    write_scenario(tmp_path / "scenario.json")
+    rc = run_cli("simulate", tmp_path / "scenario.json", "--out",
+                 tmp_path / "sim", "--seeds", "9223372036854775807")
+    assert rc == 0
+    assert "seed 9223372036854775807: success" in capsys.readouterr().out
+    report = json.loads((tmp_path / "sim" / "report.json").read_text())
+    assert report["seed"] == 2**63 - 1
+
+
 def test_simulate_rejects_malformed_scenario(tmp_path, capsys):
     (tmp_path / "scenario.json").write_text("{not json")
     rc = run_cli("simulate", tmp_path / "scenario.json",

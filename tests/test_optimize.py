@@ -8,7 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import bar_mesh_and_doc, bar_tip_displacement, layered_bar_problem
+from conftest import (bar_mesh_and_doc, bar_tip_displacement,
+                      layered_bar_problem, record_primal_solves)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -720,6 +721,29 @@ def test_lipschitz_zero_violation_contributes_nothing():
     assert np.array_equal(merit_grad, obj_grad)
 
 
+def test_lipschitz_excesses_keep_the_bits_of_the_plain_formula():
+    lip = plate_block_problem().lipschitz
+    x = np.random.default_rng(4).uniform(0.1, 0.4, lip.pairs.max() + 1)
+    excess, diffs = optimize._lipschitz_excesses(lip, x)
+    plain = x[lip.pairs[:, 0]] - x[lip.pairs[:, 1]]
+    assert diffs.tobytes() == plain.tobytes()
+    assert excess.tobytes() == \
+        (np.abs(plain) - lip.gamma * lip.distances).tobytes()
+
+
+def test_a_penalty_free_check_gives_the_penalized_verdicts():
+    # weight 0 skips the hinge sums and the Lipschitz value, not a verdict
+    problem = plate_block_problem()
+    x = np.random.default_rng(6).uniform(0.1, 0.4, problem.n_variables)
+    _, _, verdicts, _ = optimize._merit(problem, x, 1.0, True)
+    feasible, checked, objective = optimize.verify_constraints(problem, x)
+    assert checked == verdicts
+    assert [v.name for v in checked] == ["hot_face", "bulk_heat",
+                                         "field_regularity"]
+    assert not checked[-1].passed and not feasible
+    assert objective == problem.objective_value(x)
+
+
 def test_lipschitz_pairs_come_from_shared_faces():
     problem = chain_conduction_problem()
     pairs = problem.lipschitz.pairs
@@ -996,6 +1020,81 @@ def test_model_at_an_all_active_plan_costs_one_solve():
     # the warm step is the identity on the free block
     assert np.array_equal(optimize.warm_start_update(model, problem, []),
                           np.zeros(60))
+
+
+def _planned_plate_block():
+    problem = plate_block_problem()
+    plan = optimize.inversion_solve(problem)
+    assert plan.feasible and np.array_equal(plan.values, problem.boxes[:, 1])
+    return problem, plan
+
+
+def assert_same_model(model, expected):
+    for name in ("base_values", "inactive_idx", "active_idx", "rows"):
+        got, want = getattr(model, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("planned, handed_on, fresh", [
+    # compliance is self-adjoint: the gradient needs the plan's u alone
+    (lambda: upper_bound_bar(10), 0, 1),
+    # one adjoint solve on the plan's factor; afresh, its primal as well
+    (_planned_plate_block, 1, 2),
+])
+def test_model_reads_the_plans_evaluation(planned, handed_on, fresh):
+    problem, plan = planned()
+    before = problem.stats.fem_solves
+    model = optimize.build_quadratic_model(problem, plan.values,
+                                           plan.evaluation)
+    assert problem.stats.fem_solves - before == handed_on
+    before = problem.stats.fem_solves
+    expected = optimize.build_quadratic_model(problem, plan.values)
+    assert problem.stats.fem_solves - before == fresh
+    assert_same_model(model, expected)
+
+
+def test_model_ignores_a_stale_evaluation():
+    problem, plan = upper_bound_bar(10)
+    expected = optimize.build_quadratic_model(problem, plan.values)
+    fld = problem.field_for(plan.values)
+    nudged = plan.values.copy()
+    nudged[0] = np.nextafter(nudged[0], 0.0)
+    twin, _ = upper_bound_bar(10)  # an equal specification, not the same
+    stale = {
+        "another field": problem.context(nudged),
+        "another spec": semantics.FieldEvaluation(
+            twin.spec, fld, problem.solver_tol, twin.assembly_plan,
+            problem.stats),
+        "another tol": semantics.FieldEvaluation(
+            problem.spec, fld, 0.5 * problem.solver_tol,
+            problem.assembly_plan, problem.stats),
+        "another RunStats": semantics.FieldEvaluation(
+            problem.spec, fld, problem.solver_tol, problem.assembly_plan,
+            semantics.RunStats()),
+    }
+    for name, evaluation in stale.items():
+        # solved already, so a wrongful reuse would cost no solve here
+        evaluation.solution("elasticity")
+        before = problem.stats.fem_solves
+        model = optimize.build_quadratic_model(problem, plan.values,
+                                               evaluation)
+        assert problem.stats.fem_solves - before == 1, name
+        assert_same_model(model, expected)
+
+
+def test_a_plan_solves_no_field_twice(monkeypatch):
+    problem, _ = _hot_block_problem()
+    keys = record_primal_solves(monkeypatch)
+    result = optimize.inversion_solve(problem)
+    assert result.evaluation.field.conductivity.tobytes() == \
+        result.values.tobytes()
+    assert keys and len(set(keys)) == len(keys)
+
+
+def test_a_function_problem_result_has_no_evaluation():
+    result = optimize.inversion_solve(halfspace_problem())
+    assert result.evaluation is None
 
 
 def test_model_build_allocates_nothing_square_over_elements():

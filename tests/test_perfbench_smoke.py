@@ -32,7 +32,7 @@ def test_bar_pcg_benchmark_run_is_correct():
 
 def test_bar_warm_cli_benchmark_run_is_correct():
     result = run_is_correct("bar-warm-cli")
-    assert result["metrics"]["fem_solves"]["value"] == 27
+    assert result["metrics"]["fem_solves"]["value"] == 25
 
 
 def test_plate_thermal_benchmark_run_is_correct():

@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import bar_tip_displacement, layered_bar_problem
+from conftest import (bar_tip_displacement, layered_bar_problem,
+                      record_primal_solves)
 
 from semfab import fem, optimize, printsim
 from semfab.errors import CalibrationError, PrintCompleteError
@@ -307,7 +308,7 @@ def drifting_print_kwargs(strategy, noise_sd=0.01):
 
 def test_warm_start_engages_on_every_layer_under_drift():
     # the plan sits on the upper E bound, so every variable is bound-active
-    # and the model costs the base-point solve alone
+    # and the model reads the plan's own evaluation: no solve for compliance
     probe = layered_bar_problem(10, d_max=1.0, young_box=BOX)
     nominal = bar_tip_displacement(probe, np.full(60, E_HI))
     problem = layered_bar_problem(10, d_max=1.08 * nominal, young_box=BOX)
@@ -320,7 +321,45 @@ def test_warm_start_engages_on_every_layer_under_drift():
     assert all(rec.strategy == "warm_start" and rec.fallback is None
                for rec in warm.history)
     # the model, one feasibility check per layer, the final verification
-    assert warm.fem_solves == 1 + 10 + 1
+    assert warm.fem_solves == 0 + 10 + 1
+
+
+def upper_bound_bar_problem():
+    """The 10-layer test bar whose plan sits on the upper E bound."""
+    probe = layered_bar_problem(10, d_max=1.0, young_box=BOX)
+    nominal = bar_tip_displacement(probe, np.full(60, E_HI))
+    return layered_bar_problem(10, d_max=1.08 * nominal, young_box=BOX)
+
+
+def test_warm_start_costs_what_a_full_replan_does_at_a_corner_plan():
+    # each full layer stops at its start-point check, and the warm start's
+    # model reads the plan's evaluation, so neither has a solve to spare
+    problem = upper_bound_bar_problem()
+    plan = optimize.inversion_solve(problem)
+    solves = {}
+    for strategy in ("warm_start", "full"):
+        report = printsim.run_print(problem, plan, seed=5,
+                                    **drifting_print_kwargs(strategy))
+        assert report.outcome == "success"
+        solves[strategy] = report.fem_solves
+    assert solves == {"warm_start": 11, "full": 11}
+
+
+def test_a_plan_and_its_prints_solve_no_field_twice(monkeypatch):
+    # the warm start's model reads the plan's own evaluation instead of
+    # solving the plan's field again; the two prints run other seeds, as
+    # `simulate --seeds` does, so every field they reach is their own
+    problem = upper_bound_bar_problem()
+    keys = record_primal_solves(monkeypatch)
+    plan = optimize.inversion_solve(problem)
+    for seed, strategy in ((5, "warm_start"), (6, "full")):
+        report = printsim.run_print(problem, plan, seed=seed,
+                                    **drifting_print_kwargs(strategy))
+        assert report.outcome == "success"
+    # the plan's midpoint and corner; per print, ten layer checks and the
+    # final verification
+    assert len(keys) == 2 + 11 + 11
+    assert len(set(keys)) == len(keys)
 
 
 def test_failed_model_build_is_recorded_as_the_fallback(bar, tmp_path):
@@ -359,8 +398,9 @@ def test_nonstationary_plan_is_recorded_as_the_base_point_fallback(bar):
     assert len(report.history) == 4
     assert all(rec.strategy == "full" and rec.fallback == "base_point"
                for rec in report.history)
-    # the failed build's base-point solve, 7 on the layers, the final check
-    assert report.fem_solves == 1 + 7 + 1
+    # the failed build reads the plan's evaluation (no solve), 7 on the
+    # layers, the final check
+    assert report.fem_solves == 0 + 7 + 1
 
 
 def test_plan_reported_feasible_passes_final_verification(bar):

@@ -94,7 +94,8 @@ def _size_triple(text):
 
 
 def _seed_range(text):
-    """Either one seed ("7") or an inclusive range ("3..6")."""
+    """Either one seed ("7") or an inclusive range ("3..6"), as a ``range``,
+    which holds any number of seeds in constant memory."""
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
@@ -110,7 +111,7 @@ def _seed_range(text):
     # the bound run_print checks, here before any seed is planned or written
     if lo < 0 or hi >= printsim.SEED_LIMIT:
         raise argparse.ArgumentTypeError("seeds must be in [0, 2**63)")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +259,8 @@ def cmd_simulate(args):
             "initial plan infeasible; violated: " + ", ".join(plan.violated),
         )
     seeds = args.seeds if args.seeds is not None else [scenario.seed]
+    # len() of a range of 2**63 seeds raises OverflowError
+    single = seeds[0] == seeds[-1]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = []
@@ -272,7 +275,7 @@ def cmd_simulate(args):
             scenario.layer_height,
             tol=tol,
         )
-        suffix = "" if len(seeds) == 1 else f"_{seed}"
+        suffix = "" if single else f"_{seed}"
         printsim.save_report(report, out_dir / f"report{suffix}.json")
         printsim.history_to_csv(report, out_dir / f"history{suffix}.csv")
         log.info("seed %d: %d layers, %d FEM solves", seed,
@@ -384,7 +387,8 @@ def build_parser():
                         "normwise backward error |K x - b|_1 / (|K|_1 |x|_1 "
                         "+ |b|_1) accepted from a FEM solve")
     shared.add_argument("--max-iter", dest="max_iter", type=_positive_int,
-                        default=None, help="optimizer iteration cap")
+                        default=None,
+                        help="iteration cap of each optimizer inner solve")
     shared.add_argument("--log-level", dest="log_level", default=None,
                         choices=_LOG_LEVELS)
     shared.add_argument("--config", default=None,

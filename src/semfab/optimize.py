@@ -6,32 +6,31 @@ quadratic-model machinery), while :class:`InversionProblem` drives the finite
 element solvers in :mod:`semfab.fem` to pick per-element material values that
 meet annotated bounds.
 
-The solver is projected gradient descent over box-normalized coordinates with
-Armijo backtracking.  Bound-type constraints enter through squared-hinge
-penalties whose weight escalates until a penalty-free feasibility check
-passes; if escalation runs out, the best iterate is returned with
-``feasible=False`` and the violated constraint names as a certificate.
+The solver is an augmented Lagrangian over box-normalized coordinates
+(Conn, Gould & Toint 1991; Nocedal & Wright, section 17.4) with SciPy's
+L-BFGS-B as its inner solver.  After an inner solve whose point fails the
+penalty-free check, the multipliers take their first-order update; if the
+outer steps run out, the last point is returned with ``feasible=False`` and
+the violated constraint names as a certificate.  The result carries the
+multiplier estimates at its point.
 
-Each constraint has two methods.  ``check`` gives its
-:class:`semantics.Verdict` and its excesses c(x), one per vertex of a local
-property and one otherwise, by the test :func:`semantics.check` applies in
-final verification; a verdict passes at excess <= 0.  ``add_gradient``
-adds w . (gradient of c) for a weight vector w.  :func:`_merit` is the one
-loop over the constraints: the squared hinges, aimed
-``FEAS_TOL * max(1, |bound|)`` inside each bound, and their gradient
-weights ``2 * hinge`` come from the same excesses as the verdicts, and
-:func:`verify_constraints` is that loop with weight 0 and no gradient.
+Each constraint, the Lipschitz surrogate too, has two methods.  ``check``
+gives its :class:`semantics.Verdict` and its excesses c(x), one per vertex
+of a local property, one per pair of the surrogate and one otherwise, by
+the test :func:`semantics.check` applies in final verification.
+``add_gradient`` adds w . (gradient of c) for a weight vector w.
+:func:`_merit` is the one loop over the constraints; its hinges aim
+``FEAS_TOL * max(1, |bound|)`` inside each property bound, and
+:func:`verify_constraints` is that loop without multipliers.
 
-Each penalty phase opens with a face trial: every free coordinate moves to
-the box face its merit gradient points at, the far end of the projection
-arc (Bertsekas 1976).  It is kept when it passes the Armijo test and the
-objective itself falls, so a plan whose optimum is a box corner gets there
-in one step; otherwise the line search goes on from a unit step, and the
-trial has cost one evaluation.  An objective of another parameter than the
+The first inner solve opens with a face trial: every free coordinate moves
+to the box face its merit gradient points at.  It is kept when the merit
+and the objective fall, so a plan whose optimum is a box corner gets there
+in one step, without L-BFGS-B.  An objective of another parameter than the
 one optimized (``mass`` over E, say) cannot fall, so its plan makes none.
 
 A gradient costs one adjoint solve per physics. The objective and every
-active penalty hand their terms to one accumulator: a direct gradient, an
+active constraint hand their terms to one accumulator: a direct gradient, an
 adjoint load w for a solved quantity w . u, or for the self-adjoint
 compliance f . u the vector u itself. The loads of a physics are summed
 and solved once with the primal factor, and the element sensitivities of
@@ -87,20 +86,24 @@ DEFAULT_MAX_ITER = 500
 FEAS_TOL = 1e-6
 # largest projected-gradient norm accepted at a quadratic model's base point
 MODEL_GRAD_TOL = 1e-6
-PENALTY_GROWTH = 10.0
-MAX_ESCALATIONS = 6
-ARMIJO_C = 1e-4
-MIN_STEP = 1e-14
+# the augmented Lagrangian's first penalty parameter, at which each hinge
+# term is the squared hinge, and the most inner solves a plan makes
+RHO_START = 2.0
+MAX_OUTER = 10
 
 
 @dataclasses.dataclass(frozen=True)
 class LipschitzSpec:
     """Smoothness surrogate: |x_a - x_b| <= gamma * dist for each pair.
 
-    The per-pair bounds ``gamma * distances`` and the two columns of
-    ``pairs`` are made once, as contiguous arrays, so the excesses of a
-    point are one gather-subtract, an abs and a subtraction.
+    It is a constraint like the others, with one excess per pair and a
+    hinge margin of 0. The per-pair bounds ``gamma * distances`` and the
+    two columns of ``pairs`` are made once, as contiguous arrays, so the
+    excesses of a point are one gather-subtract, an abs and a subtraction.
     """
+
+    name = "field_regularity"
+    margin = 0.0
 
     gamma: float
     pairs: np.ndarray  # (k, 2) variable indices
@@ -115,6 +118,23 @@ class LipschitzSpec:
                            np.ascontiguousarray(self.pairs[:, 0]))
         object.__setattr__(self, "second",
                            np.ascontiguousarray(self.pairs[:, 1]))
+
+    def check(self, x, ctx):
+        """The verdict of :func:`_lipschitz_verdict` and one excess per
+        pair."""
+        excess, diffs = _lipschitz_excesses(self, x)
+        return _lipschitz_verdict(self, excess, diffs), excess
+
+    def add_gradient(self, x, ctx, w, grad, scale=1.0):
+        """Adds ``scale`` times w . (gradient of the excesses) to the
+        :class:`_Gradient` ``grad``; ``w`` is ordered like the pairs."""
+        _, diffs = _lipschitz_excesses(self, x)
+        active = w > 0.0
+        coeff = w[active] * np.sign(diffs[active])
+        pairs_grad = np.zeros_like(x)
+        np.add.at(pairs_grad, self.first[active], coeff)
+        np.add.at(pairs_grad, self.second[active], -coeff)
+        grad.add(pairs_grad, scale)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -137,6 +157,11 @@ class OptimizationResult:
     # FunctionProblem, which has no field
     evaluation: semantics.FieldEvaluation | None = dataclasses.field(
         default=None, compare=False, repr=False)
+    # first-order multiplier estimates at ``values``, one array per
+    # constraint in ``problem.constraints`` order and one entry per excess;
+    # empty for a warm-start step, which runs no augmented Lagrangian
+    multipliers: tuple = dataclasses.field(
+        default=(), compare=False, repr=False)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -208,6 +233,7 @@ class SyntheticConstraint:
     def __init__(self, name, excess_fn, grad_fn=None, bound=0.0):
         self.name = name
         self.bound = float(bound)
+        self.margin = _feas_margin(self.bound)
         self._excess_fn = excess_fn
         self._grad_fn = grad_fn
 
@@ -226,7 +252,41 @@ class SyntheticConstraint:
             grad.add(np.asarray(self._grad_fn(x), dtype=float), w[0] * scale)
 
 
-class FunctionProblem:
+class _BoxProblem:
+    """The boxes and the frozen/free split both problem kinds share."""
+
+    def _split(self, boxes, frozen_idx, frozen_values):
+        self.boxes = boxes
+        self.n_variables = n = boxes.shape[0]
+        self.frozen_idx = np.asarray(frozen_idx, dtype=np.intp).reshape(-1)
+        self.frozen_values = np.asarray(frozen_values, dtype=float).reshape(-1)
+        if self.frozen_idx.size != self.frozen_values.size:
+            raise ValueError("frozen indices and values must align")
+        if self.frozen_idx.size and (
+            self.frozen_idx.min() < 0 or self.frozen_idx.max() >= n
+        ):
+            raise ValueError("frozen element index out of range")
+        mask = np.ones(n, dtype=bool)
+        mask[self.frozen_idx] = False
+        self.free_idx = np.flatnonzero(mask)
+        sub = boxes[self.free_idx]
+        if sub.size and not np.all(np.isfinite(sub)):
+            raise ValueError("free elements need finite parameter ranges")
+        if sub.size and np.any(sub[:, 1] < sub[:, 0]):
+            raise ValueError("empty parameter range on a free element")
+
+    def pin(self, x):
+        x = np.array(x, dtype=float)
+        x[self.frozen_idx] = self.frozen_values
+        return x
+
+    def start_values(self):
+        # inf - inf on unannotated parameters would warn; nan is wanted
+        with np.errstate(invalid="ignore"):
+            return self.pin(0.5 * (self.boxes[:, 0] + self.boxes[:, 1]))
+
+
+class FunctionProblem(_BoxProblem):
     """Box-constrained problem over a plain vector.
 
     ``stats.fem_solves`` counts objective evaluations, standing in for FEM
@@ -248,34 +308,16 @@ class FunctionProblem:
     ):
         self._objective = objective
         self._gradient = gradient
-        self.boxes = np.asarray(boxes, dtype=float)
-        if self.boxes.ndim != 2 or self.boxes.shape[1] != 2:
+        boxes = np.asarray(boxes, dtype=float)
+        if boxes.ndim != 2 or boxes.shape[1] != 2:
             raise ValueError("boxes must have shape (n, 2)")
-        n = self.boxes.shape[0]
-        self.n_variables = n
-        self.frozen_idx = np.asarray(frozen_idx, dtype=np.intp).reshape(-1)
-        self.frozen_values = np.asarray(frozen_values, dtype=float).reshape(-1)
-        if self.frozen_idx.size != self.frozen_values.size:
-            raise ValueError("frozen indices and values must align")
-        mask = np.ones(n, dtype=bool)
-        mask[self.frozen_idx] = False
-        self.free_idx = np.flatnonzero(mask)
-        _check_free_boxes(self.boxes, self.free_idx)
-        self.constraints = tuple(constraints)
+        self._split(boxes, frozen_idx, frozen_values)
         self.lipschitz = lipschitz
+        self.constraints = tuple(constraints) + _regularity(lipschitz)
         self.stats = semantics.RunStats()
 
     def context(self, x):
         return None
-
-    def pin(self, x):
-        x = np.array(x, dtype=float)
-        x[self.frozen_idx] = self.frozen_values
-        return x
-
-    def start_values(self):
-        x = _box_midpoints(self.boxes)
-        return self.pin(x)
 
     def objective_value(self, x, ctx=None, grad=None):
         """The objective; adds its gradient to ``grad`` when one is given."""
@@ -304,6 +346,7 @@ class _PropertyConstraint:
         self.prop = prop
         self.name = prop.name
         self.bound = float(prop.bound)
+        self.margin = _feas_margin(self.bound)
 
     def check(self, x, ctx):
         return semantics.check(self.problem.spec, self.prop, ctx)
@@ -345,7 +388,7 @@ def _average_temperature_load(spec):
     return weights / weights.sum()
 
 
-class InversionProblem:
+class InversionProblem(_BoxProblem):
     """Pick per-element material values meeting a bound specification.
 
     One material parameter is optimized; the others are held at
@@ -377,30 +420,17 @@ class InversionProblem:
         # trial is kept only when the objective falls
         self.face_trial = OBJECTIVES[objective][1] == self.parameter
         self.solver_tol = float(solver_tol)
-        m = spec.mesh.n_elements
-        self.n_variables = m
-        self.boxes = spec.parameter_box(self.parameter)
-        self.frozen_idx = np.asarray(frozen_idx, dtype=np.intp).reshape(-1)
-        self.frozen_values = np.asarray(frozen_values, dtype=float).reshape(-1)
-        if self.frozen_idx.size != self.frozen_values.size:
-            raise ValueError("frozen indices and values must align")
-        if self.frozen_idx.size and (
-            self.frozen_idx.min() < 0 or self.frozen_idx.max() >= m
-        ):
-            raise ValueError("frozen element index out of range")
-        mask = np.ones(m, dtype=bool)
-        mask[self.frozen_idx] = False
-        self.free_idx = np.flatnonzero(mask)
-        _check_free_boxes(self.boxes, self.free_idx)
+        self._split(spec.parameter_box(self.parameter), frozen_idx,
+                    frozen_values)
         self.base_field = (
             base_field if base_field is not None else spec.midpoint_field()
-        )
-        self.constraints = tuple(
-            _PropertyConstraint(self, prop) for prop in spec.properties
         )
         if lipschitz == "auto":
             lipschitz = _lipschitz_from_spec(spec, self.parameter)
         self.lipschitz = lipschitz
+        self.constraints = tuple(
+            _PropertyConstraint(self, prop) for prop in spec.properties
+        ) + _regularity(lipschitz)
         self.stats = semantics.RunStats()
         self._plans = {}
 
@@ -443,14 +473,6 @@ class InversionProblem:
     def context(self, x):
         return self.evaluation(self.field_for(x))
 
-    def pin(self, x):
-        x = np.array(x, dtype=float)
-        x[self.frozen_idx] = self.frozen_values
-        return x
-
-    def start_values(self):
-        return self.pin(_box_midpoints(self.boxes))
-
     def objective_value(self, x, ctx=None, grad=None):
         """The objective; adds its gradient terms to the :class:`_Gradient`
         ``grad`` when one is given."""
@@ -477,18 +499,9 @@ class InversionProblem:
         return self.objective_value(x, ctx, grad), grad.total(ctx)
 
 
-def _check_free_boxes(boxes, free_idx):
-    sub = boxes[free_idx]
-    if sub.size and not np.all(np.isfinite(sub)):
-        raise ValueError("free elements need finite parameter ranges")
-    if sub.size and np.any(sub[:, 1] < sub[:, 0]):
-        raise ValueError("empty parameter range on a free element")
-
-
-def _box_midpoints(boxes):
-    # inf - inf on unannotated parameters would warn; nan is the wanted result
-    with np.errstate(invalid="ignore"):
-        return 0.5 * (boxes[:, 0] + boxes[:, 1])
+def _regularity(lipschitz):
+    """The Lipschitz surrogate as the last constraint, when there is one."""
+    return () if lipschitz is None else (lipschitz,)
 
 
 def _lipschitz_from_spec(spec, parameter):
@@ -522,74 +535,49 @@ def _lipschitz_verdict(lip, excess, diffs):
     )
 
 
-def _lipschitz_penalty(lip, x, need_grad):
-    """Squared-hinge value of the pairs, its gradient when ``need_grad``
-    (else None), and the verdict of :func:`_lipschitz_verdict`."""
-    excess, diffs = _lipschitz_excesses(lip, x)
-    active = excess > 0.0
-    value = float(np.sum(excess[active] ** 2))
-    grad = None
-    if need_grad:
-        grad = np.zeros_like(x)
-        if np.any(active):
-            coeff = 2.0 * excess[active] * np.sign(diffs[active])
-            np.add.at(grad, lip.first[active], coeff)
-            np.add.at(grad, lip.second[active], -coeff)
-    return value, grad, _lipschitz_verdict(lip, excess, diffs)
+def _merit(problem, x, ctx=None, lam=None, rho=RHO_START, need_grad=False):
+    """The augmented Lagrangian at ``x`` (Nocedal & Wright, section 17.4).
 
+    Each constraint's hinges h = excess + margin come from the same
+    excesses as its verdict and add (max(0, lam + rho h)^2 - lam^2) /
+    (2 rho), whose gradient weight is max(0, lam + rho h); ``lam`` holds
+    one array per constraint. At lam = 0 and rho = 2 that is the squared
+    hinge h^2 with weight 2 h, bit for bit. Without ``lam`` no term is
+    summed: the merit is the objective, and only the verdicts and hinges
+    are made.
 
-def evaluate_objective(problem, free_values):
-    """Objective value and gradient over the free elements only."""
-    x = problem.pin(problem.start_values())
-    x[problem.free_idx] = np.asarray(free_values, dtype=float)
-    value, grad = problem.objective_and_gradient(x, problem.context(x))
-    return value, grad[problem.free_idx]
-
-
-def _merit(problem, x, weight, need_grad, ctx=None):
-    """Objective plus squared-hinge penalties at ``x``.
-
-    Returns the merit, the objective, the verdict of every constraint and
-    of the Lipschitz surrogate, and the merit gradient (None unless
-    ``need_grad``). Each hinge aims ``_feas_margin(bound)`` inside its
-    bound and is taken from the same excesses as the verdict. At weight 0
-    no hinge is summed: the merit is the objective, and only the verdicts
-    are made. ``ctx``, when given, is a context at ``x`` whose solves are
-    reused.
+    Returns the merit, the objective, the verdicts, the hinges (one array
+    per constraint) and the merit gradient (None unless ``need_grad``).
+    ``ctx``, when given, is a context at ``x`` whose solves are reused.
     """
     if ctx is None:
         ctx = problem.context(x)
     terms = _Gradient(problem) if need_grad else None
     obj = problem.objective_value(x, ctx, terms)
     merit = obj
-    verdicts = []
-    for constraint in problem.constraints:
+    verdicts, hinges = [], []
+    for i, constraint in enumerate(problem.constraints):
         verdict, excesses = constraint.check(x, ctx)
         verdicts.append(verdict)
-        if not weight:
+        hinge = excesses + constraint.margin
+        hinges.append(hinge)
+        if lam is None:
             continue
-        hinge = excesses + _feas_margin(constraint.bound)
-        active = hinge > 0.0
-        merit += weight * float((hinge[active] ** 2).sum())
+        weights = np.maximum(0.0, lam[i] + rho * hinge)
+        active = weights > 0.0
+        merit += float((weights[active] ** 2).sum()
+                       - (lam[i] ** 2).sum()) / (2.0 * rho)
         if need_grad and np.any(active):
-            constraint.add_gradient(x, ctx, np.where(active, 2.0 * hinge, 0.0),
-                                    terms, weight)
-    lip = problem.lipschitz
-    if lip is not None and weight:
-        value, lgrad, verdict = _lipschitz_penalty(lip, x, need_grad)
-        merit += weight * value
-        verdicts.append(verdict)
-        if need_grad:
-            terms.add(lgrad, weight)
-    elif lip is not None:
-        verdicts.append(_lipschitz_verdict(lip, *_lipschitz_excesses(lip, x)))
+            constraint.add_gradient(x, ctx, weights, terms)
     grad = terms.total(ctx) if need_grad else None
-    return merit, obj, tuple(verdicts), grad
+    return merit, obj, tuple(verdicts), hinges, grad
 
 
-def _max_violation(verdicts):
-    """The trace's ``max_violation``: the largest excess, or 0."""
-    return max([0.0] + [v.excess for v in verdicts])
+def _trace_record(iteration, objective, verdicts, step_norm):
+    """One trace line; ``max_violation`` is the largest excess, or 0."""
+    return {"iter": iteration, "objective": objective,
+            "max_violation": max([0.0] + [v.excess for v in verdicts]),
+            "step_norm": step_norm}
 
 
 def verify_constraints(problem, x, ctx=None):
@@ -600,199 +588,210 @@ def verify_constraints(problem, x, ctx=None):
     check, passes up to ``FEAS_TOL * max(1, gamma)``.  ``ctx``, when given,
     is a context at ``x`` whose solves are reused.
     """
-    _, objective, verdicts, _ = _merit(problem, x, 0.0, False, ctx)
+    _, objective, verdicts, _, _ = _merit(problem, x, ctx)
     return all(v.passed for v in verdicts), verdicts, objective
 
 
-def _pgd_phase(problem, x, weight, tol, max_iter, trace, iter_offset,
-               ctx=None):
-    """One penalty phase of projected gradient descent in box coordinates.
+@dataclasses.dataclass(frozen=True)
+class _Point:
+    """One evaluation of the augmented Lagrangian in box coordinates."""
 
-    The first iteration tries the face point first, unless
-    ``problem.face_trial`` is false: each coordinate at 1 where the merit
-    gradient is negative, at 0 where it is positive, and unchanged where it
-    is zero.  It is kept when it passes the Armijo test and the objective
-    itself falls; a step that lowers the penalty alone would overshoot a
-    bound no objective pulls against, so that progress is left to the
-    backtracking, which starts from a unit step.
+    xi: np.ndarray
+    x: np.ndarray
+    ctx: object
+    merit: float
+    objective: float
+    verdicts: tuple
+    gradient: np.ndarray | None  # of the merit, in box coordinates
 
-    ``ctx`` is a context at ``x``, used when the phase starts at exactly
-    ``x``. Returns the final point, the iteration count and the context of
-    the final point, or None when the last evaluation was elsewhere.
-    """
-    free = problem.free_idx
-    lo = problem.boxes[free, 0]
-    hi = problem.boxes[free, 1]
-    width = hi - lo
-    scale = np.where(width > 0.0, width, 1.0)
+    def stationary(self, tol):
+        return _projected_norm(self.xi, self.gradient) <= tol
 
-    def compose(xi):
+
+class _Box:
+    """The free variables of ``x`` in box-normalized coordinates, xi in
+    [0, 1], where the inner solves work."""
+
+    def __init__(self, problem, x):
+        self.problem, self.x = problem, x
+        self.free = problem.free_idx
+        self.lo = problem.boxes[self.free, 0]
+        self.hi = problem.boxes[self.free, 1]
+        self.width = self.hi - self.lo
+
+    def coordinates(self, x):
+        scale = np.where(self.width > 0.0, self.width, 1.0)
+        return np.clip((x[self.free] - self.lo) / scale, 0.0, 1.0)
+
+    def values(self, xi):
         # lo + width can round past hi; a coordinate clipped to 1 must land
         # on the bound bit for bit, where the warm start's active set looks
-        full = x.copy()
-        full[free] = np.where(xi == 1.0, hi, lo + xi * width)
+        full = self.x.copy()
+        full[self.free] = np.where(xi == 1.0, self.hi,
+                                   self.lo + xi * self.width)
         return full
 
-    xi = np.clip((x[free] - lo) / scale, 0.0, 1.0)
-    x_cur = compose(xi)
-    if ctx is None or not np.array_equal(x_cur, x):
-        ctx = problem.context(x_cur)
-    merit, obj, verdicts, grad = _merit(problem, x_cur, weight, True, ctx)
-    grad_xi = grad[free] * width
-    # per-coordinate curvature estimates: penalty walls and the smooth
-    # objective can differ by many orders, so one scalar step starves
-    # whichever coordinate is off-scale
-    curv = np.full(xi.shape, max(np.linalg.norm(grad_xi, np.inf), 1.0))
+    def evaluate(self, xi, lam, rho, ctx=None, need_grad=True):
+        """The merit at ``xi``; ``ctx``, when given, is a context there."""
+        x = self.values(xi)
+        if ctx is None:
+            ctx = self.problem.context(x)
+        merit, obj, verdicts, _, grad = _merit(self.problem, x, ctx, lam, rho,
+                                               need_grad)
+        if need_grad:
+            grad = grad[self.free] * self.width
+        return _Point(xi, x, ctx, merit, obj, verdicts, grad)
+
+
+def _inner_solve(box, point, lam, rho, tol, max_iter, face, trace):
+    """Minimize the augmented Lagrangian at fixed ``lam`` and ``rho`` over
+    the box from ``point``, in at most ``max_iter`` iterations.
+
+    With ``face``, the first iteration tries the face point: each
+    coordinate at 1 where the merit gradient is negative, at 0 where it is
+    positive, and unchanged where it is zero, the far end of the
+    projection arc (Bertsekas 1976).  It is kept when the merit and the
+    objective itself both fall; a step that lowers the penalty alone would
+    overshoot a bound no objective pulls against.  Otherwise it has cost
+    one evaluation.  L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) goes on from
+    there unless the projected gradient is already within ``tol``.
+
+    Returns the final point, with its context, and the iteration count.
+    """
+    if max_iter <= 0 or point.stationary(tol):
+        return point, 0
     iterations = 0
-    stagnant = 0
-    for _ in range(max_iter):
-        projected = xi - np.clip(xi - grad_xi, 0.0, 1.0)
-        if np.linalg.norm(projected, np.inf) <= tol:
-            break
-        if stagnant >= 15:
-            # merit is pinned at solver-noise level; more steps cannot help
-            break
-        direction = grad_xi / curv
-        step_ok = False
-        face = iterations == 0 and problem.face_trial
-        trial = 1.0
-        ctx = None  # the line search drops the current point's context
-        while trial >= MIN_STEP:
-            if face:
-                xi_try = np.where(grad_xi < 0.0, 1.0,
-                                  np.where(grad_xi > 0.0, 0.0, xi))
-            else:
-                xi_try = np.clip(xi - trial * direction, 0.0, 1.0)
-            step = xi_try - xi
-            x_try = compose(xi_try)
-            ctx = problem.context(x_try)
-            merit_try, obj_try, _, _ = _merit(
-                problem, x_try, weight, False, ctx
-            )
-            # roundoff allowance: near the optimum a genuine descent step
-            # can produce a merit difference that rounds to zero
-            slack = 1e-15 * (1.0 + abs(merit))
-            if (merit_try <= merit + ARMIJO_C * float(grad_xi @ step) + slack
-                    and (not face or obj_try < obj)):
-                step_ok = True
-                break
-            if not face:
-                trial *= 0.5
-            face = False
-        if not step_ok:
-            ctx = None  # the last evaluation was not at the current point
-            break
-        step_norm = float(np.linalg.norm((xi_try - xi) * width))
-        xi_prev, grad_prev = xi, grad_xi
-        xi, x_cur = xi_try, x_try
-        iterations += 1
-        merit_prev = merit
-        merit, obj, verdicts, grad = _merit(
-            problem, x_cur, weight, True, ctx
-        )
-        if merit_prev - merit <= 1e-14 * (1.0 + abs(merit_prev)):
-            stagnant += 1
-        else:
-            stagnant = 0
-        grad_xi = grad[free] * width
-        s = xi - xi_prev
-        y = grad_xi - grad_prev
-        secant = s * y > 0.0
-        curv[secant] = np.clip(y[secant] / s[secant], 1e-12, 1e14)
-        trace.append(
-            {
-                "iter": iter_offset + iterations,
-                "objective": obj,
-                "max_violation": _max_violation(verdicts),
-                "step_norm": step_norm,
-            }
-        )
-    return x_cur, iterations, ctx
+    if face:
+        g = point.gradient
+        trial = box.evaluate(np.where(g < 0.0, 1.0,
+                                      np.where(g > 0.0, 0.0, point.xi)),
+                             lam, rho, need_grad=False)
+        if trial.merit < point.merit and trial.objective < point.objective:
+            step = np.linalg.norm((trial.xi - point.xi) * box.width)
+            point = box.evaluate(trial.xi, lam, rho, trial.ctx)
+            iterations = 1
+            trace.append(_trace_record(len(trace), point.objective,
+                                       point.verdicts, float(step)))
+            if iterations == max_iter or point.stationary(tol):
+                return point, iterations
+    # scipy.optimize adds about 15 MB of resident memory and 0.2 s to the
+    # first import; a plan that stops at its start point or its face point
+    # never pays for it
+    from scipy.optimize import minimize
+
+    # the last evaluation, the last iterate and the lowest merit since it
+    # (the latest of ties), all the start point at first: L-BFGS-B asks for
+    # that first and ends at the last point or the iterate.  A line search
+    # at the noise floor comes back to its best point, with steps too short
+    # to change the field, so a point is known by its values
+    memo = {"last": point, "iterate": point, "best": point}
+
+    def merit_and_gradient(xi):
+        x = box.values(xi)
+        known = next((p for p in memo.values() if np.array_equal(x, p.x)),
+                     None)
+        if known is None:
+            known = box.evaluate(xi.copy(), lam, rho)
+            if known.merit <= memo["best"].merit:
+                memo["best"] = known
+        memo["last"] = known
+        return known.merit, known.gradient
+
+    def callback(xk):
+        # an iteration ends at the point its line search evaluated last
+        new, old = memo["last"], memo["iterate"]
+        trace.append(_trace_record(
+            len(trace), new.objective, new.verdicts,
+            float(np.linalg.norm((new.xi - old.xi) * box.width))))
+        memo["iterate"] = memo["best"] = new
+
+    # ftol 0: the default relative test would stop at once on a merit of
+    # 1e-7, a bound held against a flat objective.  A line search that
+    # fails at the noise floor of the FEM gradients (status 2) ends the
+    # inner solve like any other stop
+    res = minimize(merit_and_gradient, point.xi, jac=True, method="L-BFGS-B",
+                   bounds=[(0.0, 1.0)] * point.xi.size, callback=callback,
+                   options={"maxiter": max_iter - iterations, "gtol": tol,
+                            "ftol": 0.0})
+    for candidate in (memo["last"], memo["iterate"]):
+        if np.array_equal(box.values(res.x), candidate.x):
+            return candidate, iterations + res.nit
+    return box.evaluate(res.x, lam, rho), iterations + res.nit
 
 
-def inversion_solve(
-    problem,
-    tol=DEFAULT_TOL,
-    max_iter=DEFAULT_MAX_ITER,
-    x0=None,
-):
+def inversion_solve(problem, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
+                    x0=None):
     """Minimize the objective over free elements subject to annotated bounds.
 
+    An augmented Lagrangian (Conn, Gould & Toint 1991): each inner solve
+    minimizes :func:`_merit` at fixed multipliers, from lam = 0 and
+    rho = 2, and only the first tries the face point.  When the
+    penalty-free check fails after it, lam <- max(0, lam + rho h), and
+    rho grows tenfold when the largest hinge did not fall to a quarter of
+    the last one.  ``max_iter`` caps each inner solve.
+
     Returns an :class:`OptimizationResult`, with the evaluation of its final
-    point; infeasibility is reported through ``feasible=False`` plus the
-    violated constraint names, never raised.
+    point and the multiplier estimates max(0, lam + rho h) there;
+    infeasibility is reported through ``feasible=False`` plus the violated
+    constraint names, never raised.
     """
     start = problem.stats.fem_solves
+    free = problem.free_idx
     if x0 is None:
         x = problem.start_values()
     else:
         x = problem.pin(x0)
-        x[problem.free_idx] = np.clip(
-            x[problem.free_idx],
-            problem.boxes[problem.free_idx, 0],
-            problem.boxes[problem.free_idx, 1],
-        )
+        x[free] = np.clip(x[free], *problem.boxes[free].T)
     ctx = problem.context(x)
-    feasible0, verdicts0, objective0 = verify_constraints(problem, x, ctx)
-    trace = [
-        {
-            "iter": 0,
-            "objective": objective0,
-            "max_violation": _max_violation(verdicts0),
-            "step_norm": 0.0,
-        }
-    ]
-    if problem.free_idx.size == 0:
-        # everything pinned by the frozen set: nothing to optimize, the
-        # configuration is simply checked as-is
-        return OptimizationResult(
-            values=x,
-            free_index=problem.free_idx.copy(),
-            objective=objective0,
-            feasible=feasible0,
-            verdicts=verdicts0,
-            violated=tuple(v.name for v in verdicts0 if not v.passed),
-            iterations=0,
-            fem_solves=problem.stats.fem_solves - start,
-            strategy="full",
-            trace=tuple(trace),
-            evaluation=ctx,
-        )
-    weight = 1.0
-    total_iters = 0
-    feasible, verdicts, objective = False, (), objective0
-    for _ in range(MAX_ESCALATIONS + 1):
-        x, iterations, ctx = _pgd_phase(
-            problem, x, weight, tol, max_iter, trace, total_iters, ctx
-        )
-        total_iters += iterations
-        if ctx is None:
-            ctx = problem.context(x)
-        feasible, verdicts, objective = verify_constraints(problem, x, ctx)
-        if feasible:
-            break
-        # the equilibrium excess of a squared hinge scales as 1/weight, so
-        # jump by the measured overshoot ratio when plain x10 will not do
-        ratio = max(
-            v.excess / _feas_margin(v.bound)
-            for v in verdicts
-            if not v.passed
-        )
-        weight *= max(PENALTY_GROWTH, min(3.0 * ratio, 1e8))
-    violated = tuple(v.name for v in verdicts if not v.passed)
+    _, objective, verdicts, hinges, _ = _merit(problem, x, ctx)
+    trace = [_trace_record(0, objective, verdicts, 0.0)]
+    lam = [np.zeros(h.size) for h in hinges]
+    rho = RHO_START
+    iterations = 0
+    # with everything pinned by the frozen set there is nothing to
+    # optimize: the configuration is simply checked as-is
+    if free.size:
+        box = _Box(problem, x)
+        xi = box.coordinates(x)
+        if not np.array_equal(box.values(xi), x):
+            ctx = None
+        point = box.evaluate(xi, lam, rho, ctx)
+        worst = np.inf
+        for outer in range(MAX_OUTER):
+            if outer:
+                last, worst = worst, max(
+                    [0.0] + [float(h.max()) for h in hinges if h.size])
+                lam = _estimates(lam, rho, hinges)
+                if worst > 0.25 * last:
+                    rho *= 10.0
+                point = box.evaluate(point.xi, lam, rho, point.ctx)
+            point, n = _inner_solve(box, point, lam, rho, tol, max_iter,
+                                    outer == 0 and problem.face_trial, trace)
+            iterations += n
+            _, objective, verdicts, hinges, _ = _merit(problem, point.x,
+                                                       point.ctx)
+            if all(v.passed for v in verdicts):
+                break
+        x, ctx = point.x, point.ctx
     return OptimizationResult(
         values=x,
-        free_index=problem.free_idx.copy(),
+        free_index=free.copy(),
         objective=objective,
-        feasible=feasible,
+        feasible=all(v.passed for v in verdicts),
         verdicts=verdicts,
-        violated=violated,
-        iterations=total_iters,
+        violated=tuple(v.name for v in verdicts if not v.passed),
+        iterations=iterations,
         fem_solves=problem.stats.fem_solves - start,
         strategy="full",
         trace=tuple(trace),
         evaluation=ctx,
+        multipliers=tuple(_estimates(lam, rho, hinges)),
     )
+
+
+def _estimates(lam, rho, hinges):
+    """The first-order multiplier estimates max(0, lam + rho h)."""
+    return [np.maximum(0.0, m + rho * h) for m, h in zip(lam, hinges)]
 
 
 def write_trace(result, path) -> None:
@@ -802,15 +801,15 @@ def write_trace(result, path) -> None:
             handle.write(json.dumps(record) + "\n")
 
 
-def _projected_gradient_norm(problem, x, grad):
-    free = problem.free_idx
-    lo = problem.boxes[free, 0]
-    width = problem.boxes[free, 1] - lo
-    scale = np.where(width > 0.0, width, 1.0)
-    xi = np.clip((x[free] - lo) / scale, 0.0, 1.0)
-    grad_xi = grad[free] * width
+def _projected_norm(xi, grad_xi):
+    """The largest entry of the projected gradient in box coordinates."""
     projected = xi - np.clip(xi - grad_xi, 0.0, 1.0)
     return float(np.linalg.norm(projected, np.inf)) if projected.size else 0.0
+
+
+def _projected_gradient_norm(problem, x, grad):
+    box = _Box(problem, x)
+    return _projected_norm(box.coordinates(x), grad[box.free] * box.width)
 
 
 def _context_at(problem, x, evaluation):
@@ -961,11 +960,8 @@ def reoptimize_after_drift(
             delta_z = warm_start_update(model, problem, delta_y)
             free = problem.free_idx
             x = problem.pin(model.base_values)
-            x[free] = np.clip(
-                model.base_values[free] + delta_z,
-                problem.boxes[free, 0],
-                problem.boxes[free, 1],
-            )
+            x[free] = np.clip(model.base_values[free] + delta_z,
+                              *problem.boxes[free].T)
             ctx = problem.context(x)
             feasible, verdicts, objective = verify_constraints(problem, x, ctx)
             if feasible:

@@ -21,7 +21,10 @@ Conventions:
     without a force annotation carry zero external load, and their reaction
     is reported when the displacement is prescribed
   - temperatures follow the same pattern in scalar form; a bare number is a
-    prescribed value, an interval is a bound to verify
+    prescribed value; an interval of nonzero width, like a displacement
+    box, is kept but not checked by verification, the optimizer or a
+    print (only `fem.verify_nodal_bounds` reads it); properties are what
+    those check
 """
 
 from __future__ import annotations
@@ -48,13 +51,13 @@ CANONICAL_UNITS = {
 
 PARAMETERS = ("young", "poisson", "conductivity", "density")
 
-# quantity -> (allowed comparisons, needs vertex tags, category)
+# quantity -> (allowed comparisons, needs vertex tags)
 _QUANTITIES = {
-    "volume": (("le", "ge"), False, "direct"),
-    "mass": (("le", "ge"), False, "material_dependent"),
-    "max_displacement": (("le",), True, "material_dependent"),
-    "nodal_temperature": (("le",), True, "material_dependent"),
-    "average_temperature": (("le",), False, "material_dependent"),
+    "volume": (("le", "ge"), False),
+    "mass": (("le", "ge"), False),
+    "max_displacement": (("le",), True),
+    "nodal_temperature": (("le",), True),
+    "average_temperature": (("le",), False),
 }
 
 
@@ -67,14 +70,6 @@ class PropertySpec:
     op: str
     bound: float
     vertices: tuple[int, ...] = ()
-
-    @property
-    def category(self) -> str:
-        return _QUANTITIES[self.quantity][2]
-
-    @property
-    def scope(self) -> str:
-        return "local" if self.vertices else "global"
 
 
 @dataclass(frozen=True)
@@ -348,7 +343,7 @@ def _parse_property(doc, where) -> PropertySpec:
     quantity = doc.get("quantity")
     if quantity not in _QUANTITIES:
         _fail(f"unknown property quantity {quantity!r}", where)
-    ops, needs_tags, _ = _QUANTITIES[quantity]
+    ops, needs_tags = _QUANTITIES[quantity]
     op = doc.get("op", "le")
     if op not in ops:
         _fail(f"quantity {quantity!r} does not support op {op!r}", where)

@@ -1,6 +1,10 @@
 """Command-level tests: exit codes, greppable failure lines, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +13,8 @@ from conftest import bar_tip_displacement, layered_bar_problem, write_bar_files
 
 from semfab import cli, fem, mesh, printsim, semantics
 
-DOCS_EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
+ROOT = Path(__file__).resolve().parents[1]
+DOCS_EXAMPLES = ROOT / "docs" / "examples"
 BOX = (60000.0, 120000.0)
 E_HI = BOX[1]
 
@@ -348,6 +353,86 @@ def test_simulate_runs_the_largest_seed(tmp_path, capsys):
     assert "seed 9223372036854775807: success" in capsys.readouterr().out
     report = json.loads((tmp_path / "sim" / "report.json").read_text())
     assert report["seed"] == 2**63 - 1
+
+
+def test_a_seed_range_is_held_in_constant_memory():
+    tracemalloc.start()
+    try:
+        seeds = cli._seed_range("0..999999")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000
+    assert (seeds[0], seeds[-1]) == (0, 999999)
+
+
+def test_the_full_seed_range_parses(tmp_path):
+    args = cli.build_parser().parse_args(
+        ["simulate", str(tmp_path / "scenario.json"), "--out",
+         str(tmp_path / "sim"), "--seeds", "0..9223372036854775807"])
+    assert (args.seeds[0], args.seeds[-1]) == (0, 2**63 - 1)
+
+
+def imports_scipy_optimize(code):
+    """Whether ``code``, run in a fresh interpreter, imports scipy.optimize."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "tests")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         code + "\nimport sys\nprint('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+CORNER_PLAN_AND_PRINT = """
+import numpy as np
+from conftest import bar_tip_displacement, layered_bar_problem
+from semfab import optimize, printsim
+box = (60e3, 120e3)
+probe = layered_bar_problem(10, d_max=1.0, young_box=box)
+nominal = bar_tip_displacement(probe, np.full(60, box[1]))
+problem = layered_bar_problem(10, d_max=1.08 * nominal, young_box=box)
+plan = optimize.inversion_solve(problem)
+assert plan.iterations == 1 and np.all(plan.values == box[1])
+plant = printsim.ActuatorModel(gain=0.9, drift_rate=0.005)
+report = printsim.run_print(
+    problem, plan,
+    printsim.ActuatorModel(gain=0.9, drift_rate=0.005, noise_sd=0.01),
+    printsim.SensorModel(noise_sd=0.01),
+    printsim.ControlPolicy(strategy="full", plant_model=plant), 5, 1.0)
+assert report.outcome == "success"
+"""
+
+ITERATING_PLAN = """
+import numpy as np
+from semfab import optimize
+halfspace = optimize.SyntheticConstraint(
+    "halfspace", lambda x: 1.0 - x[0] - x[1], lambda x: -np.ones(2))
+problem = optimize.FunctionProblem(
+    lambda x: float(x @ x), lambda x: 2.0 * x, [[-5, 5], [-5, 5]],
+    constraints=[halfspace])
+assert optimize.inversion_solve(problem).iterations > 1
+"""
+
+
+def test_only_an_iterating_plan_imports_scipy_optimize(tmp_path):
+    # scipy.optimize adds about 15 MB of resident memory to the CLI's
+    # import set; plans that stop at their start or face point, and the
+    # re-plans of a corner plan, never load it
+    assert not imports_scipy_optimize(CORNER_PLAN_AND_PRINT)
+    probe = layered_bar_problem(10, 1.0, BOX)
+    nominal = bar_tip_displacement(probe, np.full(probe.n_variables, E_HI))
+    write_bar_files(tmp_path, 10, 1.08 * nominal, BOX)
+    write_scenario(tmp_path / "scenario.json", gain=0.9, actuator_noise=0.01,
+                   sensor_noise=0.01, strategy="full",
+                   plant=printsim.ActuatorModel(gain=0.9))
+    assert not imports_scipy_optimize(
+        "from semfab import cli\n"
+        f"assert cli.main(['simulate', {str(tmp_path / 'scenario.json')!r}, "
+        f"'--out', {str(tmp_path / 'sim')!r}]) == 0")
+    assert (tmp_path / "sim" / "report.json").is_file()
+    assert imports_scipy_optimize(ITERATING_PLAN)
 
 
 def test_simulate_rejects_malformed_scenario(tmp_path, capsys):

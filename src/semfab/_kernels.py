@@ -1,6 +1,15 @@
 """Hot numeric kernels: tetrahedron geometry and element matrices.
 
-Every kernel is vectorized numpy over all elements at once.
+Every kernel is elementwise numpy over all elements at once, on
+coordinate-major arrays whose last axis runs over the elements, so each
+operation is one pass over contiguous rows. Sums of products are written
+out term by term in a fixed order, with no einsum contraction, matmul or
+BLAS call, so an element matrix has the same bits on every CPU. Each such
+sum starts from +0.0, so a sum of exact zeros is +0.0 whatever their signs.
+The orders are those numpy's einsum used for these contractions before, so
+the matrices kept their bits when the einsum calls went: three products
+add as ((0 + p0) + p2) + p1, and the strain-matrix contractions in
+ascending row order.
 
 Voigt order used throughout: (xx, yy, zz, xy, yz, zx) with engineering
 shear strains.
@@ -10,75 +19,102 @@ from __future__ import annotations
 
 import numpy as np
 
+# component c + 1 and c + 2 (mod 3) of a 3-vector
+_NEXT = [1, 2, 0]
+_PREV = [2, 0, 1]
+
+
+def _edges(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
+    """Edge vectors from vertex 0 of every tet, as (component, edge, element)."""
+    corners = np.ascontiguousarray(vertices.T).take(tets.T, axis=1)
+    return corners[:, 1:] - corners[:, :1]
+
+
+def _triple(e: np.ndarray, c23: np.ndarray) -> np.ndarray:
+    """e1 . (e2 x e3) given c23 = e2 x e3, components added x, z, y."""
+    return ((0.0 + e[0, 0] * c23[0]) + e[2, 0] * c23[2]) + e[1, 0] * c23[1]
+
 
 def tet_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
-    p0 = vertices[tets[:, 0]]
-    e1 = vertices[tets[:, 1]] - p0
-    e2 = vertices[tets[:, 2]] - p0
-    e3 = vertices[tets[:, 3]] - p0
-    return np.einsum("ij,ij->i", e1, np.cross(e2, e3)) / 6.0
+    e = _edges(vertices, tets)
+    e2, e3 = e[:, 1], e[:, 2]
+    c23 = e2[_NEXT] * e3[_PREV] - e2[_PREV] * e3[_NEXT]
+    return _triple(e, c23) / 6.0
 
 
 def shape_data(vertices: np.ndarray, tets: np.ndarray):
     """Signed volumes and physical gradients of the 4 linear shape functions.
 
-    Gradients of N1..N3 are the columns of J^-1 where J rows are the edge
-    vectors from vertex 0; N0 closes the partition of unity. Degenerate
-    tets (zero volume) produce inf/nan gradients; callers screen volumes first.
+    The gradients come as a (3, 4, m) array: component, shape function,
+    element. Gradients of N1..N3 are the columns of J^-1 where J rows are
+    the edge vectors from vertex 0, that is e2 x e3, e3 x e1 and e1 x e2
+    over the determinant; N0 closes the partition of unity. Degenerate
+    tets (zero volume) produce inf/nan gradients; callers screen volumes
+    first.
     """
-    p0 = vertices[tets[:, 0]]
-    e1 = vertices[tets[:, 1]] - p0
-    e2 = vertices[tets[:, 2]] - p0
-    e3 = vertices[tets[:, 3]] - p0
-    c23 = np.cross(e2, e3)
-    c31 = np.cross(e3, e1)
-    c12 = np.cross(e1, e2)
-    det = np.einsum("ij,ij->i", e1, c23)
-    grads = np.empty((tets.shape[0], 4, 3))
-    grads[:, 1, :] = c23 / det[:, None]
-    grads[:, 2, :] = c31 / det[:, None]
-    grads[:, 3, :] = c12 / det[:, None]
-    grads[:, 0, :] = -(grads[:, 1, :] + grads[:, 2, :] + grads[:, 3, :])
+    e = _edges(vertices, tets)
+    # adj[c, r] is component c of the cross product of edges r + 1 and r + 2
+    a, b = e[:, _NEXT], e[:, _PREV]
+    adj = a[_NEXT] * b[_PREV] - a[_PREV] * b[_NEXT]
+    det = _triple(e, adj[:, 0])
+    grads = np.empty((3, 4, tets.shape[0]))
+    np.divide(adj, det, out=grads[:, 1:])
+    np.negative((grads[:, 1] + grads[:, 2]) + grads[:, 3], out=grads[:, 0])
     return det / 6.0, grads
 
 
-def _strain_matrices(grads: np.ndarray) -> np.ndarray:
-    m = grads.shape[0]
-    B = np.zeros((m, 6, 12))
-    for a in range(4):
-        bx = grads[:, a, 0]
-        by = grads[:, a, 1]
-        bz = grads[:, a, 2]
-        c = 3 * a
-        B[:, 0, c] = bx
-        B[:, 1, c + 1] = by
-        B[:, 2, c + 2] = bz
-        B[:, 3, c] = by
-        B[:, 3, c + 1] = bx
-        B[:, 4, c + 1] = bz
-        B[:, 4, c + 2] = by
-        B[:, 5, c] = bz
-        B[:, 5, c + 2] = bx
-    return B
+def _per_element(blocks: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """scale_e times the (k, k, m) blocks, laid out as (m, k, k)."""
+    out = np.empty((blocks.shape[2], blocks.shape[0], blocks.shape[1]))
+    np.multiply(blocks.transpose(2, 0, 1), scale[:, None, None], out=out)
+    return out
+
+
+# Column 3a + c of the strain matrix B holds gradient components
+# _B_COMPONENTS[c] of vertex a in rows _B_ROWS[c], ascending, and zeros
+# elsewhere.
+_B_ROWS = ((0, 3, 5), (1, 3, 4), (2, 4, 5))
+_B_COMPONENTS = ((0, 1, 2), (1, 0, 2), (2, 1, 0))
 
 
 def elasticity_matrices(vertices, tets, young, poisson):
-    vols, grads = shape_data(vertices, tets)
-    B = _strain_matrices(grads)
+    """k_e = V_e B^T C B for every tet, (m, 12, 12).
+
+    CB is formed from its nonzeros: row r < 3 is C[r, d] g_d in column
+    3b + d, and the shear rows are mu B. Entry (3a + c, 3b + d) of B^T CB
+    sums B[r, 3a + c] CB[r, 3b + d] over the three nonzero rows r of column
+    3a + c, in ascending order; the rows left out add only zeros.
+    """
+    vols, g = shape_data(vertices, tets)
+    m = tets.shape[0]
     lam = young * poisson / ((1.0 + poisson) * (1.0 - 2.0 * poisson))
     mu = young / (2.0 * (1.0 + poisson))
-    m = tets.shape[0]
-    C = np.zeros((m, 6, 6))
-    for i in range(3):
-        for j in range(3):
-            C[:, i, j] = lam
-        C[:, i, i] = lam + 2.0 * mu
-        C[:, 3 + i, 3 + i] = mu
-    CB = np.einsum("eij,ejk->eik", C, B)
-    return vols[:, None, None] * np.einsum("eji,ejk->eik", B, CB)
+    diag = lam + 2.0 * mu
+    # CB as (row, vertex, component, element)
+    cb = np.zeros((6, 4, 3, m))
+    for d in range(3):
+        for r in range(3):
+            np.multiply(diag if r == d else lam, g[d], out=cb[r, :, d])
+        for r, comp in zip(_B_ROWS[d][1:], _B_COMPONENTS[d][1:]):
+            np.multiply(mu, g[comp], out=cb[r, :, d])
+    cb = cb.reshape(6, 12, m)
+    # B^T CB as (vertex, component, column, element)
+    k = np.empty((4, 3, 12, m))
+    for c in range(3):
+        (r0, r1, r2), (c0, c1, c2) = _B_ROWS[c], _B_COMPONENTS[c]
+        acc = k[:, c]
+        np.multiply(g[c0][:, None], cb[r0], out=acc)
+        acc += 0.0
+        acc += g[c1][:, None] * cb[r1]
+        acc += g[c2][:, None] * cb[r2]
+    return _per_element(k.reshape(12, 12, m), vols)
 
 
 def conduction_matrices(vertices, tets, conductivity):
-    vols, grads = shape_data(vertices, tets)
-    gg = np.einsum("eik,ejk->eij", grads, grads)
-    return (vols * conductivity)[:, None, None] * gg
+    """k_e = D_e V_e grad(N_i) . grad(N_j) for every tet, (m, 4, 4)."""
+    vols, g = shape_data(vertices, tets)
+    gx, gy, gz = g
+    gg = 0.0 + gx[:, None] * gx
+    gg += gz[:, None] * gz
+    gg += gy[:, None] * gy
+    return _per_element(gg, vols * conductivity)

@@ -66,6 +66,9 @@ class AssemblyPlan:
     S_T: scipy.sparse.csr_matrix  # S's transpose, sharing S's arrays
     indptr: np.ndarray  # CSR pattern of K, vertex pairs expanded per dof
     indices: np.ndarray
+    # K's pattern with zero entries; each system's K is a copy of it that
+    # shares its index arrays, with its own data
+    pattern: scipy.sparse.csr_matrix
     row_sizes: np.ndarray  # entries in each row of K's pattern
     f_ext: np.ndarray
     free: np.ndarray
@@ -74,6 +77,7 @@ class AssemblyPlan:
     u_prescribed: np.ndarray  # full-length, prescribed values, zero elsewhere
     ff_slots: np.ndarray  # slot in K.data of each K_ff entry, CSC order
     ff_indptr: np.ndarray  # column pointers of K_ff
+    ff_empty: np.ndarray  # mask of K_ff's empty columns
     band: tuple  # _band_layout of K_ff
 
 
@@ -291,13 +295,17 @@ def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
     S = scipy.sparse.csc_matrix(S_parts, shape=(nnz, m))
     S_T = scipy.sparse.csr_matrix(S_parts, shape=(m, nnz))
     row_sizes = np.diff(indptr).astype(np.intp)
+    zeros = np.zeros(nnz)
+    _read_only(zeros)
+    pattern = scipy.sparse.csr_matrix((zeros, indices, indptr),
+                                      shape=(ndof, ndof))
 
     mask = np.ones(ndof, dtype=bool)
     mask[prescribed] = False
     free = np.flatnonzero(mask)
     u_prescribed = np.zeros(ndof)
     u_prescribed[prescribed] = prescribed_values
-    ff_slots, ff_indptr, band = _free_block(indptr, indices, free)
+    ff_slots, ff_indptr, ff_empty, band = _free_block(indptr, indices, free)
     plan = AssemblyPlan(
         physics=physics,
         n_vertices=mesh.n_vertices,
@@ -307,6 +315,7 @@ def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
         S_T=S_T,
         indptr=indptr,
         indices=indices,
+        pattern=pattern,
         row_sizes=row_sizes,
         f_ext=f_ext,
         free=free,
@@ -315,12 +324,13 @@ def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
         u_prescribed=u_prescribed,
         ff_slots=ff_slots,
         ff_indptr=ff_indptr,
+        ff_empty=ff_empty,
         band=band,
     )
     # every system assembled from the plan shares these arrays
     _read_only(indptr, indices, row_sizes, f_ext, free,
                prescribed, prescribed_values, u_prescribed, ff_slots,
-               ff_indptr, band[0], band[2], band[3])
+               ff_indptr, ff_empty, band[0], band[2], band[3])
     return plan
 
 
@@ -340,11 +350,11 @@ def assemble(spec, fld, physics: str, plan: AssemblyPlan | None = None
                         and not np.array_equal(fld.poisson, plan.poisson)):
         plan = assembly_plan(spec, physics, fld)
     scale = _element_parameter(fld, physics)
-    ndof = plan.dofs_per_vertex * plan.n_vertices
+    # a copy of a CSR matrix skips the index checks of the (data, indices,
+    # indptr) constructor and shares the pattern's index arrays
+    K = scipy.sparse.csr_matrix(plan.pattern)
     # column by column, so each slot sums its entries in element order
-    data = plan.S @ scale
-    K = scipy.sparse.csr_matrix((data, plan.indices, plan.indptr),
-                                shape=(ndof, ndof))
+    K.data = plan.S @ scale
     rhs = plan.f_ext[plan.free] - (K @ plan.u_prescribed)[plan.free]
     return FemSystem(
         physics=physics,
@@ -377,16 +387,17 @@ def element_sensitivity(system: FemSystem, lam: np.ndarray,
 
 
 def _free_block(indptr, indices, free) -> tuple:
-    """(ff_slots, ff_indptr, band) of the free block K_ff of K's CSR
-    pattern (indptr, indices): the slot in K.data of each K_ff entry in CSC
-    order, the column pointers of K_ff and its `_band_layout`."""
+    """(ff_slots, ff_indptr, ff_empty, band) of the free block K_ff of K's
+    CSR pattern (indptr, indices): the slot in K.data of each K_ff entry in
+    CSC order, the column pointers of K_ff, the mask of its empty columns
+    and its `_band_layout`."""
     n = indptr.size - 1
     # 1 + each entry's slot, so that a slice says where its entries are
     slots = scipy.sparse.csr_matrix(
         (np.arange(1, indices.size + 1), indices, indptr), shape=(n, n))
     ff = slots[free][:, free].tocsc()
     ff.sort_indices()
-    return ff.data - 1, ff.indptr, _band_layout(ff)
+    return ff.data - 1, ff.indptr, np.diff(ff.indptr) == 0, _band_layout(ff)
 
 
 def _band_layout(ff: scipy.sparse.csc_matrix) -> tuple:
@@ -408,14 +419,17 @@ def _band_layout(ff: scipy.sparse.csc_matrix) -> tuple:
     return order, bw, coo.data[take] - 1, cols[take] * (bw + 1) + bw - offset
 
 
-def _one_norm(data: np.ndarray, indptr: np.ndarray) -> float:
-    """The largest absolute column sum of the CSC matrix with these entries
-    and column pointers."""
+def _one_norm(data: np.ndarray, slots: np.ndarray, indptr: np.ndarray,
+              empty: np.ndarray) -> float:
+    """The largest absolute column sum of the CSC matrix with entries
+    data[slots], column pointers `indptr` and empty columns `empty`."""
     # reduceat returns the entry at the start of an empty range, so empty
     # columns are zeroed afterwards; the pad keeps an empty last column's
     # start inside the array
-    sums = np.add.reduceat(np.append(np.abs(data), 0.0), indptr[:-1])
-    sums[np.diff(indptr) == 0] = 0.0
+    padded = np.zeros(slots.size + 1)
+    np.abs(data.take(slots), out=padded[:-1])
+    sums = np.add.reduceat(padded, indptr[:-1])
+    sums[empty] = 0.0
     return float(sums.max(initial=0.0))
 
 
@@ -424,8 +438,9 @@ def _factor(system: FemSystem):
     factored once by LAPACK's dpbtrf on a band filled from K.data."""
     if system._factor is None:
         plan, K = system.plan, system.K
-        ff_slots, ff_indptr, (order, bw, src, slots) = (
-            (plan.ff_slots, plan.ff_indptr, plan.band) if plan is not None
+        ff_slots, ff_indptr, ff_empty, (order, bw, src, slots) = (
+            (plan.ff_slots, plan.ff_indptr, plan.ff_empty, plan.band)
+            if plan is not None
             else _free_block(K.indptr, K.indices, system.free))
         ab = np.zeros((bw + 1, order.size), order="F")
         ab.reshape(-1, order="F")[slots] = K.data[src]
@@ -435,7 +450,7 @@ def _factor(system: FemSystem):
                 f"reduced matrix is not positive definite (dpbtrf info {info})"
             )
         object.__setattr__(system, "_factor", (
-            _one_norm(K.data[ff_slots], ff_indptr), order, chol))
+            _one_norm(K.data, ff_slots, ff_indptr, ff_empty), order, chol))
     return system._factor
 
 

@@ -65,7 +65,10 @@ class VolumetricMesh:
         return weights
 
     def centroids(self) -> np.ndarray:
-        return self.vertices[self.tets].mean(axis=1)
+        # the sum starts from +0.0, as numpy's mean over the corners did
+        corners = self.vertices.take(self.tets.T, axis=0)
+        return ((((0.0 + corners[0]) + corners[1]) + corners[2])
+                + corners[3]) / 4.0
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -247,27 +250,51 @@ def generate_shaft_mesh(
 
 # Faces of tet (v0,v1,v2,v3) wound so normals point out of the element.
 _TET_FACES = ((0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2))
+_TET_FACE_SLOTS = np.array(_TET_FACES).reshape(-1)
+# the largest span s of values for which (s - 1) * s + (s - 1) fits in int64
+_PACKABLE_SPAN = 3_037_000_499
 
 
 def _tet_faces(tets: np.ndarray) -> np.ndarray:
     """The 4 outward-wound faces of each tet; face 4e+f is from tet e."""
-    return tets[:, np.array(_TET_FACES)].reshape(-1, 3)
+    return tets.take(_TET_FACE_SLOTS, axis=1).reshape(-1, 3)
 
 
-def _group_rows(keys: np.ndarray):
-    """Group the equal rows of an integer table whose rows are sorted.
+def _sorted_columns(faces: np.ndarray):
+    """The vertex ids of each face in ascending order, as three columns
+    (lo, mid, hi). Should a + b + c wrap around int64, subtracting lo and
+    hi wraps it back, so mid is exact for any ids."""
+    a, b, c = faces.T
+    lo = np.minimum(np.minimum(a, b), c)
+    hi = np.maximum(np.maximum(a, b), c)
+    return lo, a + b + c - lo - hi, hi
+
+
+def _group_rows(*columns: np.ndarray):
+    """Group the equal rows of an integer table given by its columns, each
+    row in ascending order.
 
     Returns (order, starts, counts): `order` sorts the rows by column 0,
-    then 1, ..., keeping equal rows in index order, and group g is
-    keys[order[starts[g]:starts[g] + counts[g]]]. Groups come in ascending
-    lexicographic order of their rows.
+    then 1, ..., keeping equal rows in index order, and group g is rows
+    order[starts[g]:starts[g] + counts[g]]. Groups come in ascending
+    lexicographic order of their rows. The first two columns are sorted as
+    one key, (first - lo) * span + (second - lo) over the span of the
+    values, which is exact while that fits in int64 (up to about 3e9
+    distinct values); a wider table is sorted column by column.
     """
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    lo = int(columns[0].min(initial=0))
+    span = int(columns[-1].max(initial=0)) - lo + 1
+    if span <= _PACKABLE_SPAN:
+        key = (columns[0].astype(np.int64, copy=False) - lo) * span
+        columns = (key + (columns[1] - lo),) + columns[2:]
+    order = np.lexsort(columns[::-1])
+    first = np.zeros(order.size, dtype=bool)
+    first[:1] = True
+    for column in columns:
+        ordered = column[order]
+        first[1:] |= ordered[1:] != ordered[:-1]
     starts = np.flatnonzero(first)
-    counts = np.diff(np.append(starts, order.size))
+    counts = np.diff(starts, append=order.size)
     return order, starts, counts
 
 
@@ -278,7 +305,7 @@ def boundary_faces(mesh: VolumetricMesh) -> np.ndarray:
     order of their tets.
     """
     faces = _tet_faces(mesh.tets)
-    order, starts, counts = _group_rows(np.sort(faces, axis=1))
+    order, starts, counts = _group_rows(*_sorted_columns(faces))
     lone = np.zeros(faces.shape[0], dtype=bool)
     lone[order[starts[counts == 1]]] = True
     return faces[lone]
@@ -291,7 +318,8 @@ def face_adjacency(mesh: VolumetricMesh) -> np.ndarray:
     id first; a face of three or more tets (see validate_mesh) gives none.
     Pairs come in ascending order of their sorted face vertex triples.
     """
-    order, starts, counts = _group_rows(np.sort(_tet_faces(mesh.tets), axis=1))
+    order, starts, counts = _group_rows(
+        *_sorted_columns(_tet_faces(mesh.tets)))
     first = starts[counts == 2]
     return np.column_stack([order[first] // 4, order[first + 1] // 4])
 
@@ -329,8 +357,8 @@ def validate_mesh(mesh: VolumetricMesh) -> ValidationReport:
         )
 
     if good.size:
-        keys = np.sort(_tet_faces(good), axis=1)
-        order, starts, counts = _group_rows(keys)
+        keys = np.column_stack(_sorted_columns(_tet_faces(good)))
+        order, starts, counts = _group_rows(*keys.T)
         for f in np.flatnonzero(counts > 2):
             face = keys[order[starts[f]]]
             violations.append(
@@ -339,13 +367,12 @@ def validate_mesh(mesh: VolumetricMesh) -> ValidationReport:
                           f"{counts[f]} tets")
             )
         # boundary must close up: every boundary edge on exactly 2 boundary
-        # tris; a boundary face is one of exactly one tet
+        # tris; a boundary face is one of exactly one tet. The rows of
+        # `keys` ascend, so each edge's pair does too
         bnd = keys[order[starts[counts == 1]]]
         if bnd.size:
-            edges = np.sort(
-                bnd[:, np.array([(0, 1), (1, 2), (0, 2)])].reshape(-1, 2), axis=1
-            )
-            eorder, estarts, ecounts = _group_rows(edges)
+            edges = bnd[:, np.array([(0, 1), (1, 2), (0, 2)])].reshape(-1, 2)
+            eorder, estarts, ecounts = _group_rows(*edges.T)
             for idx in np.flatnonzero(ecounts != 2):
                 edge = edges[eorder[estarts[idx]]]
                 violations.append(

@@ -602,6 +602,7 @@ class _Point:
     merit: float
     objective: float
     verdicts: tuple
+    hinges: list  # one array per constraint; none depends on lam or rho
     gradient: np.ndarray | None  # of the merit, in box coordinates
 
     def stationary(self, tol):
@@ -636,11 +637,11 @@ class _Box:
         x = self.values(xi)
         if ctx is None:
             ctx = self.problem.context(x)
-        merit, obj, verdicts, _, grad = _merit(self.problem, x, ctx, lam, rho,
-                                               need_grad)
+        merit, obj, verdicts, hinges, grad = _merit(self.problem, x, ctx, lam,
+                                                    rho, need_grad)
         if need_grad:
             grad = grad[self.free] * self.width
-        return _Point(xi, x, ctx, merit, obj, verdicts, grad)
+        return _Point(xi, x, ctx, merit, obj, verdicts, hinges, grad)
 
 
 def _inner_solve(box, point, lam, rho, tol, max_iter, face, trace):
@@ -768,8 +769,9 @@ def inversion_solve(problem, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
             point, n = _inner_solve(box, point, lam, rho, tol, max_iter,
                                     outer == 0 and problem.face_trial, trace)
             iterations += n
-            _, objective, verdicts, hinges, _ = _merit(problem, point.x,
-                                                       point.ctx)
+            # the penalty-free check at the point is read off its evaluation
+            objective, verdicts, hinges = (point.objective, point.verdicts,
+                                           point.hinges)
             if all(v.passed for v in verdicts):
                 break
         x, ctx = point.x, point.ctx

@@ -599,8 +599,9 @@ def test_one_norm_is_the_largest_absolute_column_sum():
         A = (A @ scipy.sparse.diags(keep)).tocsc()
         A.eliminate_zeros()
         expected = np.abs(A.toarray()).sum(axis=0).max()
-        assert fem._one_norm(A.data, A.indptr) == pytest.approx(expected,
-                                                                rel=1e-15)
+        norm = fem._one_norm(A.data, np.arange(A.nnz), A.indptr,
+                             np.diff(A.indptr) == 0)
+        assert norm == pytest.approx(expected, rel=1e-15)
 
 
 def _loaded_box(physics):
@@ -811,6 +812,22 @@ def test_operator_assembly_is_the_bincount_sum_bit_for_bit(physics, case):
                        minlength=plan.indices.size)
     got = assemble(spec, fld, physics, plan=plan).K.data
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("physics", ["elasticity", "conduction"])
+def test_assembly_shares_the_plans_index_arrays(physics):
+    # each K is a copy of the plan's pattern with data of its own; no index
+    # array is copied per evaluation
+    mesh, spec, fld = _pattern_problem(0)
+    plan = fem.assembly_plan(spec, physics, fld)
+    first = assemble(spec, fld, physics, plan=plan).K
+    second = assemble(spec, fld, physics, plan=plan).K
+    for K in (first, second):
+        assert np.shares_memory(K.indices, plan.indices)
+        assert np.shares_memory(K.indptr, plan.indptr)
+        assert not np.shares_memory(K.data, plan.pattern.data)
+    assert not np.shares_memory(first.data, second.data)
+    assert not plan.pattern.data.any()
 
 
 @pytest.mark.parametrize("physics", ["elasticity", "conduction"])

@@ -338,6 +338,37 @@ def test_face_grouping_matches_the_unique_reference(index):
             if v.kind in face_kinds] == violations
 
 
+class _TetsOnly:
+    """Stands in for a mesh where only the tets table is read, so vertex
+    ids can be large without that many vertices."""
+
+    def __init__(self, tets):
+        self.tets = tets
+
+
+# ids past 2**21, where three packed columns would overflow int64, and
+# past the span of about 3e9 where even two would
+@pytest.mark.parametrize("stride", [2**21 + 3, 2**33 + 1],
+                         ids=["past_2_21", "past_two_column_span"])
+def test_face_grouping_with_large_vertex_ids(stride):
+    rng = np.random.default_rng(12)
+    box = generate_box_mesh(3, 2, 4, [1.0, 2.0, 3.0])
+    overshared = _with_tet_on_an_interior_face(box)[0]
+    # one id in each stride-wide bucket, at a random offset, shuffled
+    n = overshared.n_vertices
+    ids = (np.arange(n) * stride + rng.integers(0, stride, n))[
+        rng.permutation(n)]
+    assert ids.max() > 2**21
+    for tets in (box.tets, overshared.tets,
+                 np.vstack([box.tets, box.tets[5:6]])):
+        mesh = _TetsOnly(ids[tets])
+        pairs, boundary, _ = _oracle_topology(mesh)
+        got = face_adjacency(mesh)
+        assert got.dtype == pairs.dtype and np.array_equal(got, pairs)
+        got = boundary_faces(mesh)
+        assert got.dtype == boundary.dtype and np.array_equal(got, boundary)
+
+
 def test_a_face_of_three_tets_gives_no_adjacency_pair():
     box = generate_box_mesh(3, 2, 4, [1.0, 2.0, 3.0])
     mesh, face = _with_tet_on_an_interior_face(box)

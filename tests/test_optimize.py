@@ -567,8 +567,8 @@ def test_a_flat_objective_skips_the_face_trial():
 
 
 @pytest.mark.parametrize("build, inner, iterations, evaluations, point", [
-    (interior_quadratic_problem, 1, 3, 8, [0.6, 0.3]),
-    (halfspace_problem, 6, 12, 37, [0.5000002143391313] * 2),
+    (interior_quadratic_problem, 1, 3, 7, [0.6, 0.3]),
+    (halfspace_problem, 6, 12, 31, [0.5000002143391313] * 2),
 ], ids=["interior_quadratic", "halfspace"])
 def test_rejected_face_trial_costs_one_evaluation(
         monkeypatch, build, inner, iterations, evaluations, point):
@@ -669,6 +669,35 @@ def test_multipliers_are_one_array_per_constraint():
     assert not any(np.any(mu) for mu in result.multipliers)
 
 
+@pytest.mark.parametrize("build", [plate_block_problem, compliance_block_bar])
+def test_a_replan_at_its_start_point_makes_two_constraint_passes(
+        monkeypatch, build):
+    # the start point's check and its merit gradient: the final check is
+    # read off the gradient's evaluation, as neither verdicts nor hinges
+    # depend on the multipliers
+    problem = build()
+    plan = optimize.inversion_solve(problem)
+    frozen = np.arange(problem.n_variables // 2)
+    replan = problem.with_frozen(frozen, 1.001 * plan.values[frozen])
+    passes = []
+    merit = optimize._merit
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return merit(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "_merit", counted)
+    result = optimize.reoptimize_after_drift(
+        replan, plan, 0.001 * plan.values[frozen], strategy="full")
+    assert result.feasible and result.iterations == 0
+    assert len(passes) == 2
+    monkeypatch.setattr(optimize, "_merit", merit)
+    feasible, verdicts, objective = optimize.verify_constraints(
+        replan, result.values)
+    assert feasible
+    assert result.verdicts == verdicts and result.objective == objective
+
+
 def test_a_plan_measures_each_quantity_once_per_evaluation(monkeypatch):
     computed, asked, evaluations = [], set(), []
     measure, compute = semantics.measure, semantics._compute
@@ -689,10 +718,10 @@ def test_a_plan_measures_each_quantity_once_per_evaluation(monkeypatch):
     result = optimize.inversion_solve(problem)
     assert result.feasible
     assert len(evaluations) > len(asked)  # the memo was read
-    # the objective and two properties in each of five merit evaluations:
-    # the start point's check and gradient, the face trial, the corner's
-    # gradient and its check
-    assert len(evaluations) - built == 15
+    # the objective and two properties in each of four merit evaluations:
+    # the start point's check and gradient, the face trial and the corner's
+    # gradient, whose verdicts are the corner's check
+    assert len(evaluations) - built == 12
     assert len(computed) == len(asked)
     hot = next(c for c in problem.constraints if c.name == "hot_face")
     values = measure(problem.spec, "nodal_temperature",

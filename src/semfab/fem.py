@@ -19,11 +19,14 @@ transpose.
 K is the only sparse matrix an evaluation builds. Prescribed dofs are
 eliminated: K_ff is copied from K.data straight into LAPACK's band storage,
 in a reverse Cuthill-McKee order fixed by the plan, and factored once per
-system, on its first solve, by LAPACK's banded Cholesky dpbtrf. Each
-right-hand side, adjoint ones included, is one dpbtrs with that factor and
-the guard on the normwise backward error
-||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1). Reactions,
-(K U - F_ext) at the prescribed dofs, are computed when first read.
+system, on its first solve, by LAPACK's banded Cholesky dpbtrf on the
+lower band. Each right-hand side, adjoint ones included, is one dpbtrs with
+that factor and the guard on the normwise backward error
+||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1). A solve with
+||K_ff x - b||_1 <= tol ||b||_1 meets that bound whatever ||K_ff||_1 is, so
+the guard computes ||K_ff||_1, once per system, only for a solve that fails
+this test or when a solution's `residual` is first read. Reactions,
+(K U - F_ext) at the prescribed dofs, are computed when first read too.
 """
 
 from __future__ import annotations
@@ -95,10 +98,13 @@ class FemSystem:
     # set by assemble; a system built by hand lays out its free block from
     # its own K when it is factored and has no element sensitivities
     plan: AssemblyPlan | None = None
-    # (||K_ff||_1, order, band factor), made by the first solve; it only
-    # caches what K determines, so the system stays a value
+    # (order, band factor), made by the first solve, and ||K_ff||_1, made
+    # when the guard first needs it; they only cache what K determines, so
+    # the system stays a value
     _factor: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
+    _norm: float | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
 
 @dataclass(frozen=True)
@@ -107,8 +113,15 @@ class FieldSolution:
 
     physics: str
     values: np.ndarray
-    residual: float
     system: FemSystem = field(repr=False, compare=False)
+    # (||K_ff x - b||_1, ||x||_1, ||b||_1) of the solve
+    guard: tuple = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def residual(self) -> float:
+        """The solve's normwise backward error
+        ||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1)."""
+        return _backward_error(self.system, *self.guard)
 
     @functools.cached_property
     def reactions(self) -> dict[int, np.ndarray | float]:
@@ -137,9 +150,20 @@ def _volume_epsilon(coords: np.ndarray) -> float:
     return 1e-12 * diag**3
 
 
+def _invalid(name: str, rule: str, p: np.ndarray) -> ValueError:
+    """The error for parameters `p` that break `rule`. Elements where `p` is
+    NaN, as on the unprinted part of a print that stopped early, are named
+    first: they have no value to break it with."""
+    missing = np.flatnonzero(np.isnan(p))
+    if not missing.size:
+        return ValueError(f"{name} must {rule}")
+    return ValueError(f"{name} has no value at {missing.size} element(s), "
+                      f"the first is element {missing[0]}; it must {rule}")
+
+
 def _check_poisson(poisson: np.ndarray) -> None:
     if not ((poisson > -1.0) & (poisson < 0.5)).all():  # NaN fails too
-        raise ValueError("poisson ratio must lie in (-1, 0.5)")
+        raise _invalid("poisson ratio", "lie in (-1, 0.5)", poisson)
 
 
 def element_stiffness(tet_coords, young: float, poisson: float) -> ElementMatrix:
@@ -175,7 +199,7 @@ def element_conductance(tet_coords, conductivity: float) -> ElementMatrix:
 
 def _check_parameter(name: str, p: np.ndarray) -> None:
     if not ((p > 0.0) & (p < np.inf)).all():  # NaN fails both comparisons
-        raise ValueError(f"{name} must be positive and finite")
+        raise _invalid(name, "be positive and finite", p)
 
 
 def _element_parameter(fld, physics: str) -> np.ndarray:
@@ -342,14 +366,15 @@ def assemble(spec, fld, physics: str, plan: AssemblyPlan | None = None
     `fld` supplies per-element parameters. `plan` is `assembly_plan(spec,
     physics, ...)`, built here when not given. Raises ValueError for a
     parameter that is not positive and finite or a Poisson ratio outside
-    (-1, 0.5), and WellPosednessError when the physics has no Dirichlet data.
+    (-1, 0.5), naming the elements where a parameter is NaN, and
+    WellPosednessError when the physics has no Dirichlet data.
     """
     if plan is not None and plan.physics != physics:
         raise ValueError(f"plan is for {plan.physics}, not {physics}")
+    scale = _element_parameter(fld, physics)
     if plan is None or (plan.poisson is not None
                         and not np.array_equal(fld.poisson, plan.poisson)):
         plan = assembly_plan(spec, physics, fld)
-    scale = _element_parameter(fld, physics)
     # a copy of a CSR matrix skips the index checks of the (data, indices,
     # indptr) constructor and shares the pattern's index arrays
     K = scipy.sparse.csr_matrix(plan.pattern)
@@ -404,19 +429,19 @@ def _band_layout(ff: scipy.sparse.csc_matrix) -> tuple:
     """(order, bw, src, slots) for factoring K_ff as a band, from `ff`, its
     CSC slice of `_free_block`'s slot matrix: the reverse Cuthill-McKee
     order of its symmetric pattern, the half-bandwidth bw of K_ff in that
-    order, and for each entry K.data[src[i]] of the reordered upper triangle
-    its flat index slots[i] in LAPACK's (bw + 1) x n upper band,
-    column-major so LAPACK factors it in place."""
+    order, and for each entry K.data[src[i]] of the reordered lower triangle
+    its flat index slots[i] = col (bw + 1) + row - col in LAPACK's
+    (bw + 1) x n lower band, column-major so LAPACK factors it in place."""
     n = ff.shape[0]
     order = (reverse_cuthill_mckee(ff, symmetric_mode=True) if n
              else np.zeros(0, dtype=np.int32))  # RCM rejects an empty graph
     position = np.argsort(order)
     coo = ff.tocoo()
     rows, cols = position[coo.row], position[coo.col]
-    take = np.flatnonzero(rows <= cols)
-    offset = cols[take] - rows[take]
+    take = np.flatnonzero(rows >= cols)
+    offset = rows[take] - cols[take]
     bw = int(offset.max(initial=0))
-    return order, bw, coo.data[take] - 1, cols[take] * (bw + 1) + bw - offset
+    return order, bw, coo.data[take] - 1, cols[take] * (bw + 1) + offset
 
 
 def _one_norm(data: np.ndarray, slots: np.ndarray, indptr: np.ndarray,
@@ -433,29 +458,46 @@ def _one_norm(data: np.ndarray, slots: np.ndarray, indptr: np.ndarray,
     return float(sums.max(initial=0.0))
 
 
+def _free_layout(system: FemSystem) -> tuple:
+    """The `_free_block` tuple of the system's K_ff: its plan's, or laid
+    out from K for a system built by hand."""
+    plan, K = system.plan, system.K
+    if plan is not None:
+        return plan.ff_slots, plan.ff_indptr, plan.ff_empty, plan.band
+    return _free_block(K.indptr, K.indices, system.free)
+
+
 def _factor(system: FemSystem):
-    """(||K_ff||_1, order, band factor) of the system's free block,
-    factored once by LAPACK's dpbtrf on a band filled from K.data."""
+    """(order, band factor) of the system's free block, factored once by
+    LAPACK's dpbtrf on a lower band filled from K.data."""
     if system._factor is None:
-        plan, K = system.plan, system.K
-        ff_slots, ff_indptr, ff_empty, (order, bw, src, slots) = (
-            (plan.ff_slots, plan.ff_indptr, plan.ff_empty, plan.band)
-            if plan is not None
-            else _free_block(K.indptr, K.indices, system.free))
+        order, bw, src, slots = _free_layout(system)[3]
         ab = np.zeros((bw + 1, order.size), order="F")
-        ab.reshape(-1, order="F")[slots] = K.data[src]
-        chol, info = scipy.linalg.lapack.dpbtrf(ab, lower=0, overwrite_ab=1)
+        ab.reshape(-1, order="F")[slots] = system.K.data[src]
+        chol, info = scipy.linalg.lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
         if info != 0:
             raise WellPosednessError(
                 f"reduced matrix is not positive definite (dpbtrf info {info})"
             )
-        object.__setattr__(system, "_factor", (
-            _one_norm(K.data, ff_slots, ff_indptr, ff_empty), order, chol))
+        object.__setattr__(system, "_factor", (order, chol))
     return system._factor
 
 
+def _backward_error(system: FemSystem, r, x_sum, b_sum) -> float:
+    """||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1) from the three
+    1-norms of a solve; ||K_ff||_1 is computed on the first call for the
+    system."""
+    if system._norm is None:
+        object.__setattr__(system, "_norm", _one_norm(
+            system.K.data, *_free_layout(system)[:3]))
+    # a zero scale means x = b = 0, so the error is 0
+    return float(r / max(system._norm * x_sum + b_sum, _TINY))
+
+
 def _solve_free(system: FemSystem, b: np.ndarray, tol: float | None):
-    """Solve K_ff x = b; returns (x, backward error).
+    """Solve K_ff x = b; returns x and the guard's 1-norms
+    (||K_ff x - b||_1, ||x||_1, ||b||_1), from which `_backward_error`
+    computes the normwise backward error.
 
     Raises SolverFailure when the normwise backward error
     ||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1) exceeds `tol`, which
@@ -464,26 +506,31 @@ def _solve_free(system: FemSystem, b: np.ndarray, tol: float | None):
     if tol is None:
         tol = DEFAULT_TOL
     if b.shape[0] == 0:
-        return np.zeros(0), 0.0
-    norm, order, chol = _factor(system)
+        return np.zeros(0), (0.0, 0.0, 0.0)
+    order, chol = _factor(system)
     x = np.empty(b.shape[0])
     # dpbtrs reports only illegal arguments, which its wrapper's shape
     # checks rule out
-    x[order] = scipy.linalg.lapack.dpbtrs(chol, b[order], lower=0,
+    x[order] = scipy.linalg.lapack.dpbtrs(chol, b[order], lower=1,
                                           overwrite_b=1)[0]
     # K x at the free rows, x padded with zeros, is K_ff x: the same products
     # in the same order, as the prescribed columns add only zeros
     padded = np.zeros(system.K.shape[0])
     padded[system.free] = x
     r = np.abs((system.K @ padded)[system.free] - b).sum()
-    # a zero scale means x = b = 0, so the error is 0
-    res = float(r / max(norm * np.abs(x).sum() + np.abs(b).sum(), _TINY))
-    if not res <= tol:  # a NaN error fails too
-        raise SolverFailure(
-            f"solve left backward error {res:.3e} above tol {tol:g}",
-            residual_history=[res],
-        )
-    return x, res
+    b_sum = np.abs(b).sum()
+    guard = (r, np.abs(x).sum(), b_sum)
+    # the scale max(||K_ff||_1 ||x||_1 + ||b||_1, tiny) is at least
+    # max(||b||_1, tiny), and rounding keeps that order, so an error that
+    # meets tol against the smaller scale meets it against the true one
+    if not r / max(b_sum, _TINY) <= tol:
+        res = _backward_error(system, *guard)
+        if not res <= tol:  # a NaN error fails too
+            raise SolverFailure(
+                f"solve left backward error {res:.3e} above tol {tol:g}",
+                residual_history=[res],
+            )
+    return x, guard
 
 
 def solve(system: FemSystem, tol: float = DEFAULT_TOL) -> FieldSolution:
@@ -491,17 +538,18 @@ def solve(system: FemSystem, tol: float = DEFAULT_TOL) -> FieldSolution:
 
     `tol` is the largest normwise backward error
     ||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1) accepted, DEFAULT_TOL
-    when None; the solution's `residual` is that backward error.
+    when None; the solution's `residual` is that backward error, computed
+    when first read.
     """
-    x, res = _solve_free(system, system.rhs, tol)
+    x, guard = _solve_free(system, system.rhs, tol)
     U = np.zeros(system.dofs_per_vertex * system.n_vertices)
     U[system.free] = x
     U[system.prescribed] = system.prescribed_values
     values = U.reshape(system.n_vertices, system.dofs_per_vertex)
     if system.dofs_per_vertex == 1:
         values = values[:, 0]
-    return FieldSolution(physics=system.physics, values=values, residual=res,
-                         system=system)
+    return FieldSolution(physics=system.physics, values=values, system=system,
+                         guard=guard)
 
 
 def adjoint_solve(system: FemSystem, weights: np.ndarray,
@@ -542,18 +590,3 @@ def verify_nodal_bounds(solution: FieldSolution, spec) -> list[NodalVerdict]:
             verdicts.append(NodalVerdict(vid, ok, np.asarray(t), msg))
     return verdicts
 
-
-def solution_to_dict(solution: FieldSolution) -> dict:
-    key = "displacements" if solution.physics == "elasticity" else "temperatures"
-    if solution.physics == "elasticity":
-        reactions = {str(v): r.tolist() for v, r in solution.reactions.items()}
-    else:
-        reactions = {str(v): r for v, r in solution.reactions.items()}
-    return {
-        key: solution.values.tolist(),
-        "reactions": reactions,
-        "diagnostics": {
-            "physics": solution.physics,
-            "residual": solution.residual,
-        },
-    }

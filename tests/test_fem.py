@@ -17,7 +17,6 @@ from semfab.fem import (
     assemble,
     element_conductance,
     element_stiffness,
-    solution_to_dict,
     solve,
     verify_nodal_bounds,
 )
@@ -27,7 +26,12 @@ from semfab.mesh import (
     generate_box_mesh,
     generate_shaft_mesh,
 )
-from semfab.semantics import MaterialField, bind_to_mesh, layer_from_dict
+from semfab.semantics import (
+    PARAMETERS,
+    MaterialField,
+    bind_to_mesh,
+    layer_from_dict,
+)
 
 
 def shape_gradients(coords):
@@ -441,17 +445,6 @@ def test_verify_nodal_bounds():
     assert failing.message and "z" in failing.message
 
 
-def test_solution_dump_shape():
-    mesh, spec, fld, top = shaft_problem(n_radial=6, n_axial=2)
-    sol = solve(assemble(spec, fld, "elasticity"))
-    doc = solution_to_dict(sol)
-    assert len(doc["displacements"]) == mesh.n_vertices
-    assert doc["diagnostics"]["physics"] == "elasticity"
-    assert set(doc["reactions"]) == {
-        str(int(v)) for v in np.flatnonzero(mesh.vertices[:, 2] == 0.0)
-    }
-
-
 def _reference_K(mesh, fld, physics):
     """Global K by a per-call COO build from the direct element kernels."""
     from semfab import _kernels
@@ -638,12 +631,12 @@ def test_solves_match_scipy_banded_cholesky_bit_for_bit(physics):
     order, bw, src, slots = planned.plan.band
     ab = np.zeros((bw + 1, order.size), order="F")
     ab.reshape(-1, order="F")[slots] = planned.K.data[src]
-    chol = scipy.linalg.cholesky_banded(ab)
+    chol = scipy.linalg.cholesky_banded(ab, lower=True)
     w = np.random.default_rng(6).normal(size=planned.f_ext.size)
 
     def reference(b):
         x = np.empty(b.size)
-        x[order] = scipy.linalg.cho_solve_banded((chol, False), b[order])
+        x[order] = scipy.linalg.cho_solve_banded((chol, True), b[order])
         return x
 
     for system in (planned, _by_hand(planned)):
@@ -651,6 +644,93 @@ def test_solves_match_scipy_banded_cholesky_bit_for_bit(physics):
         assert np.array_equal(u, reference(system.rhs))
         lam = adjoint_solve(system, w)[system.free]
         assert np.array_equal(lam, reference(w[system.free]))
+
+
+def _fixed_bottom_system(case, physics):
+    """The 60-tet bar or the shaft, bottom held in both physics, top loaded,
+    assembled with uneven parameters."""
+    mesh = (generate_box_mesh(1, 1, 10, [1.0, 1.0, 10.0]) if case == "bar"
+            else generate_shaft_mesh(1.0, 4.0, 9, 3))
+    z = mesh.vertices[:, 2]
+    doc = {"vertex_annotations": {str(int(v)): {"displacement": "fixed",
+                                                "temperature": 300.0}
+                                  for v in np.flatnonzero(z == z.min())}}
+    for v in np.flatnonzero(z == z.max()):
+        doc["vertex_annotations"][str(int(v))] = {"force": [0.3, 0.0, -1.0],
+                                                  "flux": 0.5}
+    spec = bind_to_mesh(layer_from_dict(doc), mesh)
+    m = mesh.n_elements
+    fld = _random_field(np.random.default_rng(7), m, np.full(m, 0.3))
+    return assemble(spec, fld, physics)
+
+
+@pytest.mark.parametrize("case, physics", [("bar", "elasticity"),
+                                           ("bar", "conduction"),
+                                           ("shaft", "elasticity")])
+def test_plan_band_is_lapacks_lower_band_of_the_reordered_free_block(
+        case, physics):
+    system = _fixed_bottom_system(case, physics)
+    order, bw, src, slots = system.plan.band
+    n = order.size
+    ab = np.zeros((bw + 1, n), order="F")
+    ab.reshape(-1, order="F")[slots] = system.K.data[src]
+    free = system.free
+    A = system.K[free][:, free].toarray()[np.ix_(order, order)]
+    # LAPACK's lower band: ab[i - j, j] = A[i, j] for j <= i <= j + bw
+    want = np.zeros((bw + 1, n))
+    for j in range(n):
+        rows = np.arange(j, min(j + bw + 1, n))
+        want[rows - j, j] = A[rows, j]
+    assert np.array_equal(ab, want)
+    # the band holds the whole reordered pattern, and no wider band would
+    pattern = scipy.sparse.csr_matrix(
+        (np.ones(system.K.nnz), system.K.indices, system.K.indptr),
+        shape=system.K.shape)[free][:, free].toarray()[np.ix_(order, order)]
+    i, j = np.nonzero(pattern)
+    assert np.abs(i - j).max() == bw
+
+
+@pytest.mark.parametrize("by_hand", [False, True])
+def test_a_passing_solve_leaves_the_norm_until_residual_is_read(
+        monkeypatch, by_hand):
+    norms = []
+    original = fem._one_norm
+
+    def counted(*args):
+        norms.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(fem, "_one_norm", counted)
+    mesh, spec, fld, top = shaft_problem(n_radial=8, n_axial=3)
+    system = assemble(spec, fld, "elasticity")
+    if by_hand:
+        system = _by_hand(system)
+    sol = solve(system)
+    w = np.zeros(3 * mesh.n_vertices)
+    w[3 * int(top[0]) + 2] = 1.0
+    adjoint_solve(system, w)
+    assert norms == [] and "residual" not in vars(sol)
+
+    # the guard's formula, from the solution's own x
+    x = sol.values.reshape(-1)[system.free]
+    padded = np.zeros(system.K.shape[0])
+    padded[system.free] = x
+    r = np.abs((system.K @ padded)[system.free] - system.rhs).sum()
+    plan = fem.assembly_plan(spec, "elasticity", fld)
+    norm = original(system.K.data, plan.ff_slots, plan.ff_indptr,
+                    plan.ff_empty)
+    want = float(r / max(norm * np.abs(x).sum() + np.abs(system.rhs).sum(),
+                         np.finfo(np.float64).tiny))
+    assert 0.0 < sol.residual == want
+    assert norms == [1]
+    # once per system: a second solution reads the same norm
+    assert solve(system).residual == want
+    assert norms == [1]
+    # the guard passes a solve exactly when its backward error meets tol
+    solve(system, tol=want)
+    with pytest.raises(SolverFailure) as err:
+        solve(system, tol=np.nextafter(want, 0.0))
+    assert err.value.residual_history == [want]
 
 
 def test_an_evaluation_builds_one_sparse_matrix(monkeypatch):
@@ -691,6 +771,38 @@ def test_assemble_rejects_a_non_finite_parameter(physics, bad):
         for p in (plan, None):
             with pytest.raises(ValueError, match="poisson"):
                 assemble(spec, broken, physics, plan=p)
+
+
+@pytest.mark.parametrize("physics", ["elasticity", "conduction"])
+def test_a_parameter_without_a_value_is_named_not_blamed_on_its_range(
+        physics):
+    # the achieved field of a print stopped before its last layer holds
+    # NaN on the elements it never printed
+    mesh = generate_box_mesh(1, 1, 2, [1.0, 1.0, 2.0])
+    z = mesh.vertices[:, 2]
+    doc = {"vertex_annotations": {str(int(v)): {"displacement": "fixed",
+                                                "temperature": 300.0}
+                                  for v in np.flatnonzero(z == 0.0)}}
+    spec = bind_to_mesh(layer_from_dict(doc), mesh)
+    fld = MaterialField.uniform(mesh.n_elements, young=1.0, poisson=0.3)
+    plan = fem.assembly_plan(spec, physics, fld)
+    unprinted = np.arange(6, mesh.n_elements)
+    assert unprinted.size == 6
+    aborted = fld
+    for name in PARAMETERS:
+        aborted = aborted.with_values(unprinted, name, np.nan)
+    name = "young modulus" if physics == "elasticity" else "conductivity"
+    cases = [(aborted, name)]
+    if physics == "elasticity":
+        cases.append((fld.with_values(unprinted, "poisson", np.nan),
+                      "poisson ratio"))
+    for broken, name in cases:
+        for p in (plan, None):
+            with pytest.raises(ValueError) as err:
+                assemble(spec, broken, physics, plan=p)
+            assert str(err.value).startswith(
+                f"{name} has no value at 6 element(s), the first is "
+                f"element 6;")
 
 
 def test_tol_none_means_the_default_in_solve_and_adjoint(monkeypatch):

@@ -10,7 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import (bar_mesh_and_doc, bar_tip_displacement,
-                      layered_bar_problem, record_primal_solves)
+                      consistent_face_loads, layered_bar_problem,
+                      record_primal_solves)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,24 +34,6 @@ def box_layer_doc(default_ranges, vertex_annotations=None, properties=None,
     if regularity is not None:
         doc["field_regularity"] = regularity
     return doc
-
-
-def consistent_face_loads(m, verts, total_force):
-    """Nodal forces equivalent to a uniform traction on the face spanned by
-    `verts`, computed triangle by triangle (area/3 per corner)."""
-    vset = set(int(v) for v in verts)
-    loads = {v: np.zeros(3) for v in vset}
-    area = 0.0
-    for tri in mesh.boundary_faces(m):
-        if all(int(v) in vset for v in tri):
-            pts = m.vertices[tri]
-            a = 0.5 * np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0]))
-            area += a
-            for v in tri:
-                loads[int(v)] += np.asarray(total_force) * (a / 3.0)
-    for v in loads:
-        loads[v] /= area
-    return loads
 
 
 def cube_compliance_problem(young_box=(50.0, 200.0), frozen_idx=(),

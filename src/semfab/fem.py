@@ -16,6 +16,11 @@ element order, so results are reproducible bit for bit. The element
 sensitivities lam . k̂_e u of all elements are one product with S's
 transpose.
 
+A :class:`FemSystem` is its plan's K and reduced right-hand side for one
+material field, made only by :func:`assemble`: no system exists without a
+plan, and every other part of it, the free/prescribed split, the loads and
+the band layout of K_ff, is read from the plan.
+
 K is the only sparse matrix an evaluation builds. Prescribed dofs are
 eliminated: K_ff is copied from K.data straight into LAPACK's band storage,
 in a reverse Cuthill-McKee order fixed by the plan, and factored once per
@@ -48,13 +53,6 @@ _DOFS_PER_VERTEX = {"elasticity": 3, "conduction": 1}
 
 
 @dataclass(frozen=True)
-class ElementMatrix:
-    element: int
-    matrix: np.ndarray
-    dof_map: np.ndarray
-
-
-@dataclass(frozen=True)
 class AssemblyPlan:
     """The parts of one (specification, physics) system that the material
     field does not change; see the module docstring."""
@@ -67,10 +65,9 @@ class AssemblyPlan:
     # at the slots of its entries in K.data, so K.data = S @ p
     S: scipy.sparse.csc_matrix
     S_T: scipy.sparse.csr_matrix  # S's transpose, sharing S's arrays
-    indptr: np.ndarray  # CSR pattern of K, vertex pairs expanded per dof
-    indices: np.ndarray
-    # K's pattern with zero entries; each system's K is a copy of it that
-    # shares its index arrays, with its own data
+    # K's CSR pattern, vertex pairs expanded per dof, with zero entries;
+    # each system's K is a copy of it that shares its index arrays, with
+    # its own data
     pattern: scipy.sparse.csr_matrix
     row_sizes: np.ndarray  # entries in each row of K's pattern
     f_ext: np.ndarray
@@ -86,18 +83,12 @@ class AssemblyPlan:
 
 @dataclass(frozen=True)
 class FemSystem:
-    physics: str
+    """K and the reduced right-hand side of one material field, assembled
+    from `plan`, which holds everything else about the system."""
+
+    plan: AssemblyPlan
     K: scipy.sparse.csr_matrix
-    f_ext: np.ndarray
-    free: np.ndarray
-    prescribed: np.ndarray
-    prescribed_values: np.ndarray
     rhs: np.ndarray  # f_ext[free] - K[free, prescribed] @ prescribed_values
-    n_vertices: int
-    dofs_per_vertex: int
-    # set by assemble; a system built by hand lays out its free block from
-    # its own K when it is factored and has no element sensitivities
-    plan: AssemblyPlan | None = None
     # (order, band factor), made by the first solve, and ||K_ff||_1, made
     # when the guard first needs it; they only cache what K determines, so
     # the system stays a value
@@ -111,7 +102,6 @@ class FemSystem:
 class FieldSolution:
     """Nodal result of one solve: (n,3) displacements or (n,) temperatures."""
 
-    physics: str
     values: np.ndarray
     system: FemSystem = field(repr=False, compare=False)
     # (||K_ff x - b||_1, ||x||_1, ||b||_1) of the solve
@@ -127,12 +117,12 @@ class FieldSolution:
     def reactions(self) -> dict[int, np.ndarray | float]:
         """(K U - F_ext) at the prescribed dofs: a 3-vector per vertex for
         elasticity, a float per vertex for conduction."""
-        s = self.system
-        r = (s.K @ self.values.reshape(-1) - s.f_ext)[s.prescribed]
-        if s.dofs_per_vertex == 1:
-            return {int(d): float(v) for d, v in zip(s.prescribed, r)}
+        plan, K = self.system.plan, self.system.K
+        r = (K @ self.values.reshape(-1) - plan.f_ext)[plan.prescribed]
+        if plan.dofs_per_vertex == 1:
+            return {int(d): float(v) for d, v in zip(plan.prescribed, r)}
         reactions: dict[int, np.ndarray | float] = {}
-        for dof, v in zip(s.prescribed, r):
+        for dof, v in zip(plan.prescribed, r):
             reactions.setdefault(int(dof) // 3, np.zeros(3))[dof % 3] = v
         return reactions
 
@@ -143,11 +133,6 @@ class NodalVerdict:
     passed: bool
     value: np.ndarray
     message: str | None = None
-
-
-def _volume_epsilon(coords: np.ndarray) -> float:
-    diag = np.linalg.norm(coords.max(axis=0) - coords.min(axis=0))
-    return 1e-12 * diag**3
 
 
 def _invalid(name: str, rule: str, p: np.ndarray) -> ValueError:
@@ -164,37 +149,6 @@ def _invalid(name: str, rule: str, p: np.ndarray) -> ValueError:
 def _check_poisson(poisson: np.ndarray) -> None:
     if not ((poisson > -1.0) & (poisson < 0.5)).all():  # NaN fails too
         raise _invalid("poisson ratio", "lie in (-1, 0.5)", poisson)
-
-
-def element_stiffness(tet_coords, young: float, poisson: float) -> ElementMatrix:
-    """12x12 constant-strain tet stiffness k = V B^T C(E, nu) B."""
-    coords = np.asarray(tet_coords, dtype=np.float64)
-    if coords.shape != (4, 3):
-        raise ValueError("tet_coords must be 4 points in 3d")
-    _check_parameter("young modulus", np.asarray([young]))
-    _check_poisson(np.asarray([poisson]))
-    tets = np.array([[0, 1, 2, 3]], dtype=np.int64)
-    vol = _kernels.tet_volumes(coords, tets)[0]
-    if vol <= _volume_epsilon(coords):
-        raise ValueError(f"degenerate tet, signed volume {vol:.3e}")
-    k = _kernels.elasticity_matrices(
-        coords, tets, np.asarray([young]), np.asarray([float(poisson)])
-    )[0]
-    return ElementMatrix(0, k, np.arange(12))
-
-
-def element_conductance(tet_coords, conductivity: float) -> ElementMatrix:
-    """4x4 conduction matrix k_ij = D V grad(N_i) . grad(N_j)."""
-    coords = np.asarray(tet_coords, dtype=np.float64)
-    if coords.shape != (4, 3):
-        raise ValueError("tet_coords must be 4 points in 3d")
-    _check_parameter("conductivity", np.asarray([conductivity]))
-    tets = np.array([[0, 1, 2, 3]], dtype=np.int64)
-    vol = _kernels.tet_volumes(coords, tets)[0]
-    if vol <= _volume_epsilon(coords):
-        raise ValueError(f"degenerate tet, signed volume {vol:.3e}")
-    k = _kernels.conduction_matrices(coords, tets, np.asarray([conductivity]))[0]
-    return ElementMatrix(0, k, np.arange(4))
 
 
 def _check_parameter(name: str, p: np.ndarray) -> None:
@@ -337,8 +291,6 @@ def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
         poisson=poisson,
         S=S,
         S_T=S_T,
-        indptr=indptr,
-        indices=indices,
         pattern=pattern,
         row_sizes=row_sizes,
         f_ext=f_ext,
@@ -381,18 +333,7 @@ def assemble(spec, fld, physics: str, plan: AssemblyPlan | None = None
     # column by column, so each slot sums its entries in element order
     K.data = plan.S @ scale
     rhs = plan.f_ext[plan.free] - (K @ plan.u_prescribed)[plan.free]
-    return FemSystem(
-        physics=physics,
-        K=K,
-        f_ext=plan.f_ext,
-        free=plan.free,
-        prescribed=plan.prescribed,
-        prescribed_values=plan.prescribed_values,
-        rhs=rhs,
-        n_vertices=plan.n_vertices,
-        dofs_per_vertex=plan.dofs_per_vertex,
-        plan=plan,
-    )
+    return FemSystem(plan, K, rhs)
 
 
 def element_sensitivity(system: FemSystem, lam: np.ndarray,
@@ -404,11 +345,10 @@ def element_sensitivity(system: FemSystem, lam: np.ndarray,
     d(lam . K u)/dp = S^T (lam_i u_j over the entries (i, j) of K's
     pattern), since K.data = S p."""
     plan = system.plan
-    if plan is None:
-        raise ValueError("element sensitivities need a system from assemble")
     # row i repeated over its entries; take is faster than fancy indexing
     # with the pattern's int32 columns
-    return plan.S_T @ (np.repeat(lam, plan.row_sizes) * u.take(plan.indices))
+    return plan.S_T @ (np.repeat(lam, plan.row_sizes)
+                       * u.take(plan.pattern.indices))
 
 
 def _free_block(indptr, indices, free) -> tuple:
@@ -458,20 +398,11 @@ def _one_norm(data: np.ndarray, slots: np.ndarray, indptr: np.ndarray,
     return float(sums.max(initial=0.0))
 
 
-def _free_layout(system: FemSystem) -> tuple:
-    """The `_free_block` tuple of the system's K_ff: its plan's, or laid
-    out from K for a system built by hand."""
-    plan, K = system.plan, system.K
-    if plan is not None:
-        return plan.ff_slots, plan.ff_indptr, plan.ff_empty, plan.band
-    return _free_block(K.indptr, K.indices, system.free)
-
-
 def _factor(system: FemSystem):
     """(order, band factor) of the system's free block, factored once by
     LAPACK's dpbtrf on a lower band filled from K.data."""
     if system._factor is None:
-        order, bw, src, slots = _free_layout(system)[3]
+        order, bw, src, slots = system.plan.band
         ab = np.zeros((bw + 1, order.size), order="F")
         ab.reshape(-1, order="F")[slots] = system.K.data[src]
         chol, info = scipy.linalg.lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
@@ -488,8 +419,9 @@ def _backward_error(system: FemSystem, r, x_sum, b_sum) -> float:
     1-norms of a solve; ||K_ff||_1 is computed on the first call for the
     system."""
     if system._norm is None:
+        plan = system.plan
         object.__setattr__(system, "_norm", _one_norm(
-            system.K.data, *_free_layout(system)[:3]))
+            system.K.data, plan.ff_slots, plan.ff_indptr, plan.ff_empty))
     # a zero scale means x = b = 0, so the error is 0
     return float(r / max(system._norm * x_sum + b_sum, _TINY))
 
@@ -515,9 +447,10 @@ def _solve_free(system: FemSystem, b: np.ndarray, tol: float | None):
                                           overwrite_b=1)[0]
     # K x at the free rows, x padded with zeros, is K_ff x: the same products
     # in the same order, as the prescribed columns add only zeros
+    free = system.plan.free
     padded = np.zeros(system.K.shape[0])
-    padded[system.free] = x
-    r = np.abs((system.K @ padded)[system.free] - b).sum()
+    padded[free] = x
+    r = np.abs((system.K @ padded)[free] - b).sum()
     b_sum = np.abs(b).sum()
     guard = (r, np.abs(x).sum(), b_sum)
     # the scale max(||K_ff||_1 ||x||_1 + ||b||_1, tiny) is at least
@@ -541,15 +474,14 @@ def solve(system: FemSystem, tol: float = DEFAULT_TOL) -> FieldSolution:
     when None; the solution's `residual` is that backward error, computed
     when first read.
     """
+    plan = system.plan
     x, guard = _solve_free(system, system.rhs, tol)
-    U = np.zeros(system.dofs_per_vertex * system.n_vertices)
-    U[system.free] = x
-    U[system.prescribed] = system.prescribed_values
-    values = U.reshape(system.n_vertices, system.dofs_per_vertex)
-    if system.dofs_per_vertex == 1:
+    U = plan.u_prescribed.copy()
+    U[plan.free] = x
+    values = U.reshape(plan.n_vertices, plan.dofs_per_vertex)
+    if plan.dofs_per_vertex == 1:
         values = values[:, 0]
-    return FieldSolution(physics=system.physics, values=values, system=system,
-                         guard=guard)
+    return FieldSolution(values=values, system=system, guard=guard)
 
 
 def adjoint_solve(system: FemSystem, weights: np.ndarray,
@@ -558,9 +490,10 @@ def adjoint_solve(system: FemSystem, weights: np.ndarray,
     full-length adjoint vector with zeros at prescribed dofs. `weights` has
     one entry per global dof; `tol` is as for `solve`."""
     weights = np.asarray(weights, dtype=np.float64)
-    x, _ = _solve_free(system, weights[system.free], tol)
+    free = system.plan.free
+    x, _ = _solve_free(system, weights[free], tol)
     lam = np.zeros(len(weights))
-    lam[system.free] = x
+    lam[free] = x
     return lam
 
 
@@ -571,7 +504,7 @@ def verify_nodal_bounds(solution: FieldSolution, spec) -> list[NodalVerdict]:
     element the solution is a convex combination of its vertex values.
     """
     verdicts: list[NodalVerdict] = []
-    if solution.physics == "elasticity":
+    if solution.system.plan.physics == "elasticity":
         for vid in sorted(spec.displacement_bounds):
             box = spec.displacement_bounds[vid]
             u = solution.values[vid]

@@ -483,7 +483,7 @@ class InversionProblem(_BoxProblem):
             if grad is not None:
                 # self-adjoint: the adjoint equals the displacement vector
                 grad.add_self_adjoint("elasticity")
-            return float(system.f_ext @ solution.values.reshape(-1))
+            return float(system.plan.f_ext @ solution.values.reshape(-1))
         if grad is not None:
             if self.objective == "average_temperature":
                 grad.add_load("conduction",

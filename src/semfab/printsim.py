@@ -98,8 +98,7 @@ class SensorModel:
         if state.frontier < 1:
             raise ValueError("nothing printed yet, nothing to observe")
         if self.availability == "all":
-            layers = state.partition.layers[: state.frontier]
-            return np.sort(np.concatenate(layers)).astype(np.intp)
+            return state.printed_elements()
         return np.sort(
             np.asarray(state.partition.layers[state.frontier - 1], dtype=np.intp)
         )

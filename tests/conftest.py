@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 
-from semfab import fem, mesh, optimize, semantics
+from semfab import _kernels, fem, mesh, optimize, semantics
 
 
 def record_primal_solves(monkeypatch):
@@ -15,11 +15,25 @@ def record_primal_solves(monkeypatch):
 
     def keyed(system, *args, **kwargs):
         digest = hashlib.blake2b(system.K.data.tobytes(), digest_size=16)
-        keys.append((system.physics, digest.hexdigest()))
+        keys.append((system.plan.physics, digest.hexdigest()))
         return original(system, *args, **kwargs)
 
     monkeypatch.setattr(fem, "solve", keyed)
     return keys
+
+
+def element_matrix(coords, parameter, poisson=None):
+    """The matrix of the one tet `coords` from the kernels every assembly
+    plan is built with: the 12x12 stiffness at Young's modulus `parameter`
+    and Poisson ratio `poisson`, or, without a Poisson ratio, the 4x4
+    conductance at conductivity `parameter`."""
+    coords = np.asarray(coords, dtype=np.float64)
+    tets = np.array([[0, 1, 2, 3]], dtype=np.int64)
+    p = np.array([parameter], dtype=np.float64)
+    if poisson is None:
+        return _kernels.conduction_matrices(coords, tets, p)[0]
+    return _kernels.elasticity_matrices(coords, tets, p,
+                                        np.array([poisson], dtype=np.float64))[0]
 
 
 def consistent_face_loads(m, verts, total_force):

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import bar_tip_displacement, layered_bar_problem, write_bar_files
+from conftest import (bar_tip_displacement, layered_bar_problem,
+                      record_primal_solves, write_bar_files)
 
 from semfab import cli, fem, mesh, printsim, semantics
 
@@ -117,20 +118,13 @@ def test_verify_thermal_plate_solves_conduction_once(tmp_path, monkeypatch,
     mesh_path = tmp_path / "plate_mesh.json"
     mesh.save_mesh(mesh.generate_box_mesh(4, 1, 4, (4.0, 1.0, 4.0)),
                    mesh_path)
-    solved = []
-    original = fem.solve
-
-    def counted(system, *args, **kwargs):
-        solved.append(system.physics)
-        return original(system, *args, **kwargs)
-
-    monkeypatch.setattr(fem, "solve", counted)
+    keys = record_primal_solves(monkeypatch)
     rc = run_cli("verify", mesh_path, DOCS_EXAMPLES / "thermal-plate.json",
                  "--nominal")
     out = capsys.readouterr().out
     assert rc == 0
     assert "hot_edge" in out and "bulk_heat" in out
-    assert solved == ["conduction"]
+    assert [physics for physics, _ in keys] == ["conduction"]
 
 
 def test_verify_defaults_to_the_library_fem_tolerance(tmp_path, monkeypatch,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,21 +6,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from conftest import element_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from semfab import _kernels, fem
 from semfab.errors import SolverFailure, WellPosednessError
-from semfab.fem import (
-    FemSystem,
-    adjoint_solve,
-    assemble,
-    element_conductance,
-    element_stiffness,
-    solve,
-    verify_nodal_bounds,
-)
+from semfab.fem import adjoint_solve, assemble, solve, verify_nodal_bounds
 from semfab.mesh import (
     VolumetricMesh,
     boundary_faces,
@@ -82,7 +76,7 @@ def random_tet(rng):
 
 
 def test_reference_tet_stiffness_matches_oracle():
-    k = element_stiffness(REF_TET, 1.0, 0.25).matrix
+    k = element_matrix(REF_TET, 1.0, 0.25)
     assert_allclose(k, stiffness_oracle(REF_TET, 1.0, 0.25), atol=1e-12)
     # hand value: dof (vertex 0, x) couples B column (-1,0,0,-1,0,-1),
     # so k00 = V ((lam+2mu) + 2 mu) = (1/6)(1.2 + 0.8) = 1/3
@@ -95,7 +89,7 @@ def test_random_tet_stiffness_matches_oracle():
         coords = random_tet(rng)
         E = rng.uniform(0.5, 300.0)
         nu = rng.uniform(-0.5, 0.45)
-        k = element_stiffness(coords, E, nu).matrix
+        k = element_matrix(coords, E, nu)
         oracle = stiffness_oracle(coords, E, nu)
         assert_allclose(k, oracle, rtol=1e-10, atol=1e-10 * np.abs(oracle).max())
 
@@ -104,7 +98,7 @@ def test_stiffness_kills_rigid_modes():
     rng = np.random.default_rng(11)
     for _ in range(10):
         coords = random_tet(rng)
-        k = element_stiffness(coords, 100.0, 0.3).matrix
+        k = element_matrix(coords, 100.0, 0.3)
         scale = np.abs(k).max()
         translation = np.tile([1.0, 0.0, 0.0], 4)
         assert np.abs(k @ translation).max() <= 1e-9 * scale
@@ -116,14 +110,14 @@ def test_stiffness_kills_rigid_modes():
 def test_stiffness_spectrum():
     rng = np.random.default_rng(19)
     for _ in range(10):
-        k = element_stiffness(random_tet(rng), 50.0, 0.2).matrix
+        k = element_matrix(random_tet(rng), 50.0, 0.2)
         w = np.linalg.eigvalsh(k)
         assert w[0] > -1e-8 * w[-1]
         assert np.sum(np.abs(w) <= 1e-8 * w[-1]) == 6
 
 
 def test_reference_tet_conductance_matches_oracle():
-    k = element_conductance(REF_TET, 1.0).matrix
+    k = element_matrix(REF_TET, 1.0)
     expected = (1.0 / 6.0) * np.array(
         [[3.0, -1, -1, -1], [-1, 1, 0, 0], [-1, 0, 1, 0], [-1, 0, 0, 1]]
     )
@@ -135,34 +129,12 @@ def test_reference_tet_conductance_matches_oracle():
 def test_conductance_constant_mode_and_linearity():
     rng = np.random.default_rng(5)
     coords = random_tet(rng)
-    k1 = element_conductance(coords, 1.3).matrix
+    k1 = element_matrix(coords, 1.3)
     assert np.abs(k1 @ np.ones(4)).max() <= 1e-9 * np.abs(k1).max()
-    k2 = element_conductance(coords, 2.6).matrix
+    k2 = element_matrix(coords, 2.6)
     assert_allclose(k2, 2.0 * k1, rtol=1e-14)
     w = np.linalg.eigvalsh(k1)
     assert np.sum(np.abs(w) <= 1e-8 * w[-1]) == 1
-
-
-def test_element_input_validation():
-    flat = REF_TET.copy()
-    flat[3] = [0.5, 0.5, 0.0]
-    with pytest.raises(ValueError):
-        element_stiffness(flat, 1.0, 0.25)
-    with pytest.raises(ValueError):
-        element_stiffness(REF_TET, -1.0, 0.25)
-    with pytest.raises(ValueError):
-        element_stiffness(REF_TET, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        element_conductance(flat, 1.0)
-    with pytest.raises(ValueError):
-        element_conductance(REF_TET, 0.0)
-    with pytest.raises(ValueError):
-        element_stiffness(REF_TET[:3], 1.0, 0.0)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="positive and finite"):
-            element_stiffness(REF_TET, bad, 0.2)
-        with pytest.raises(ValueError, match="positive and finite"):
-            element_conductance(REF_TET, bad)
 
 
 def fixed_bottom_spec(mesh, extra=None):
@@ -174,13 +146,30 @@ def fixed_bottom_spec(mesh, extra=None):
     return bind_to_mesh(layer_from_dict(doc), mesh)
 
 
+@pytest.mark.parametrize("physics", ["elasticity", "conduction"])
+def test_assembly_plan_rejects_a_degenerate_tet(physics):
+    # tet 1's fourth vertex lies in the plane of its other three
+    vertices = np.vstack([REF_TET, [[1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]]])
+    tets = np.array([[0, 1, 2, 3], [1, 2, 3, 4]], dtype=np.int64)
+    mesh = VolumetricMesh(vertices, tets)
+    doc = {"vertex_annotations": {str(v): {"displacement": "fixed",
+                                           "temperature": 300.0}
+                                  for v in range(3)}}
+    spec = bind_to_mesh(layer_from_dict(doc), mesh)
+    fld = MaterialField.uniform(2, young=1.0, poisson=0.25)
+    with pytest.raises(ValueError, match="degenerate tet 1"):
+        fem.assembly_plan(spec, physics, fld)
+    with pytest.raises(ValueError, match="degenerate tet 1"):
+        assemble(spec, fld, physics)
+
+
 def test_assemble_single_tet_equals_element_matrix():
     mesh = VolumetricMesh(REF_TET, np.array([[0, 1, 2, 3]], dtype=np.int64))
     spec = fixed_bottom_spec(mesh)
     fld = MaterialField.uniform(1, young=7.0, poisson=0.2)
     system = assemble(spec, fld, "elasticity")
     assert_allclose(
-        system.K.toarray(), element_stiffness(REF_TET, 7.0, 0.2).matrix, atol=1e-14
+        system.K.toarray(), element_matrix(REF_TET, 7.0, 0.2), atol=1e-14
     )
 
 
@@ -193,8 +182,8 @@ def test_assembly_adds_shared_vertex_contributions():
     spec = fixed_bottom_spec(mesh)
     fld = MaterialField.uniform(2, young=3.0, poisson=0.1)
     K = assemble(spec, fld, "elasticity").K.toarray()
-    k0 = element_stiffness(vertices[tets[0]], 3.0, 0.1).matrix
-    k1 = element_stiffness(vertices[tets[1]], 3.0, 0.1).matrix
+    k0 = element_matrix(vertices[tets[0]], 3.0, 0.1)
+    k1 = element_matrix(vertices[tets[1]], 3.0, 0.1)
     # vertex 1 is local 1 in tet 0 and local 0 in tet 1
     block = K[3:6, 3:6]
     assert_allclose(block, k0[3:6, 3:6] + k1[0:3, 0:3], atol=1e-13)
@@ -299,9 +288,10 @@ def test_sparse_path_matches_dense_solve():
     system = assemble(spec, fld, "elasticity")
     sol = solve(system, tol=1e-12)
     assert sol.residual <= 1e-12
-    K_ff = system.K[system.free][:, system.free].toarray()
+    free = system.plan.free
+    K_ff = system.K[free][:, free].toarray()
     dense = np.linalg.solve(K_ff, system.rhs)
-    sparse = sol.values.reshape(-1)[system.free]
+    sparse = sol.values.reshape(-1)[free]
     assert np.abs(sparse - dense).max() <= 1e-9 * max(1.0, np.abs(dense).max())
 
 
@@ -316,29 +306,16 @@ def test_solver_failure_carries_residual_history():
     assert err.value.residual_history == [achieved]
 
 
-def _manual_system(K, b):
-    n = K.shape[0]
-    return FemSystem(
-        physics="conduction",
-        K=scipy.sparse.csr_matrix(K),
-        f_ext=np.zeros(n + 1),
-        free=np.arange(n),
-        prescribed=np.array([n]),
-        prescribed_values=np.zeros(1),
-        rhs=b,
-        n_vertices=n + 1,
-        dofs_per_vertex=1,
-    )
-
-
 def test_indefinite_matrix_flagged_dense_and_iterative():
-    # indefinite and singular reduced blocks, small and large
-    for n in (4, 400):
-        indefinite = scipy.sparse.identity(n + 1, format="csr") * -1.0
-        singular = scipy.sparse.diags(np.r_[np.ones(n - 1), 0.0, 1.0]).tocsr()
-        for K in (indefinite, singular):
-            with pytest.raises(WellPosednessError):
-                solve(_manual_system(K, np.ones(n)))
+    # negative definite and singular free blocks of assembled systems
+    for physics in ("elasticity", "conduction"):
+        mesh, spec, fld = _loaded_box(physics)
+        assembled = assemble(spec, fld, physics)
+        for scale in (-1.0, 0.0):
+            K = assembled.K.copy()
+            K.data *= scale
+            with pytest.raises(WellPosednessError, match="dpbtrf"):
+                solve(dataclasses.replace(assembled, K=K))
 
 
 def test_conduction_bar_linear_profile_exact():
@@ -394,12 +371,12 @@ def test_compliance_decreases_when_any_element_stiffens():
     base = MaterialField.uniform(mesh.n_elements, young=100.0, poisson=0.3)
     system = assemble(spec, base, "elasticity")
     sol = solve(system)
-    compliance = float(system.f_ext @ sol.values.reshape(-1))
+    compliance = float(system.plan.f_ext @ sol.values.reshape(-1))
     for e in range(mesh.n_elements):
         stiffer = base.with_values([e], "young", 130.0)
         system_e = assemble(spec, stiffer, "elasticity")
         sol_e = solve(system_e)
-        c_e = float(system_e.f_ext @ sol_e.values.reshape(-1))
+        c_e = float(system_e.plan.f_ext @ sol_e.values.reshape(-1))
         assert c_e <= compliance + 1e-12 * abs(compliance)
 
 
@@ -410,11 +387,12 @@ def test_adjoint_solve_matches_direct_inverse():
         w = np.zeros(3 * mesh.n_vertices)
         w[3 * int(top[0]) + 2] = 1.0
         lam = adjoint_solve(system, w)
-        K_ff = system.K[system.free][:, system.free].toarray()
-        expected = np.linalg.solve(K_ff, w[system.free])
-        assert_allclose(lam[system.free], expected,
+        free = system.plan.free
+        K_ff = system.K[free][:, free].toarray()
+        expected = np.linalg.solve(K_ff, w[free])
+        assert_allclose(lam[free], expected,
                         atol=1e-9 * np.abs(expected).max())
-        assert np.abs(lam[system.prescribed]).max() == 0.0
+        assert np.abs(lam[system.plan.prescribed]).max() == 0.0
 
 
 def test_verify_nodal_bounds():
@@ -505,11 +483,11 @@ def test_plan_assembly_matches_coo_reference(seed, physics):
         ref = _reference_K(mesh, fld, physics)
         scale = abs(ref).max()
         assert abs(system.K - ref).max() <= 1e-12 * scale
-        free, fixed = system.free, system.prescribed
+        free, fixed = system.plan.free, system.plan.prescribed
         ref_ff = ref[free][:, free]
         assert abs(system.K[free][:, free] - ref_ff).max() <= 1e-12 * scale
-        ref_rhs = system.f_ext[free] - ref[free][:, fixed] @ \
-            system.prescribed_values
+        ref_rhs = system.plan.f_ext[free] - ref[free][:, fixed] @ \
+            system.plan.prescribed_values
         assert np.abs(system.rhs - ref_rhs).max() <= \
             1e-12 * np.abs(ref_rhs).max()
 
@@ -529,15 +507,16 @@ def test_adjoint_reuses_the_primal_factor(monkeypatch):
         system = assemble(spec, fld, "elasticity")
         factorizations.clear()
         solve(system)
-        K_ff = system.K[system.free][:, system.free].toarray()
+        free = system.plan.free
+        K_ff = system.K[free][:, free].toarray()
         for v in top[:2]:
             w = np.zeros(3 * mesh.n_vertices)
             w[3 * int(v) + 2] = 1.0
             lam = adjoint_solve(system, w)
-            expected = np.linalg.solve(K_ff, w[system.free])
-            residual = np.linalg.norm(K_ff @ lam[system.free] - w[system.free])
+            expected = np.linalg.solve(K_ff, w[free])
+            residual = np.linalg.norm(K_ff @ lam[free] - w[free])
             assert residual <= fem.DEFAULT_TOL * np.linalg.norm(w)
-            assert_allclose(lam[system.free], expected,
+            assert_allclose(lam[free], expected,
                             atol=1e-9 * np.abs(expected).max())
         assert len(factorizations) == 1
 
@@ -559,7 +538,7 @@ def test_solve_allocates_nothing_square_in_the_free_dofs():
     mesh = generate_box_mesh(1, 1, 20, [1.0, 1.0, 20.0])
     system = assemble(fixed_bottom_spec(mesh),
                       MaterialField.uniform(mesh.n_elements), "elasticity")
-    n = system.free.size
+    n = system.plan.free.size
     assert n == 240
     tracemalloc.start()
     try:
@@ -614,16 +593,6 @@ def _loaded_box(physics):
     return mesh, spec, fld
 
 
-def _by_hand(system):
-    """The same system without its plan, as a caller would build it."""
-    return FemSystem(
-        physics=system.physics, K=system.K, f_ext=system.f_ext,
-        free=system.free, prescribed=system.prescribed,
-        prescribed_values=system.prescribed_values, rhs=system.rhs,
-        n_vertices=system.n_vertices, dofs_per_vertex=system.dofs_per_vertex,
-    )
-
-
 @pytest.mark.parametrize("physics", ["elasticity", "conduction"])
 def test_solves_match_scipy_banded_cholesky_bit_for_bit(physics):
     mesh, spec, fld = _loaded_box(physics)
@@ -632,18 +601,18 @@ def test_solves_match_scipy_banded_cholesky_bit_for_bit(physics):
     ab = np.zeros((bw + 1, order.size), order="F")
     ab.reshape(-1, order="F")[slots] = planned.K.data[src]
     chol = scipy.linalg.cholesky_banded(ab, lower=True)
-    w = np.random.default_rng(6).normal(size=planned.f_ext.size)
+    w = np.random.default_rng(6).normal(size=planned.plan.f_ext.size)
 
     def reference(b):
         x = np.empty(b.size)
         x[order] = scipy.linalg.cho_solve_banded((chol, True), b[order])
         return x
 
-    for system in (planned, _by_hand(planned)):
-        u = solve(system).values.reshape(-1)[system.free]
-        assert np.array_equal(u, reference(system.rhs))
-        lam = adjoint_solve(system, w)[system.free]
-        assert np.array_equal(lam, reference(w[system.free]))
+    free = planned.plan.free
+    u = solve(planned).values.reshape(-1)[free]
+    assert np.array_equal(u, reference(planned.rhs))
+    lam = adjoint_solve(planned, w)[free]
+    assert np.array_equal(lam, reference(w[free]))
 
 
 def _fixed_bottom_system(case, physics):
@@ -674,7 +643,7 @@ def test_plan_band_is_lapacks_lower_band_of_the_reordered_free_block(
     n = order.size
     ab = np.zeros((bw + 1, n), order="F")
     ab.reshape(-1, order="F")[slots] = system.K.data[src]
-    free = system.free
+    free = system.plan.free
     A = system.K[free][:, free].toarray()[np.ix_(order, order)]
     # LAPACK's lower band: ab[i - j, j] = A[i, j] for j <= i <= j + bw
     want = np.zeros((bw + 1, n))
@@ -690,9 +659,7 @@ def test_plan_band_is_lapacks_lower_band_of_the_reordered_free_block(
     assert np.abs(i - j).max() == bw
 
 
-@pytest.mark.parametrize("by_hand", [False, True])
-def test_a_passing_solve_leaves_the_norm_until_residual_is_read(
-        monkeypatch, by_hand):
+def test_a_passing_solve_leaves_the_norm_until_residual_is_read(monkeypatch):
     norms = []
     original = fem._one_norm
 
@@ -703,8 +670,6 @@ def test_a_passing_solve_leaves_the_norm_until_residual_is_read(
     monkeypatch.setattr(fem, "_one_norm", counted)
     mesh, spec, fld, top = shaft_problem(n_radial=8, n_axial=3)
     system = assemble(spec, fld, "elasticity")
-    if by_hand:
-        system = _by_hand(system)
     sol = solve(system)
     w = np.zeros(3 * mesh.n_vertices)
     w[3 * int(top[0]) + 2] = 1.0
@@ -712,10 +677,11 @@ def test_a_passing_solve_leaves_the_norm_until_residual_is_read(
     assert norms == [] and "residual" not in vars(sol)
 
     # the guard's formula, from the solution's own x
-    x = sol.values.reshape(-1)[system.free]
+    free = system.plan.free
+    x = sol.values.reshape(-1)[free]
     padded = np.zeros(system.K.shape[0])
-    padded[system.free] = x
-    r = np.abs((system.K @ padded)[system.free] - system.rhs).sum()
+    padded[free] = x
+    r = np.abs((system.K @ padded)[free] - system.rhs).sum()
     plan = fem.assembly_plan(spec, "elasticity", fld)
     norm = original(system.K.data, plan.ff_slots, plan.ff_indptr,
                     plan.ff_empty)
@@ -746,12 +712,12 @@ def test_an_evaluation_builds_one_sparse_matrix(monkeypatch):
     monkeypatch.setattr(scipy.sparse._base._spbase, "__init__", counted)
     system = assemble(spec, fld, "elasticity", plan=plan)
     sol = solve(system)
-    adjoint_solve(system, np.ones(system.f_ext.size))
+    adjoint_solve(system, np.ones(system.plan.f_ext.size))
     assert built == ["csr_matrix"]
     # reactions wait until they are read
     assert "reactions" not in vars(sol)
     U = sol.values.reshape(-1)
-    want = (system.K @ U - system.f_ext)[system.prescribed]
+    want = (system.K @ U - system.plan.f_ext)[system.plan.prescribed]
     got = np.concatenate([sol.reactions[v] for v in sorted(sol.reactions)])
     assert np.array_equal(got, want)
 
@@ -770,6 +736,24 @@ def test_assemble_rejects_a_non_finite_parameter(physics, bad):
         broken = fld.with_values([3], "poisson", bad)
         for p in (plan, None):
             with pytest.raises(ValueError, match="poisson"):
+                assemble(spec, broken, physics, plan=p)
+
+
+@pytest.mark.parametrize("physics", ["elasticity", "conduction"])
+def test_assemble_rejects_a_finite_parameter_outside_its_range(physics):
+    # the finite values the ranges leave out: E or D not positive, and the
+    # Poisson ratio at either end of (-1, 0.5)
+    mesh, spec, fld = _loaded_box(physics)
+    plan = fem.assembly_plan(spec, physics, fld)
+    name = "young" if physics == "elasticity" else "conductivity"
+    cases = [(fld.with_values([3], name, bad), "positive and finite")
+             for bad in (0.0, -1.0)]
+    if physics == "elasticity":
+        cases += [(fld.with_values([3], "poisson", bad), "poisson")
+                  for bad in (0.5, -1.0)]
+    for broken, match in cases:
+        for p in (plan, None):
+            with pytest.raises(ValueError, match=match):
                 assemble(spec, broken, physics, plan=p)
 
 
@@ -896,8 +880,11 @@ def test_plan_pattern_matches_the_dof_key_construction(physics, case):
     mesh, spec, fld = _pattern_problem(case)
     plan = fem.assembly_plan(spec, physics, fld)
     ref = _dof_key_pattern(mesh, plan.dofs_per_vertex, plan.free)
-    for name in ("indptr", "indices", "ff_slots", "ff_indptr"):
-        got, want = getattr(plan, name), ref[name]
+    plan_arrays = {"indptr": plan.pattern.indptr,
+                   "indices": plan.pattern.indices,
+                   "ff_slots": plan.ff_slots, "ff_indptr": plan.ff_indptr}
+    for name, got in plan_arrays.items():
+        want = ref[name]
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     # the assembly operator's row indices are the scatter, in int32
     assert plan.S.indices.dtype == np.int32
@@ -921,7 +908,7 @@ def test_operator_assembly_is_the_bincount_sum_bit_for_bit(physics, case):
     unit, p = _unit_and_parameter(mesh, fld, physics)
     want = np.bincount(ref["scatter"],
                        weights=(p[:, None, None] * unit).reshape(-1),
-                       minlength=plan.indices.size)
+                       minlength=plan.pattern.indices.size)
     got = assemble(spec, fld, physics, plan=plan).K.data
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -935,8 +922,8 @@ def test_assembly_shares_the_plans_index_arrays(physics):
     first = assemble(spec, fld, physics, plan=plan).K
     second = assemble(spec, fld, physics, plan=plan).K
     for K in (first, second):
-        assert np.shares_memory(K.indices, plan.indices)
-        assert np.shares_memory(K.indptr, plan.indptr)
+        assert np.shares_memory(K.indices, plan.pattern.indices)
+        assert np.shares_memory(K.indptr, plan.pattern.indptr)
         assert not np.shares_memory(K.data, plan.pattern.data)
     assert not np.shares_memory(first.data, second.data)
     assert not plan.pattern.data.any()

@@ -25,9 +25,25 @@ _PREV = [2, 0, 1]
 
 
 def _edges(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
-    """Edge vectors from vertex 0 of every tet, as (component, edge, element)."""
-    corners = np.ascontiguousarray(vertices.T).take(tets.T, axis=1)
-    return corners[:, 1:] - corners[:, :1]
+    """Edge vectors from vertex 0 of every tet, as (component, edge,
+    element), with components 0 and 1 repeated as rows 3 and 4, so that
+    rows 1:4 and 2:5 hold components c + 1 and c + 2 (mod 3) of c = 0, 1, 2."""
+    coords = np.ascontiguousarray(vertices.T)
+    e = np.empty((5, 3, tets.shape[0]))
+    np.subtract(coords.take(tets.T[1:], axis=1),
+                coords.take(tets[:, 0], axis=1)[:, None], out=e[:3])
+    e[3:] = e[:2]
+    return e
+
+
+def _cross(e: np.ndarray, r: int, out: np.ndarray, tmp: np.ndarray) -> None:
+    """The cross product a x b of edges a = r + 1 and b = r + 2 (mod 3) of
+    `_edges` into `out`, (3, m), with `tmp` of the same shape as scratch:
+    component c is a[c + 1] b[c + 2] - a[c + 2] b[c + 1]."""
+    a, b = _NEXT[r], _PREV[r]
+    np.multiply(e[1:4, a], e[2:5, b], out=out)
+    np.multiply(e[2:5, a], e[1:4, b], out=tmp)
+    out -= tmp
 
 
 def _triple(e: np.ndarray, c23: np.ndarray) -> np.ndarray:
@@ -37,8 +53,8 @@ def _triple(e: np.ndarray, c23: np.ndarray) -> np.ndarray:
 
 def tet_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
     e = _edges(vertices, tets)
-    e2, e3 = e[:, 1], e[:, 2]
-    c23 = e2[_NEXT] * e3[_PREV] - e2[_PREV] * e3[_NEXT]
+    c23 = np.empty((3, tets.shape[0]))
+    _cross(e, 0, c23, np.empty_like(c23))
     return _triple(e, c23) / 6.0
 
 
@@ -53,13 +69,18 @@ def shape_data(vertices: np.ndarray, tets: np.ndarray):
     first.
     """
     e = _edges(vertices, tets)
-    # adj[c, r] is component c of the cross product of edges r + 1 and r + 2
-    a, b = e[:, _NEXT], e[:, _PREV]
-    adj = a[_NEXT] * b[_PREV] - a[_PREV] * b[_NEXT]
-    det = _triple(e, adj[:, 0])
-    grads = np.empty((3, 4, tets.shape[0]))
-    np.divide(adj, det, out=grads[:, 1:])
-    np.negative((grads[:, 1] + grads[:, 2]) + grads[:, 3], out=grads[:, 0])
+    m = tets.shape[0]
+    grads = np.empty((3, 4, m))
+    # grads[c, r + 1] is first component c of the cross product of edges
+    # r + 1 and r + 2, and then that over the determinant
+    tmp = np.empty((3, m))
+    for r in range(3):
+        _cross(e, r, grads[:, r + 1], tmp)
+    det = _triple(e, grads[:, 1])
+    grads[:, 1:] /= det
+    g0 = np.add(grads[:, 1], grads[:, 2], out=grads[:, 0])
+    g0 += grads[:, 3]
+    np.negative(g0, out=g0)
     return det / 6.0, grads
 
 
@@ -112,9 +133,12 @@ def elasticity_matrices(vertices, tets, young, poisson):
 
 def conduction_matrices(vertices, tets, conductivity):
     """k_e = D_e V_e grad(N_i) . grad(N_j) for every tet, (m, 4, 4)."""
-    vols, g = shape_data(vertices, tets)
-    gx, gy, gz = g
-    gg = 0.0 + gx[:, None] * gx
-    gg += gz[:, None] * gz
-    gg += gy[:, None] * gy
+    vols, (gx, gy, gz) = shape_data(vertices, tets)
+    gg = np.multiply(gx[:, None], gx)
+    gg += 0.0  # the sum starts from +0.0
+    term = np.empty_like(gx)
+    for a in range(4):
+        gg[a] += np.multiply(gz[a], gz, out=term)
+        gg[a] += np.multiply(gy[a], gy, out=term)
+    del gx, gy, gz, term  # not held while the result is allocated
     return _per_element(gg, vols * conductivity)

@@ -7,14 +7,17 @@ k̂_e. An :class:`AssemblyPlan`, built once per (specification, physics),
 holds the fixed CSR pattern of K, the free/prescribed split, where the free
 block K_ff sits in K.data and in a band, and assembly as one linear operator
 S from element parameters to K's entries: a sparse matrix whose column e
-holds k̂_e's entries at their slots in K.data. K's pattern is built over the
-pairs of mesh vertices that share an element and expanded per dof, each
-vertex pair becoming a full block of dofs, so its cost grows with the vertex
-graph and not with every dof pair of every element. Assembly is K.data =
-S p, which adds the scaled unit matrices into the pattern in ascending
-element order, so results are reproducible bit for bit. The element
-sensitivities lam . k̂_e u of all elements are one product with S's
-transpose.
+holds k̂_e's entries at their slots in K.data. K's pattern is built from the
+edges of the element graph, as George & Liu (1981) build the graph of a
+finite-element matrix: the six edges of every tet, deduplicated by one
+sort, are the vertex graph, every element entry's slot is read off its edge
+or vertex, and each vertex pair becomes a full block of dofs. So the cost
+grows with the tets' edges and not with every dof pair of every element.
+The free block's layout comes from the same CSR pattern, masked to the free
+dofs and transposed once. Assembly is K.data = S p, which adds the scaled
+unit matrices into the pattern in ascending element order, so results are
+reproducible bit for bit. The element sensitivities lam . k̂_e u of all
+elements are one product with S's transpose.
 
 A :class:`FemSystem` is its plan's K and reduced right-hand side for one
 material field, made only by :func:`assemble`: no system exists without a
@@ -52,10 +55,11 @@ _TINY = np.finfo(np.float64).tiny
 _DOFS_PER_VERTEX = {"elasticity": 3, "conduction": 1}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssemblyPlan:
     """The parts of one (specification, physics) system that the material
-    field does not change; see the module docstring."""
+    field does not change; see the module docstring. Like a system and a
+    solution, it holds arrays, so it compares and hashes by identity."""
 
     physics: str
     n_vertices: int
@@ -81,7 +85,7 @@ class AssemblyPlan:
     band: tuple  # _band_layout of K_ff
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FemSystem:
     """K and the reduced right-hand side of one material field, assembled
     from `plan`, which holds everything else about the system."""
@@ -90,22 +94,19 @@ class FemSystem:
     K: scipy.sparse.csr_matrix
     rhs: np.ndarray  # f_ext[free] - K[free, prescribed] @ prescribed_values
     # (order, band factor), made by the first solve, and ||K_ff||_1, made
-    # when the guard first needs it; they only cache what K determines, so
-    # the system stays a value
-    _factor: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
-    _norm: float | None = field(default=None, init=False, repr=False,
-                                compare=False)
+    # when the guard first needs it; both only cache what K determines
+    _factor: tuple | None = field(default=None, init=False, repr=False)
+    _norm: float | None = field(default=None, init=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldSolution:
     """Nodal result of one solve: (n,3) displacements or (n,) temperatures."""
 
     values: np.ndarray
-    system: FemSystem = field(repr=False, compare=False)
+    system: FemSystem = field(repr=False)
     # (||K_ff x - b||_1, ||x||_1, ||b||_1) of the solve
-    guard: tuple = field(repr=False, compare=False)
+    guard: tuple = field(repr=False)
 
     @functools.cached_property
     def residual(self) -> float:
@@ -194,13 +195,56 @@ def _read_only(*arrays):
         a.flags.writeable = False
 
 
+# the six edges of a tet, as pairs (alpha, beta) of its local vertices
+_EDGE_ALPHA, _EDGE_BETA = np.triu_indices(4, 1)
+
+
+def _tet_edges(corners: np.ndarray, n: int, index_type):
+    """(lo, hi, edge) of the tets whose vertices are `corners`, (4, m): the
+    unique edges (lo, hi), lo < hi, sorted by their keys lo*n + hi, and for
+    each of the 6m tet edges, as (edge, element), 2u + f with u its unique
+    edge and f = 1 where its local vertex alpha is its hi.
+
+    The keys are deduplicated with one stable sort. Each temporary is
+    dropped once used, which keeps down the plan's peak memory."""
+    alpha, beta = corners[_EDGE_ALPHA], corners[_EDGE_BETA]  # (6, m)
+    flipped = (alpha > beta).reshape(-1)
+    keys = np.minimum(alpha, beta)
+    keys *= n
+    keys += np.maximum(alpha, beta, out=alpha)
+    del alpha, beta
+    keys = keys.reshape(-1)
+    order = keys.argsort(kind="stable")
+    keys = keys.take(order)
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    unique = keys[first]
+    del keys
+    run = np.cumsum(first, dtype=index_type)
+    run -= 1
+    run *= 2
+    edge = np.empty_like(run)
+    edge[order] = run
+    edge += flipped
+    lo = unique // n
+    return lo, unique - lo * n, edge.reshape(6, -1)
+
+
 def _pattern(tets: np.ndarray, n_vertices: int, dpv: int):
     """(indptr, indices, scatter) of K's CSR pattern for `dpv` dofs per
-    vertex, built over vertex pairs and expanded per dof.
+    vertex, built from the edges of the element graph and expanded per dof.
 
-    The sorted unique vertex-pair keys a*n + b are the vertex graph's CSR
-    order, and their inverse index is the vertex slot s of each element
-    entry. Dof row a*d + i holds the d*deg(a) entries of vertex row a, by
+    The sorted unique edges of the tets (`_tet_edges`) are the upper
+    triangle of the vertex graph in CSR order. Vertex row a holds its
+    neighbours below a (the edges whose hi is a, by lo), a itself and its
+    neighbours above a (the edges whose lo is a, by hi), so a vertex that no
+    tet references has an empty row. The vertex slot s of every element
+    entry is then a gather: the diagonal of its vertex, or an edge's entry
+    in the row of its lo or of its hi. The tets must have four distinct
+    vertices, as non-degenerate ones do: a repeated one makes a self-edge.
+
+    Dof row a*d + i holds the d*deg(a) entries of vertex row a, by
     neighbour b and then by j, so entry (a*d + i, b*d + j) sits at
     d*d*vptr[a] + i*d*deg(a) + d*(s - vptr[a]) + j. `scatter` has the slot
     of every element-matrix entry, in (m, k, k) order flattened, as int32
@@ -208,28 +252,68 @@ def _pattern(tets: np.ndarray, n_vertices: int, dpv: int):
     int32 when K's entries can, the index type SciPy would store.
     """
     m, n, d = tets.shape[0], n_vertices, dpv
-    a = tets[:, :, None]
-    keys, vslot = np.unique((a * n + tets[:, None, :]).reshape(-1),
-                            return_inverse=True)
-    deg = np.bincount(keys // n, minlength=n)
-    vptr = np.concatenate([[0], np.cumsum(deg)])
-    row_len = np.repeat(d * deg, d)
-    indptr = np.concatenate([[0], np.cumsum(row_len)])
-    # dof row a*d + i repeats vertex row a's columns b*d + j
-    cols = ((keys % n)[:, None] * d + np.arange(d)).reshape(-1)
-    row_start = np.repeat(d * vptr[:-1], d)
-    indices = cols[np.arange(indptr[-1])
-                   - np.repeat(indptr[:-1] - row_start, row_len)]
-    # scatter[e, α, i, β, j] for local vertices α, β, filled in place
-    vertex_part = d * (d - 1) * vptr[a] + d * vslot.reshape(m, 4, 4)
-    row_part = np.arange(d) * (d * deg[a])
     fits = m * 16 * d * d <= np.iinfo(np.int32).max
-    scatter = np.empty((m, 4, d, 4, d), dtype=np.int32 if fits else np.int64)
-    np.add(vertex_part[:, :, None, :, None],
-           row_part[:, :, :, None, None], out=scatter)
-    scatter += np.arange(d)
+    slot_type = np.int32 if fits else np.int64
+    # keys lo*n + hi are int32 when the largest, (n - 2)*n + n - 1, fits
+    key_type = (np.int32 if n * (n - 1) - 1 <= np.iinfo(np.int32).max
+                else np.int64)
+    corners = tets.T.astype(key_type, order="C")  # (local vertex, element)
+    lo, hi, edge = _tet_edges(corners, n, slot_type)
+
+    up, down = np.bincount(lo, minlength=n), np.bincount(hi, minlength=n)
+    deg = up + down
+    deg += deg > 0  # the diagonal of every referenced vertex
+    vptr = np.zeros(n + 1, dtype=slot_type)
+    np.cumsum(deg, out=vptr[1:])
+    diag = vptr[:-1] + down
+    # slots of each edge's entries (lo, hi), after the diagonal of row lo in
+    # key order, and (hi, lo), before the diagonal of row hi in lo order,
+    # which a stable sort by hi keeps
+    entries = np.empty((lo.size, 2), dtype=slot_type)
+    rank = np.arange(lo.size)
+    entries[:, 0] = rank + (diag + 1 - (np.cumsum(up) - up)).take(lo)
+    by_hi = hi.argsort(kind="stable")
+    entries[by_hi, 1] = rank + (vptr[:-1] - (np.cumsum(down) - down)).take(
+        hi.take(by_hi))
+    cols = np.empty(vptr[-1], dtype=np.intp)
+    used = np.flatnonzero(deg)
+    cols[diag.take(used)] = used
+    cols[entries[:, 0]] = hi
+    cols[entries[:, 1]] = lo
+    # vslot[alpha, beta, e]; the diagonal is every fifth of the 16 rows
+    vslot = np.empty((4, 4, m), dtype=slot_type)
+    diag.take(corners, out=vslot.reshape(16, m)[::5])
+    # a tet edge's entry in the row of its alpha is entries[2u + f], and
+    # the one in the row of its beta entries[2u + 1 - f]
+    entries = entries.reshape(-1)
+    vslot[_EDGE_ALPHA, _EDGE_BETA] = entries.take(edge)
+    edge ^= 1
+    vslot[_EDGE_BETA, _EDGE_ALPHA] = entries.take(edge)
+
+    if d == 1:
+        indptr, indices, scatter = vptr, cols, vslot.reshape(16, m)
+    else:
+        row_len = np.repeat(d * deg, d)
+        indptr = np.concatenate([[0], np.cumsum(row_len)])
+        # dof row a*d + i repeats vertex row a's columns b*d + j
+        cols = (cols[:, None] * d + np.arange(d)).reshape(-1)
+        row_start = np.repeat(d * vptr[:-1], d)
+        indices = cols[np.arange(indptr[-1])
+                       - np.repeat(indptr[:-1] - row_start, row_len)]
+        # scatter[alpha, i, beta, j, e], element last so that every add
+        # runs over the elements
+        dofs = np.arange(d, dtype=slot_type)
+        # d*(d - 1)*vptr[a] + i*d*deg(a) + j as (alpha, i, j, e)
+        within = ((d * deg.astype(slot_type)).take(corners)
+                  * dofs[:, None, None]
+                  + (d * (d - 1) * vptr).take(corners))
+        within = within.transpose(1, 0, 2)[:, :, None] + dofs[:, None]
+        scatter = np.empty((4, d, 4, d, m), dtype=slot_type)
+        np.add((d * vslot)[:, None, :, None], within[:, :, None], out=scatter)
+        scatter = scatter.reshape(16 * d * d, m)
     idx = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
-    return indptr.astype(idx), indices.astype(idx), scatter.reshape(-1)
+    return (indptr.astype(idx), indices.astype(idx),
+            np.ascontiguousarray(scatter.T).reshape(-1))
 
 
 def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
@@ -283,7 +367,7 @@ def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
     free = np.flatnonzero(mask)
     u_prescribed = np.zeros(ndof)
     u_prescribed[prescribed] = prescribed_values
-    ff_slots, ff_indptr, ff_empty, band = _free_block(indptr, indices, free)
+    ff_slots, ff_indptr, ff_empty, band = _free_block(indptr, indices, mask)
     plan = AssemblyPlan(
         physics=physics,
         n_vertices=mesh.n_vertices,
@@ -351,37 +435,51 @@ def element_sensitivity(system: FemSystem, lam: np.ndarray,
                        * u.take(plan.pattern.indices))
 
 
-def _free_block(indptr, indices, free) -> tuple:
+def _free_block(indptr, indices, free_mask) -> tuple:
     """(ff_slots, ff_indptr, ff_empty, band) of the free block K_ff of K's
-    CSR pattern (indptr, indices): the slot in K.data of each K_ff entry in
-    CSC order, the column pointers of K_ff, the mask of its empty columns
-    and its `_band_layout`."""
-    n = indptr.size - 1
-    # 1 + each entry's slot, so that a slice says where its entries are
-    slots = scipy.sparse.csr_matrix(
-        (np.arange(1, indices.size + 1), indices, indptr), shape=(n, n))
-    ff = slots[free][:, free].tocsc()
-    ff.sort_indices()
+    CSR pattern (indptr, indices), where `free_mask` marks the free dofs:
+    the slot in K.data of each K_ff entry in CSC order, the column pointers
+    of K_ff, the mask of its empty columns and its `_band_layout`."""
+    # K's entries whose row and column are both free are K_ff's, in CSR
+    # order; K_ff's row r starts after the ones kept before K's row r
+    keep = np.repeat(free_mask, np.diff(indptr))
+    keep &= free_mask.take(indices)
+    kept_before = np.zeros(indices.size + 1, dtype=indptr.dtype)
+    np.cumsum(keep, out=kept_before[1:])
+    ff_indptr = kept_before.take(np.append(indptr[:-1][free_mask],
+                                           indices.size))
+    renumber = np.cumsum(free_mask, dtype=indices.dtype)
+    renumber -= 1
+    slots = np.flatnonzero(keep)
+    slots += 1  # so that no slot is stored as a zero
+    n = ff_indptr.size - 1
+    # one transpose puts the slots in CSC order, rows ascending
+    ff = scipy.sparse.csr_matrix(
+        (slots, renumber.take(indices[keep]), ff_indptr), shape=(n, n)
+    ).tocsc()
     return ff.data - 1, ff.indptr, np.diff(ff.indptr) == 0, _band_layout(ff)
 
 
 def _band_layout(ff: scipy.sparse.csc_matrix) -> tuple:
-    """(order, bw, src, slots) for factoring K_ff as a band, from `ff`, its
-    CSC slice of `_free_block`'s slot matrix: the reverse Cuthill-McKee
-    order of its symmetric pattern, the half-bandwidth bw of K_ff in that
-    order, and for each entry K.data[src[i]] of the reordered lower triangle
-    its flat index slots[i] = col (bw + 1) + row - col in LAPACK's
-    (bw + 1) x n lower band, column-major so LAPACK factors it in place."""
+    """(order, bw, src, slots) for factoring K_ff as a band, from `ff`,
+    K_ff's CSC pattern with 1 + each entry's slot in K.data as its data, as
+    `_free_block` makes it: the reverse Cuthill-McKee order of its
+    symmetric pattern, the half-bandwidth bw of K_ff in that order, and for
+    each entry K.data[src[i]] of the reordered lower triangle its flat index
+    slots[i] = col (bw + 1) + row - col in LAPACK's (bw + 1) x n lower band,
+    column-major so LAPACK factors it in place."""
     n = ff.shape[0]
     order = (reverse_cuthill_mckee(ff, symmetric_mode=True) if n
              else np.zeros(0, dtype=np.int32))  # RCM rejects an empty graph
     position = np.argsort(order)
-    coo = ff.tocoo()
-    rows, cols = position[coo.row], position[coo.col]
-    take = np.flatnonzero(rows >= cols)
-    offset = rows[take] - cols[take]
+    # each entry's row and column in that order
+    rows = position.take(ff.indices)
+    cols = np.repeat(position, np.diff(ff.indptr))
+    lower = rows >= cols
+    cols = cols[lower]
+    offset = rows[lower] - cols
     bw = int(offset.max(initial=0))
-    return order, bw, coo.data[take] - 1, cols[take] * (bw + 1) + offset
+    return order, bw, ff.data[lower] - 1, cols * (bw + 1) + offset
 
 
 def _one_norm(data: np.ndarray, slots: np.ndarray, indptr: np.ndarray,

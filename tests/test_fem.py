@@ -845,7 +845,23 @@ def _pattern_cases():
                                                 box.vertices.shape)
     relabelled = VolumetricMesh(vertices, perm[box.tets])
     shaft = generate_shaft_mesh(1.0, 4.0, 9, 3)
-    return [box, relabelled, shaft]
+    # vertex k, which no tet references, sits among the others: its rows of
+    # K stay empty
+    k = _UNREFERENCED
+    unreferenced = VolumetricMesh(
+        np.insert(box.vertices, k, [0.5, 0.75, 1.0], axis=0),
+        box.tets + (box.tets >= k))
+    # tet 20 listed again as tet 7: both copies scatter to the same slots
+    duplicated = VolumetricMesh(box.vertices,
+                                np.insert(box.tets, 7, box.tets[20], axis=0))
+    # the tets in an order unrelated to the vertex order
+    shuffled = VolumetricMesh(box.vertices,
+                              box.tets[rng.permutation(box.n_elements)])
+    return [box, relabelled, shaft, unreferenced, duplicated, shuffled]
+
+
+_UNREFERENCED = 29  # the unreferenced vertex of `_pattern_cases()[3]`
+_N_PATTERN_CASES = 6
 
 
 def _pattern_problem(case):
@@ -875,7 +891,7 @@ def _unit_and_parameter(mesh, fld, physics):
 
 
 @pytest.mark.parametrize("physics", ["elasticity", "conduction"])
-@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("case", range(_N_PATTERN_CASES))
 def test_plan_pattern_matches_the_dof_key_construction(physics, case):
     mesh, spec, fld = _pattern_problem(case)
     plan = fem.assembly_plan(spec, physics, fld)
@@ -898,7 +914,7 @@ def test_plan_pattern_matches_the_dof_key_construction(physics, case):
 
 
 @pytest.mark.parametrize("physics", ["elasticity", "conduction"])
-@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("case", range(_N_PATTERN_CASES))
 def test_operator_assembly_is_the_bincount_sum_bit_for_bit(physics, case):
     # K.data = S @ p adds each slot's entries in ascending element order,
     # the order of a bincount over the flattened (m, k, k) entries
@@ -930,7 +946,7 @@ def test_assembly_shares_the_plans_index_arrays(physics):
 
 
 @pytest.mark.parametrize("physics", ["elasticity", "conduction"])
-@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("case", range(_N_PATTERN_CASES))
 def test_element_sensitivity_matches_the_einsum_contraction(physics, case):
     mesh, spec, fld = _pattern_problem(case)
     plan = fem.assembly_plan(spec, physics, fld)
@@ -950,6 +966,86 @@ def test_element_sensitivity_matches_the_einsum_contraction(physics, case):
         want = np.einsum("ei,eij,ej->e", lam[maps], unit, u[maps])
         got = fem.element_sensitivity(system, lam, u)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_an_unreferenced_vertex_has_empty_rows_and_a_repeated_tet_its_slots():
+    unreferenced, duplicated = _pattern_cases()[3:5]
+    for dpv in (1, 3):
+        indptr, _, _ = fem._pattern(unreferenced.tets,
+                                    unreferenced.n_vertices, dpv)
+        k = _UNREFERENCED
+        assert indptr[k * dpv] == indptr[(k + 1) * dpv]  # no diagonal either
+        _, _, scatter = fem._pattern(duplicated.tets, duplicated.n_vertices,
+                                     dpv)
+        scatter = scatter.reshape(duplicated.n_elements, -1)
+        assert np.array_equal(scatter[7], scatter[21])
+
+
+@pytest.mark.parametrize("n_vertices", [46341, 46342])
+def test_pattern_keys_on_each_side_of_the_int32_bound(n_vertices):
+    # the edge keys lo*n + hi are int32 up to n = 46341, where the largest,
+    # (n - 2)*n + n - 1, is the last to fit; a tets-only stand-in whose tets
+    # hold the highest vertex ids makes keys that close to the bound
+    n = n_vertices
+    tets = np.array([[0, 1, 2, 3], [n - 4, n - 3, n - 2, n - 1],
+                     [n - 5, n - 1, n - 3, n - 2], [n - 1, 1, 0, n - 2]])
+    stand_in = dataclasses.make_dataclass(
+        "StandIn", ["tets", "n_vertices", "n_elements"])(tets, n, len(tets))
+    for dpv in (1, 3):
+        indptr, indices, scatter = fem._pattern(tets, n, dpv)
+        ref = _dof_key_pattern(stand_in, dpv, np.zeros(0, dtype=np.int64))
+        for got, want in ((indptr, ref["indptr"]),
+                          (indices, ref["indices"])):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(scatter, ref["scatter"])
+
+
+@pytest.mark.parametrize("physics", ["elasticity", "conduction"])
+def test_a_plan_with_every_vertex_prescribed_has_an_empty_band(physics):
+    # RCM's empty graph: K_ff has no entry, so there is nothing to order or
+    # factor, and a solve returns the prescribed values
+    mesh = generate_box_mesh(1, 1, 2, [1.0, 1.0, 2.0])
+    n = mesh.n_vertices
+    doc = {"vertex_annotations": {
+        str(v): {"displacement": [0.01 * v, -0.02 * v, 0.5],
+                 "temperature": 300.0 + v}
+        for v in range(n)}}
+    spec = bind_to_mesh(layer_from_dict(doc), mesh)
+    fld = MaterialField.uniform(mesh.n_elements)
+    plan = fem.assembly_plan(spec, physics, fld)
+    order, bw, src, slots = plan.band
+    assert order.size == 0 and bw == 0 and src.size == 0 and slots.size == 0
+    assert plan.free.size == 0 and plan.ff_slots.size == 0
+    assert np.array_equal(plan.ff_indptr, [0])
+    ref = _dof_key_pattern(mesh, plan.dofs_per_vertex, plan.free)
+    assert ref["band"][0].dtype == order.dtype and ref["band"][1] == bw
+    values = solve(assemble(spec, fld, physics, plan=plan)).values
+    if physics == "elasticity":
+        want = np.column_stack([0.01 * np.arange(n), -0.02 * np.arange(n),
+                                np.full(n, 0.5)])
+    else:
+        want = 300.0 + np.arange(n)
+    assert np.array_equal(values, want)
+
+
+def test_plans_systems_and_solutions_compare_by_identity():
+    # they hold arrays, so == compares identity and hash is the object's
+    mesh = generate_box_mesh(1, 1, 2, [1.0, 1.0, 2.0])
+    top = np.flatnonzero(mesh.vertices[:, 2] == 2.0)
+    spec = fixed_bottom_spec(mesh, {str(int(v)): {"force": [0.0, 0.0, -1.0]}
+                                    for v in top})
+    fld = MaterialField.uniform(mesh.n_elements)
+    first = assemble(spec, fld, "elasticity")
+    second = assemble(spec, fld, "elasticity")
+    pairs = ((first.plan, second.plan), (first, second),
+             (solve(first), solve(second)))
+    for a, b in pairs:
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+    replaced = dataclasses.replace(first, K=first.K.copy())
+    assert isinstance(replaced, fem.FemSystem) and replaced != first
+    assert replaced.plan is first.plan
+    assert np.array_equal(solve(replaced).values, pairs[2][0].values)
 
 
 def test_plan_peak_memory_stays_near_what_it_keeps():

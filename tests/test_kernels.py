@@ -71,6 +71,7 @@ def _meshes():
     rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     if np.linalg.det(rotation) < 0:
         rotation[:, 0] *= -1.0
+    plate = generate_box_mesh(8, 8, 8, [8.0, 8.0, 8.0])
     return {
         "bar": generate_box_mesh(3, 3, 8, [1.0, 1.0, 8.0]),
         "uneven_box": generate_box_mesh(4, 3, 5, [1.3, 0.7, 2.9]),
@@ -80,6 +81,10 @@ def _meshes():
             cube.tets),
         "rotated": VolumetricMesh(cube.vertices @ rotation.T, cube.tets),
         "tiny": VolumetricMesh(cube.vertices * 1e-5, cube.tets),
+        # 3072 tets, the size of the benchmark's conduction plate
+        "jittered_8x8x8": VolumetricMesh(
+            plate.vertices + rng.uniform(-0.2, 0.2, plate.vertices.shape),
+            plate.tets),
     }
 
 

@@ -70,20 +70,27 @@ class VolumetricMesh:
         return ((((0.0 + corners[0]) + corners[1]) + corners[2])
                 + corners[3]) / 4.0
 
-    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
-
     def bbox_diagonal(self) -> float:
-        lo, hi = self.bbox()
-        return float(np.linalg.norm(hi - lo))
+        """Length of the bounding box's diagonal; computed once per mesh."""
+        return self._bbox_diagonal
+
+    @functools.cached_property
+    def _bbox_diagonal(self) -> float:
+        extent = self.vertices.max(axis=0) - self.vertices.min(axis=0)
+        return float(np.linalg.norm(extent))
 
 
 @dataclass(frozen=True)
 class LayerPartition:
-    """Disjoint element-id layers ordered by ascending build direction (z)."""
+    """Disjoint element-id layers ordered by ascending build direction (z).
+
+    ``element_layer`` is every element's layer and ``layers[k]`` is
+    ``np.flatnonzero(element_layer == k)``; all are read-only intp arrays.
+    """
 
     layer_height: float
-    layers: list[np.ndarray] = field(default_factory=list)
+    layers: list[np.ndarray]
+    element_layer: np.ndarray
 
     @property
     def n_layers(self) -> int:
@@ -399,10 +406,14 @@ def layer_partition(mesh: VolumetricMesh, layer_height: float) -> LayerPartition
     q = extent / layer_height
     n_layers = max(1, math.ceil(q - 1e-9 * max(1.0, q)))
     zc = mesh.centroids()[:, 2]
-    idx = np.floor((zc - z_min) / layer_height).astype(np.int64)
+    idx = np.floor((zc - z_min) / layer_height).astype(np.intp)
     np.clip(idx, 0, n_layers - 1, out=idx)
+    idx.flags.writeable = False
     layers = [np.flatnonzero(idx == k) for k in range(n_layers)]
-    return LayerPartition(layer_height=float(layer_height), layers=layers)
+    for layer in layers:
+        layer.flags.writeable = False
+    return LayerPartition(layer_height=float(layer_height), layers=layers,
+                          element_layer=idx)
 
 
 # ---------------------------------------------------------------------------

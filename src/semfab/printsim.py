@@ -2,11 +2,12 @@
 
 Each layer goes through the same loop: the actuator turns commanded parameter
 values into achieved ones (gain, per-layer drift, lognormal noise), a sensor
-measures the just-printed elements, a conjugate Gaussian estimator updates
-per-element posteriors on the log-parameter, and, when control is enabled,
-the remaining layers are re-optimized with every printed element frozen at
-its posterior mean.  Final verification always runs against the achieved
-ground truth, never against estimates.
+measures the just-printed elements, a conjugate Gaussian estimator carried on
+the print state updates per-element posteriors on the log-parameter, and,
+when control is enabled, the remaining layers are re-optimized with every
+printed element frozen at its posterior mean.  Control reads the estimator
+and the commanded field, never the achieved one; final verification always
+runs against the achieved ground truth, never against estimates.
 
 All randomness is drawn from counter-based Philox streams keyed by
 (seed, layer, purpose), so a run is bitwise reproducible from its seed and
@@ -99,36 +100,7 @@ class SensorModel:
             raise ValueError("nothing printed yet, nothing to observe")
         if self.availability == "all":
             return state.printed_elements()
-        return np.sort(
-            np.asarray(state.partition.layers[state.frontier - 1], dtype=np.intp)
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class MeasurementLog:
-    """Every sensor reading of a print, one entry per (layer, element) read,
-    as three columns in reading order."""
-
-    layer: np.ndarray = dataclasses.field(
-        default_factory=lambda: np.empty(0, dtype=np.intp))
-    element: np.ndarray = dataclasses.field(
-        default_factory=lambda: np.empty(0, dtype=np.intp))
-    log_value: np.ndarray = dataclasses.field(
-        default_factory=lambda: np.empty(0))
-
-    def __len__(self):
-        return self.element.size
-
-    def extended(self, layer, elements, log_values):
-        """A new log with one layer's readings appended."""
-        elements = np.asarray(elements, dtype=np.intp)
-        return MeasurementLog(
-            layer=np.concatenate(
-                [self.layer, np.full(elements.size, layer, dtype=np.intp)]),
-            element=np.concatenate([self.element, elements]),
-            log_value=np.concatenate(
-                [self.log_value, np.asarray(log_values, dtype=np.float64)]),
-        )
+        return state.partition.layers[state.frontier - 1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -146,8 +118,6 @@ class EstimatorState:
     value: np.ndarray
     counts: np.ndarray
     prior_variance: float
-    measurements: MeasurementLog = dataclasses.field(
-        default_factory=MeasurementLog)
 
     @classmethod
     def from_commanded(cls, commanded_values, prior_sd=DEFAULT_PRIOR_SD):
@@ -163,7 +133,7 @@ class EstimatorState:
             prior_variance=float(prior_sd) ** 2,
         )
 
-    def updated(self, element_ids, measured_log, noise_sd, layer,
+    def updated(self, element_ids, measured_log, noise_sd,
                 prior_log=None, prior_value=None):
         """Conjugate update; posterior precision = prior + measurement.
 
@@ -215,8 +185,6 @@ class EstimatorState:
             value=value,
             counts=counts,
             prior_variance=self.prior_variance,
-            measurements=self.measurements.extended(int(layer), ids,
-                                                    measured_log),
         )
 
 
@@ -268,7 +236,8 @@ class PrintState:
 
     ``achieved`` is simulator-private ground truth: its values are NaN above
     the frontier and controllers must never read it (control decisions are
-    functions of ``estimated`` and ``commanded`` only).
+    functions of ``estimator`` and ``commanded`` only).  ``estimator`` holds
+    the posterior of every element; ``estimated`` is derived from it.
     """
 
     partition: mesh_mod.LayerPartition
@@ -277,7 +246,7 @@ class PrintState:
     seed: int
     commanded: MaterialField
     achieved: MaterialField
-    estimated: MaterialField
+    estimator: EstimatorState
     history: tuple = ()
 
     @property
@@ -289,16 +258,20 @@ class PrintState:
         return self.frontier >= self.partition.n_layers
 
     def printed_elements(self):
-        layers = self.partition.layers[: self.frontier]
-        if not layers:
-            return np.empty(0, dtype=np.intp)
-        return np.sort(np.concatenate(layers)).astype(np.intp)
+        return np.flatnonzero(self.partition.element_layer < self.frontier)
 
     def unprinted_elements(self):
-        unprinted = np.ones(self.commanded.n_elements, dtype=bool)
-        for layer in self.partition.layers[: self.frontier]:
-            unprinted[layer] = False
-        return np.flatnonzero(unprinted)
+        return np.flatnonzero(self.partition.element_layer >= self.frontier)
+
+    @property
+    def estimated(self):
+        """Posterior means tagged "estimated" on printed elements; the
+        commanded values everywhere else."""
+        printed = self.printed_elements()
+        return self.commanded.with_values(
+            printed, self.parameter, self.estimator.value[printed],
+            provenance="estimated",
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -313,9 +286,8 @@ class PrintReport:
     seed: int
     layer_height: float
     parameter: str
+    n_measurements: int  # sensor readings taken
     abort: AbortDecision | None = None
-    measurements: MeasurementLog = dataclasses.field(
-        default_factory=MeasurementLog)
 
     def __post_init__(self):
         if self.outcome == "success" and any(
@@ -333,8 +305,6 @@ def initial_state(problem, plan_values, seed, layer_height):
     m = problem.spec.mesh
     if values.shape != (m.n_elements,):
         raise ValueError("plan must provide one value per element")
-    if np.any(values <= 0.0):
-        raise ValueError("plant model needs positive parameter values")
     partition = mesh_mod.layer_partition(m, layer_height)
     commanded = problem.field_for(values)
     achieved = commanded.copy()
@@ -347,7 +317,7 @@ def initial_state(problem, plan_values, seed, layer_height):
         seed=seed,
         commanded=commanded,
         achieved=achieved,
-        estimated=commanded.copy(),
+        estimator=EstimatorState.from_commanded(values),
     )
 
 
@@ -358,7 +328,7 @@ def print_layer(state, actuator):
             f"all {state.n_layers} layers are already printed"
         )
     layer = state.frontier
-    ids = np.sort(np.asarray(state.partition.layers[layer], dtype=np.intp))
+    ids = state.partition.layers[layer]
     achieved = state.achieved.copy()
     for name in semantics.PARAMETERS:
         achieved.values(name)[ids] = state.commanded.values(name)[ids]
@@ -369,46 +339,25 @@ def print_layer(state, actuator):
     return dataclasses.replace(state, frontier=layer + 1, achieved=achieved)
 
 
-def observe_and_update(state, sensor, estimator):
-    """Measure printed elements and fold them into the posterior."""
+def observe_and_update(state, sensor):
+    """Measure printed elements and fold them into the state's posterior."""
     ids = sensor.observed_elements(state)
     if ids.size == 0:
-        return estimator
+        return state
     layer = state.frontier - 1
     truth = state.achieved.values(state.parameter)[ids]
     rng = _stream(state.seed, layer, _SENSOR_STREAM)
     noise = rng.standard_normal(ids.size)
     measured_log = np.log(truth) + sensor.noise_sd * noise
     commanded_now = state.commanded.values(state.parameter)[ids]
-    return estimator.updated(
+    estimator = state.estimator.updated(
         ids,
         measured_log,
         sensor.noise_sd,
-        layer,
         prior_log=np.log(commanded_now),
         prior_value=commanded_now,
     )
-
-
-def apply_estimates(state, estimator):
-    """Refresh the estimated field from the posterior.
-
-    Printed elements carry posterior means tagged "estimated"; everything
-    above the frontier mirrors the current commanded values.
-    """
-    printed = state.printed_elements()
-    estimated = state.commanded.with_values(
-        printed, state.parameter, estimator.value[printed],
-        provenance="estimated",
-    )
-    return dataclasses.replace(state, estimated=estimated)
-
-
-def _element_layer_index(partition, n_elements):
-    out = np.full(n_elements, -1, dtype=np.intp)
-    for layer, ids in enumerate(partition.layers):
-        out[np.asarray(ids, dtype=np.intp)] = layer
-    return out
+    return dataclasses.replace(state, estimator=estimator)
 
 
 def control_step(state, problem, strategy, previous_result, model=None,
@@ -416,16 +365,16 @@ def control_step(state, problem, strategy, previous_result, model=None,
     """Re-plan the unprinted remainder around the estimated printed state.
 
     Freezes printed elements at posterior means, re-optimizes the rest, and
-    writes new commanded values.  Reads only estimated and commanded fields.
-    Returns the updated PrintState, or an AbortDecision when no admissible
-    completion satisfies the constraints.  ``fallback`` is recorded as the
-    reason a warm-start policy re-plans with ``strategy="full"``, unless the
-    re-plan reports its own.
+    writes new commanded values.  Reads only the estimator and the commanded
+    field.  Returns the updated PrintState, or an AbortDecision when no
+    admissible completion satisfies the constraints.  ``fallback`` is
+    recorded as the reason a warm-start policy re-plans with
+    ``strategy="full"``, unless the re-plan reports its own.
     """
     printed = state.printed_elements()
     if printed.size == 0:
         return state
-    estimates = state.estimated.values(state.parameter)[printed]
+    estimates = state.estimator.value[printed]
     shifted = problem.with_frozen(printed, estimates)
     delta_y = estimates - previous_result.values[printed]
     result = optimize.reoptimize_after_drift(
@@ -446,16 +395,11 @@ def control_step(state, problem, strategy, previous_result, model=None,
     if plant_model is not None and unprinted.size:
         # invert the calibrated deterministic plant so the achieved values
         # land on the re-optimized design
-        layer_of = _element_layer_index(state.partition,
-                                        state.commanded.n_elements)
         commanded_vals = desired / plant_model.deterministic_factor(
-            layer_of[unprinted]
+            state.partition.element_layer[unprinted]
         )
     commanded = state.commanded.with_values(
         unprinted, state.parameter, commanded_vals
-    )
-    estimated = commanded.with_values(
-        printed, state.parameter, estimates, provenance="estimated"
     )
     excesses = [v.excess for v in result.verdicts]
     record = LayerRecord(
@@ -470,7 +414,6 @@ def control_step(state, problem, strategy, previous_result, model=None,
     return dataclasses.replace(
         state,
         commanded=commanded,
-        estimated=estimated,
         history=state.history + (record,),
     )
 
@@ -493,9 +436,6 @@ def run_print(problem, initial_plan, actuator, sensor, policy, seed,
     if not initial_plan.feasible:
         raise ValueError("initial plan must be feasible")
     state = initial_state(problem, initial_plan.values, seed, layer_height)
-    estimator = EstimatorState.from_commanded(
-        state.commanded.values(state.parameter)
-    )
     solves_start = problem.stats.fem_solves
     model = None
     strategy = policy.strategy
@@ -504,8 +444,7 @@ def run_print(problem, initial_plan, actuator, sensor, policy, seed,
 
     while not state.done:
         state = print_layer(state, actuator)
-        estimator = observe_and_update(state, sensor, estimator)
-        state = apply_estimates(state, estimator)
+        state = observe_and_update(state, sensor)
         if not policy.control_enabled:
             record = LayerRecord(
                 layer=state.frontier - 1,
@@ -524,7 +463,7 @@ def run_print(problem, initial_plan, actuator, sensor, policy, seed,
         if strategy == "warm_start" and model is None:
             printed = state.printed_elements()
             drifted = not np.array_equal(
-                state.estimated.values(state.parameter)[printed],
+                state.estimator.value[printed],
                 initial_plan.values[printed],
             )
             # build the model once, at the plan base, and only when some
@@ -577,8 +516,8 @@ def run_print(problem, initial_plan, actuator, sensor, policy, seed,
         seed=state.seed,
         layer_height=layer_height,
         parameter=state.parameter,
+        n_measurements=int(state.estimator.counts.sum()),
         abort=abort,
-        measurements=estimator.measurements,
     )
 
 
@@ -753,7 +692,7 @@ def report_to_dict(report):
         "parameter": report.parameter,
         "fem_solves": report.fem_solves,
         "n_layers": len(report.history),
-        "n_measurements": len(report.measurements),
+        "n_measurements": report.n_measurements,
         "abort": abort,
         "verdicts": [semantics.verdict_to_dict(v) for v in report.verdicts],
         "history": [

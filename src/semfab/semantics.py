@@ -558,14 +558,6 @@ class BoundSpecification:
     properties: tuple[PropertySpec, ...]
     field_regularity: FieldRegularity | None
 
-    @property
-    def mechanical(self) -> bool:
-        return bool(self.prescribed_displacements or self.applied_forces)
-
-    @property
-    def thermal(self) -> bool:
-        return bool(self.prescribed_temperatures or self.applied_fluxes)
-
     def parameter_box(self, parameter: str) -> np.ndarray:
         return self.parameter_ranges[parameter]
 

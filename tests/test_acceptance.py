@@ -468,8 +468,7 @@ def test_criterion_09_estimator_consistency():
     est = printsim.EstimatorState.from_commanded(np.full(seeds, commanded))
     ids = np.arange(seeds)
     for k in range(n_meas):
-        est = est.updated(ids, truth_log + sd * draws[:, k],
-                          noise_sd=sd, layer=k)
+        est = est.updated(ids, truth_log + sd * draws[:, k], noise_sd=sd)
     se = sd / math.sqrt(n_meas)
     hits = np.abs(est.mean_log - truth_log) <= 3 * se
     coverage = float(np.mean(hits))

@@ -212,6 +212,27 @@ def test_layer_partition_is_a_partition(h):
     assert len(np.unique(seen)) == mesh.n_elements
 
 
+@settings(max_examples=25, deadline=None)
+@given(h=st.floats(0.05, 3.0))
+def test_element_layer_gives_every_layer_in_order(h):
+    mesh = generate_shaft_mesh(1.0, 2.0, 6, 3)
+    part = layer_partition(mesh, h)
+    owner = part.element_layer
+    assert owner.dtype == np.intp and owner.shape == (mesh.n_elements,)
+    assert not owner.flags.writeable
+    for k, layer in enumerate(part.layers):
+        assert layer.dtype == np.intp and not layer.flags.writeable
+        assert np.array_equal(layer, np.flatnonzero(owner == k))
+
+
+def test_bbox_diagonal_is_computed_once_per_mesh():
+    mesh = generate_box_mesh(2, 3, 4, [2.0, 3.0, 6.0])
+    assert mesh.bbox_diagonal() == pytest.approx(7.0, rel=1e-15)
+    # a mesh is immutable by contract, so the first value is kept
+    mesh.vertices[0] = (-10.0, 0.0, 0.0)
+    assert mesh.bbox_diagonal() == pytest.approx(7.0, rel=1e-15)
+
+
 def test_mesh_json_roundtrip(tmp_path):
     mesh = generate_shaft_mesh(1.5, 4.0, 7, 3)
     path = tmp_path / "shaft.json"

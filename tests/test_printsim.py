@@ -94,12 +94,19 @@ def test_actuator_validation():
         printsim.SensorModel(noise_sd=-1.0)
 
 
+def test_a_plan_with_a_nonpositive_value_cannot_be_printed(bar):
+    problem, plan, _ = bar
+    values = plan.values.copy()
+    values[3] = 0.0
+    with pytest.raises(ValueError, match="positive"):
+        printsim.initial_state(problem, values, 7, 1.0)
+
+
 def test_observation_requires_a_printed_layer(bar):
     problem, plan, _ = bar
     state = printsim.initial_state(problem, plan.values, 7, 1.0)
-    est = printsim.EstimatorState.from_commanded(plan.values)
     with pytest.raises(ValueError):
-        printsim.observe_and_update(state, printsim.SensorModel(), est)
+        printsim.observe_and_update(state, printsim.SensorModel())
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +115,7 @@ def test_observation_requires_a_printed_layer(bar):
 
 def test_exact_sensor_posterior_equals_measurement():
     est = printsim.EstimatorState.from_commanded(np.array([2.0, 3.0]))
-    out = est.updated([0], np.log([2.5]), noise_sd=0.0, layer=0)
+    out = est.updated([0], np.log([2.5]), noise_sd=0.0)
     assert out.value[0] == pytest.approx(2.5, abs=1e-9)
     assert out.variance[0] == 0.0
     assert out.counts[0] == 1
@@ -116,7 +123,7 @@ def test_exact_sensor_posterior_equals_measurement():
 
 def test_tie_measurement_keeps_mean_and_shrinks_variance():
     est = printsim.EstimatorState.from_commanded(np.array([3.0]))
-    out = est.updated([0], np.array([est.mean_log[0]]), noise_sd=0.05, layer=0)
+    out = est.updated([0], np.array([est.mean_log[0]]), noise_sd=0.05)
     assert out.mean_log[0] == est.mean_log[0]
     assert out.value[0] == 3.0  # linear cache untouched by a tie
     assert out.variance[0] < est.variance[0]
@@ -124,7 +131,7 @@ def test_tie_measurement_keeps_mean_and_shrinks_variance():
 
 def test_untouched_elements_keep_commanded_prior():
     est = printsim.EstimatorState.from_commanded(np.array([2.0, 3.0, 4.0]))
-    out = est.updated([1], np.log([3.3]), noise_sd=0.1, layer=0)
+    out = est.updated([1], np.log([3.3]), noise_sd=0.1)
     for idx in (0, 2):
         assert out.mean_log[idx] == est.mean_log[idx]
         assert out.variance[idx] == est.variance[idx]
@@ -135,9 +142,9 @@ def test_posterior_variance_nonincreasing_over_measurements():
     est = printsim.EstimatorState.from_commanded(np.array([5.0]))
     variances = [est.variance[0]]
     rng = np.random.default_rng(0)
-    for k in range(20):
+    for _ in range(20):
         m = np.log(5.0) + 0.05 * rng.standard_normal(1)
-        est = est.updated([0], m, noise_sd=0.05, layer=k)
+        est = est.updated([0], m, noise_sd=0.05)
         variances.append(est.variance[0])
     assert np.all(np.diff(variances) < 0)
 
@@ -145,7 +152,7 @@ def test_posterior_variance_nonincreasing_over_measurements():
 def test_conjugate_update_matches_closed_form():
     est = printsim.EstimatorState.from_commanded(np.array([2.0]), prior_sd=0.3)
     m = math.log(2.6)
-    out = est.updated([0], np.array([m]), noise_sd=0.1, layer=0)
+    out = est.updated([0], np.array([m]), noise_sd=0.1)
     p0, pm = 1 / 0.3**2, 1 / 0.1**2
     expected_mean = (p0 * math.log(2.0) + pm * m) / (p0 + pm)
     assert out.mean_log[0] == pytest.approx(expected_mean, rel=1e-14)
@@ -156,7 +163,7 @@ def test_replanned_commands_become_the_prior_on_first_measurement():
     est = printsim.EstimatorState.from_commanded(np.array([2.0]))
     m = math.log(3.0)
     out = est.updated(
-        [0], np.array([m]), noise_sd=0.1, layer=0,
+        [0], np.array([m]), noise_sd=0.1,
         prior_log=np.array([math.log(2.5)]), prior_value=np.array([2.5]),
     )
     p0, pm = 1 / est.prior_variance, 1 / 0.1**2
@@ -177,7 +184,7 @@ def test_estimator_monte_carlo_consistency():
         est = printsim.EstimatorState.from_commanded(np.array([truth]))
         draws = np.log(truth) + sd * rng.standard_normal(n)
         for k in range(n):
-            est = est.updated([0], draws[k:k + 1], noise_sd=sd, layer=k)
+            est = est.updated([0], draws[k:k + 1], noise_sd=sd)
         hits += abs(est.mean_log[0] - np.log(truth)) <= 3 * se
     assert hits / seeds >= 0.99
 
@@ -442,10 +449,8 @@ def test_severe_degradation_aborts_with_certificate(bar):
 def test_controller_never_reads_achieved_values(bar):
     problem, plan, _ = bar
     state = printsim.initial_state(problem, plan.values, 7, 1.0)
-    est = printsim.EstimatorState.from_commanded(plan.values)
     state = printsim.print_layer(state, printsim.ActuatorModel(gain=0.85))
-    est = printsim.observe_and_update(state, printsim.SensorModel(), est)
-    state = printsim.apply_estimates(state, est)
+    state = printsim.observe_and_update(state, printsim.SensorModel())
     tampered_field = state.achieved.copy()
     tampered_field.young[:] = 1e12  # sentinel the controller must not see
     tampered = dataclasses.replace(state, achieved=tampered_field)
@@ -460,10 +465,8 @@ def test_controller_never_reads_achieved_values(bar):
 def test_estimated_field_provenance_split(bar):
     problem, plan, _ = bar
     state = printsim.initial_state(problem, plan.values, 7, 1.0)
-    est = printsim.EstimatorState.from_commanded(plan.values)
     state = printsim.print_layer(state, printsim.ActuatorModel(gain=0.9))
-    est = printsim.observe_and_update(state, printsim.SensorModel(), est)
-    state = printsim.apply_estimates(state, est)
+    state = printsim.observe_and_update(state, printsim.SensorModel())
     printed = state.printed_elements()
     unprinted = state.unprinted_elements()
     assert all(state.estimated.provenance[printed] == "estimated")
@@ -471,6 +474,65 @@ def test_estimated_field_provenance_split(bar):
     assert state.estimated.values("young")[printed] == pytest.approx(
         0.9 * plan.values[printed], rel=1e-12
     )
+
+
+def _exact_print(problem, plan, actuator, availability, control=True):
+    return printsim.run_print(
+        problem, plan, actuator,
+        printsim.SensorModel(noise_sd=0.0, availability=availability),
+        printsim.ControlPolicy(control_enabled=control),
+        seed=7, layer_height=1.0,
+    )
+
+
+@pytest.mark.parametrize("availability, expected",
+                         [("layer", 24), ("all", 6 + 12 + 18 + 24)])
+def test_reading_count_follows_sensor_availability(bar, availability,
+                                                   expected):
+    problem, plan, _ = bar
+    report = _exact_print(problem, plan, printsim.ActuatorModel(gain=1.0),
+                          availability)
+    assert report.outcome == "success"
+    assert printsim.report_to_dict(report)["n_measurements"] == expected
+
+
+# reaches layer 2 of 4 under control, then aborts: achieved drops 15% a layer
+SINKING = printsim.ActuatorModel(gain=1.0, drift_rate=-0.15)
+
+
+@pytest.mark.parametrize("availability, expected",
+                         [("layer", 6 + 6 + 6), ("all", 6 + 12 + 18)])
+def test_an_aborted_print_counts_only_the_layers_it_observed(
+        bar, availability, expected):
+    problem, plan, _ = bar
+    report = _exact_print(problem, plan, SINKING, availability)
+    assert report.outcome == "aborted"
+    assert report.abort.layer == 2
+    assert printsim.report_to_dict(report)["n_measurements"] == expected
+
+
+@pytest.mark.parametrize("case", ["uncontrolled", "aborted"])
+def test_reported_estimate_is_tagged_on_exactly_the_printed_elements(bar,
+                                                                     case):
+    problem, plan, _ = bar
+    if case == "uncontrolled":
+        report = _exact_print(problem, plan,
+                              printsim.ActuatorModel(gain=0.9), "layer",
+                              control=False)
+        assert report.outcome == "spec_fail"
+    else:
+        report = _exact_print(problem, plan, SINKING, "layer")
+        assert report.outcome == "aborted"
+    printed = report.achieved.provenance == "achieved"
+    assert printed.sum() == (24 if case == "uncontrolled" else 18)
+    assert np.array_equal(report.estimated.provenance == "estimated", printed)
+    assert all(report.estimated.provenance[~printed] == "commanded")
+    estimated = report.estimated.values("young")
+    assert np.array_equal(estimated[~printed],
+                          report.commanded.values("young")[~printed])
+    # an exact sensor reads the achieved values
+    assert estimated[printed] == pytest.approx(
+        report.achieved.values("young")[printed], rel=1e-12)
 
 
 def test_infeasible_plan_is_rejected(bar):
@@ -636,9 +698,10 @@ def test_printed_and_unprinted_elements_split_the_mesh_at_every_frontier():
     assert partition.n_layers == 8
     n = plate.n_elements
     fld = MaterialField.uniform(n)
+    est = printsim.EstimatorState.from_commanded(fld.conductivity)
     for frontier in range(partition.n_layers + 1):
         state = printsim.PrintState(partition, frontier, "conductivity", 0,
-                                    fld, fld, fld)
+                                    fld, fld, est)
         printed = state.printed_elements()
         unprinted = state.unprinted_elements()
         for ids in (printed, unprinted):

@@ -145,7 +145,8 @@ def test_bind_shaft_is_well_posed():
     spec = bind_to_mesh(layer_from_dict(shaft_layer_doc(mesh)), mesh)
     z = mesh.vertices[:, 2]
     assert len(spec.prescribed_displacements) == np.sum(z == 0.0)
-    assert spec.mechanical and not spec.thermal
+    assert spec.prescribed_displacements or spec.applied_forces
+    assert not (spec.prescribed_temperatures or spec.applied_fluxes)
 
 
 def test_bind_rejects_free_floating_body():
@@ -198,7 +199,8 @@ def test_bind_thermal_only_layer_skips_mechanical_check():
     mesh = generate_box_mesh(1, 1, 2, [1.0, 1.0, 2.0])
     doc = {"vertex_annotations": {"0": {"temperature": 300.0}}}
     spec = bind_to_mesh(layer_from_dict(doc), mesh)
-    assert spec.thermal and not spec.mechanical
+    assert spec.prescribed_temperatures or spec.applied_fluxes
+    assert not (spec.prescribed_displacements or spec.applied_forces)
     doc_flux_only = {"vertex_annotations": {"0": {"flux": 5.0}}}
     with pytest.raises(WellPosednessError):
         bind_to_mesh(layer_from_dict(doc_flux_only), mesh)

@@ -274,6 +274,7 @@ def cmd_simulate(args):
             seed,
             scenario.layer_height,
             tol=tol,
+            max_iter=max_iter,
         )
         suffix = "" if single else f"_{seed}"
         printsim.save_report(report, out_dir / f"report{suffix}.json")

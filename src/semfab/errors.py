@@ -35,9 +35,9 @@ class WellPosednessError(SemfabError, ValueError):
 class SolverFailure(SemfabError, RuntimeError):
     """Linear solve left a backward error above the requested tolerance."""
 
-    def __init__(self, message: str, residual_history=None):
+    def __init__(self, message: str, residual=None):
         super().__init__(message)
-        self.residual_history = residual_history
+        self.residual = residual
 
 
 class ModelInvalidError(SemfabError, ValueError):

@@ -559,7 +559,7 @@ def _solve_free(system: FemSystem, b: np.ndarray, tol: float | None):
         if not res <= tol:  # a NaN error fails too
             raise SolverFailure(
                 f"solve left backward error {res:.3e} above tol {tol:g}",
-                residual_history=[res],
+                residual=res,
             )
     return x, guard
 

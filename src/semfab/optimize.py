@@ -10,9 +10,9 @@ The solver is an augmented Lagrangian over box-normalized coordinates
 (Conn, Gould & Toint 1991; Nocedal & Wright, section 17.4) with SciPy's
 L-BFGS-B as its inner solver.  After an inner solve whose point fails the
 penalty-free check, the multipliers take their first-order update; if the
-outer steps run out, the last point is returned with ``feasible=False`` and
-the violated constraint names as a certificate.  The result carries the
-multiplier estimates at its point.
+outer steps run out, the last point is returned with its failed verdicts
+as a certificate, which ``feasible`` and ``violated`` read.  The result
+carries the multiplier estimates at its point.
 
 Each constraint, the Lipschitz surrogate too, has two methods.  ``check``
 gives its :class:`semantics.Verdict` and its excesses c(x), one per vertex
@@ -70,11 +70,11 @@ from . import fem, semantics
 from .errors import BasePointError, ModelInvalidError
 from .mesh import face_adjacency
 
-# objective name -> (physics, parameter it differentiates against)
+# objective name -> the parameter it differentiates against, the default one
 OBJECTIVES = {
-    "compliance": ("elasticity", "young"),
-    "average_temperature": ("conduction", "conductivity"),
-    "mass": (None, "density"),
+    "compliance": "young",
+    "average_temperature": "conductivity",
+    "mass": "density",
 }
 # the parameter each physics' K is linear in
 _LINEAR_IN = {"elasticity": "young", "conduction": "conductivity"}
@@ -125,26 +125,26 @@ class LipschitzSpec:
         excess, diffs = _lipschitz_excesses(self, x)
         return _lipschitz_verdict(self, excess, diffs), excess
 
-    def add_gradient(self, x, ctx, w, grad, scale=1.0):
-        """Adds ``scale`` times w . (gradient of the excesses) to the
-        :class:`_Gradient` ``grad``; ``w`` is ordered like the pairs."""
+    def add_gradient(self, x, ctx, w, grad):
+        """Adds w . (gradient of the excesses) to the :class:`_Gradient`
+        ``grad``; ``w`` is ordered like the pairs."""
         _, diffs = _lipschitz_excesses(self, x)
         active = w > 0.0
         coeff = w[active] * np.sign(diffs[active])
         pairs_grad = np.zeros_like(x)
         np.add.at(pairs_grad, self.first[active], coeff)
         np.add.at(pairs_grad, self.second[active], -coeff)
-        grad.add(pairs_grad, scale)
+        grad.add(pairs_grad)
 
 
 @dataclasses.dataclass(frozen=True)
 class OptimizationResult:
+    """A plan or re-plan; ``feasible`` and ``violated`` are read off the
+    ``verdicts`` of the penalty-free check at ``values``."""
+
     values: np.ndarray  # full-length parameter vector, frozen entries pinned
-    free_index: np.ndarray
     objective: float
-    feasible: bool
     verdicts: tuple
-    violated: tuple
     iterations: int
     fem_solves: int
     strategy: str
@@ -162,6 +162,14 @@ class OptimizationResult:
     # empty for a warm-start step, which runs no augmented Lagrangian
     multipliers: tuple = dataclasses.field(
         default=(), compare=False, repr=False)
+
+    @property
+    def feasible(self):
+        return all(v.passed for v in self.verdicts)
+
+    @property
+    def violated(self):
+        return tuple(v.name for v in self.verdicts if not v.passed)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -245,11 +253,11 @@ class SyntheticConstraint:
                                     excess <= 0.0)
         return verdict, np.array([excess])
 
-    def add_gradient(self, x, ctx, w, grad, scale=1.0):
-        """Adds ``scale`` times ``w[0]`` times the excess gradient to the
-        :class:`_Gradient` ``grad``."""
+    def add_gradient(self, x, ctx, w, grad):
+        """Adds ``w[0]`` times the excess gradient to the :class:`_Gradient`
+        ``grad``."""
         if self._grad_fn is not None:
-            grad.add(np.asarray(self._grad_fn(x), dtype=float), w[0] * scale)
+            grad.add(np.asarray(self._grad_fn(x), dtype=float), w[0])
 
 
 class _BoxProblem:
@@ -351,13 +359,13 @@ class _PropertyConstraint:
     def check(self, x, ctx):
         return semantics.check(self.problem.spec, self.prop, ctx)
 
-    def add_gradient(self, x, ctx, w, grad, scale=1.0):
-        """Adds ``scale`` times w . (gradient of the excesses) to the
-        :class:`_Gradient` ``grad``; ``w`` is ordered like the excesses."""
+    def add_gradient(self, x, ctx, w, grad):
+        """Adds w . (gradient of the excesses) to the :class:`_Gradient`
+        ``grad``; ``w`` is ordered like the excesses."""
         spec, quantity = self.problem.spec, self.prop.quantity
         if not self.prop.vertices:
             sign = 1.0 if self.prop.op == "le" else -1.0
-            coeff = w[0] * sign * scale
+            coeff = w[0] * sign
             if quantity == "average_temperature":
                 grad.add_load("conduction", _average_temperature_load(spec),
                               coeff)
@@ -375,11 +383,11 @@ class _PropertyConstraint:
                                         mags[nonzero]):
                 if mag > 0.0:
                     weights[3 * v : 3 * v + 3] += wv * disp / mag
-            grad.add_load("elasticity", weights, scale)
+            grad.add_load("elasticity", weights)
         else:
             weights = np.zeros(ctx.solution("conduction").values.size)
             np.add.at(weights, verts, w[nonzero])
-            grad.add_load("conduction", weights, scale)
+            grad.add_load("conduction", weights)
 
 
 def _average_temperature_load(spec):
@@ -411,14 +419,14 @@ class InversionProblem(_BoxProblem):
             raise ValueError(f"unknown objective: {objective!r}")
         self.spec = spec
         self.objective = objective
-        self.parameter = parameter or OBJECTIVES[objective][1]
+        self.parameter = parameter or OBJECTIVES[objective]
         if self.parameter not in ("young", "conductivity", "density"):
             # K is not linear in poisson, so _Gradient would drop its loads
             raise ValueError(f"cannot optimize {self.parameter!r}: the "
                              "parameters are young, conductivity and density")
         # an objective of another parameter is flat in this one, and a face
         # trial is kept only when the objective falls
-        self.face_trial = OBJECTIVES[objective][1] == self.parameter
+        self.face_trial = OBJECTIVES[objective] == self.parameter
         self.solver_tol = float(solver_tol)
         self._split(spec.parameter_box(self.parameter), frozen_idx,
                     frozen_values)
@@ -733,8 +741,8 @@ def inversion_solve(problem, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
 
     Returns an :class:`OptimizationResult`, with the evaluation of its final
     point and the multiplier estimates max(0, lam + rho h) there;
-    infeasibility is reported through ``feasible=False`` plus the violated
-    constraint names, never raised.
+    infeasibility shows in its verdicts, and so in ``feasible`` and
+    ``violated``, and is never raised.
     """
     start = problem.stats.fem_solves
     free = problem.free_idx
@@ -777,11 +785,8 @@ def inversion_solve(problem, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
         x, ctx = point.x, point.ctx
     return OptimizationResult(
         values=x,
-        free_index=free.copy(),
         objective=objective,
-        feasible=all(v.passed for v in verdicts),
         verdicts=verdicts,
-        violated=tuple(v.name for v in verdicts if not v.passed),
         iterations=iterations,
         fem_solves=problem.stats.fem_solves - start,
         strategy="full",
@@ -969,11 +974,8 @@ def reoptimize_after_drift(
             if feasible:
                 return OptimizationResult(
                     values=x,
-                    free_index=free.copy(),
                     objective=objective,
-                    feasible=True,
                     verdicts=verdicts,
-                    violated=(),
                     iterations=0,
                     fem_solves=problem.stats.fem_solves - start,
                     strategy="warm_start",

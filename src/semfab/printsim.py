@@ -194,29 +194,30 @@ class EstimatorState:
 
 @dataclasses.dataclass(frozen=True)
 class LayerRecord:
+    """What the controller did after one layer; ``verdicts`` are its
+    re-plan's.  An "abort" record ends a print's history."""
+
     layer: int
     strategy: str  # "warm_start" | "full" | "none" | "abort"
     objective: float
-    max_violation: float
     fem_solves: int
     mean_commanded: float
     # why a "full" layer of a warm-start policy did not take the warm step:
     # "model_invalid", "base_point" or "warm_infeasible"; None otherwise
     fallback: str | None = None
+    verdicts: tuple = ()
 
+    @property
+    def max_violation(self):
+        """The largest excess, negative when every bound holds with slack;
+        NaN on a layer without control."""
+        if self.strategy == "none":
+            return math.nan
+        return max((v.excess for v in self.verdicts), default=0.0)
 
-@dataclasses.dataclass(frozen=True)
-class AbortDecision:
-    """Infeasibility certificate raised mid-print by a control step."""
-
-    layer: int
-    violated: tuple
-    verdicts: tuple
-    fem_solves: int = 0
-
-    def __post_init__(self):
-        if not self.violated:
-            raise ValueError("an abort must name at least one constraint")
+    @property
+    def violated(self):
+        return tuple(v.name for v in self.verdicts if not v.passed)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -274,9 +275,17 @@ class PrintState:
         )
 
 
+def _last_abort(history):
+    """The last record of ``history`` when it is an abort, else None."""
+    return history[-1] if history and history[-1].strategy == "abort" else None
+
+
 @dataclasses.dataclass(frozen=True)
 class PrintReport:
-    outcome: str  # "success" | "spec_fail" | "aborted"
+    """A finished or aborted print.  ``abort`` is the history's abort
+    record, if any; an aborted print is not verified, so ``verdicts`` is
+    empty.  ``outcome`` is "aborted", "success" or "spec_fail"."""
+
     verdicts: tuple  # final semantics.Verdicts under the achieved field
     history: tuple
     commanded: MaterialField
@@ -287,15 +296,17 @@ class PrintReport:
     layer_height: float
     parameter: str
     n_measurements: int  # sensor readings taken
-    abort: AbortDecision | None = None
 
-    def __post_init__(self):
-        if self.outcome == "success" and any(
-            not v.passed for v in self.verdicts
-        ):
-            raise ValueError("a successful print cannot have failed verdicts")
-        if self.outcome == "aborted" and self.abort is None:
-            raise ValueError("aborted reports must carry the abort decision")
+    @property
+    def abort(self):
+        return _last_abort(self.history)
+
+    @property
+    def outcome(self):
+        if self.abort is not None:
+            return "aborted"
+        passed = all(v.passed for v in self.verdicts)
+        return "success" if passed else "spec_fail"
 
 
 def initial_state(problem, plan_values, seed, layer_height):
@@ -361,15 +372,17 @@ def observe_and_update(state, sensor):
 
 
 def control_step(state, problem, strategy, previous_result, model=None,
-                 plant_model=None, tol=optimize.DEFAULT_TOL, fallback=None):
+                 plant_model=None, tol=optimize.DEFAULT_TOL,
+                 max_iter=optimize.DEFAULT_MAX_ITER, fallback=None):
     """Re-plan the unprinted remainder around the estimated printed state.
 
     Freezes printed elements at posterior means, re-optimizes the rest, and
     writes new commanded values.  Reads only the estimator and the commanded
-    field.  Returns the updated PrintState, or an AbortDecision when no
-    admissible completion satisfies the constraints.  ``fallback`` is
-    recorded as the reason a warm-start policy re-plans with
-    ``strategy="full"``, unless the re-plan reports its own.
+    field.  Returns the PrintState with the layer's record appended; when
+    no admissible completion satisfies the constraints the commands stay
+    and the record is an abort.  ``fallback`` is recorded as the reason a
+    warm-start policy re-plans with ``strategy="full"``, unless the re-plan
+    reports its own.  ``tol`` and ``max_iter`` go to the re-plan's solver.
     """
     printed = state.printed_elements()
     if printed.size == 0:
@@ -379,37 +392,33 @@ def control_step(state, problem, strategy, previous_result, model=None,
     delta_y = estimates - previous_result.values[printed]
     result = optimize.reoptimize_after_drift(
         shifted, previous_result, delta_y,
-        strategy=strategy, model=model, tol=tol,
+        strategy=strategy, model=model, tol=tol, max_iter=max_iter,
     )
-    layer = state.frontier - 1
-    if not result.feasible:
-        return AbortDecision(
-            layer=layer,
-            violated=result.violated,
-            verdicts=result.verdicts,
-            fem_solves=result.fem_solves,
+    commanded = state.commanded
+    if result.feasible:
+        unprinted = state.unprinted_elements()
+        commanded_vals = result.values[unprinted]
+        if plant_model is not None and unprinted.size:
+            # invert the calibrated deterministic plant so the achieved
+            # values land on the re-optimized design
+            commanded_vals = commanded_vals / plant_model.deterministic_factor(
+                state.partition.element_layer[unprinted]
+            )
+        commanded = commanded.with_values(
+            unprinted, state.parameter, commanded_vals
         )
-    unprinted = state.unprinted_elements()
-    desired = result.values[unprinted]
-    commanded_vals = desired
-    if plant_model is not None and unprinted.size:
-        # invert the calibrated deterministic plant so the achieved values
-        # land on the re-optimized design
-        commanded_vals = desired / plant_model.deterministic_factor(
-            state.partition.element_layer[unprinted]
-        )
-    commanded = state.commanded.with_values(
-        unprinted, state.parameter, commanded_vals
-    )
-    excesses = [v.excess for v in result.verdicts]
+        strategy, objective = result.strategy, result.objective
+        fallback = result.fallback or fallback
+    else:
+        strategy, objective, fallback = "abort", math.nan, None
     record = LayerRecord(
-        layer=layer,
-        strategy=result.strategy,
-        objective=result.objective,
-        max_violation=max(excesses) if excesses else 0.0,
+        layer=state.frontier - 1,
+        strategy=strategy,
+        objective=objective,
         fem_solves=result.fem_solves,
         mean_commanded=float(commanded.values(state.parameter).mean()),
-        fallback=result.fallback or fallback,
+        fallback=fallback,
+        verdicts=result.verdicts,
     )
     return dataclasses.replace(
         state,
@@ -425,13 +434,15 @@ def final_verification(problem, achieved_field):
 
 
 def run_print(problem, initial_plan, actuator, sensor, policy, seed,
-              layer_height, tol=optimize.DEFAULT_TOL):
+              layer_height, tol=optimize.DEFAULT_TOL,
+              max_iter=optimize.DEFAULT_MAX_ITER):
     """Run the full closed loop and report the outcome.
 
     Per layer: print, observe, update the posterior, and (when the policy
-    enables control) re-plan the remainder.  The loop stops early on an
-    AbortDecision.  Completed prints are verified under the achieved field.
-    The report's ``fem_solves`` is what ``problem.stats`` counted meanwhile.
+    enables control) re-plan the remainder with ``tol`` and ``max_iter``.
+    The loop stops at the first abort record, which ends the history.  A
+    print that was not aborted is verified under the achieved field.  The
+    report's ``fem_solves`` is what ``problem.stats`` counted meanwhile.
     """
     if not initial_plan.feasible:
         raise ValueError("initial plan must be feasible")
@@ -440,25 +451,17 @@ def run_print(problem, initial_plan, actuator, sensor, policy, seed,
     model = None
     strategy = policy.strategy
     fallback = None
-    abort = None
 
-    while not state.done:
+    while not state.done and _last_abort(state.history) is None:
         state = print_layer(state, actuator)
         state = observe_and_update(state, sensor)
         if not policy.control_enabled:
-            record = LayerRecord(
-                layer=state.frontier - 1,
-                strategy="none",
-                objective=math.nan,
-                max_violation=math.nan,
-                fem_solves=0,
-                mean_commanded=float(
-                    state.commanded.values(state.parameter).mean()
-                ),
-            )
-            state = dataclasses.replace(
-                state, history=state.history + (record,)
-            )
+            mean = float(state.commanded.values(state.parameter).mean())
+            record = LayerRecord(layer=state.frontier - 1, strategy="none",
+                                 objective=math.nan, fem_solves=0,
+                                 mean_commanded=mean)
+            state = dataclasses.replace(state,
+                                        history=state.history + (record,))
             continue
         if strategy == "warm_start" and model is None:
             printed = state.printed_elements()
@@ -477,36 +480,15 @@ def run_print(problem, initial_plan, actuator, sensor, policy, seed,
                     strategy, fallback = "full", "model_invalid"
                 except optimize.BasePointError:
                     strategy, fallback = "full", "base_point"
-        outcome = control_step(
+        state = control_step(
             state, problem, strategy, initial_plan,
             model=model, plant_model=policy.plant_model,
-            tol=tol, fallback=fallback,
+            tol=tol, max_iter=max_iter, fallback=fallback,
         )
-        if isinstance(outcome, AbortDecision):
-            abort = outcome
-            record = LayerRecord(
-                layer=abort.layer,
-                strategy="abort",
-                objective=math.nan,
-                max_violation=max(v.excess for v in abort.verdicts)
-                if abort.verdicts else math.nan,
-                fem_solves=abort.fem_solves,
-                mean_commanded=float(
-                    state.commanded.values(state.parameter).mean()
-                ),
-            )
-            state = dataclasses.replace(
-                state, history=state.history + (record,)
-            )
-            break
-        state = outcome
 
-    verdicts, outcome = (), "aborted"
-    if abort is None:
-        verdicts = final_verification(problem, state.achieved)
-        outcome = "success" if all(v.passed for v in verdicts) else "spec_fail"
+    verdicts = (() if _last_abort(state.history)
+                else final_verification(problem, state.achieved))
     return PrintReport(
-        outcome=outcome,
         verdicts=verdicts,
         history=state.history,
         commanded=state.commanded,
@@ -517,7 +499,6 @@ def run_print(problem, initial_plan, actuator, sensor, policy, seed,
         layer_height=layer_height,
         parameter=state.parameter,
         n_measurements=int(state.estimator.counts.sum()),
-        abort=abort,
     )
 
 

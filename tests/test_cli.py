@@ -12,7 +12,7 @@ import pytest
 from conftest import (bar_tip_displacement, layered_bar_problem,
                       record_primal_solves, write_bar_files)
 
-from semfab import cli, fem, mesh, printsim, semantics
+from semfab import cli, fem, mesh, optimize, printsim, semantics
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS_EXAMPLES = ROOT / "docs" / "examples"
@@ -304,6 +304,26 @@ def test_simulate_collapsed_gain_aborts_with_exit_1(tmp_path, capsys):
     report = json.loads((tmp_path / "sim" / "report.json").read_text())
     assert report["outcome"] == "aborted"
     assert report["abort"]["violated"] == ["tip"]
+
+
+def test_simulate_max_iter_caps_the_plan_and_every_replan(tmp_path,
+                                                          monkeypatch):
+    # --max-iter reaches each layer's re-plan the way --tol does
+    write_bar_files(tmp_path, 4, 0.05, BOX)
+    write_scenario(tmp_path / "scenario.json", strategy="full")
+    caps = []
+    original = optimize.inversion_solve
+
+    def recorded(*args, **kwargs):
+        caps.append(kwargs["max_iter"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "inversion_solve", recorded)
+    rc = run_cli("simulate", tmp_path / "scenario.json",
+                 "--out", tmp_path / "sim", "--max-iter", "1")
+    assert rc == 0
+    # the plan, then one full re-plan per layer
+    assert caps == [1] * (1 + 4)
 
 
 def test_simulate_seed_fanout_outputs_are_deterministic(tmp_path):

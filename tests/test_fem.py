@@ -303,7 +303,7 @@ def test_solver_failure_carries_residual_history():
     assert 0.0 < achieved <= 1e-10
     with pytest.raises(SolverFailure) as err:
         solve(system, tol=achieved / 10.0)
-    assert err.value.residual_history == [achieved]
+    assert err.value.residual == achieved
 
 
 def test_indefinite_matrix_flagged_dense_and_iterative():
@@ -529,7 +529,7 @@ def test_dense_path_checks_the_residual_guard_too():
     assert 0.0 < sol.residual <= fem.DEFAULT_TOL
     with pytest.raises(SolverFailure) as err:
         solve(system, tol=sol.residual / 10.0)
-    assert err.value.residual_history == [sol.residual]
+    assert err.value.residual == sol.residual
 
 
 def test_solve_allocates_nothing_square_in_the_free_dofs():
@@ -696,7 +696,7 @@ def test_a_passing_solve_leaves_the_norm_until_residual_is_read(monkeypatch):
     solve(system, tol=want)
     with pytest.raises(SolverFailure) as err:
         solve(system, tol=np.nextafter(want, 0.0))
-    assert err.value.residual_history == [want]
+    assert err.value.residual == want
 
 
 def test_an_evaluation_builds_one_sparse_matrix(monkeypatch):

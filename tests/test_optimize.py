@@ -432,7 +432,7 @@ def test_series_bar_infeasible_bound_yields_certificate():
     result = optimize.inversion_solve(problem)
     assert not result.feasible
     assert "tip" in result.violated
-    free = result.free_index
+    free = problem.free_idx
     assert np.all(result.values[free] >= problem.boxes[free, 0] - 1e-12)
     assert np.all(result.values[free] <= problem.boxes[free, 1] + 1e-12)
 
@@ -620,7 +620,7 @@ def test_budgeted_bending_bar_reaches_its_kkt_point(
     assert result.trace[1]["step_norm"] > 0.0
     assert [keys.count(key) for key in keys[:3]] == [1, 1, 1]
     assert keys.count(("elasticity", final)) == 1
-    free = result.values[result.free_index]
+    free = result.values[problem.free_idx]
     assert np.any((free > 60e3) & (free < 120e3))  # an interior optimum
     # the Lagrangian f + sum mu_i c_i is stationary over the box
     assert len(result.multipliers) == len(problem.constraints)
@@ -735,7 +735,7 @@ def test_returned_values_always_inside_boxes(data):
         frozen_values=frozen_values,
     )
     result = optimize.inversion_solve(problem, max_iter=80)
-    free = result.free_index
+    free = problem.free_idx
     assert np.all(result.values[free] >= boxes[free, 0])
     assert np.all(result.values[free] <= boxes[free, 1])
     assert np.array_equal(result.values[frozen], frozen_values)

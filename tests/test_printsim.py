@@ -8,10 +8,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (bar_tip_displacement, layered_bar_problem,
-                      record_primal_solves)
+from conftest import (bar_mesh_and_doc, bar_tip_displacement,
+                      layered_bar_problem, record_primal_solves)
 
-from semfab import fem, optimize, printsim
+from semfab import fem, optimize, printsim, semantics
 from semfab.errors import CalibrationError, PrintCompleteError
 
 E_HI = 120000.0
@@ -446,6 +446,68 @@ def test_severe_degradation_aborts_with_certificate(bar):
     assert report.history[-1].strategy == "abort"
 
 
+def test_the_abort_is_the_last_layer_record(bar, tmp_path):
+    problem, plan, _ = bar
+    report = printsim.run_print(
+        problem, plan, printsim.ActuatorModel(gain=0.4),
+        printsim.SensorModel(noise_sd=0.0), printsim.ControlPolicy(),
+        seed=7, layer_height=1.0,
+    )
+    record = report.history[-1]
+    assert report.abort is record
+    assert record.strategy == "abort" and record.violated == ("tip",)
+    assert math.isnan(record.objective) and record.fallback is None
+    assert record.max_violation == max(v.excess for v in record.verdicts) > 0
+    # the failed re-plan leaves the commands as they were
+    assert np.array_equal(report.commanded.values("young"), plan.values)
+    assert record.mean_commanded == float(plan.values.mean())
+    path = tmp_path / "report.json"
+    printsim.save_report(report, path)
+    doc = json.loads(path.read_text())
+    last = doc["history"][-1]
+    assert doc["abort"]["layer"] == last["layer"] == record.layer == 0
+    assert doc["abort"]["fem_solves"] == last["fem_solves"] \
+        == record.fem_solves > 0
+    assert last["max_violation"] == max(
+        v["excess"] for v in doc["abort"]["verdicts"])
+
+
+def test_a_failed_model_build_then_an_abort_is_recorded(bar, tmp_path):
+    # the mass objective does not depend on E, so the warm start's model is
+    # invalid and the layers re-plan in full until one cannot be completed;
+    # the abort record has no fallback
+    _, _, nominal = bar
+    problem = layered_bar_problem(4, d_max=1.08 * nominal, young_box=BOX,
+                                  objective="mass")
+    plan = optimize.inversion_solve(problem)
+    kwargs = drifting_print_kwargs("warm_start")
+    kwargs["policy"] = printsim.ControlPolicy(strategy="warm_start")
+    report = printsim.run_print(problem, plan, seed=5, **kwargs)
+    assert report.outcome == "aborted"
+    assert [(rec.strategy, rec.fallback) for rec in report.history] == [
+        ("full", "model_invalid"), ("abort", None)]
+    path = tmp_path / "report.json"
+    printsim.save_report(report, path)
+    history = json.loads(path.read_text())["history"]
+    assert [rec["fallback"] for rec in history] == ["model_invalid", None]
+
+
+def test_a_replan_records_its_largest_excess(bar, tmp_path):
+    # every bound holds with slack after each re-plan, so the history's
+    # max_violation is negative; the trace's is max(0, ...) instead
+    problem, plan, _ = bar
+    report = printsim.run_print(problem, plan, seed=3,
+                                **drifting_print_kwargs("full"))
+    assert report.outcome == "success"
+    path = tmp_path / "report.json"
+    printsim.save_report(report, path)
+    history = json.loads(path.read_text())["history"]
+    for rec, doc in zip(report.history, history, strict=True):
+        assert rec.strategy == "full" and rec.violated == ()
+        assert rec.max_violation == max(v.excess for v in rec.verdicts) < 0
+        assert doc["max_violation"] == rec.max_violation
+
+
 def test_controller_never_reads_achieved_values(bar):
     problem, plan, _ = bar
     state = printsim.initial_state(problem, plan.values, 7, 1.0)
@@ -511,6 +573,37 @@ def test_an_aborted_print_counts_only_the_layers_it_observed(
     assert printsim.report_to_dict(report)["n_measurements"] == expected
 
 
+def test_a_layer_without_control_has_no_violation_figure(bar, tmp_path):
+    problem, plan, _ = bar
+    report = _exact_print(problem, plan, printsim.ActuatorModel(gain=0.9),
+                          "layer", control=False)
+    assert [rec.strategy for rec in report.history] == ["none"] * 4
+    assert all(math.isnan(rec.max_violation) and rec.verdicts == ()
+               for rec in report.history)
+    path = tmp_path / "report.json"
+    printsim.save_report(report, path)
+    history = json.loads(path.read_text())["history"]
+    assert [rec["max_violation"] for rec in history] == [None] * 4
+    csv_path = tmp_path / "history.csv"
+    printsim.history_to_csv(report, csv_path)
+    rows = [row.split(",") for row in csv_path.read_text().splitlines()]
+    assert [row[3] for row in rows[1:]] == [""] * 4
+
+
+def test_a_replan_without_bounds_records_a_zero_violation():
+    # nothing to check, so the largest excess defaults to 0
+    m, doc = bar_mesh_and_doc(4, 1.0, BOX)
+    del doc["global_properties"]
+    spec = semantics.bind_to_mesh(semantics.layer_from_dict(doc), m)
+    problem = optimize.InversionProblem(spec, "compliance", parameter="young")
+    plan = optimize.inversion_solve(problem)
+    assert plan.verdicts == () and plan.feasible
+    report = _exact_print(problem, plan, printsim.ActuatorModel(gain=0.9),
+                          "layer")
+    assert report.outcome == "success"
+    assert [rec.max_violation for rec in report.history] == [0.0] * 4
+
+
 @pytest.mark.parametrize("case", ["uncontrolled", "aborted"])
 def test_reported_estimate_is_tagged_on_exactly_the_printed_elements(bar,
                                                                      case):
@@ -537,7 +630,12 @@ def test_reported_estimate_is_tagged_on_exactly_the_printed_elements(bar,
 
 def test_infeasible_plan_is_rejected(bar):
     problem, plan, _ = bar
-    bad_plan = dataclasses.replace(plan, feasible=False)
+    # a plan is infeasible when one of its verdicts fails
+    tip = next(v for v in plan.verdicts if v.name == "tip")
+    failed = dataclasses.replace(tip, measured=2.0 * tip.bound,
+                                 excess=tip.bound, passed=False)
+    bad_plan = dataclasses.replace(plan, verdicts=(failed,))
+    assert not bad_plan.feasible and bad_plan.violated == ("tip",)
     with pytest.raises(ValueError, match="feasible"):
         printsim.run_print(
             problem, bad_plan, printsim.ActuatorModel(gain=1.0),

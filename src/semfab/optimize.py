@@ -19,9 +19,11 @@ gives its :class:`semantics.Verdict` and its excesses c(x), one per vertex
 of a local property, one per pair of the surrogate and one otherwise, by
 the test :func:`semantics.check` applies in final verification.
 ``add_gradient`` adds w . (gradient of c) for a weight vector w.
-:func:`_merit` is the one loop over the constraints; its hinges aim
-``FEAS_TOL * max(1, |bound|)`` inside each property bound, and
-:func:`verify_constraints` is that loop without multipliers.
+:func:`_check` is the one loop over the constraints and runs once per
+point; its hinges aim ``FEAS_TOL * max(1, |bound|)`` inside each property
+bound.  :func:`verify_constraints` reads its verdicts, and the merit and
+its gradient weigh its hinges by the multipliers, so a point the
+multipliers move is not checked again.
 
 The first inner solve opens with a face trial: every free coordinate moves
 to the box face its merit gradient points at.  It is kept when the merit
@@ -60,7 +62,9 @@ there.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -202,28 +206,31 @@ class _Gradient:
     adjoint solve per physics for the summed load W and contracts once:
     the gradient of the sum is -lam . (dK/dp_e) u with lam = K^-1 W,
     plus u for the compliance. Loads on a physics whose K is not linear in
-    the optimized parameter carry no gradient and are dropped.
+    the optimized parameter carry no gradient and are dropped. Each method
+    rebinds what it changes, so a shallow copy takes more terms and leaves
+    the original as it was.
     """
 
     def __init__(self, problem):
         self.direct = np.zeros(problem.n_variables)
         self.parameter = problem.parameter
         self.loads = {}  # physics -> summed dof weights
-        self.self_adjoint = set()  # physics whose u is part of the adjoint
+        self.self_adjoint = frozenset()  # physics whose u joins the adjoint
 
     def add(self, grad, scale=1.0):
-        self.direct += scale * grad
+        self.direct = self.direct + scale * grad
 
     def add_load(self, physics, weights, scale=1.0):
         if _LINEAR_IN[physics] == self.parameter:
-            self.loads[physics] = self.loads.get(physics, 0.0) + scale * weights
+            load = self.loads.get(physics, 0.0) + scale * weights
+            self.loads = {**self.loads, physics: load}
 
     def add_self_adjoint(self, physics):
         if _LINEAR_IN[physics] == self.parameter:
-            self.self_adjoint.add(physics)
+            self.self_adjoint = self.self_adjoint | {physics}
 
     def total(self, ctx):
-        grad = self.direct
+        grad = self.direct.copy()
         for physics in sorted(self.loads.keys() | self.self_adjoint):
             u = ctx.solution(physics).values.reshape(-1)
             lam = u if physics in self.self_adjoint else np.zeros(u.size)
@@ -297,8 +304,9 @@ class _BoxProblem:
 class FunctionProblem(_BoxProblem):
     """Box-constrained problem over a plain vector.
 
-    ``stats.fem_solves`` counts objective evaluations, standing in for FEM
-    solves when this class is used to benchmark restart strategies.
+    ``stats.fem_solves`` counts objective evaluations, one per point, as an
+    :class:`InversionProblem` counts one primal solve per field; it stands
+    in for FEM solves when this class benchmarks restart strategies.
     """
 
     parameter = None  # no material parameter, so no adjoint loads
@@ -400,21 +408,15 @@ class InversionProblem(_BoxProblem):
     """Pick per-element material values meeting a bound specification.
 
     One material parameter is optimized; the others are held at
-    ``base_field``.  Elements listed in ``frozen_idx`` keep ``frozen_values``
-    (already-printed material, say) and only enter through the physics.
+    ``base_field``, the specification's midpoint field.  Elements listed in
+    ``frozen_idx`` keep ``frozen_values`` (already-printed material, say)
+    and only enter through the physics.
     """
 
-    def __init__(
-        self,
-        spec,
-        objective,
-        parameter=None,
-        frozen_idx=(),
-        frozen_values=(),
-        base_field=None,
-        lipschitz="auto",
-        solver_tol=fem.DEFAULT_TOL,
-    ):
+    solver_tol = fem.DEFAULT_TOL
+
+    def __init__(self, spec, objective, parameter=None, frozen_idx=(),
+                 frozen_values=()):
         if objective not in OBJECTIVES:
             raise ValueError(f"unknown objective: {objective!r}")
         self.spec = spec
@@ -427,37 +429,23 @@ class InversionProblem(_BoxProblem):
         # an objective of another parameter is flat in this one, and a face
         # trial is kept only when the objective falls
         self.face_trial = OBJECTIVES[objective] == self.parameter
-        self.solver_tol = float(solver_tol)
         self._split(spec.parameter_box(self.parameter), frozen_idx,
                     frozen_values)
-        self.base_field = (
-            base_field if base_field is not None else spec.midpoint_field()
-        )
-        if lipschitz == "auto":
-            lipschitz = _lipschitz_from_spec(spec, self.parameter)
-        self.lipschitz = lipschitz
+        self.base_field = spec.midpoint_field()
+        self.lipschitz = _lipschitz_from_spec(spec, self.parameter)
         self.constraints = tuple(
             _PropertyConstraint(self, prop) for prop in spec.properties
-        ) + _regularity(lipschitz)
+        ) + _regularity(self.lipschitz)
         self.stats = semantics.RunStats()
         self._plans = {}
 
     def with_frozen(self, frozen_idx, frozen_values):
-        """Same problem with a different frozen/free split."""
-        problem = InversionProblem(
-            self.spec,
-            self.objective,
-            parameter=self.parameter,
-            frozen_idx=frozen_idx,
-            frozen_values=frozen_values,
-            base_field=self.base_field,
-            lipschitz=self.lipschitz,
-            solver_tol=self.solver_tol,
-        )
-        # same spec and base field, so the same assembly plans; the same
-        # run, so the same solve count
-        problem._plans = self._plans
-        problem.stats = self.stats
+        """Same problem with another frozen/free split; this shallow copy
+        shares the spec, the assembly plans, the solve count and the
+        constraints."""
+        problem = object.__new__(type(self))  # copy.copy is slower
+        problem.__dict__.update(self.__dict__)
+        problem._split(self.boxes, frozen_idx, frozen_values)
         return problem
 
     def assembly_plan(self, physics):
@@ -543,48 +531,65 @@ def _lipschitz_verdict(lip, excess, diffs):
     )
 
 
-def _merit(problem, x, ctx=None, lam=None, rho=RHO_START, need_grad=False):
-    """The augmented Lagrangian at ``x`` (Nocedal & Wright, section 17.4).
+@dataclasses.dataclass(frozen=True)
+class _Check:
+    """One point's check; no part of it depends on the multipliers."""
 
-    Each constraint's hinges h = excess + margin come from the same
-    excesses as its verdict and add (max(0, lam + rho h)^2 - lam^2) /
-    (2 rho), whose gradient weight is max(0, lam + rho h); ``lam`` holds
-    one array per constraint. At lam = 0 and rho = 2 that is the squared
-    hinge h^2 with weight 2 h, bit for bit. Without ``lam`` no term is
-    summed: the merit is the objective, and only the verdicts and hinges
-    are made.
+    x: np.ndarray
+    ctx: object
+    objective: float
+    verdicts: tuple
+    hinges: list  # one array per constraint, excess + margin
+    terms: _Gradient  # the objective's, with no constraint term yet
 
-    Returns the merit, the objective, the verdicts, the hinges (one array
-    per constraint) and the merit gradient (None unless ``need_grad``).
-    ``ctx``, when given, is a context at ``x`` whose solves are reused.
-    """
+
+def _check(problem, x, ctx=None):
+    """The penalty-free check of ``x``, made once per point: its context,
+    objective, verdicts and hinges, and the objective's gradient terms.
+    ``ctx``, when given, is a context at ``x`` whose solves are reused."""
     if ctx is None:
         ctx = problem.context(x)
-    terms = _Gradient(problem) if need_grad else None
-    obj = problem.objective_value(x, ctx, terms)
-    merit = obj
+    terms = _Gradient(problem)
+    objective = problem.objective_value(x, ctx, terms)
     verdicts, hinges = [], []
-    for i, constraint in enumerate(problem.constraints):
+    for constraint in problem.constraints:
         verdict, excesses = constraint.check(x, ctx)
         verdicts.append(verdict)
-        hinge = excesses + constraint.margin
-        hinges.append(hinge)
-        if lam is None:
-            continue
-        weights = np.maximum(0.0, lam[i] + rho * hinge)
+        hinges.append(excesses + constraint.margin)
+    return _Check(x, ctx, objective, tuple(verdicts), hinges, terms)
+
+
+def _merit(check, lam, rho):
+    """The augmented Lagrangian at a checked point (Nocedal & Wright,
+    section 17.4), and its gradient weights.
+
+    Each constraint's hinges h add (max(0, lam + rho h)^2 - lam^2) /
+    (2 rho) to the objective, and their gradient weights are the multiplier
+    estimates max(0, lam + rho h); ``lam`` holds one array per constraint.
+    At lam = 0 and rho = 2 that is the squared hinge h^2, bit for bit.
+    """
+    merit, estimates = check.objective, _estimates(lam, rho, check.hinges)
+    for m, weights in zip(lam, estimates):
         active = weights > 0.0
         merit += float((weights[active] ** 2).sum()
-                       - (lam[i] ** 2).sum()) / (2.0 * rho)
-        if need_grad and np.any(active):
-            constraint.add_gradient(x, ctx, weights, terms)
-    grad = terms.total(ctx) if need_grad else None
-    return merit, obj, tuple(verdicts), hinges, grad
+                       - (m ** 2).sum()) / (2.0 * rho)
+    return merit, estimates
 
 
-def _trace_record(iteration, objective, verdicts, step_norm):
+def _merit_gradient(problem, check, estimates):
+    """The gradient of :func:`_merit`: each constraint with a positive
+    weight adds its terms to a copy of the objective's."""
+    terms = copy.copy(check.terms)
+    for constraint, weights in zip(problem.constraints, estimates):
+        if np.any(weights > 0.0):
+            constraint.add_gradient(check.x, check.ctx, weights, terms)
+    return terms.total(check.ctx)
+
+
+def _trace_record(iteration, check, step_norm):
     """One trace line; ``max_violation`` is the largest excess, or 0."""
-    return {"iter": iteration, "objective": objective,
-            "max_violation": max([0.0] + [v.excess for v in verdicts]),
+    return {"iter": iteration, "objective": check.objective,
+            "max_violation": max([0.0] + [v.excess for v in check.verdicts]),
             "step_norm": step_norm}
 
 
@@ -596,22 +601,26 @@ def verify_constraints(problem, x, ctx=None):
     check, passes up to ``FEAS_TOL * max(1, gamma)``.  ``ctx``, when given,
     is a context at ``x`` whose solves are reused.
     """
-    _, objective, verdicts, _, _ = _merit(problem, x, ctx)
-    return all(v.passed for v in verdicts), verdicts, objective
+    check = _check(problem, x, ctx)
+    feasible = all(v.passed for v in check.verdicts)
+    return feasible, check.verdicts, check.objective
 
 
-@dataclasses.dataclass(frozen=True)
 class _Point:
-    """One evaluation of the augmented Lagrangian in box coordinates."""
+    """A point of the box, checked unless its ``check`` is given, weighed
+    at multipliers ``lam`` and penalty ``rho``. Its merit gradient is made
+    when first read."""
 
-    xi: np.ndarray
-    x: np.ndarray
-    ctx: object
-    merit: float
-    objective: float
-    verdicts: tuple
-    hinges: list  # one array per constraint; none depends on lam or rho
-    gradient: np.ndarray | None  # of the merit, in box coordinates
+    def __init__(self, box, xi, lam, rho, check=None):
+        self.box, self.xi = box, xi
+        self.check = check or _check(box.problem, box.values(xi))
+        self.merit, self.estimates = _merit(self.check, lam, rho)
+
+    @functools.cached_property
+    def gradient(self):
+        """The merit gradient in box coordinates."""
+        grad = _merit_gradient(self.box.problem, self.check, self.estimates)
+        return grad[self.box.free] * self.box.width
 
     def stationary(self, tol):
         return _projected_norm(self.xi, self.gradient) <= tol
@@ -640,17 +649,6 @@ class _Box:
                                    self.lo + xi * self.width)
         return full
 
-    def evaluate(self, xi, lam, rho, ctx=None, need_grad=True):
-        """The merit at ``xi``; ``ctx``, when given, is a context there."""
-        x = self.values(xi)
-        if ctx is None:
-            ctx = self.problem.context(x)
-        merit, obj, verdicts, hinges, grad = _merit(self.problem, x, ctx, lam,
-                                                    rho, need_grad)
-        if need_grad:
-            grad = grad[self.free] * self.width
-        return _Point(xi, x, ctx, merit, obj, verdicts, hinges, grad)
-
 
 def _inner_solve(box, point, lam, rho, tol, max_iter, face, trace):
     """Minimize the augmented Lagrangian at fixed ``lam`` and ``rho`` over
@@ -665,22 +663,22 @@ def _inner_solve(box, point, lam, rho, tol, max_iter, face, trace):
     one evaluation.  L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) goes on from
     there unless the projected gradient is already within ``tol``.
 
-    Returns the final point, with its context, and the iteration count.
+    Returns the final point, with its check, and the iteration count.
     """
     if max_iter <= 0 or point.stationary(tol):
         return point, 0
     iterations = 0
     if face:
         g = point.gradient
-        trial = box.evaluate(np.where(g < 0.0, 1.0,
-                                      np.where(g > 0.0, 0.0, point.xi)),
-                             lam, rho, need_grad=False)
-        if trial.merit < point.merit and trial.objective < point.objective:
+        trial = _Point(box, np.where(g < 0.0, 1.0,
+                                     np.where(g > 0.0, 0.0, point.xi)),
+                       lam, rho)
+        if (trial.merit < point.merit
+                and trial.check.objective < point.check.objective):
             step = np.linalg.norm((trial.xi - point.xi) * box.width)
-            point = box.evaluate(trial.xi, lam, rho, trial.ctx)
+            point = trial
             iterations = 1
-            trace.append(_trace_record(len(trace), point.objective,
-                                       point.verdicts, float(step)))
+            trace.append(_trace_record(len(trace), point.check, float(step)))
             if iterations == max_iter or point.stationary(tol):
                 return point, iterations
     # scipy.optimize adds about 15 MB of resident memory and 0.2 s to the
@@ -697,10 +695,10 @@ def _inner_solve(box, point, lam, rho, tol, max_iter, face, trace):
 
     def merit_and_gradient(xi):
         x = box.values(xi)
-        known = next((p for p in memo.values() if np.array_equal(x, p.x)),
-                     None)
+        known = next((p for p in memo.values()
+                      if np.array_equal(x, p.check.x)), None)
         if known is None:
-            known = box.evaluate(xi.copy(), lam, rho)
+            known = _Point(box, xi.copy(), lam, rho)
             if known.merit <= memo["best"].merit:
                 memo["best"] = known
         memo["last"] = known
@@ -709,9 +707,8 @@ def _inner_solve(box, point, lam, rho, tol, max_iter, face, trace):
     def callback(xk):
         # an iteration ends at the point its line search evaluated last
         new, old = memo["last"], memo["iterate"]
-        trace.append(_trace_record(
-            len(trace), new.objective, new.verdicts,
-            float(np.linalg.norm((new.xi - old.xi) * box.width))))
+        step = np.linalg.norm((new.xi - old.xi) * box.width)
+        trace.append(_trace_record(len(trace), new.check, float(step)))
         memo["iterate"] = memo["best"] = new
 
     # ftol 0: the default relative test would stop at once on a merit of
@@ -723,9 +720,9 @@ def _inner_solve(box, point, lam, rho, tol, max_iter, face, trace):
                    options={"maxiter": max_iter - iterations, "gtol": tol,
                             "ftol": 0.0})
     for candidate in (memo["last"], memo["iterate"]):
-        if np.array_equal(box.values(res.x), candidate.x):
+        if np.array_equal(box.values(res.x), candidate.check.x):
             return candidate, iterations + res.nit
-    return box.evaluate(res.x, lam, rho), iterations + res.nit
+    return _Point(box, res.x, lam, rho), iterations + res.nit
 
 
 def inversion_solve(problem, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
@@ -737,7 +734,8 @@ def inversion_solve(problem, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     rho = 2, and only the first tries the face point.  When the
     penalty-free check fails after it, lam <- max(0, lam + rho h), and
     rho grows tenfold when the largest hinge did not fall to a quarter of
-    the last one.  ``max_iter`` caps each inner solve.
+    the last one; the point is then weighed again, not checked again.
+    ``max_iter`` caps each inner solve.
 
     Returns an :class:`OptimizationResult`, with the evaluation of its final
     point and the multiplier estimates max(0, lam + rho h) there;
@@ -751,10 +749,9 @@ def inversion_solve(problem, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     else:
         x = problem.pin(x0)
         x[free] = np.clip(x[free], *problem.boxes[free].T)
-    ctx = problem.context(x)
-    _, objective, verdicts, hinges, _ = _merit(problem, x, ctx)
-    trace = [_trace_record(0, objective, verdicts, 0.0)]
-    lam = [np.zeros(h.size) for h in hinges]
+    check = _check(problem, x)
+    trace = [_trace_record(0, check, 0.0)]
+    lam = [np.zeros(h.size) for h in check.hinges]
     rho = RHO_START
     iterations = 0
     # with everything pinned by the frozen set there is nothing to
@@ -763,36 +760,33 @@ def inversion_solve(problem, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
         box = _Box(problem, x)
         xi = box.coordinates(x)
         if not np.array_equal(box.values(xi), x):
-            ctx = None
-        point = box.evaluate(xi, lam, rho, ctx)
+            check = None
+        point = _Point(box, xi, lam, rho, check)
         worst = np.inf
         for outer in range(MAX_OUTER):
             if outer:
                 last, worst = worst, max(
-                    [0.0] + [float(h.max()) for h in hinges if h.size])
-                lam = _estimates(lam, rho, hinges)
+                    [0.0] + [float(h.max()) for h in check.hinges if h.size])
+                lam = point.estimates
                 if worst > 0.25 * last:
                     rho *= 10.0
-                point = box.evaluate(point.xi, lam, rho, point.ctx)
+                point = _Point(box, point.xi, lam, rho, check)
             point, n = _inner_solve(box, point, lam, rho, tol, max_iter,
                                     outer == 0 and problem.face_trial, trace)
             iterations += n
-            # the penalty-free check at the point is read off its evaluation
-            objective, verdicts, hinges = (point.objective, point.verdicts,
-                                           point.hinges)
-            if all(v.passed for v in verdicts):
+            check = point.check
+            if all(v.passed for v in check.verdicts):
                 break
-        x, ctx = point.x, point.ctx
     return OptimizationResult(
-        values=x,
-        objective=objective,
-        verdicts=verdicts,
+        values=check.x,
+        objective=check.objective,
+        verdicts=check.verdicts,
         iterations=iterations,
         fem_solves=problem.stats.fem_solves - start,
         strategy="full",
         trace=tuple(trace),
-        evaluation=ctx,
-        multipliers=tuple(_estimates(lam, rho, hinges)),
+        evaluation=check.ctx,
+        multipliers=tuple(_estimates(lam, rho, check.hinges)),
     )
 
 
@@ -848,9 +842,10 @@ def build_quadratic_model(problem, base_values, evaluation=None):
     base-point gradient makes no new factor, and no solve at all for the
     self-adjoint compliance. Otherwise the base point is evaluated afresh,
     with the same bits.  Raises :class:`BasePointError` when the base point
-    is not near-stationary and :class:`ModelInvalidError` when the model
-    fails the checks of :func:`warm_start_update` on ``problem``'s own
-    frozen/free split.
+    is not near-stationary and :class:`ModelInvalidError`, before any row,
+    when the objective is flat in the optimized parameter and a variable is
+    free, or when the model fails the checks of :func:`warm_start_update`
+    on ``problem``'s own frozen/free split.
     """
     x = problem.pin(base_values)
     _, grad = problem.objective_and_gradient(
@@ -862,6 +857,10 @@ def build_quadratic_model(problem, base_values, evaluation=None):
             "at the model base point"
         )
     free = problem.free_idx
+    if not problem.face_trial and free.size:
+        # a zero Hessian block, which warm_start_update would refuse
+        raise ModelInvalidError("the objective is flat in the optimized "
+                                "parameter")
     g = grad[free]
     active = (((x[free] == problem.boxes[free, 1]) & (g < 0.0))
               | ((x[free] == problem.boxes[free, 0]) & (g > 0.0)))

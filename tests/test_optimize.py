@@ -272,7 +272,9 @@ def test_merit_gradient_makes_one_adjoint_solve(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(fem, "adjoint_solve", counted)
-    merit, _, _, _, grad = optimize._merit(problem, x, None, lam, rho, True)
+    check = optimize._check(problem, x)
+    _, estimates = optimize._merit(check, lam, rho)
+    grad = optimize._merit_gradient(problem, check, estimates)
     assert len(solves) == 1
 
     # the per-term sum: one adjoint solve per term, contracted by einsum
@@ -302,7 +304,7 @@ def test_merit_gradient_makes_one_adjoint_solve(monkeypatch):
     assert np.abs(grad - want).max() <= 1e-10 * np.abs(want).max()
 
     def merit_at(point):
-        return optimize._merit(problem, point, None, lam, rho)[0]
+        return optimize._merit(optimize._check(problem, point), lam, rho)[0]
 
     for e in rng.choice(problem.n_variables, size=6, replace=False):
         h = 1e-4 * x[e]
@@ -550,8 +552,8 @@ def test_a_flat_objective_skips_the_face_trial():
 
 
 @pytest.mark.parametrize("build, inner, iterations, evaluations, point", [
-    (interior_quadratic_problem, 1, 3, 7, [0.6, 0.3]),
-    (halfspace_problem, 6, 12, 31, [0.5000002143391313] * 2),
+    (interior_quadratic_problem, 1, 3, 6, [0.6, 0.3]),
+    (halfspace_problem, 6, 12, 25, [0.5000002143391313] * 2),
 ], ids=["interior_quadratic", "halfspace"])
 def test_rejected_face_trial_costs_one_evaluation(
         monkeypatch, build, inner, iterations, evaluations, point):
@@ -642,7 +644,7 @@ def test_multipliers_are_one_array_per_constraint():
     # estimate max(0, lam + rho h) is zero
     problem = plate_block_problem()
     result = optimize.inversion_solve(problem)
-    hinges = optimize._merit(problem, result.values, result.evaluation)[3]
+    hinges = optimize._check(problem, result.values, result.evaluation).hinges
     assert [c.name for c in problem.constraints] == [
         "hot_face", "bulk_heat", "field_regularity"]
     assert [mu.shape for mu in result.multipliers] == \
@@ -652,33 +654,72 @@ def test_multipliers_are_one_array_per_constraint():
     assert not any(np.any(mu) for mu in result.multipliers)
 
 
-@pytest.mark.parametrize("build", [plate_block_problem, compliance_block_bar])
-def test_a_replan_at_its_start_point_makes_two_constraint_passes(
-        monkeypatch, build):
-    # the start point's check and its merit gradient: the final check is
-    # read off the gradient's evaluation, as neither verdicts nor hinges
-    # depend on the multipliers
+def _replan_at_its_start_point(build=plate_block_problem):
+    """The full re-plan of ``build()``'s plan after its first half drifted
+    by 0.1%, which stops at its start point, as a call and its problem."""
     problem = build()
     plan = optimize.inversion_solve(problem)
     frozen = np.arange(problem.n_variables // 2)
     replan = problem.with_frozen(frozen, 1.001 * plan.values[frozen])
+    return lambda: optimize.reoptimize_after_drift(
+        replan, plan, 0.001 * plan.values[frozen], strategy="full"), replan
+
+
+@pytest.mark.parametrize("build", [plate_block_problem, compliance_block_bar])
+def test_a_replan_at_its_start_point_checks_it_once(
+        monkeypatch, build):
+    # the start point's check: its merit gradient and the final check read
+    # it, as neither verdicts nor hinges depend on the multipliers
+    solve, replan = _replan_at_its_start_point(build)
     passes = []
-    merit = optimize._merit
+    check = optimize._check
 
     def counted(*args, **kwargs):
         passes.append(1)
-        return merit(*args, **kwargs)
+        return check(*args, **kwargs)
 
-    monkeypatch.setattr(optimize, "_merit", counted)
-    result = optimize.reoptimize_after_drift(
-        replan, plan, 0.001 * plan.values[frozen], strategy="full")
+    monkeypatch.setattr(optimize, "_check", counted)
+    result = solve()
     assert result.feasible and result.iterations == 0
-    assert len(passes) == 2
-    monkeypatch.setattr(optimize, "_merit", merit)
+    assert len(passes) == 1
+    monkeypatch.setattr(optimize, "_check", check)
     feasible, verdicts, objective = optimize.verify_constraints(
         replan, result.values)
     assert feasible
     assert result.verdicts == verdicts and result.objective == objective
+
+
+def _budgeted_bar_plan():
+    problem = budgeted_bending_bar(6, 2)
+    return lambda: optimize.inversion_solve(problem), problem
+
+
+@pytest.mark.parametrize("build", [_replan_at_its_start_point,
+                                   _budgeted_bar_plan],
+                         ids=["replan_at_start", "budgeted_bar"])
+def test_each_constraint_is_checked_once_per_context(monkeypatch, build):
+    # a point is checked once, however often the multipliers reweigh it
+    solve, problem = build()
+    contexts, checks = [], {c.name: 0 for c in problem.constraints}
+    context = problem.context
+
+    def counted_context(x):
+        contexts.append(1)
+        return context(x)
+
+    def counted_check(original):
+        def check(constraint, x, ctx):
+            checks[constraint.name] += 1
+            return original(constraint, x, ctx)
+        return check
+
+    monkeypatch.setattr(problem, "context", counted_context)
+    for kind in {type(c) for c in problem.constraints}:
+        monkeypatch.setattr(kind, "check", counted_check(kind.check))
+    result = solve()
+    assert result.feasible
+    assert contexts
+    assert checks == {name: len(contexts) for name in checks}
 
 
 def test_a_plan_measures_each_quantity_once_per_evaluation(monkeypatch):
@@ -701,10 +742,10 @@ def test_a_plan_measures_each_quantity_once_per_evaluation(monkeypatch):
     result = optimize.inversion_solve(problem)
     assert result.feasible
     assert len(evaluations) > len(asked)  # the memo was read
-    # the objective and two properties in each of four merit evaluations:
-    # the start point's check and gradient, the face trial and the corner's
-    # gradient, whose verdicts are the corner's check
-    assert len(evaluations) - built == 12
+    # the objective and two properties in each of two checks: the start
+    # point's and the face trial's, whose corner is the plan; the merit
+    # gradients read the checks and ask nothing
+    assert len(evaluations) - built == 6
     assert len(computed) == len(asked)
     hot = next(c for c in problem.constraints if c.name == "hot_face")
     values = measure(problem.spec, "nodal_temperature",
@@ -764,8 +805,8 @@ def test_trace_schema_and_jsonl_dump(tmp_path):
 
 
 def test_zero_iteration_solve_count_is_pinned():
-    # one solve, at the start point: the trace's start entry, the phase's
-    # first merit evaluation and the final check all reuse its context
+    # one solve, at the start point, which is checked once: the trace's
+    # start entry, the merit and the final check all read that check
     result = optimize.inversion_solve(cube_compliance_problem(), max_iter=0)
     assert result.iterations == 0 and result.feasible
     assert result.fem_solves == 1
@@ -797,14 +838,15 @@ def test_lipschitz_zero_violation_contributes_nothing():
     assert problem.constraints == (problem.lipschitz,)
     x = np.full(5, 4.0)  # uniform field: every pair difference is zero
     lam = [np.zeros(problem.lipschitz.pairs.shape[0])]
-    merit, obj, verdicts, hinges, merit_grad = optimize._merit(
-        problem, x, None, lam, 2000.0, True)
-    verdict, = verdicts
+    check = optimize._check(problem, x)
+    merit, estimates = optimize._merit(check, lam, 2000.0)
+    merit_grad = optimize._merit_gradient(problem, check, estimates)
+    verdict, = check.verdicts
     assert verdict.name == "field_regularity"
     assert verdict.excess < 0.0 and verdict.passed
-    assert np.all(hinges[0] < 0.0)
+    assert np.all(check.hinges[0] < 0.0)
     _, obj_grad = problem.objective_and_gradient(x)
-    assert merit == obj
+    assert merit == check.objective
     assert np.array_equal(merit_grad, obj_grad)
 
 
@@ -819,13 +861,16 @@ def test_lipschitz_excesses_keep_the_bits_of_the_plain_formula():
 
 
 def test_a_penalty_free_check_gives_the_penalized_verdicts():
-    # without multipliers no hinge term is summed, and every verdict is made
+    # the merit gradient weighs the penalty-free check, whose verdicts are
+    # the ones verify_constraints gives
     problem = plate_block_problem()
     x = np.random.default_rng(6).uniform(0.1, 0.4, problem.n_variables)
-    lam = [np.zeros(h.size) for h in optimize._merit(problem, x)[3]]
-    _, _, verdicts, _, _ = optimize._merit(problem, x, None, lam, 2.0, True)
+    check = optimize._check(problem, x)
+    lam = [np.zeros(h.size) for h in check.hinges]
+    _, estimates = optimize._merit(check, lam, 2.0)
+    optimize._merit_gradient(problem, check, estimates)
     feasible, checked, objective = optimize.verify_constraints(problem, x)
-    assert checked == verdicts
+    assert checked == check.verdicts
     assert [v.name for v in checked] == ["hot_face", "bulk_heat",
                                          "field_regularity"]
     assert not checked[-1].passed and not feasible
@@ -1200,6 +1245,29 @@ def test_model_build_allocates_nothing_square_over_elements():
     finally:
         tracemalloc.stop()
     assert peak < n * n * np.dtype(np.float64).itemsize
+
+
+def test_a_flat_objective_is_refused_before_any_hessian_row(monkeypatch):
+    # mass does not depend on E, so the model's free block would be zero:
+    # the build reads the base point's gradient and stops there
+    problem = cube_compliance_problem(frozen_idx=[0], frozen_values=[60.0])
+    mass = optimize.InversionProblem(
+        problem.spec, "mass", parameter="young",
+        frozen_idx=[0], frozen_values=[60.0],
+    )
+    base = optimize.inversion_solve(mass)
+    assert mass.free_idx.size
+    calls = []
+    original = mass.objective_and_gradient
+
+    def counted(x, ctx=None):
+        calls.append(1)
+        return original(x, ctx)
+
+    monkeypatch.setattr(mass, "objective_and_gradient", counted)
+    with pytest.raises(ModelInvalidError, match="flat"):
+        optimize.build_quadratic_model(mass, base.values, base.evaluation)
+    assert len(calls) == 1
 
 
 def test_warm_fallbacks_name_their_reason():

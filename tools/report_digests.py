@@ -15,7 +15,12 @@ Usage, from anywhere:
   followed by an abort, a non-stationary plan, warm and full re-plans
   under drift, a plant that aborts at layer 2, and the 10-layer bar whose
   ``mass`` plan stops on its tip bound, at print seeds 0-7 under both
-  strategies.  Each writes its report and history CSV.
+  strategies.  Each writes its report and history CSV;
+- a plan off every box corner: the 4-layer bar with a loose tip bound and
+  a stiffness budget, whose values, objective, verdicts, multipliers and
+  trace are written with every float's bits, and one drifting print of it
+  under each strategy.  It runs the augmented Lagrangian's outer loop and
+  L-BFGS-B, which no other plan here reaches.
 
 Every run works in a temporary directory, so nothing is written into the
 checkout.  A refactor that must keep report bytes is checked with
@@ -33,7 +38,9 @@ sys.dont_write_bytecode = True
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import dataclasses
 import hashlib
+import json
 import tempfile
 from pathlib import Path
 
@@ -88,6 +95,50 @@ def _bar(n_layers, objective="compliance", bound_factor=1.08):
     return optimize.InversionProblem(spec, objective, parameter="young")
 
 
+def _budgeted_bar():
+    """The 4-layer bar with its tip bound at 1.5 times the stiffest bar's
+    and a stiffness budget sum V_e E_e <= 0.8 V E_max, whose plan lies
+    inside the box (E about 96e3 in every element, the budget binding).
+
+    The budget is no annotation, so the problem hands it to every re-plan
+    itself: a tree whose ``with_frozen`` rebuilds the constraints from the
+    specification would drop it, and every tree must print the same
+    problem.
+    """
+    from semfab import optimize
+
+    problem = _bar(4, bound_factor=1.5)
+    volumes = problem.spec.mesh.volumes()
+    cap = 0.8 * volumes.sum() * problem.boxes[:, 1].max()
+    problem.constraints += (optimize.SyntheticConstraint(
+        "budget", lambda x: (volumes @ x - cap) / cap,
+        lambda x: volumes / cap),)
+    with_frozen = problem.with_frozen
+
+    def keeping_the_budget(frozen_idx, frozen_values):
+        replan = with_frozen(frozen_idx, frozen_values)
+        replan.constraints = problem.constraints
+        return replan
+
+    problem.with_frozen = keeping_the_budget
+    return problem
+
+
+def _write_plan(plan, path):
+    """A plan's values, objective, verdicts, multipliers and trace as JSON,
+    whose floats round-trip bit for bit."""
+    doc = {
+        "values": plan.values.tolist(),
+        "objective": plan.objective,
+        "verdicts": [dataclasses.asdict(v) for v in plan.verdicts],
+        "multipliers": [m.tolist() for m in plan.multipliers],
+        "trace": list(plan.trace),
+        "fem_solves": plan.fem_solves,
+        "iterations": plan.iterations,
+    }
+    path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+
+
 def closed_loop_reports(tmp):
     from semfab import optimize, printsim
 
@@ -117,6 +168,11 @@ def closed_loop_reports(tmp):
     mass_bar = planned(_bar(4, "mass"))
     loose_bar = planned(_bar(4, bound_factor=1.5), max_iter=0)
     binding_bar = planned(_bar(10, "mass"))
+    interior_bar = planned(_budgeted_bar())
+    out = tmp / "interior-plan"
+    out.mkdir()
+    _write_plan(interior_bar[1], out / "plan.json")
+    _digests(out, "closed-loop/interior-plan")
     cases = [
         ("abort-gain-0.4", bar, 7, exact(0.4)),
         ("uncontrolled", bar, 7, exact(0.9, control=False)),
@@ -126,6 +182,8 @@ def closed_loop_reports(tmp):
         ("base-point", loose_bar, 5, drifting("warm_start")),
         ("drift-warm", bar, 3, drifting("warm_start")),
         ("drift-full", bar, 3, drifting("full")),
+        ("interior-full", interior_bar, 3, drifting("full")),
+        ("interior-warm", interior_bar, 3, drifting("warm_start")),
     ] + [
         (f"binding-{strategy}-{seed}", binding_bar, seed, drifting(strategy))
         for strategy in ("full", "warm_start") for seed in BINDING_SEEDS

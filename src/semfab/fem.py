@@ -4,20 +4,20 @@ analogue, steady-state heat conduction.
 K is linear in Young's modulus at a fixed Poisson ratio and linear in the
 conductivity, so every element matrix is its parameter times a unit matrix
 k̂_e. An :class:`AssemblyPlan`, built once per (specification, physics),
-holds the fixed CSR pattern of K, the free/prescribed split, where the free
-block K_ff sits in K.data and in a band, and assembly as one linear operator
-S from element parameters to K's entries: a sparse matrix whose column e
-holds k̂_e's entries at their slots in K.data. K's pattern is built from the
-edges of the element graph, as George & Liu (1981) build the graph of a
-finite-element matrix: the six edges of every tet, deduplicated by one
-sort, are the vertex graph, every element entry's slot is read off its edge
-or vertex, and each vertex pair becomes a full block of dofs. So the cost
-grows with the tets' edges and not with every dof pair of every element.
-The free block's layout comes from the same CSR pattern, masked to the free
-dofs and transposed once. Assembly is K.data = S p, which adds the scaled
-unit matrices into the pattern in ascending element order, so results are
-reproducible bit for bit. The element sensitivities lam . k̂_e u of all
-elements are one product with S's transpose.
+holds the fixed CSR pattern of K, the free/prescribed split, the band that
+is its one layout of the free block K_ff, and assembly as one linear
+operator S from element parameters to K's entries: a sparse matrix whose
+column e holds k̂_e's entries at their slots in K.data. K's pattern is
+built from the edges of the element graph, as George & Liu (1981) build the
+graph of a finite-element matrix: the six edges of every tet, deduplicated
+by one sort, are the vertex graph, every element entry's slot is read off
+its edge or vertex, and each vertex pair becomes a full block of dofs. So
+the cost grows with the tets' edges and not with every dof pair of every
+element. The band comes from the same CSR pattern, masked to the free dofs,
+transposed once and reordered. Assembly is K.data = S p, which adds the
+scaled unit matrices into the pattern in ascending element order, so
+results are reproducible bit for bit. The element sensitivities
+lam . k̂_e u of all elements are one product with S's transpose.
 
 A :class:`FemSystem` is its plan's K and reduced right-hand side for one
 material field, made only by :func:`assemble`: no system exists without a
@@ -33,8 +33,10 @@ that factor and the guard on the normwise backward error
 ||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1). A solve with
 ||K_ff x - b||_1 <= tol ||b||_1 meets that bound whatever ||K_ff||_1 is, so
 the guard computes ||K_ff||_1, once per system, only for a solve that fails
-this test or when a solution's `residual` is first read. Reactions,
-(K U - F_ext) at the prescribed dofs, are computed when first read too.
+this test or when a solution's `residual` is first read. It reads the norm
+off the band: the lower triangle's entries in K.data, mirrored, which is
+the symmetric matrix dpbtrf factors. Reactions, (K U - F_ext) at the
+prescribed dofs, are computed when first read too.
 """
 
 from __future__ import annotations
@@ -58,8 +60,9 @@ _DOFS_PER_VERTEX = {"elasticity": 3, "conduction": 1}
 @dataclass(frozen=True, eq=False)
 class AssemblyPlan:
     """The parts of one (specification, physics) system that the material
-    field does not change; see the module docstring. Like a system and a
-    solution, it holds arrays, so it compares and hashes by identity."""
+    field does not change; see the module docstring. K_ff is laid out once,
+    in `band`, which both the factor and ||K_ff||_1 read. Like a system and
+    a solution, it holds arrays, so it compares and hashes by identity."""
 
     physics: str
     n_vertices: int
@@ -77,11 +80,7 @@ class AssemblyPlan:
     f_ext: np.ndarray
     free: np.ndarray
     prescribed: np.ndarray
-    prescribed_values: np.ndarray
     u_prescribed: np.ndarray  # full-length, prescribed values, zero elsewhere
-    ff_slots: np.ndarray  # slot in K.data of each K_ff entry, CSC order
-    ff_indptr: np.ndarray  # column pointers of K_ff
-    ff_empty: np.ndarray  # mask of K_ff's empty columns
     band: tuple  # _band_layout of K_ff
 
 
@@ -92,7 +91,7 @@ class FemSystem:
 
     plan: AssemblyPlan
     K: scipy.sparse.csr_matrix
-    rhs: np.ndarray  # f_ext[free] - K[free, prescribed] @ prescribed_values
+    rhs: np.ndarray  # f_ext[free] - (K @ u_prescribed)[free]
     # (order, band factor), made by the first solve, and ||K_ff||_1, made
     # when the guard first needs it; both only cache what K determines
     _factor: tuple | None = field(default=None, init=False, repr=False)
@@ -167,7 +166,8 @@ def _element_parameter(fld, physics: str) -> np.ndarray:
 
 
 def _boundary_data(spec, physics: str, ndof: int):
-    """Applied loads and the sorted prescribed dofs with their values."""
+    """Applied loads, the sorted prescribed dofs and the full-length
+    prescribed values, zero at the free dofs."""
     f_ext = np.zeros(ndof)
     prescribed_map: dict[int, float] = {}
     if physics == "elasticity":
@@ -186,8 +186,9 @@ def _boundary_data(spec, physics: str, ndof: int):
             f"no prescribed values for {physics}; the system is singular"
         )
     prescribed = np.array(sorted(prescribed_map), dtype=np.int64)
-    prescribed_values = np.array([prescribed_map[d] for d in prescribed])
-    return f_ext, prescribed, prescribed_values
+    u_prescribed = np.zeros(ndof)
+    u_prescribed[prescribed] = [prescribed_map[d] for d in prescribed]
+    return f_ext, prescribed, u_prescribed
 
 
 def _read_only(*arrays):
@@ -329,7 +330,7 @@ def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
     mesh = spec.mesh
     dpv = _DOFS_PER_VERTEX[physics]
     ndof = dpv * mesh.n_vertices
-    f_ext, prescribed, prescribed_values = _boundary_data(spec, physics, ndof)
+    f_ext, prescribed, u_prescribed = _boundary_data(spec, physics, ndof)
 
     vols = mesh.volumes()
     eps = 1e-12 * mesh.bbox_diagonal() ** 3
@@ -365,9 +366,7 @@ def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
     mask = np.ones(ndof, dtype=bool)
     mask[prescribed] = False
     free = np.flatnonzero(mask)
-    u_prescribed = np.zeros(ndof)
-    u_prescribed[prescribed] = prescribed_values
-    ff_slots, ff_indptr, ff_empty, band = _free_block(indptr, indices, mask)
+    band = _free_block(indptr, indices, mask)
     plan = AssemblyPlan(
         physics=physics,
         n_vertices=mesh.n_vertices,
@@ -380,17 +379,12 @@ def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
         f_ext=f_ext,
         free=free,
         prescribed=prescribed,
-        prescribed_values=prescribed_values,
         u_prescribed=u_prescribed,
-        ff_slots=ff_slots,
-        ff_indptr=ff_indptr,
-        ff_empty=ff_empty,
         band=band,
     )
     # every system assembled from the plan shares these arrays
-    _read_only(indptr, indices, row_sizes, f_ext, free,
-               prescribed, prescribed_values, u_prescribed, ff_slots,
-               ff_indptr, ff_empty, band[0], band[2], band[3])
+    _read_only(indptr, indices, row_sizes, f_ext, free, prescribed,
+               u_prescribed, band[0], band[2], band[3])
     return plan
 
 
@@ -436,10 +430,8 @@ def element_sensitivity(system: FemSystem, lam: np.ndarray,
 
 
 def _free_block(indptr, indices, free_mask) -> tuple:
-    """(ff_slots, ff_indptr, ff_empty, band) of the free block K_ff of K's
-    CSR pattern (indptr, indices), where `free_mask` marks the free dofs:
-    the slot in K.data of each K_ff entry in CSC order, the column pointers
-    of K_ff, the mask of its empty columns and its `_band_layout`."""
+    """The `_band_layout` of the free block K_ff of K's CSR pattern
+    (indptr, indices), where `free_mask` marks the free dofs."""
     # K's entries whose row and column are both free are K_ff's, in CSR
     # order; K_ff's row r starts after the ones kept before K's row r
     keep = np.repeat(free_mask, np.diff(indptr))
@@ -454,10 +446,9 @@ def _free_block(indptr, indices, free_mask) -> tuple:
     slots += 1  # so that no slot is stored as a zero
     n = ff_indptr.size - 1
     # one transpose puts the slots in CSC order, rows ascending
-    ff = scipy.sparse.csr_matrix(
+    return _band_layout(scipy.sparse.csr_matrix(
         (slots, renumber.take(indices[keep]), ff_indptr), shape=(n, n)
-    ).tocsc()
-    return ff.data - 1, ff.indptr, np.diff(ff.indptr) == 0, _band_layout(ff)
+    ).tocsc())
 
 
 def _band_layout(ff: scipy.sparse.csc_matrix) -> tuple:
@@ -482,17 +473,17 @@ def _band_layout(ff: scipy.sparse.csc_matrix) -> tuple:
     return order, bw, ff.data[lower] - 1, cols * (bw + 1) + offset
 
 
-def _one_norm(data: np.ndarray, slots: np.ndarray, indptr: np.ndarray,
-              empty: np.ndarray) -> float:
-    """The largest absolute column sum of the CSC matrix with entries
-    data[slots], column pointers `indptr` and empty columns `empty`."""
-    # reduceat returns the entry at the start of an empty range, so empty
-    # columns are zeroed afterwards; the pad keeps an empty last column's
-    # start inside the array
-    padded = np.zeros(slots.size + 1)
-    np.abs(data.take(slots), out=padded[:-1])
-    sums = np.add.reduceat(padded, indptr[:-1])
-    sums[empty] = 0.0
+def _one_norm(system: FemSystem) -> float:
+    """||K_ff||_1, the largest absolute column sum of K_ff, read off the
+    lower band that `_factor` fills: each entry adds to its column's sum
+    and, below the diagonal, by symmetry to its row's."""
+    order, bw, src, slots = system.plan.band
+    entries = np.abs(system.K.data.take(src))
+    cols, offset = np.divmod(slots, bw + 1)
+    below = offset > 0
+    sums = np.bincount(cols, entries, minlength=order.size)
+    sums += np.bincount((cols + offset)[below], entries[below],
+                        minlength=order.size)
     return float(sums.max(initial=0.0))
 
 
@@ -517,9 +508,7 @@ def _backward_error(system: FemSystem, r, x_sum, b_sum) -> float:
     1-norms of a solve; ||K_ff||_1 is computed on the first call for the
     system."""
     if system._norm is None:
-        plan = system.plan
-        object.__setattr__(system, "_norm", _one_norm(
-            system.K.data, plan.ff_slots, plan.ff_indptr, plan.ff_empty))
+        object.__setattr__(system, "_norm", _one_norm(system))
     # a zero scale means x = b = 0, so the error is 0
     return float(r / max(system._norm * x_sum + b_sum, _TINY))
 

@@ -290,6 +290,15 @@ class _BoxProblem:
         if sub.size and np.any(sub[:, 1] < sub[:, 0]):
             raise ValueError("empty parameter range on a free element")
 
+    def with_frozen(self, frozen_idx, frozen_values):
+        """Same problem with another frozen/free split; this shallow copy
+        shares everything else, the solve count and the constraints among
+        it, and an inversion's spec and assembly plans."""
+        problem = object.__new__(type(self))  # copy.copy is slower
+        problem.__dict__.update(self.__dict__)
+        problem._split(self.boxes, frozen_idx, frozen_values)
+        return problem
+
     def pin(self, x):
         x = np.array(x, dtype=float)
         x[self.frozen_idx] = self.frozen_values
@@ -438,15 +447,6 @@ class InversionProblem(_BoxProblem):
         ) + _regularity(self.lipschitz)
         self.stats = semantics.RunStats()
         self._plans = {}
-
-    def with_frozen(self, frozen_idx, frozen_values):
-        """Same problem with another frozen/free split; this shallow copy
-        shares the spec, the assembly plans, the solve count and the
-        constraints."""
-        problem = object.__new__(type(self))  # copy.copy is slower
-        problem.__dict__.update(self.__dict__)
-        problem._split(self.boxes, frozen_idx, frozen_values)
-        return problem
 
     def assembly_plan(self, physics):
         """The :class:`fem.AssemblyPlan` of ``physics``, built on first use."""
@@ -936,12 +936,14 @@ def reoptimize_after_drift(
     """Update the free elements after the frozen ones drifted by ``delta_y``.
 
     ``delta_y`` is ordered like ``problem.frozen_idx`` and measured from the
-    model's base point (the previous optimum when ``model`` is omitted); the
-    model may come from a problem with another frozen/free split.  The
-    warm strategy applies the quadratic-model shift and keeps it only if a
-    penalty-free feasibility check passes; otherwise, and for any model
-    failure, it falls back to a full solve seeded at the previous values,
-    and the result's ``fallback`` says why.
+    model's base point; the model may come from a problem with another
+    frozen/free split.  Without ``model``, one is built at the previous
+    optimum on this split, the frozen variables at their previous values,
+    so that only the shift applies the drift.  The warm strategy applies
+    the quadratic-model shift and keeps it only if a penalty-free
+    feasibility check passes; otherwise, and for any model failure, it
+    falls back to a full solve seeded at the previous values, and the
+    result's ``fallback`` says why.
     """
     if strategy not in ("warm_start", "full"):
         raise ValueError(f"unknown strategy: {strategy!r}")
@@ -961,8 +963,13 @@ def reoptimize_after_drift(
             )
         try:
             if model is None:
-                model = build_quadratic_model(problem, previous_result.values,
-                                              previous_result.evaluation)
+                # at the previous optimum: its frozen values, not the
+                # drifted ones
+                frozen = problem.frozen_idx
+                model = build_quadratic_model(
+                    problem.with_frozen(frozen,
+                                        previous_result.values[frozen]),
+                    previous_result.values, previous_result.evaluation)
             delta_z = warm_start_update(model, problem, delta_y)
             free = problem.free_idx
             x = problem.pin(model.base_values)

@@ -647,6 +647,16 @@ def _field_doc(fld):
     return doc
 
 
+# the columns of a print's layer history, in report.json and in the CSV
+_HISTORY_COLUMNS = ("layer", "strategy", "objective", "max_violation",
+                    "fem_solves", "mean_commanded", "fallback")
+
+
+def _history_row(rec):
+    """(column, value) of each history column of a layer record."""
+    return [(name, getattr(rec, name)) for name in _HISTORY_COLUMNS]
+
+
 def report_to_dict(report):
     """JSON-ready dict; NaN placeholders become null."""
     abort = None
@@ -677,15 +687,8 @@ def report_to_dict(report):
         "abort": abort,
         "verdicts": [semantics.verdict_to_dict(v) for v in report.verdicts],
         "history": [
-            {
-                "layer": rec.layer,
-                "strategy": rec.strategy,
-                "objective": _finite_or_none(rec.objective),
-                "max_violation": _finite_or_none(rec.max_violation),
-                "fem_solves": rec.fem_solves,
-                "mean_commanded": rec.mean_commanded,
-                "fallback": rec.fallback,
-            }
+            {name: _finite_or_none(v) if isinstance(v, float) else v
+             for name, v in _history_row(rec)}
             for rec in report.history
         ],
         "fields": {
@@ -707,17 +710,11 @@ def history_to_csv(report, path):
     """One row per layer for plotting; floats keep full precision."""
 
     def cell(x):
-        return "" if (isinstance(x, float) and not math.isfinite(x)) else repr(x)
+        empty = x is None or (isinstance(x, float) and not math.isfinite(x))
+        return "" if empty else x
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["layer", "strategy", "objective", "max_violation",
-             "fem_solves", "mean_commanded", "fallback"]
-        )
+        writer.writerow(_HISTORY_COLUMNS)
         for rec in report.history:
-            writer.writerow(
-                [rec.layer, rec.strategy, cell(rec.objective),
-                 cell(rec.max_violation), rec.fem_solves,
-                 cell(rec.mean_commanded), rec.fallback or ""]
-            )
+            writer.writerow([cell(v) for _, v in _history_row(rec)])

@@ -487,7 +487,7 @@ def test_plan_assembly_matches_coo_reference(seed, physics):
         ref_ff = ref[free][:, free]
         assert abs(system.K[free][:, free] - ref_ff).max() <= 1e-12 * scale
         ref_rhs = system.plan.f_ext[free] - ref[free][:, fixed] @ \
-            system.plan.prescribed_values
+            system.plan.u_prescribed[fixed]
         assert np.abs(system.rhs - ref_rhs).max() <= \
             1e-12 * np.abs(ref_rhs).max()
 
@@ -562,18 +562,18 @@ def test_fully_prescribed_system_has_nothing_to_factor():
 
 
 def test_one_norm_is_the_largest_absolute_column_sum():
-    rng = np.random.default_rng(9)
-    for n, density in ((6, 0.0), (7, 0.3), (40, 0.05)):
-        A = scipy.sparse.random(n, n, density=density, random_state=rng,
-                                data_rvs=lambda k: rng.normal(size=k))
-        keep = np.ones(n)
-        keep[-1] = 0.0  # an empty last column
-        A = (A @ scipy.sparse.diags(keep)).tocsc()
-        A.eliminate_zeros()
-        expected = np.abs(A.toarray()).sum(axis=0).max()
-        norm = fem._one_norm(A.data, np.arange(A.nnz), A.indptr,
-                             np.diff(A.indptr) == 0)
-        assert norm == pytest.approx(expected, rel=1e-15)
+    # read off the band, whose lower entries stand for both triangles
+    for physics in ("elasticity", "conduction"):
+        for case in range(_N_PATTERN_CASES):
+            mesh, spec, fld = _pattern_problem(case)
+            system = assemble(spec, fld, physics)
+            free = system.plan.free
+            K_ff = system.K[free][:, free].toarray()
+            expected = np.abs(K_ff).sum(axis=0).max()
+            assert fem._one_norm(system) == pytest.approx(expected,
+                                                          rel=1e-15)
+        mesh, spec, fld = _every_vertex_prescribed()
+        assert fem._one_norm(assemble(spec, fld, physics)) == 0.0
 
 
 def _loaded_box(physics):
@@ -682,9 +682,7 @@ def test_a_passing_solve_leaves_the_norm_until_residual_is_read(monkeypatch):
     padded = np.zeros(system.K.shape[0])
     padded[free] = x
     r = np.abs((system.K @ padded)[free] - system.rhs).sum()
-    plan = fem.assembly_plan(spec, "elasticity", fld)
-    norm = original(system.K.data, plan.ff_slots, plan.ff_indptr,
-                    plan.ff_empty)
+    norm = original(system)
     want = float(r / max(norm * np.abs(x).sum() + np.abs(system.rhs).sum(),
                          np.finfo(np.float64).tiny))
     assert 0.0 < sol.residual == want
@@ -810,8 +808,8 @@ def test_tol_none_means_the_default_in_solve_and_adjoint(monkeypatch):
 
 
 def _dof_key_pattern(mesh, dpv, free):
-    """scatter, K's CSR pattern, K_ff's slots, column pointers and band,
-    from the sorted unique keys row * ndof + col of every element entry."""
+    """scatter, K's CSR pattern and K_ff's band, from the sorted unique
+    keys row * ndof + col of every element entry."""
     em = (mesh.tets[:, :, None] * dpv + np.arange(dpv)).reshape(
         mesh.n_elements, -1)
     k = em.shape[1]
@@ -830,8 +828,6 @@ def _dof_key_pattern(mesh, dpv, free):
         "scatter": scatter,
         "indptr": slots.indptr,
         "indices": slots.indices,
-        "ff_slots": ff.data - 1,
-        "ff_indptr": ff.indptr,
         "band": fem._band_layout(ff),
     }
 
@@ -897,8 +893,7 @@ def test_plan_pattern_matches_the_dof_key_construction(physics, case):
     plan = fem.assembly_plan(spec, physics, fld)
     ref = _dof_key_pattern(mesh, plan.dofs_per_vertex, plan.free)
     plan_arrays = {"indptr": plan.pattern.indptr,
-                   "indices": plan.pattern.indices,
-                   "ff_slots": plan.ff_slots, "ff_indptr": plan.ff_indptr}
+                   "indices": plan.pattern.indices}
     for name, got in plan_arrays.items():
         want = ref[name]
         assert got.dtype == want.dtype and np.array_equal(got, want), name
@@ -1000,23 +995,28 @@ def test_pattern_keys_on_each_side_of_the_int32_bound(n_vertices):
         assert np.array_equal(scatter, ref["scatter"])
 
 
+def _every_vertex_prescribed():
+    """(mesh, spec, field) of a 1x1x2 box whose every vertex has its
+    displacement and temperature prescribed."""
+    mesh = generate_box_mesh(1, 1, 2, [1.0, 1.0, 2.0])
+    doc = {"vertex_annotations": {
+        str(v): {"displacement": [0.01 * v, -0.02 * v, 0.5],
+                 "temperature": 300.0 + v}
+        for v in range(mesh.n_vertices)}}
+    spec = bind_to_mesh(layer_from_dict(doc), mesh)
+    return mesh, spec, MaterialField.uniform(mesh.n_elements)
+
+
 @pytest.mark.parametrize("physics", ["elasticity", "conduction"])
 def test_a_plan_with_every_vertex_prescribed_has_an_empty_band(physics):
     # RCM's empty graph: K_ff has no entry, so there is nothing to order or
     # factor, and a solve returns the prescribed values
-    mesh = generate_box_mesh(1, 1, 2, [1.0, 1.0, 2.0])
+    mesh, spec, fld = _every_vertex_prescribed()
     n = mesh.n_vertices
-    doc = {"vertex_annotations": {
-        str(v): {"displacement": [0.01 * v, -0.02 * v, 0.5],
-                 "temperature": 300.0 + v}
-        for v in range(n)}}
-    spec = bind_to_mesh(layer_from_dict(doc), mesh)
-    fld = MaterialField.uniform(mesh.n_elements)
     plan = fem.assembly_plan(spec, physics, fld)
     order, bw, src, slots = plan.band
     assert order.size == 0 and bw == 0 and src.size == 0 and slots.size == 0
-    assert plan.free.size == 0 and plan.ff_slots.size == 0
-    assert np.array_equal(plan.ff_indptr, [0])
+    assert plan.free.size == 0
     ref = _dof_key_pattern(mesh, plan.dofs_per_vertex, plan.free)
     assert ref["band"][0].dtype == order.dtype and ref["band"][1] == bw
     values = solve(assemble(spec, fld, physics, plan=plan)).values

@@ -994,6 +994,31 @@ def test_warm_start_equals_full_on_quadratic():
     assert warm.values[1:] == pytest.approx(full.values[1:], abs=1e-10)
 
 
+def test_a_warm_replan_without_a_model_builds_it_at_the_previous_optimum():
+    # the drifted problem pins variable 0 at its new value; the model must
+    # sit where the previous optimum was found, with variable 0 undrifted
+    A = np.array([[2.0, -1.0, 0.3], [-1.0, 3.0, -1.0], [0.3, -1.0, 2.0]])
+    b = np.array([0.1, 0.2, -0.1])
+
+    def problem(frozen_value):
+        return optimize.FunctionProblem(
+            lambda x: 0.5 * x @ A @ x - b @ x,
+            lambda x: A @ x - b,
+            [[-5, 5]] * 3,
+            frozen_idx=[0],
+            frozen_values=[frozen_value],
+        )
+
+    base = optimize.inversion_solve(problem(0.0), tol=1e-13)
+    warm = optimize.reoptimize_after_drift(problem(0.3), base, [0.3])
+    full = optimize.reoptimize_after_drift(problem(0.3), base, [0.3],
+                                           strategy="full", tol=1e-13)
+    assert warm.strategy == "warm_start" and warm.fallback is None
+    assert warm.values[0] == 0.3
+    # exactly quadratic and inside the boxes: the warm step is exact
+    assert warm.values[1:] == pytest.approx(full.values[1:], abs=1e-10)
+
+
 def test_warm_start_error_is_second_order():
     problem = exp_coupled_problem(0.0)
     base = optimize.inversion_solve(problem, tol=1e-12)

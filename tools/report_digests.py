@@ -99,12 +99,7 @@ def _budgeted_bar():
     """The 4-layer bar with its tip bound at 1.5 times the stiffest bar's
     and a stiffness budget sum V_e E_e <= 0.8 V E_max, whose plan lies
     inside the box (E about 96e3 in every element, the budget binding).
-
-    The budget is no annotation, so the problem hands it to every re-plan
-    itself: a tree whose ``with_frozen`` rebuilds the constraints from the
-    specification would drop it, and every tree must print the same
-    problem.
-    """
+    Every re-plan's ``with_frozen`` copy shares the budget."""
     from semfab import optimize
 
     problem = _bar(4, bound_factor=1.5)
@@ -113,14 +108,6 @@ def _budgeted_bar():
     problem.constraints += (optimize.SyntheticConstraint(
         "budget", lambda x: (volumes @ x - cap) / cap,
         lambda x: volumes / cap),)
-    with_frozen = problem.with_frozen
-
-    def keeping_the_budget(frozen_idx, frozen_values):
-        replan = with_frozen(frozen_idx, frozen_values)
-        replan.constraints = problem.constraints
-        return replan
-
-    problem.with_frozen = keeping_the_budget
     return problem
 
 

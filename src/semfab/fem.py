@@ -410,7 +410,11 @@ def assemble(spec, fld, physics: str, plan: AssemblyPlan | None = None
     K = scipy.sparse.csr_matrix(plan.pattern)
     # column by column, so each slot sums its entries in element order
     K.data = plan.S @ scale
-    rhs = plan.f_ext[plan.free] - (K @ plan.u_prescribed)[plan.free]
+    rhs = plan.f_ext[plan.free]
+    # K @ 0 is +0.0 in every row, as each row's sum starts from +0.0, and
+    # subtracting +0.0 changes no bit, so zero prescribed values need no K u
+    if plan.u_prescribed.any():
+        rhs -= (K @ plan.u_prescribed)[plan.free]
     return FemSystem(plan, K, rhs)
 
 

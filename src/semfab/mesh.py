@@ -409,9 +409,12 @@ def layer_partition(mesh: VolumetricMesh, layer_height: float) -> LayerPartition
     idx = np.floor((zc - z_min) / layer_height).astype(np.intp)
     np.clip(idx, 0, n_layers - 1, out=idx)
     idx.flags.writeable = False
-    layers = [np.flatnonzero(idx == k) for k in range(n_layers)]
-    for layer in layers:
-        layer.flags.writeable = False
+    # a stable sort keeps each layer's elements ascending, and each layer
+    # is a read-only slice of the one order
+    order = np.argsort(idx, kind="stable")
+    order.flags.writeable = False
+    ends = np.cumsum(np.bincount(idx, minlength=n_layers)).tolist()
+    layers = [order[start:end] for start, end in zip([0] + ends, ends)]
     return LayerPartition(layer_height=float(layer_height), layers=layers,
                           element_layer=idx)
 

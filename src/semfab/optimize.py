@@ -183,13 +183,25 @@ class QuadraticModel:
     ``rows`` holds the Hessian rows of the bound-inactive variables
     ``inactive_idx`` (k x n); the ``active_idx`` variables stay at their
     ``base_values``. Nothing here depends on a frozen/free split:
-    :func:`warm_start_update` slices the blocks of the split it is given.
+    :func:`warm_start_update` slices the blocks of the split it is given,
+    with the masks ``inactive`` and ``covered`` (inactive or active) over
+    all n variables, made once per model.
     """
 
     base_values: np.ndarray
     inactive_idx: np.ndarray
     active_idx: np.ndarray
     rows: np.ndarray
+    inactive: np.ndarray = dataclasses.field(init=False, repr=False)
+    covered: np.ndarray = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        inactive = np.zeros(self.base_values.size, dtype=bool)
+        inactive[self.inactive_idx] = True
+        covered = inactive.copy()
+        covered[self.active_idx] = True
+        object.__setattr__(self, "inactive", inactive)
+        object.__setattr__(self, "covered", covered)
 
 
 def _feas_margin(bound):
@@ -270,9 +282,16 @@ class SyntheticConstraint:
 class _BoxProblem:
     """The boxes and the frozen/free split both problem kinds share."""
 
-    def _split(self, boxes, frozen_idx, frozen_values):
+    def _set_boxes(self, boxes):
+        """Keep ``boxes`` and, once per problem, the variables whose box no
+        free variable may have: not finite, or empty."""
         self.boxes = boxes
-        self.n_variables = n = boxes.shape[0]
+        self.n_variables = boxes.shape[0]
+        finite = np.isfinite(boxes).all(axis=1)
+        self._bad_boxes = np.flatnonzero(~finite | (boxes[:, 1] < boxes[:, 0]))
+
+    def _split(self, frozen_idx, frozen_values):
+        n = self.n_variables
         self.frozen_idx = np.asarray(frozen_idx, dtype=np.intp).reshape(-1)
         self.frozen_values = np.asarray(frozen_values, dtype=float).reshape(-1)
         if self.frozen_idx.size != self.frozen_values.size:
@@ -283,20 +302,22 @@ class _BoxProblem:
             raise ValueError("frozen element index out of range")
         mask = np.ones(n, dtype=bool)
         mask[self.frozen_idx] = False
-        self.free_idx = np.flatnonzero(mask)
-        sub = boxes[self.free_idx]
-        if sub.size and not np.all(np.isfinite(sub)):
-            raise ValueError("free elements need finite parameter ranges")
-        if sub.size and np.any(sub[:, 1] < sub[:, 0]):
+        bad = self._bad_boxes
+        if bad.size and mask[bad].any():
+            freed = self.boxes[bad[mask[bad]]]
+            if not np.all(np.isfinite(freed)):
+                raise ValueError("free elements need finite parameter ranges")
             raise ValueError("empty parameter range on a free element")
+        self.free_idx = mask.nonzero()[0]
 
     def with_frozen(self, frozen_idx, frozen_values):
         """Same problem with another frozen/free split; this shallow copy
-        shares everything else, the solve count and the constraints among
-        it, and an inversion's spec and assembly plans."""
+        shares everything else, the solve count, the constraints and the
+        boxes' checks among it, and an inversion's spec and assembly
+        plans."""
         problem = object.__new__(type(self))  # copy.copy is slower
         problem.__dict__.update(self.__dict__)
-        problem._split(self.boxes, frozen_idx, frozen_values)
+        problem._split(frozen_idx, frozen_values)
         return problem
 
     def pin(self, x):
@@ -336,7 +357,8 @@ class FunctionProblem(_BoxProblem):
         boxes = np.asarray(boxes, dtype=float)
         if boxes.ndim != 2 or boxes.shape[1] != 2:
             raise ValueError("boxes must have shape (n, 2)")
-        self._split(boxes, frozen_idx, frozen_values)
+        self._set_boxes(boxes)
+        self._split(frozen_idx, frozen_values)
         self.lipschitz = lipschitz
         self.constraints = tuple(constraints) + _regularity(lipschitz)
         self.stats = semantics.RunStats()
@@ -438,8 +460,8 @@ class InversionProblem(_BoxProblem):
         # an objective of another parameter is flat in this one, and a face
         # trial is kept only when the objective falls
         self.face_trial = OBJECTIVES[objective] == self.parameter
-        self._split(spec.parameter_box(self.parameter), frozen_idx,
-                    frozen_values)
+        self._set_boxes(spec.parameter_box(self.parameter))
+        self._split(frozen_idx, frozen_values)
         self.base_field = spec.midpoint_field()
         self.lipschitz = _lipschitz_from_spec(spec, self.parameter)
         self.constraints = tuple(
@@ -899,16 +921,14 @@ def warm_start_update(model, problem, delta_y):
     if delta_y.size != problem.frozen_idx.size:
         raise ValueError("delta_y must align with the problem's frozen set")
     free = problem.free_idx
-    inactive = np.zeros(problem.n_variables, dtype=bool)
-    inactive[model.inactive_idx] = True
-    covered = inactive.copy()
-    covered[model.active_idx] = True
-    if not covered[free].all():
+    if not model.covered[free].all():
         raise ModelInvalidError("the model does not cover every free variable")
+    shift = np.zeros(free.size)
+    if not model.inactive_idx.size:
+        return shift
     is_free = np.zeros(problem.n_variables, dtype=bool)
     is_free[free] = True
     pos = np.flatnonzero(is_free[model.inactive_idx])
-    shift = np.zeros(free.size)
     if not pos.size:
         return shift
     z_idx = model.inactive_idx[pos]
@@ -920,7 +940,7 @@ def warm_start_update(model, problem, delta_y):
             "free-block Hessian is not positive definite"
         ) from exc
     F_yz = model.rows[np.ix_(pos, problem.frozen_idx)]
-    shift[inactive[free]] = -scipy.linalg.cho_solve(chol, F_yz @ delta_y)
+    shift[model.inactive[free]] = -scipy.linalg.cho_solve(chol, F_yz @ delta_y)
     return shift
 
 
@@ -954,7 +974,7 @@ def reoptimize_after_drift(
 
     fallback = None
     if strategy == "warm_start":
-        if not np.any(delta_y):
+        if not delta_y.any():
             return dataclasses.replace(
                 previous_result,
                 strategy="warm_start",

@@ -11,7 +11,13 @@ runs against the achieved ground truth, never against estimates.
 
 All randomness is drawn from counter-based Philox streams keyed by
 (seed, layer, purpose), so a run is bitwise reproducible from its seed and
-independent runs never share a stream.
+independent runs never share a stream.  A print builds one generator and
+keys it afresh for each stream.
+
+Each step returns a new state and writes only what the layer changed, into
+copies of the arrays it changes: the printed layer's entries of
+``achieved``, the measured elements' posteriors and the re-planned
+commands.
 """
 
 import csv
@@ -33,10 +39,41 @@ DEFAULT_PRIOR_SD = 0.5  # broad prior on log-parameter before any measurement
 SEED_LIMIT = 2**63  # a seed is an integer in [0, SEED_LIMIT)
 
 
-def _stream(seed, layer, purpose):
-    """Philox generator for one (layer, purpose) event of one run."""
-    key = np.array([seed, (layer << 1) | purpose], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _generator():
+    """A Philox generator for :func:`_stream` to key; a print makes one."""
+    return np.random.Generator(np.random.Philox(key=np.zeros(2, np.uint64)))
+
+
+def _stream(generator, seed, layer, purpose):
+    """``generator`` keyed for one (layer, purpose) event of one run: its
+    Philox restarts at counter 0 under the key (seed, 2 layer + purpose),
+    so it draws what a new Philox of that key draws, for the cost of
+    setting its state rather than building one."""
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64),
+                  "key": np.array([seed, (layer << 1) | purpose],
+                                  dtype=np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return generator
+
+
+def _check_factor(model, name, n_layers):
+    """Raise ValueError, naming the model ``name``, the layer and the
+    factor, unless ``model``'s factor is positive on each of ``n_layers``
+    layers."""
+    factors = model.deterministic_factor(np.arange(n_layers))
+    bad = np.flatnonzero(~(factors > 0.0))
+    if bad.size:
+        layer = int(bad[0])
+        raise ValueError(
+            f"the {name}'s factor at layer {layer} is "
+            f"{float(factors[layer])!r}; it must be positive on all "
+            f"{n_layers} layers")
 
 
 def _check_seed(seed):
@@ -69,9 +106,13 @@ class ActuatorModel:
         return self.gain * (1.0 + self.drift_rate * np.asarray(layer, float))
 
     def apply(self, commanded, layer, seed):
+        return self._actuate(commanded, layer, seed, _generator())
+
+    def _actuate(self, commanded, layer, seed, generator):
+        """:meth:`apply`, drawing its noise from ``generator`` keyed."""
         commanded = np.asarray(commanded, dtype=float)
-        rng = _stream(seed, layer, _ACTUATOR_STREAM)
-        eps = rng.standard_normal(commanded.size)
+        eps = _stream(generator, seed, layer, _ACTUATOR_STREAM
+                      ).standard_normal(commanded.size)
         return commanded * self.deterministic_factor(layer) * np.exp(
             self.noise_sd * eps
         )
@@ -140,50 +181,60 @@ class EstimatorState:
         ``prior_log``/``prior_value`` re-seed the prior of elements measured
         for the first time, so re-planned commands (issued after this state
         was created) still serve as the prior belief for their own layer.
+        The update is worked out on the measured elements alone and written
+        into copies of this state's arrays.
         """
         ids = np.asarray(element_ids, dtype=np.intp)
         measured_log = np.asarray(measured_log, dtype=float)
-        mean = self.mean_log.copy()
-        var = self.variance.copy()
-        value = self.value.copy()
-        counts = self.counts.copy()
+        counts = self.counts[ids]
+        prior_mean = self.mean_log[ids]
+        prior_var = self.variance[ids]
+        prior_val = self.value[ids]
         if prior_log is not None:
-            fresh = counts[ids] == 0
-            mean[ids[fresh]] = np.asarray(prior_log, float)[fresh]
-            var[ids[fresh]] = self.prior_variance
+            fresh = counts == 0
+            prior_mean = np.where(fresh, np.asarray(prior_log, float),
+                                  prior_mean)
+            prior_var = np.where(fresh, self.prior_variance, prior_var)
             if prior_value is not None:
-                value[ids[fresh]] = np.asarray(prior_value, float)[fresh]
+                prior_val = np.where(fresh, np.asarray(prior_value, float),
+                                     prior_val)
 
-        prior_mean = mean[ids]
-        prior_var = var[ids]
         if noise_sd == 0.0:
-            post_mean = measured_log.copy()
-            post_var = np.zeros_like(prior_var)
+            post_mean = measured_log
+            post_var = 0.0
         else:
             meas_prec = 1.0 / (noise_sd * noise_sd)
+            # an exact prior (variance 0) cannot be moved by a noisy reading;
+            # only a reading without noise leaves one
             exact = prior_var == 0.0
-            safe_var = np.where(exact, 1.0, prior_var)
-            prior_prec = 1.0 / safe_var
+            any_exact = exact.any()
+            if any_exact:
+                prior_var = np.where(exact, 1.0, prior_var)
+            prior_prec = 1.0 / prior_var
             post_var = 1.0 / (prior_prec + meas_prec)
             post_mean = post_var * (
                 prior_prec * prior_mean + meas_prec * measured_log
             )
-            # an exact prior (variance 0) cannot be moved by a noisy reading
-            post_mean = np.where(exact, prior_mean, post_mean)
-            post_var = np.where(exact, 0.0, post_var)
+            if any_exact:
+                post_mean = np.where(exact, prior_mean, post_mean)
+                post_var = np.where(exact, 0.0, post_var)
         # a measurement equal to the prior mean must not drift it by roundoff
-        tie = measured_log == prior_mean
-        post_mean = np.where(tie, prior_mean, post_mean)
-        keep = post_mean == prior_mean
-        value[ids] = np.where(keep, value[ids], np.exp(post_mean))
+        post_mean = np.where(measured_log == prior_mean, prior_mean,
+                             post_mean)
+        mean = self.mean_log.copy()
+        var = self.variance.copy()
+        value = self.value.copy()
+        new_counts = self.counts.copy()
         mean[ids] = post_mean
         var[ids] = post_var
-        counts[ids] += 1
+        value[ids] = np.where(post_mean == prior_mean, prior_val,
+                              np.exp(post_mean))
+        new_counts[ids] = counts + 1
         return EstimatorState(
             mean_log=mean,
             variance=var,
             value=value,
-            counts=counts,
+            counts=new_counts,
             prior_variance=self.prior_variance,
         )
 
@@ -239,6 +290,8 @@ class PrintState:
     the frontier and controllers must never read it (control decisions are
     functions of ``estimator`` and ``commanded`` only).  ``estimator`` holds
     the posterior of every element; ``estimated`` is derived from it.
+    ``generator`` is the print's one Philox generator, which each layer's
+    streams key afresh (see :func:`_stream`), so a layer builds none.
     """
 
     partition: mesh_mod.LayerPartition
@@ -249,6 +302,8 @@ class PrintState:
     achieved: MaterialField
     estimator: EstimatorState
     history: tuple = ()
+    generator: np.random.Generator = dataclasses.field(
+        default_factory=_generator, compare=False, repr=False)
 
     @property
     def n_layers(self):
@@ -259,10 +314,10 @@ class PrintState:
         return self.frontier >= self.partition.n_layers
 
     def printed_elements(self):
-        return np.flatnonzero(self.partition.element_layer < self.frontier)
+        return (self.partition.element_layer < self.frontier).nonzero()[0]
 
     def unprinted_elements(self):
-        return np.flatnonzero(self.partition.element_layer >= self.frontier)
+        return (self.partition.element_layer >= self.frontier).nonzero()[0]
 
     @property
     def estimated(self):
@@ -273,6 +328,29 @@ class PrintState:
             printed, self.parameter, self.estimator.value[printed],
             provenance="estimated",
         )
+
+    def _with(self, frontier=None, commanded=None, achieved=None,
+              estimator=None, history=None):
+        """This state with the given parts replaced, as
+        ``dataclasses.replace`` makes it at half its cost; each layer makes
+        three."""
+        return PrintState(
+            self.partition,
+            self.frontier if frontier is None else frontier,
+            self.parameter,
+            self.seed,
+            self.commanded if commanded is None else commanded,
+            self.achieved if achieved is None else achieved,
+            self.estimator if estimator is None else estimator,
+            self.history if history is None else history,
+            self.generator,
+        )
+
+
+def _mean(values):
+    """``float(values.mean())``, the same sum over the same count, without
+    the cost of ``mean``'s argument handling."""
+    return float(values.sum() / values.size)
 
 
 def _last_abort(history):
@@ -333,21 +411,25 @@ def initial_state(problem, plan_values, seed, layer_height):
 
 
 def print_layer(state, actuator):
-    """Actuate the next layer; deterministic given (seed, frontier, plan)."""
+    """Actuate the next layer; deterministic given (seed, frontier, plan).
+    The layer's entries are written into copies of ``achieved``'s arrays."""
     if state.done:
         raise PrintCompleteError(
             f"all {state.n_layers} layers are already printed"
         )
     layer = state.frontier
     ids = state.partition.layers[layer]
+    commanded = state.commanded
     achieved = state.achieved.copy()
     for name in semantics.PARAMETERS:
-        achieved.values(name)[ids] = state.commanded.values(name)[ids]
-    achieved.values(state.parameter)[ids] = actuator.apply(
-        state.commanded.values(state.parameter)[ids], layer, state.seed
+        if name != state.parameter:
+            achieved.values(name)[ids] = commanded.values(name)[ids]
+    achieved.values(state.parameter)[ids] = actuator._actuate(
+        commanded.values(state.parameter)[ids], layer, state.seed,
+        state.generator,
     )
     achieved.provenance[ids] = "achieved"
-    return dataclasses.replace(state, frontier=layer + 1, achieved=achieved)
+    return state._with(frontier=layer + 1, achieved=achieved)
 
 
 def observe_and_update(state, sensor):
@@ -357,8 +439,8 @@ def observe_and_update(state, sensor):
         return state
     layer = state.frontier - 1
     truth = state.achieved.values(state.parameter)[ids]
-    rng = _stream(state.seed, layer, _SENSOR_STREAM)
-    noise = rng.standard_normal(ids.size)
+    noise = _stream(state.generator, state.seed, layer, _SENSOR_STREAM
+                    ).standard_normal(ids.size)
     measured_log = np.log(truth) + sensor.noise_sd * noise
     commanded_now = state.commanded.values(state.parameter)[ids]
     estimator = state.estimator.updated(
@@ -368,7 +450,7 @@ def observe_and_update(state, sensor):
         prior_log=np.log(commanded_now),
         prior_value=commanded_now,
     )
-    return dataclasses.replace(state, estimator=estimator)
+    return state._with(estimator=estimator)
 
 
 def control_step(state, problem, strategy, previous_result, model=None,
@@ -396,7 +478,8 @@ def control_step(state, problem, strategy, previous_result, model=None,
     )
     commanded = state.commanded
     if result.feasible:
-        unprinted = state.unprinted_elements()
+        # the re-plan's free variables are the unprinted elements
+        unprinted = shifted.free_idx
         commanded_vals = result.values[unprinted]
         if plant_model is not None and unprinted.size:
             # invert the calibrated deterministic plant so the achieved
@@ -416,15 +499,12 @@ def control_step(state, problem, strategy, previous_result, model=None,
         strategy=strategy,
         objective=objective,
         fem_solves=result.fem_solves,
-        mean_commanded=float(commanded.values(state.parameter).mean()),
+        mean_commanded=_mean(commanded.values(state.parameter)),
         fallback=fallback,
         verdicts=result.verdicts,
     )
-    return dataclasses.replace(
-        state,
-        commanded=commanded,
-        history=state.history + (record,),
-    )
+    return state._with(commanded=commanded,
+                       history=state.history + (record,))
 
 
 def final_verification(problem, achieved_field):
@@ -443,10 +523,16 @@ def run_print(problem, initial_plan, actuator, sensor, policy, seed,
     The loop stops at the first abort record, which ends the history.  A
     print that was not aborted is verified under the achieved field.  The
     report's ``fem_solves`` is what ``problem.stats`` counted meanwhile.
+    Raises ValueError before the first layer when the actuator's or the
+    policy's plant model's deterministic factor is not positive on some
+    layer of the print.
     """
     if not initial_plan.feasible:
         raise ValueError("initial plan must be feasible")
     state = initial_state(problem, initial_plan.values, seed, layer_height)
+    _check_factor(actuator, "actuator", state.n_layers)
+    if policy.plant_model is not None:
+        _check_factor(policy.plant_model, "plant model", state.n_layers)
     solves_start = problem.stats.fem_solves
     model = None
     strategy = policy.strategy
@@ -456,12 +542,11 @@ def run_print(problem, initial_plan, actuator, sensor, policy, seed,
         state = print_layer(state, actuator)
         state = observe_and_update(state, sensor)
         if not policy.control_enabled:
-            mean = float(state.commanded.values(state.parameter).mean())
+            mean = _mean(state.commanded.values(state.parameter))
             record = LayerRecord(layer=state.frontier - 1, strategy="none",
                                  objective=math.nan, fem_solves=0,
                                  mean_commanded=mean)
-            state = dataclasses.replace(state,
-                                        history=state.history + (record,))
+            state = state._with(history=state.history + (record,))
             continue
         if strategy == "warm_start" and model is None:
             printed = state.printed_elements()

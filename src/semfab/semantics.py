@@ -217,6 +217,10 @@ class MaterialField:
 
 
 def _shared_view(array: np.ndarray) -> np.ndarray:
+    """`array` as a read-only view; one that is read-only already serves
+    as it is."""
+    if not array.flags.writeable:
+        return array
     view = array.view()
     view.setflags(write=False)
     return view

@@ -32,11 +32,12 @@ def run_cli(*args):
 
 def write_scenario(path, *, gain=1.0, actuator_noise=0.0, sensor_noise=0.0,
                    strategy="warm_start", control=True, plant=None, seed=7,
-                   parameter="young"):
+                   parameter="young", drift_rate=0.0):
     scenario = printsim.Scenario(
         mesh_path="bar_mesh.json",
         annotation_path="bar_annotation.json",
-        actuator=printsim.ActuatorModel(gain=gain, noise_sd=actuator_noise),
+        actuator=printsim.ActuatorModel(gain=gain, drift_rate=drift_rate,
+                                        noise_sd=actuator_noise),
         sensor=printsim.SensorModel(noise_sd=sensor_noise),
         policy=printsim.ControlPolicy(strategy=strategy,
                                       control_enabled=control,
@@ -304,6 +305,27 @@ def test_simulate_collapsed_gain_aborts_with_exit_1(tmp_path, capsys):
     report = json.loads((tmp_path / "sim" / "report.json").read_text())
     assert report["outcome"] == "aborted"
     assert report["abort"]["violated"] == ["tip"]
+
+
+@pytest.mark.parametrize("role", ["actuator", "plant model"])
+def test_simulate_refuses_a_factor_that_turns_negative_mid_print(
+        tmp_path, capsys, role):
+    # 0.9 (1 - 0.15 * 7) = -0.045 at layer 7 of 10
+    write_bar_files(tmp_path, 10, 0.2, BOX)
+    sinking = printsim.ActuatorModel(gain=0.9, drift_rate=-0.15)
+    write_scenario(tmp_path / "scenario.json", gain=0.9, actuator_noise=0.01,
+                   sensor_noise=0.01, drift_rate=sinking.drift_rate
+                   if role == "actuator" else 0.005,
+                   plant=printsim.ActuatorModel(gain=0.9, drift_rate=0.005)
+                   if role == "actuator" else sinking)
+    rc = run_cli("simulate", tmp_path / "scenario.json",
+                 "--out", tmp_path / "sim")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"SEMFAB-ERR[usage] the {role}'s factor at layer 7 "
+                          "is -0.045")
+    assert "positive on all 10 layers" in err
+    assert not (tmp_path / "sim" / "report.json").exists()
 
 
 def test_simulate_max_iter_caps_the_plan_and_every_replan(tmp_path,

@@ -829,6 +829,52 @@ def test_free_elements_need_finite_ranges():
         optimize.InversionProblem(spec, "compliance")
 
 
+def test_a_split_that_frees_an_element_without_a_range_raises():
+    # element 0 alone has no young range; frozen, it may stay unbounded
+    m = mesh.generate_box_mesh(1, 1, 1, (1.0, 1.0, 1.0))
+    bottom = [i for i in range(m.n_vertices) if m.vertices[i, 2] < 1e-9]
+    annotations = {str(v): {"displacement": "fixed"} for v in bottom}
+    annotations["7"] = {"force": [0.0, 0.0, -1.0]}
+    doc = box_layer_doc(
+        {"poisson": [0.3, 0.3], "density": [1.0, 1.0],
+         "conductivity": [1.0, 1.0]},
+        vertex_annotations=annotations,
+    )
+    doc["element_annotations"]["overrides"] = {
+        str(e): {"young": [50.0, 200.0]} for e in range(1, m.n_elements)}
+    spec = semantics.bind_to_mesh(semantics.layer_from_dict(doc), m)
+    problem = optimize.InversionProblem(spec, "compliance", frozen_idx=[0],
+                                        frozen_values=[100.0])
+    assert np.array_equal(problem.free_idx, np.arange(1, m.n_elements))
+    kept = problem.with_frozen([0, 3], [100.0, 60.0])
+    assert np.array_equal(kept.free_idx, [1, 2, 4, 5])
+    for frozen in ([], [3]):
+        with pytest.raises(ValueError, match="finite"):
+            problem.with_frozen(frozen, np.full(len(frozen), 60.0))
+    for index in (-1, m.n_elements):
+        with pytest.raises(ValueError, match="out of range"):
+            problem.with_frozen([0, index], [100.0, 60.0])
+
+
+def test_a_split_that_frees_a_variable_with_an_empty_box_raises():
+    problem = optimize.FunctionProblem(
+        lambda x: float(x @ x), lambda x: 2.0 * x,
+        [[0.0, 1.0], [2.0, 1.0], [0.0, 1.0]], frozen_idx=[1],
+        frozen_values=[1.5])
+    assert np.array_equal(problem.with_frozen([1, 2], [1.5, 0.5]).free_idx,
+                          [0])
+    for frozen in ([], [0]):
+        with pytest.raises(ValueError, match="empty"):
+            problem.with_frozen(frozen, np.zeros(len(frozen)))
+    # a freed box that is not finite is named before an empty one
+    mixed = optimize.FunctionProblem(
+        lambda x: float(x @ x), lambda x: 2.0 * x,
+        [[2.0, 1.0], [0.0, np.inf]], frozen_idx=[0, 1],
+        frozen_values=[1.5, 0.5])
+    with pytest.raises(ValueError, match="finite"):
+        mixed.with_frozen([], [])
+
+
 # ---------------------------------------------------------------------------
 # Lipschitz surrogate
 

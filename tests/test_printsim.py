@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from conftest import (bar_mesh_and_doc, bar_tip_displacement,
                       layered_bar_problem, record_primal_solves)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semfab import fem, optimize, printsim, semantics
 from semfab.errors import CalibrationError, PrintCompleteError
@@ -187,6 +189,75 @@ def test_estimator_monte_carlo_consistency():
             est = est.updated([0], draws[k:k + 1], noise_sd=sd)
         hits += abs(est.mean_log[0] - np.log(truth)) <= 3 * se
     assert hits / seeds >= 0.99
+
+
+def reference_update(est, ids, measured_log, noise_sd, prior_log=None,
+                     prior_value=None):
+    """The conjugate update of ``EstimatorState.updated``, one element at a
+    time, as (mean_log, variance, value, counts)."""
+    mean, var = est.mean_log.copy(), est.variance.copy()
+    value, counts = est.value.copy(), est.counts.copy()
+    for k, i in enumerate(ids):
+        m0, v0, val0 = mean[i], var[i], value[i]
+        if prior_log is not None and counts[i] == 0:
+            m0, v0 = np.float64(prior_log[k]), est.prior_variance
+            if prior_value is not None:
+                val0 = prior_value[k]
+        y = measured_log[k]
+        if noise_sd == 0.0:
+            m1, v1 = y, 0.0
+        elif v0 == 0.0:  # an exact prior does not move
+            m1, v1 = m0, 0.0
+        else:
+            p0, pm = 1.0 / v0, 1.0 / (noise_sd * noise_sd)
+            v1 = 1.0 / (p0 + pm)
+            m1 = v1 * (p0 * m0 + pm * y)
+        if y == m0:  # a tie keeps the prior mean
+            m1 = m0
+        mean[i], var[i] = m1, v1
+        value[i] = val0 if m1 == m0 else np.exp(m1)
+        counts[i] += 1
+    return mean, var, value, counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_estimator_update_matches_the_reference_bit_for_bit(data):
+    n = data.draw(st.integers(1, 6))
+    positive = st.floats(0.5, 2e5, allow_nan=False)
+    est = printsim.EstimatorState.from_commanded(
+        np.array(data.draw(st.lists(positive, min_size=n, max_size=n))),
+        prior_sd=data.draw(st.sampled_from([0.05, 0.5, 1.5])))
+    arrays = (est.mean_log, est.variance, est.value, est.counts)
+    for _ in range(data.draw(st.integers(1, 4))):
+        # fresh and re-read ids in any order; a noise-0 reading leaves an
+        # exact (variance-0) prior for the next one
+        ids = np.array(data.draw(st.permutations(range(n)))[
+            :data.draw(st.integers(1, n))], dtype=np.intp)
+        noise_sd = data.draw(st.sampled_from([0.0, 0.01, 0.3]))
+        prior_log = prior_value = None
+        if data.draw(st.booleans()):
+            prior_value = np.array(data.draw(
+                st.lists(positive, min_size=ids.size, max_size=ids.size)))
+            prior_log = np.log(prior_value)
+            if data.draw(st.booleans()):
+                prior_value = None
+        measured = np.array(data.draw(st.lists(
+            st.floats(-2.0, 13.0), min_size=ids.size, max_size=ids.size)))
+        for k, i in enumerate(ids):
+            if data.draw(st.booleans()):  # a reading equal to the prior
+                fresh = prior_log is not None and arrays[3][i] == 0
+                measured[k] = prior_log[k] if fresh else arrays[0][i]
+        arrays = reference_update(
+            dataclasses.replace(est, mean_log=arrays[0], variance=arrays[1],
+                                value=arrays[2], counts=arrays[3]),
+            ids, measured, noise_sd, prior_log, prior_value)
+        est = est.updated(ids, measured, noise_sd, prior_log=prior_log,
+                          prior_value=prior_value)
+        for got, want in zip((est.mean_log, est.variance, est.value,
+                              est.counts), arrays):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +642,30 @@ def test_an_aborted_print_counts_only_the_layers_it_observed(
     assert report.outcome == "aborted"
     assert report.abort.layer == 2
     assert printsim.report_to_dict(report)["n_measurements"] == expected
+
+
+# 1 - 0.4 * 3 = -0.2: the factor turns negative at the last of 4 layers
+SUNK = printsim.ActuatorModel(gain=0.9, drift_rate=-0.4)
+
+
+@pytest.mark.parametrize("role", ["actuator", "plant model"])
+def test_a_model_whose_factor_turns_nonpositive_is_refused_before_printing(
+        bar, role):
+    problem, plan, _ = bar
+    actuator = SUNK if role == "actuator" else printsim.ActuatorModel(0.9)
+    plant = SUNK if role == "plant model" else printsim.ActuatorModel(0.9)
+    solves = problem.stats.fem_solves
+    with pytest.raises(ValueError, match=rf"the {role}'s factor at layer 3 "
+                       r"is -0\.18\d*; it must be positive on all 4 layers"):
+        printsim.run_print(
+            problem, plan, actuator, printsim.SensorModel(noise_sd=0.01),
+            printsim.ControlPolicy(strategy="full", plant_model=plant),
+            seed=7, layer_height=1.0)
+    assert problem.stats.fem_solves == solves
+    # a factor that sinks but stays positive is printed
+    assert SINKING.deterministic_factor(3) == pytest.approx(0.55)
+    report = _exact_print(problem, plan, SINKING, "layer")
+    assert report.outcome == "aborted"
 
 
 def test_a_layer_without_control_has_no_violation_figure(bar, tmp_path):

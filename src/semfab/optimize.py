@@ -15,10 +15,13 @@ as a certificate, which ``feasible`` and ``violated`` read.  The result
 carries the multiplier estimates at its point.
 
 Each constraint, the Lipschitz surrogate too, has two methods.  ``check``
-gives its :class:`semantics.Verdict` and its excesses c(x), one per vertex
-of a local property, one per pair of the surrogate and one otherwise, by
-the test :func:`semantics.check` applies in final verification.
-``add_gradient`` adds w . (gradient of c) for a weight vector w.
+gives its :class:`semantics.Verdict` and its excesses c(x) on the evaluation
+it is handed, one per vertex of a local property, one per pair of the
+surrogate and one otherwise, by the test :func:`semantics.check` applies in
+final verification.  ``add_gradient`` adds w . (gradient of c) for a weight
+vector w to the accumulator it is handed.  A constraint holds no problem:
+it reads the specification off the evaluation and the optimized parameter
+off the accumulator, so a dropped problem frees its assembly plans at once.
 :func:`_check` is the one loop over the constraints and runs once per
 point; its hinges aim ``FEAS_TOL * max(1, |bound|)`` inside each property
 bound.  :func:`verify_constraints` reads its verdicts, and the merit and
@@ -388,28 +391,21 @@ class _PropertyConstraint:
     load; a direct quantity has none.
     """
 
-    def __init__(self, problem, prop):
-        self.problem = problem
+    def __init__(self, prop):
         self.prop = prop
         self.name = prop.name
-        self.bound = float(prop.bound)
-        self.margin = _feas_margin(self.bound)
+        self.margin = _feas_margin(float(prop.bound))
 
     def check(self, x, ctx):
-        return semantics.check(self.problem.spec, self.prop, ctx)
+        return semantics.check(ctx.spec, self.prop, ctx)
 
     def add_gradient(self, x, ctx, w, grad):
         """Adds w . (gradient of the excesses) to the :class:`_Gradient`
         ``grad``; ``w`` is ordered like the excesses."""
-        spec, quantity = self.problem.spec, self.prop.quantity
+        spec, quantity = ctx.spec, self.prop.quantity
         if not self.prop.vertices:
             sign = 1.0 if self.prop.op == "le" else -1.0
-            coeff = w[0] * sign
-            if quantity == "average_temperature":
-                grad.add_load("conduction", _average_temperature_load(spec),
-                              coeff)
-            elif quantity == "mass" and self.problem.parameter == "density":
-                grad.add(spec.mesh.volumes(), coeff)
+            _add_global_gradient(grad, spec, quantity, w[0] * sign)
             return
         # local quantities are "le" only
         nonzero = np.flatnonzero(w)
@@ -429,10 +425,16 @@ class _PropertyConstraint:
             grad.add_load("conduction", weights)
 
 
-def _average_temperature_load(spec):
-    """Adjoint load of the volume-weighted mean temperature w . T / sum(w)."""
-    weights = semantics.vertex_volume_weights(spec.mesh)
-    return weights / weights.sum()
+def _add_global_gradient(grad, spec, quantity, scale):
+    """Adds ``scale`` times the gradient of a global quantity, for the
+    objective and the constraints alike: ``average_temperature``'s adjoint
+    load, or ``mass``'s volumes when density is optimized."""
+    if quantity == "average_temperature":
+        # the volume-weighted mean temperature w . T / sum(w)
+        weights = semantics.vertex_volume_weights(spec.mesh)
+        grad.add_load("conduction", weights / weights.sum(), scale)
+    elif quantity == "mass" and grad.parameter == "density":
+        grad.add(spec.mesh.volumes(), scale)
 
 
 class InversionProblem(_BoxProblem):
@@ -465,7 +467,7 @@ class InversionProblem(_BoxProblem):
         self.base_field = spec.midpoint_field()
         self.lipschitz = _lipschitz_from_spec(spec, self.parameter)
         self.constraints = tuple(
-            _PropertyConstraint(self, prop) for prop in spec.properties
+            _PropertyConstraint(prop) for prop in spec.properties
         ) + _regularity(self.lipschitz)
         self.stats = semantics.RunStats()
         self._plans = {}
@@ -502,13 +504,8 @@ class InversionProblem(_BoxProblem):
                 # self-adjoint: the adjoint equals the displacement vector
                 grad.add_self_adjoint("elasticity")
             return float(system.plan.f_ext @ solution.values.reshape(-1))
-        if grad is not None:
-            if self.objective == "average_temperature":
-                grad.add_load("conduction",
-                              _average_temperature_load(self.spec))
-            elif self.parameter == "density":
-                grad.add(self.spec.mesh.volumes())
-        # the other objectives are property quantities
+        if grad is not None:  # a global property quantity
+            _add_global_gradient(grad, self.spec, self.objective, 1.0)
         return semantics.measure(self.spec, self.objective, ctx)
 
     def objective_and_gradient(self, x, ctx=None):

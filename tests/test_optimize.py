@@ -293,8 +293,9 @@ def test_merit_gradient_makes_one_adjoint_solve(monkeypatch):
     w = problem.spec.mesh.vertex_volume_weights()
     objective = gradient_of(w / w.sum())
     margin = optimize._feas_margin
-    bulk_hinge = float(w @ u) / w.sum() - bulk.bound + margin(bulk.bound)
-    hot_hinge = u[top] - hot.bound + margin(hot.bound)
+    bulk_hinge = (float(w @ u) / w.sum() - bulk.prop.bound
+                  + margin(bulk.prop.bound))
+    hot_hinge = u[top] - hot.prop.bound + margin(hot.prop.bound)
     assert bulk_hinge > 0.0 and np.all(hot_hinge > 0.0)
     # each hinge's gradient weight is max(0, lam + rho h)
     hot_weights = np.zeros(u.size)
@@ -328,10 +329,12 @@ def _hot_block_at():
 
 
 def _mass_floor_at():
-    """Density over a 2x1x2 box, whose mass must reach a floor."""
+    """Density over a 2x1x2 box, whose mass must reach a floor and stay
+    under a cap."""
     m = mesh.generate_box_mesh(2, 1, 2, (1.0, 1.0, 1.0))
     doc = box_layer_doc({"density": [1.0, 3.0]}, properties=[
-        {"name": "heavy", "quantity": "mass", "op": "ge", "bound": 2.5}])
+        {"name": "heavy", "quantity": "mass", "op": "ge", "bound": 2.5},
+        {"name": "light", "quantity": "mass", "op": "le", "bound": 2.8}])
     spec = semantics.bind_to_mesh(semantics.layer_from_dict(doc), m)
     problem = optimize.InversionProblem(spec, "mass")
     x = np.random.default_rng(3).uniform(1.0, 3.0, problem.n_variables)
@@ -353,6 +356,7 @@ def _synthetic_at():
     (_hot_block_at, "hot_face", 3),  # nodal_temperature at one top vertex
     (_hot_block_at, "bulk_heat", 0),  # average_temperature
     (_mass_floor_at, "heavy", 0),  # mass over density, op "ge"
+    (_mass_floor_at, "light", 0),  # mass over density, op "le"
     (_synthetic_at, "curved", 0),
 ])
 def test_add_gradient_with_a_unit_weight_is_one_excess_gradient(
@@ -379,6 +383,15 @@ def test_add_gradient_with_a_unit_weight_is_one_excess_gradient(
         fd = (excess(hi) - excess(lo)) / (2 * h)
         assert row[e] == pytest.approx(fd, rel=1e-5,
                                        abs=1e-9 * np.abs(row).max())
+
+    prop = getattr(constraint, "prop", None)
+    if prop is not None and prop.quantity == problem.objective:
+        # the objective and the constraint write a global quantity's
+        # gradient in one place: the objective's is the unit-weight "le"
+        # excess's, bit for bit, and the "ge" excess's negated
+        _, objective_row = problem.objective_and_gradient(x, ctx)
+        sign = 1.0 if prop.op == "le" else -1.0
+        assert (sign * row).tobytes() == objective_row.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ conjugate estimator behavior, controller compensation against the
 series-spring oracle, abort certificates, and file round-trips."""
 
 import dataclasses
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from conftest import (bar_mesh_and_doc, bar_tip_displacement,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semfab import fem, optimize, printsim, semantics
+from semfab import fem, mesh, optimize, printsim, semantics
 from semfab.errors import CalibrationError, PrintCompleteError
 
 E_HI = 120000.0
@@ -883,7 +885,6 @@ def test_reported_solve_counts_equal_the_solves_made(bar, monkeypatch):
 
 
 def test_printed_and_unprinted_elements_split_the_mesh_at_every_frontier():
-    from semfab import mesh
     from semfab.semantics import MaterialField
 
     plate = mesh.generate_box_mesh(8, 8, 8, [8.0, 8.0, 8.0])
@@ -904,3 +905,56 @@ def test_printed_and_unprinted_elements_split_the_mesh_at_every_frontier():
                               np.arange(n))
         assert np.array_equal(
             unprinted, np.setdiff1d(np.arange(n, dtype=np.intp), printed))
+
+
+def heated_block_problem():
+    """A 2x2x3 block of three layers, held at 300 K below and heated from
+    above, that plans its conductivity for the lowest average temperature
+    under a hot-face and an average-temperature bound."""
+    m = mesh.generate_box_mesh(2, 2, 3, (1.0, 1.0, 3.0))
+    z = m.vertices[:, 2]
+    top = [int(v) for v in np.flatnonzero(z > 3.0 - 1e-9)]
+    annotations = {str(v): {"temperature": 300.0}
+                   for v in np.flatnonzero(z < 1e-9)}
+    annotations.update({str(v): {"flux": 0.3} for v in top})
+    doc = {
+        "units": dict(semantics.CANONICAL_UNITS),
+        "vertex_annotations": annotations,
+        "element_annotations": {"default": {
+            "conductivity": [0.1, 0.4], "young": [1.0, 1.0],
+            "poisson": [0.0, 0.0], "density": [1.0, 1.0]}},
+        "global_properties": [
+            {"name": "hot_face", "quantity": "nodal_temperature", "op": "le",
+             "bound": 330.0, "vertices": top},
+            {"name": "bulk_heat", "quantity": "average_temperature",
+             "op": "le", "bound": 315.0}],
+    }
+    spec = semantics.bind_to_mesh(semantics.layer_from_dict(doc), m)
+    return optimize.InversionProblem(spec, "average_temperature")
+
+
+@pytest.mark.parametrize("build, strategy", [
+    (upper_bound_bar_problem, "warm_start"),
+    (heated_block_problem, "full"),
+], ids=["bar", "conduction block"])
+def test_a_dropped_problem_is_freed_without_the_cycle_collector(build,
+                                                                strategy):
+    # nothing the optimizer or a print keeps points back at the problem, so
+    # reference counting frees it and its assembly plans once they are
+    # dropped, and no cycle is left for the collector to find
+    gc.collect()
+    gc.disable()
+    try:
+        problem = build()
+        plan = optimize.inversion_solve(problem)
+        report = printsim.run_print(problem, plan, seed=5,
+                                    **drifting_print_kwargs(strategy))
+        assert report.outcome == "success"
+        refs = [weakref.ref(problem)] + [
+            weakref.ref(problem.assembly_plan(physics))
+            for physics in problem._plans]
+        del problem, plan, report
+        assert [ref() for ref in refs] == [None] * len(refs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mesh as mesh_mod
-from . import fem, optimize, printsim, semantics
+from . import optimize, printsim, semantics
 from .errors import (
     AnnotationParseError,
     BindError,
@@ -149,14 +149,12 @@ def _load_bound_spec(mesh_path, annotation_path):
     return spec
 
 
-def _resolve(args, name, default=None):
-    """The flag, else the config key, else ``default`` or the global one."""
+def _resolve(args, name):
+    """The flag, else the config key, else the global default."""
     value = getattr(args, name)
     if value is not None:
         return value
-    if default is None:
-        default = _GLOBAL_DEFAULTS[name]
-    return args._config.get(name, default)
+    return args._config.get(name, _GLOBAL_DEFAULTS[name])
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +184,8 @@ def cmd_verify(args):
     else:
         with open(args.field, encoding="utf-8") as fh:
             field = semantics.field_from_dict(json.load(fh))
-    verdicts = semantics.check_properties(semantics.FieldEvaluation(
-        spec, field, tol=_resolve(args, "tol", fem.DEFAULT_TOL)
-    ))
+    verdicts = semantics.check_properties(
+        semantics.FieldEvaluation(spec, field))
     print(_verdict_table(semantics.verdict_to_dict(v) for v in verdicts))
     failed = [v.name for v in verdicts if not v.passed]
     if failed:
@@ -382,18 +379,17 @@ def cmd_report(args):
 
 def build_parser():
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--tol", type=_positive_float, default=None,
-                        help="optimize, simulate: the optimizer's "
-                        "projected-gradient tolerance; verify: the largest "
-                        "normwise backward error |K x - b|_1 / (|K|_1 |x|_1 "
-                        "+ |b|_1) accepted from a FEM solve")
-    shared.add_argument("--max-iter", dest="max_iter", type=_positive_int,
-                        default=None,
-                        help="iteration cap of each optimizer inner solve")
     shared.add_argument("--log-level", dest="log_level", default=None,
                         choices=_LOG_LEVELS)
     shared.add_argument("--config", default=None,
-                        help="JSON file mirroring the global flags")
+                        help="JSON file of defaults for --log-level, --tol "
+                        "and --max-iter")
+    solver = argparse.ArgumentParser(add_help=False, parents=[shared])
+    solver.add_argument("--tol", type=_positive_float, default=None,
+                        help="the optimizer's projected-gradient tolerance")
+    solver.add_argument("--max-iter", dest="max_iter", type=_positive_int,
+                        default=None,
+                        help="iteration cap of each optimizer inner solve")
 
     parser = _Parser(prog="semfab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -429,7 +425,7 @@ def build_parser():
                        help="use box-midpoint nominal field")
     verify.set_defaults(func=cmd_verify)
 
-    opt = sub.add_parser("optimize", parents=[shared],
+    opt = sub.add_parser("optimize", parents=[solver],
                          help="solve for an admissible material field")
     opt.add_argument("mesh")
     opt.add_argument("annotation")
@@ -444,7 +440,7 @@ def build_parser():
     opt.add_argument("--trace", default=None, help="iteration trace JSONL")
     opt.set_defaults(func=cmd_optimize)
 
-    sim = sub.add_parser("simulate", parents=[shared],
+    sim = sub.add_parser("simulate", parents=[solver],
                          help="run a closed-loop print scenario")
     sim.add_argument("scenario")
     sim.add_argument("--out", required=True, help="output directory")

@@ -33,7 +33,7 @@ class WellPosednessError(SemfabError, ValueError):
 
 
 class SolverFailure(SemfabError, RuntimeError):
-    """Linear solve left a backward error above the requested tolerance."""
+    """Linear solve left a backward error above fem.BACKWARD_ERROR_TOL."""
 
     def __init__(self, message: str, residual=None):
         super().__init__(message)

@@ -29,14 +29,15 @@ eliminated: K_ff is copied from K.data straight into LAPACK's band storage,
 in a reverse Cuthill-McKee order fixed by the plan, and factored once per
 system, on its first solve, by LAPACK's banded Cholesky dpbtrf on the
 lower band. Each right-hand side, adjoint ones included, is one dpbtrs with
-that factor and the guard on the normwise backward error
-||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1). A solve with
-||K_ff x - b||_1 <= tol ||b||_1 meets that bound whatever ||K_ff||_1 is, so
-the guard computes ||K_ff||_1, once per system, only for a solve that fails
-this test or when a solution's `residual` is first read. It reads the norm
-off the band: the lower triangle's entries in K.data, mirrored, which is
-the symmetric matrix dpbtrf factors. Reactions, (K U - F_ext) at the
-prescribed dofs, are computed when first read too.
+that factor and the guard that the normwise backward error
+||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1) is at most the constant
+BACKWARD_ERROR_TOL. A solve with ||K_ff x - b||_1 <= BACKWARD_ERROR_TOL
+||b||_1 meets that bound whatever ||K_ff||_1 is, so the guard computes
+||K_ff||_1, once per system, only for a solve that fails this test or when
+a solution's `residual` is first read. It reads the norm off the band: the
+lower triangle's entries in K.data, mirrored, which is the symmetric matrix
+dpbtrf factors. Reactions, (K U - F_ext) at the prescribed dofs, are
+computed when first read too.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from . import _kernels
 from .errors import SolverFailure, WellPosednessError
 
-DEFAULT_TOL = 1e-10
+BACKWARD_ERROR_TOL = 1e-10
 _TINY = np.finfo(np.float64).tiny
 _DOFS_PER_VERTEX = {"elasticity": 3, "conduction": 1}
 
@@ -517,17 +518,15 @@ def _backward_error(system: FemSystem, r, x_sum, b_sum) -> float:
     return float(r / max(system._norm * x_sum + b_sum, _TINY))
 
 
-def _solve_free(system: FemSystem, b: np.ndarray, tol: float | None):
+def _solve_free(system: FemSystem, b: np.ndarray):
     """Solve K_ff x = b; returns x and the guard's 1-norms
     (||K_ff x - b||_1, ||x||_1, ||b||_1), from which `_backward_error`
     computes the normwise backward error.
 
     Raises SolverFailure when the normwise backward error
-    ||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1) exceeds `tol`, which
-    defaults to DEFAULT_TOL when None.
+    ||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1) exceeds
+    BACKWARD_ERROR_TOL, which it reads on each call.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     if b.shape[0] == 0:
         return np.zeros(0), (0.0, 0.0, 0.0)
     order, chol = _factor(system)
@@ -546,27 +545,26 @@ def _solve_free(system: FemSystem, b: np.ndarray, tol: float | None):
     guard = (r, np.abs(x).sum(), b_sum)
     # the scale max(||K_ff||_1 ||x||_1 + ||b||_1, tiny) is at least
     # max(||b||_1, tiny), and rounding keeps that order, so an error that
-    # meets tol against the smaller scale meets it against the true one
-    if not r / max(b_sum, _TINY) <= tol:
+    # meets the bound against the smaller scale meets it against the true one
+    if not r / max(b_sum, _TINY) <= BACKWARD_ERROR_TOL:
         res = _backward_error(system, *guard)
-        if not res <= tol:  # a NaN error fails too
-            raise SolverFailure(
-                f"solve left backward error {res:.3e} above tol {tol:g}",
-                residual=res,
-            )
+        if not res <= BACKWARD_ERROR_TOL:  # a NaN error fails too
+            raise SolverFailure(f"solve left backward error {res:.3e} above "
+                                f"BACKWARD_ERROR_TOL {BACKWARD_ERROR_TOL:g}",
+                                residual=res)
     return x, guard
 
 
-def solve(system: FemSystem, tol: float = DEFAULT_TOL) -> FieldSolution:
+def solve(system: FemSystem) -> FieldSolution:
     """Solve K U = F under the system's boundary conditions.
 
-    `tol` is the largest normwise backward error
-    ||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1) accepted, DEFAULT_TOL
-    when None; the solution's `residual` is that backward error, computed
-    when first read.
+    The solve fails with SolverFailure if its normwise backward error
+    ||K_ff x - b||_1 / (||K_ff||_1 ||x||_1 + ||b||_1) exceeds
+    BACKWARD_ERROR_TOL; the solution's `residual` is that backward error,
+    computed when first read.
     """
     plan = system.plan
-    x, guard = _solve_free(system, system.rhs, tol)
+    x, guard = _solve_free(system, system.rhs)
     U = plan.u_prescribed.copy()
     U[plan.free] = x
     values = U.reshape(plan.n_vertices, plan.dofs_per_vertex)
@@ -575,14 +573,13 @@ def solve(system: FemSystem, tol: float = DEFAULT_TOL) -> FieldSolution:
     return FieldSolution(values=values, system=system, guard=guard)
 
 
-def adjoint_solve(system: FemSystem, weights: np.ndarray,
-                  tol: float = DEFAULT_TOL) -> np.ndarray:
+def adjoint_solve(system: FemSystem, weights: np.ndarray) -> np.ndarray:
     """Solve K_ff lambda = w_f with the system's factor; returns the
     full-length adjoint vector with zeros at prescribed dofs. `weights` has
-    one entry per global dof; `tol` is as for `solve`."""
+    one entry per global dof; the backward-error bound is as for `solve`."""
     weights = np.asarray(weights, dtype=np.float64)
     free = system.plan.free
-    x, _ = _solve_free(system, weights[free], tol)
+    x, _ = _solve_free(system, weights[free])
     lam = np.zeros(len(weights))
     lam[free] = x
     return lam

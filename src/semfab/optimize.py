@@ -446,8 +446,6 @@ class InversionProblem(_BoxProblem):
     and only enter through the physics.
     """
 
-    solver_tol = fem.DEFAULT_TOL
-
     def __init__(self, spec, objective, parameter=None, frozen_idx=(),
                  frozen_values=()):
         if objective not in OBJECTIVES:
@@ -487,7 +485,7 @@ class InversionProblem(_BoxProblem):
         """A :class:`semantics.FieldEvaluation` of ``fld`` on this problem's
         plans, counting its solves in this problem's stats."""
         return semantics.FieldEvaluation(
-            self.spec, fld, self.solver_tol, self.assembly_plan, self.stats
+            self.spec, fld, self.assembly_plan, self.stats
         )
 
     def context(self, x):
@@ -834,11 +832,9 @@ def _projected_gradient_norm(problem, x, grad):
 
 def _context_at(problem, x, evaluation):
     """``evaluation`` when it can stand for ``problem.context(x)``: it is on
-    the problem's specification, solver tolerance and solve counter, and its
-    field holds the bits of the one at ``x`` in every parameter. Otherwise a
-    new context."""
+    the problem's specification and solve counter, and its field holds the
+    bits of the one at ``x`` in every parameter. Otherwise a new context."""
     if (evaluation is not None and evaluation.spec is problem.spec
-            and evaluation.tol == problem.solver_tol
             and evaluation.stats is problem.stats):
         fld = problem.field_for(x)
         if all(evaluation.field.values(p).tobytes() == fld.values(p).tobytes()
@@ -856,10 +852,10 @@ def build_quadratic_model(problem, base_values, evaluation=None):
     analytic gradient with steps of 1e-3 times each variable's box width:
     the base-point gradient plus two evaluations per inactive variable.
     ``evaluation`` (the plan's, from :class:`OptimizationResult`) stands
-    for the base point's when it is on ``problem``'s specification,
-    tolerance and solve counter at a bitwise-equal field; then the
-    base-point gradient makes no new factor, and no solve at all for the
-    self-adjoint compliance. Otherwise the base point is evaluated afresh,
+    for the base point's when it is on ``problem``'s specification and
+    solve counter at a bitwise-equal field; then the base-point gradient
+    makes no new factor, and no solve at all for the self-adjoint
+    compliance. Otherwise the base point is evaluated afresh,
     with the same bits.  Raises :class:`BasePointError` when the base point
     is not near-stationary and :class:`ModelInvalidError`, before any row,
     when the objective is flat in the optimized parameter and a variable is
@@ -944,33 +940,31 @@ def warm_start_update(model, problem, delta_y):
 def reoptimize_after_drift(
     problem,
     previous_result,
-    delta_y,
     strategy="warm_start",
     model=None,
     tol=DEFAULT_TOL,
     max_iter=DEFAULT_MAX_ITER,
 ):
-    """Update the free elements after the frozen ones drifted by ``delta_y``.
+    """Update the free elements after the frozen ones drifted.
 
-    ``delta_y`` is ordered like ``problem.frozen_idx`` and measured from the
-    model's base point; the model may come from a problem with another
+    The drift is ``problem.frozen_values`` less the model's base values at
+    ``problem.frozen_idx``; the model may come from a problem with another
     frozen/free split.  Without ``model``, one is built at the previous
     optimum on this split, the frozen variables at their previous values,
-    so that only the shift applies the drift.  The warm strategy applies
-    the quadratic-model shift and keeps it only if a penalty-free
-    feasibility check passes; otherwise, and for any model failure, it
-    falls back to a full solve seeded at the previous values, and the
-    result's ``fallback`` says why.
+    so the drift is measured from ``previous_result.values`` and only the
+    shift applies it.  The warm strategy applies the quadratic-model shift
+    and keeps it only if a penalty-free feasibility check passes; otherwise,
+    and for any model failure, it falls back to a full solve seeded at the
+    previous values, and the result's ``fallback`` says why.
     """
     if strategy not in ("warm_start", "full"):
         raise ValueError(f"unknown strategy: {strategy!r}")
     start = problem.stats.fem_solves
-    delta_y = np.asarray(delta_y, dtype=float).reshape(-1)
-    if delta_y.size != problem.frozen_idx.size:
-        raise ValueError("delta_y must align with the problem's frozen set")
 
     fallback = None
     if strategy == "warm_start":
+        base = previous_result.values if model is None else model.base_values
+        delta_y = problem.frozen_values - base[problem.frozen_idx]
         if not delta_y.any():
             return dataclasses.replace(
                 previous_result,

@@ -471,9 +471,8 @@ def control_step(state, problem, strategy, previous_result, model=None,
         return state
     estimates = state.estimator.value[printed]
     shifted = problem.with_frozen(printed, estimates)
-    delta_y = estimates - previous_result.values[printed]
     result = optimize.reoptimize_after_drift(
-        shifted, previous_result, delta_y,
+        shifted, previous_result,
         strategy=strategy, model=model, tol=tol, max_iter=max_iter,
     )
     commanded = state.commanded
@@ -508,8 +507,8 @@ def control_step(state, problem, strategy, previous_result, model=None,
 
 
 def final_verification(problem, achieved_field):
-    """Check every annotated property under the ground-truth field, at the
-    problem's FEM tolerance; the solves count in ``problem.stats``."""
+    """Check every annotated property under the ground-truth field; the
+    solves count in ``problem.stats``."""
     return semantics.check_properties(problem.evaluation(achieved_field))
 
 
@@ -651,31 +650,13 @@ class Scenario:
     parameter: str | None = None
 
 
-def _actuator_to_dict(model):
-    return {
-        "gain": model.gain,
-        "drift_rate": model.drift_rate,
-        "noise_sd": model.noise_sd,
-    }
-
-
 def scenario_to_dict(scenario):
     return {
         "mesh": scenario.mesh_path,
         "annotation": scenario.annotation_path,
-        "actuator": _actuator_to_dict(scenario.actuator),
-        "sensor": {
-            "noise_sd": scenario.sensor.noise_sd,
-            "availability": scenario.sensor.availability,
-        },
-        "policy": {
-            "strategy": scenario.policy.strategy,
-            "control_enabled": scenario.policy.control_enabled,
-            "plant_model": (
-                None if scenario.policy.plant_model is None
-                else _actuator_to_dict(scenario.policy.plant_model)
-            ),
-        },
+        "actuator": dataclasses.asdict(scenario.actuator),
+        "sensor": dataclasses.asdict(scenario.sensor),
+        "policy": dataclasses.asdict(scenario.policy),
         "seed": scenario.seed,
         "layer_height": scenario.layer_height,
         "objective": scenario.objective,
@@ -683,25 +664,51 @@ def scenario_to_dict(scenario):
     }
 
 
-def scenario_from_dict(doc):
-    known = {"mesh", "annotation", "actuator", "sensor", "policy", "seed",
-             "layer_height", "objective", "parameter"}
-    unknown = set(doc) - known
+def _check_keys(doc, name, known, required):
+    """Raises ValueError unless ``doc``, the scenario part ``name``, is an
+    object whose keys are among ``known`` and include ``required``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name} must be an object")
+    unknown = set(doc) - set(known)
     if unknown:
-        raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-    for key in ("mesh", "annotation", "actuator", "sensor", "policy", "seed",
-                "layer_height"):
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    for key in required:
         if key not in doc:
-            raise ValueError(f"scenario is missing required key {key!r}")
-    policy_doc = dict(doc["policy"])
-    plant_doc = policy_doc.pop("plant_model", None)
-    plant = None if plant_doc is None else ActuatorModel(**plant_doc)
+            raise ValueError(f"{name} is missing required key {key!r}")
+
+
+def _section(doc, name, cls):
+    """The dataclass ``cls`` from scenario section ``name``, whose float,
+    bool and str fields must hold a JSON number, boolean and string."""
+    fields = dataclasses.fields(cls)
+    _check_keys(doc, f"scenario {name}", [f.name for f in fields],
+                [f.name for f in fields if f.default is dataclasses.MISSING])
+    for f in fields:
+        value = doc.get(f.name)
+        if f.name in doc and f.type in (float, bool, str) and not (
+                isinstance(value, f.type) or f.type is float
+                and type(value) is int):
+            raise ValueError(f"scenario {name} {f.name} must be a "
+                             f"{f.type.__name__}")
+    return cls(**doc)
+
+
+def scenario_from_dict(doc):
+    keys = ("mesh", "annotation", "actuator", "sensor", "policy", "seed",
+            "layer_height", "objective", "parameter")
+    _check_keys(doc, "scenario", keys, keys[:7])
+    policy = doc["policy"]
+    if isinstance(policy, dict) and policy.get("plant_model") is not None:
+        policy = {**policy, "plant_model": _section(
+            policy["plant_model"], "policy.plant_model", ActuatorModel)}
+    if type(doc["layer_height"]) not in (int, float):
+        raise ValueError("scenario layer_height must be a number")
     return Scenario(
         mesh_path=str(doc["mesh"]),
         annotation_path=str(doc["annotation"]),
-        actuator=ActuatorModel(**doc["actuator"]),
-        sensor=SensorModel(**doc["sensor"]),
-        policy=ControlPolicy(plant_model=plant, **policy_doc),
+        actuator=_section(doc["actuator"], "actuator", ActuatorModel),
+        sensor=_section(doc["sensor"], "sensor", SensorModel),
+        policy=_section(policy, "policy", ControlPolicy),
         seed=_check_seed(doc["seed"]),
         layer_height=float(doc["layer_height"]),
         objective=str(doc.get("objective", "compliance")),

@@ -257,6 +257,16 @@ def _fail(msg: str, where: str):
     raise AnnotationParseError(msg, field=where)
 
 
+def _container(doc, key, kind=dict, where=None):
+    """``doc[key]``, empty when absent; fails at ``where`` (``key`` by
+    default) unless it is a ``kind``."""
+    val = doc.get(key, kind())
+    if not isinstance(val, kind):
+        _fail(f"{key} must be {'an object' if kind is dict else 'a list'}",
+              where or key)
+    return val
+
+
 def _num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -345,7 +355,7 @@ def _parse_property(doc, where) -> PropertySpec:
     if not isinstance(doc, dict):
         _fail("property must be an object", where)
     quantity = doc.get("quantity")
-    if quantity not in _QUANTITIES:
+    if not isinstance(quantity, str) or quantity not in _QUANTITIES:
         _fail(f"unknown property quantity {quantity!r}", where)
     ops, needs_tags = _QUANTITIES[quantity]
     op = doc.get("op", "le")
@@ -393,9 +403,7 @@ def layer_from_dict(doc: dict) -> SemanticLayer:
         if key not in known:
             _fail(f"unknown top-level section {key!r}", key)
 
-    units = doc.get("units", {})
-    if not isinstance(units, dict):
-        _fail("units must be an object", "units")
+    units = _container(doc, "units")
     for kind, unit in units.items():
         expected = CANONICAL_UNITS.get(kind)
         if expected is None:
@@ -404,14 +412,12 @@ def layer_from_dict(doc: dict) -> SemanticLayer:
             _fail(f"unsupported {kind} unit {unit!r} (expected {expected!r})", "units")
 
     vertex_annotations = {}
-    for key, val in doc.get("vertex_annotations", {}).items():
+    for key, val in _container(doc, "vertex_annotations").items():
         where = f"vertex_annotations.{key}"
         vid = _int_key(key, where)
         vertex_annotations[vid] = _parse_vertex(val, where)
 
-    elems = doc.get("element_annotations", {})
-    if not isinstance(elems, dict):
-        _fail("element_annotations must be an object", "element_annotations")
+    elems = _container(doc, "element_annotations")
     for key in elems:
         if key not in ("default", "overrides"):
             _fail(f"unknown element_annotations key {key!r}", "element_annotations")
@@ -419,13 +425,12 @@ def layer_from_dict(doc: dict) -> SemanticLayer:
         elems.get("default", {}), "element_annotations.default"
     )
     overrides = {}
-    for key, val in elems.get("overrides", {}).items():
+    for key, val in _container(elems, "overrides",
+                               where="element_annotations.overrides").items():
         where = f"element_annotations.overrides.{key}"
         overrides[_int_key(key, where)] = _parse_ranges(val, where)
 
-    props = doc.get("global_properties", [])
-    if not isinstance(props, list):
-        _fail("global_properties must be a list", "global_properties")
+    props = _container(doc, "global_properties", list)
     properties = tuple(
         _parse_property(p, f"global_properties[{i}]") for i, p in enumerate(props)
     )
@@ -726,13 +731,11 @@ class FieldEvaluation:
     """
 
     def __init__(self, spec: BoundSpecification, fld: MaterialField,
-                 tol: float = fem.DEFAULT_TOL, plan_for=None,
-                 stats: RunStats | None = None):
+                 plan_for=None, stats: RunStats | None = None):
         if fld.n_elements != spec.mesh.n_elements:
             raise ValueError("field does not match mesh element count")
         self.spec = spec
         self.field = fld
-        self.tol = tol
         self.stats = RunStats() if stats is None else stats
         self._plan_for = plan_for
         self._systems = {}
@@ -749,16 +752,14 @@ class FieldEvaluation:
 
     def solution(self, physics: str) -> fem.FieldSolution:
         if physics not in self._solutions:
-            self._solutions[physics] = fem.solve(
-                self.system(physics), tol=self.tol
-            )
+            self._solutions[physics] = fem.solve(self.system(physics))
             self.stats.fem_solves += 1
         return self._solutions[physics]
 
     def adjoint(self, physics: str, weights: np.ndarray) -> np.ndarray:
         """K^-1 weights at the free dofs, zero at the prescribed ones, by one
         solve with the primal factor."""
-        lam = fem.adjoint_solve(self.system(physics), weights, tol=self.tol)
+        lam = fem.adjoint_solve(self.system(physics), weights)
         self.stats.fem_solves += 1
         return lam
 

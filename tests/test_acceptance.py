@@ -110,7 +110,8 @@ def test_criterion_02_patch_test():
         spec = semantics.bind_to_mesh(semantics.layer_from_dict(doc), m)
         fld = semantics.MaterialField.uniform(
             m.n_elements, young=150.0, poisson=0.3)
-        solution = fem.solve(fem.assemble(spec, fld, "elasticity"), tol=1e-12)
+        solution = fem.solve(fem.assemble(spec, fld, "elasticity"))
+        assert solution.residual <= 1e-12
         interior = ~on_boundary
         err = np.max(np.abs(solution.values[interior] - exact[interior]))
         assert err <= 1e-8 * np.max(np.abs(exact))
@@ -143,7 +144,8 @@ def test_criterion_03_shaft_oracle():
     spec = semantics.bind_to_mesh(semantics.layer_from_dict(doc), m)
     fld = semantics.MaterialField.uniform(
         m.n_elements, young=young, poisson=0.0)
-    solution = fem.solve(fem.assemble(spec, fld, "elasticity"), tol=1e-12)
+    solution = fem.solve(fem.assemble(spec, fld, "elasticity"))
+    assert solution.residual <= 1e-12
 
     expected = load * height / (young * math.pi * radius**2)
     mean_axial = -float(np.mean(solution.values[top, 2]))
@@ -183,7 +185,9 @@ def test_criterion_04_thermal_exactness():
     # uniform conductivity: nodal profile is exactly linear in z
     m, spec = _thermal_bar(4, 4.0, 300.0, 400.0)
     fld = semantics.MaterialField.uniform(m.n_elements, conductivity=3.0)
-    temps = fem.solve(fem.assemble(spec, fld, "conduction"), tol=1e-14).values
+    solution = fem.solve(fem.assemble(spec, fld, "conduction"))
+    assert solution.residual <= 1e-14
+    temps = solution.values
     exact = 300.0 + 25.0 * m.vertices[:, 2]
     assert np.max(np.abs(temps - exact)) <= 1e-10 * np.max(np.abs(exact))
 
@@ -194,8 +198,9 @@ def test_criterion_04_thermal_exactness():
     fld2 = semantics.MaterialField.uniform(m2.n_elements)
     fld2 = fld2.with_values(np.arange(m2.n_elements), "conductivity",
                             conductivity)
-    temps2 = fem.solve(fem.assemble(spec2, fld2, "conduction"),
-                       tol=1e-14).values
+    solution2 = fem.solve(fem.assemble(spec2, fld2, "conduction"))
+    assert solution2.residual <= 1e-14
+    temps2 = solution2.values
     r_low, r_high = 1.0 / k_low, 1.0 / k_high
     t_interface = 300.0 + 100.0 * r_low / (r_low + r_high)
     interface = np.abs(m2.vertices[:, 2] - 1.0) < 1e-9
@@ -297,10 +302,9 @@ def test_criterion_06_warm_start():
     model = optimize.build_quadratic_model(_quadratic_problem(0.0),
                                            base.values)
     warm = optimize.reoptimize_after_drift(
-        _quadratic_problem(0.3), base, [0.3],
-        strategy="warm_start", model=model)
+        _quadratic_problem(0.3), base, strategy="warm_start", model=model)
     full = optimize.reoptimize_after_drift(
-        _quadratic_problem(0.3), base, [0.3], strategy="full", tol=1e-13)
+        _quadratic_problem(0.3), base, strategy="full", tol=1e-13)
     gap = float(np.max(np.abs(warm.values[1:] - full.values[1:])))
     assert gap <= 1e-10
 
@@ -311,10 +315,9 @@ def test_criterion_06_warm_start():
     counts = {}
     for dy in (0.2, 0.1, 0.05):
         w = optimize.reoptimize_after_drift(
-            _exp_problem(dy), base_e, [dy],
-            strategy="warm_start", model=model_e)
+            _exp_problem(dy), base_e, strategy="warm_start", model=model_e)
         f = optimize.reoptimize_after_drift(
-            _exp_problem(dy), base_e, [dy], strategy="full", tol=1e-12)
+            _exp_problem(dy), base_e, strategy="full", tol=1e-12)
         errors[dy] = float(np.linalg.norm(w.values[1:] - f.values[1:]))
         counts[dy] = (w.fem_solves, f.fem_solves)
     assert errors[0.2] / errors[0.1] >= 3.0

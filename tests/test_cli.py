@@ -128,22 +128,20 @@ def test_verify_thermal_plate_solves_conduction_once(tmp_path, monkeypatch,
     assert [physics for physics, _ in keys] == ["conduction"]
 
 
-def test_verify_defaults_to_the_library_fem_tolerance(tmp_path, monkeypatch,
-                                                      capsys):
-    # the FEM tolerance final verification solves at, not the optimizer's
+def test_verify_solves_at_the_fem_bound_whatever_the_config_tol(
+        tmp_path, monkeypatch, capsys):
+    # a config's tol is the optimizer's; it does not loosen the FEM bound
     mesh_path, ann_path = write_bar_files(tmp_path, 2, 0.05, BOX)
-    tols = []
-    original = semantics.check_properties
-
-    def captured(evaluation):
-        tols.append(evaluation.tol)
-        return original(evaluation)
-
-    monkeypatch.setattr(semantics, "check_properties", captured)
-    assert run_cli("verify", mesh_path, ann_path, "--nominal") == 0
-    assert run_cli("verify", mesh_path, ann_path, "--nominal",
-                   "--tol", "1e-8") == 0
-    assert tols == [fem.DEFAULT_TOL, 1e-8]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tol": 0.5}))
+    argv = ("verify", mesh_path, ann_path, "--nominal", "--config", config)
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    # a bound no solve can meet
+    monkeypatch.setattr(fem, "BACKWARD_ERROR_TOL", 0.0)
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert "SEMFAB-ERR[numeric]" in err and "BACKWARD_ERROR_TOL" in err
 
 
 def test_verify_explicit_field_file(tmp_path, capsys):
@@ -492,6 +490,40 @@ def test_simulate_rejects_unknown_scenario_key(tmp_path, capsys):
     assert "extruder" in err
 
 
+def _set(section, key, value):
+    def edit(doc):
+        target = doc
+        for part in section.split(".") if section else ():
+            target = target[part]
+        target[key] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit, section", [
+    (_set("actuator", "bogus", 1), "actuator"),
+    (_set("actuator", "gain", "0.9"), "actuator"),
+    (_set("policy", "speed", 2), "policy"),
+    (_set("policy.plant_model", "noise", 1), "policy.plant_model"),
+    (_set("", "policy", []), "policy"),
+    (_set("sensor", "noise_sd", None), "sensor"),
+    (_set("", "actuator", {}), "actuator"),
+    (_set("", "layer_height", None), "layer_height"),
+    (lambda doc: 5, "scenario"),
+], ids=["actuator-unknown-key", "string-gain", "policy-unknown-key",
+        "plant-unknown-key", "policy-list", "null-noise", "empty-actuator",
+        "null-layer-height", "number-document"])
+def test_simulate_refuses_a_malformed_scenario(tmp_path, capsys, edit,
+                                               section):
+    path = tmp_path / "scenario.json"
+    write_scenario(path, plant=printsim.ActuatorModel(gain=1.0))
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    rc = run_cli("simulate", path, "--out", tmp_path / "sim")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("SEMFAB-ERR[usage] ") and f" {section} " in err
+
+
 # ---------------------------------------------------------------------------
 # report
 
@@ -548,11 +580,35 @@ def test_config_mirrors_global_flags_with_flag_precedence(tmp_path):
     mesh_path, ann_path = write_bar_files(tmp_path, 2, 0.05, BOX)
     parser = cli.build_parser()
     args = parser.parse_args(
-        ["verify", mesh_path, ann_path, "--nominal", "--max-iter", "7"])
+        ["optimize", mesh_path, ann_path, "--objective", "compliance",
+         "-o", str(tmp_path / "field.json"), "--max-iter", "7"])
     args._config = {"max_iter": 3, "tol": 0.5}
     assert cli._resolve(args, "max_iter") == 7
     assert cli._resolve(args, "tol") == 0.5
     assert cli._resolve(args, "log_level") == "warning"
+
+
+def _empty_report(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({
+        "outcome": "success", "seed": 0, "n_layers": 0, "fem_solves": 0,
+        "abort": None, "verdicts": [], "history": []}))
+    return path
+
+
+@pytest.mark.parametrize("command", ["verify", "gen-mesh", "report"])
+def test_only_optimize_and_simulate_take_optimizer_flags(tmp_path, capsys,
+                                                         command):
+    mesh_path, ann_path = write_bar_files(tmp_path, 2, 0.05, BOX)
+    argv = {
+        "verify": ["verify", mesh_path, ann_path, "--nominal",
+                   "--tol", "1e-8"],
+        "gen-mesh": ["gen-mesh", "box", "--nx", "1", "--ny", "1", "--nz",
+                     "1", "-o", tmp_path / "box.json", "--max-iter", "3"],
+        "report": ["report", _empty_report(tmp_path), "--tol", "1"],
+    }[command]
+    assert run_cli(*argv) == 2
+    assert "SEMFAB-ERR[usage]" in capsys.readouterr().err
 
 
 def test_config_file_is_accepted_end_to_end(tmp_path, capsys):

@@ -286,7 +286,7 @@ def test_reactions_balance_applied_load():
 def test_sparse_path_matches_dense_solve():
     mesh, spec, fld, top = shaft_problem(n_radial=32, n_axial=10)
     system = assemble(spec, fld, "elasticity")
-    sol = solve(system, tol=1e-12)
+    sol = solve(system)
     assert sol.residual <= 1e-12
     free = system.plan.free
     K_ff = system.K[free][:, free].toarray()
@@ -295,14 +295,15 @@ def test_sparse_path_matches_dense_solve():
     assert np.abs(sparse - dense).max() <= 1e-9 * max(1.0, np.abs(dense).max())
 
 
-def test_solver_failure_carries_residual_history():
-    # a tol below the residual that the factorization achieves
+def test_solver_failure_carries_residual_history(monkeypatch):
+    # a bound below the residual that the factorization achieves
     mesh, spec, fld, top = shaft_problem(n_radial=32, n_axial=10)
     system = assemble(spec, fld, "elasticity")
     achieved = solve(system).residual
     assert 0.0 < achieved <= 1e-10
-    with pytest.raises(SolverFailure) as err:
-        solve(system, tol=achieved / 10.0)
+    monkeypatch.setattr(fem, "BACKWARD_ERROR_TOL", achieved / 10.0)
+    with pytest.raises(SolverFailure, match="BACKWARD_ERROR_TOL") as err:
+        solve(system)
     assert err.value.residual == achieved
 
 
@@ -515,20 +516,21 @@ def test_adjoint_reuses_the_primal_factor(monkeypatch):
             lam = adjoint_solve(system, w)
             expected = np.linalg.solve(K_ff, w[free])
             residual = np.linalg.norm(K_ff @ lam[free] - w[free])
-            assert residual <= fem.DEFAULT_TOL * np.linalg.norm(w)
+            assert residual <= fem.BACKWARD_ERROR_TOL * np.linalg.norm(w)
             assert_allclose(lam[free], expected,
                             atol=1e-9 * np.abs(expected).max())
         assert len(factorizations) == 1
 
 
-def test_dense_path_checks_the_residual_guard_too():
+def test_dense_path_checks_the_residual_guard_too(monkeypatch):
     # the larger-mesh twin is test_solver_failure_carries_residual_history
     mesh, spec, fld, top = shaft_problem(n_radial=8, n_axial=3)
     system = assemble(spec, fld, "elasticity")
     sol = solve(system)
-    assert 0.0 < sol.residual <= fem.DEFAULT_TOL
+    assert 0.0 < sol.residual <= fem.BACKWARD_ERROR_TOL
+    monkeypatch.setattr(fem, "BACKWARD_ERROR_TOL", sol.residual / 10.0)
     with pytest.raises(SolverFailure) as err:
-        solve(system, tol=sol.residual / 10.0)
+        solve(system)
     assert err.value.residual == sol.residual
 
 
@@ -690,10 +692,13 @@ def test_a_passing_solve_leaves_the_norm_until_residual_is_read(monkeypatch):
     # once per system: a second solution reads the same norm
     assert solve(system).residual == want
     assert norms == [1]
-    # the guard passes a solve exactly when its backward error meets tol
-    solve(system, tol=want)
+    # the guard passes a solve exactly when its backward error meets the
+    # bound
+    monkeypatch.setattr(fem, "BACKWARD_ERROR_TOL", want)
+    solve(system)
+    monkeypatch.setattr(fem, "BACKWARD_ERROR_TOL", np.nextafter(want, 0.0))
     with pytest.raises(SolverFailure) as err:
-        solve(system, tol=np.nextafter(want, 0.0))
+        solve(system)
     assert err.value.residual == want
 
 
@@ -787,20 +792,16 @@ def test_a_parameter_without_a_value_is_named_not_blamed_on_its_range(
                 f"element 6;")
 
 
-def test_tol_none_means_the_default_in_solve_and_adjoint(monkeypatch):
+def test_a_bound_no_solve_can_meet_fails_solve_and_adjoint(monkeypatch):
     mesh, spec, fld, top = shaft_problem(n_radial=8, n_axial=3)
     system = assemble(spec, fld, "elasticity")
     w = np.zeros(3 * mesh.n_vertices)
     w[3 * int(top[0]) + 2] = 1.0
-    assert solve(system, tol=None).residual <= fem.DEFAULT_TOL
-    assert np.array_equal(adjoint_solve(system, w, tol=None),
-                          adjoint_solve(system, w))
-    # a default no solve can meet
-    monkeypatch.setattr(fem, "DEFAULT_TOL", 0.0)
+    monkeypatch.setattr(fem, "BACKWARD_ERROR_TOL", 0.0)
     with pytest.raises(SolverFailure):
-        solve(system, tol=None)
+        solve(system)
     with pytest.raises(SolverFailure):
-        adjoint_solve(system, w, tol=None)
+        adjoint_solve(system, w)
 
 
 # ---------------------------------------------------------------------------

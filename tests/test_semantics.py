@@ -132,6 +132,19 @@ def test_malformed_documents_rejected(doc):
         layer_from_dict(doc)
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"vertex_annotations": [{"force": [0, 0, 1]}]}, "vertex_annotations"),
+    ({"element_annotations": {"overrides": [{"young": [1.0, 2.0]}]}},
+     "element_annotations.overrides"),
+    ({"global_properties": [{"quantity": ["volume"], "bound": 1.0}]},
+     "global_properties[0]"),
+])
+def test_malformed_containers_name_their_field(doc, field):
+    with pytest.raises(AnnotationParseError) as err:
+        layer_from_dict(doc)
+    assert err.value.field == field
+
+
 def test_parse_error_carries_field_path():
     with pytest.raises(AnnotationParseError) as err:
         layer_from_dict({"vertex_annotations": {"4": {"displacement": [[1, 0],

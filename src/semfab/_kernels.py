@@ -1,5 +1,9 @@
 """Hot numeric kernels: tetrahedron geometry and element matrices.
 
+The element matrices are unit matrices: stiffness at Young's modulus 1
+and conductance at conductivity 1. K is linear in that parameter, so an
+assembly plan scales them itself (see :mod:`semfab.fem`).
+
 Every kernel is elementwise numpy over all elements at once, on
 coordinate-major arrays whose last axis runs over the elements, so each
 operation is one pass over contiguous rows. Sums of products are written
@@ -98,8 +102,8 @@ _B_ROWS = ((0, 3, 5), (1, 3, 4), (2, 4, 5))
 _B_COMPONENTS = ((0, 1, 2), (1, 0, 2), (2, 1, 0))
 
 
-def elasticity_matrices(vertices, tets, young, poisson):
-    """k_e = V_e B^T C B for every tet, (m, 12, 12).
+def elasticity_matrices(vertices, tets, poisson):
+    """k_e = V_e B^T C B for every tet at unit Young modulus, (m, 12, 12).
 
     CB is formed from its nonzeros: row r < 3 is C[r, d] g_d in column
     3b + d, and the shear rows are mu B. Entry (3a + c, 3b + d) of B^T CB
@@ -108,8 +112,8 @@ def elasticity_matrices(vertices, tets, young, poisson):
     """
     vols, g = shape_data(vertices, tets)
     m = tets.shape[0]
-    lam = young * poisson / ((1.0 + poisson) * (1.0 - 2.0 * poisson))
-    mu = young / (2.0 * (1.0 + poisson))
+    lam = poisson / ((1.0 + poisson) * (1.0 - 2.0 * poisson))
+    mu = 1.0 / (2.0 * (1.0 + poisson))
     diag = lam + 2.0 * mu
     # CB as (row, vertex, component, element)
     cb = np.zeros((6, 4, 3, m))
@@ -131,8 +135,9 @@ def elasticity_matrices(vertices, tets, young, poisson):
     return _per_element(k.reshape(12, 12, m), vols)
 
 
-def conduction_matrices(vertices, tets, conductivity):
-    """k_e = D_e V_e grad(N_i) . grad(N_j) for every tet, (m, 4, 4)."""
+def conduction_matrices(vertices, tets):
+    """k_e = V_e grad(N_i) . grad(N_j) for every tet at unit conductivity,
+    (m, 4, 4)."""
     vols, (gx, gy, gz) = shape_data(vertices, tets)
     gg = np.multiply(gx[:, None], gx)
     gg += 0.0  # the sum starts from +0.0
@@ -141,4 +146,4 @@ def conduction_matrices(vertices, tets, conductivity):
         gg[a] += np.multiply(gz[a], gz, out=term)
         gg[a] += np.multiply(gy[a], gy, out=term)
     del gx, gy, gz, term  # not held while the result is allocated
-    return _per_element(gg, vols * conductivity)
+    return _per_element(gg, vols)

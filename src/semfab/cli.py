@@ -19,14 +19,7 @@ import numpy as np
 
 from . import mesh as mesh_mod
 from . import optimize, printsim, semantics
-from .errors import (
-    AnnotationParseError,
-    BindError,
-    MeshFormatError,
-    SemfabError,
-    SolverFailure,
-    WellPosednessError,
-)
+from .errors import SemfabError, SolverFailure
 
 log = logging.getLogger("semfab")
 
@@ -491,17 +484,9 @@ def main(argv=None):
         return args.func(args)
     except (SolverFailure, np.linalg.LinAlgError, FloatingPointError) as exc:
         return _err("numeric", str(exc))
-    except (
-        MeshFormatError,
-        AnnotationParseError,
-        BindError,
-        WellPosednessError,
-        json.JSONDecodeError,
-        FileNotFoundError,
-        IsADirectoryError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (OSError, KeyError, ValueError) as exc:
+        # every input error of semfab, and json.JSONDecodeError, is a
+        # ValueError
         return _err("usage", str(exc))
     except SemfabError as exc:
         return _err("numeric", str(exc))

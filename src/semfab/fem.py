@@ -339,15 +339,13 @@ def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
     if bad.size:
         raise ValueError(f"degenerate tet {bad[0]}, signed volume {vols[bad[0]]:.3e}")
     # element matrices at unit Young modulus or conductivity, (m, k, k)
-    ones = np.ones(mesh.n_elements)
     poisson = None
     if physics == "elasticity":
         _check_poisson(fld.poisson)
         poisson = np.array(fld.poisson, dtype=np.float64)
-        unit = _kernels.elasticity_matrices(mesh.vertices, mesh.tets, ones,
-                                            poisson)
+        unit = _kernels.elasticity_matrices(mesh.vertices, mesh.tets, poisson)
     else:
-        unit = _kernels.conduction_matrices(mesh.vertices, mesh.tets, ones)
+        unit = _kernels.conduction_matrices(mesh.vertices, mesh.tets)
 
     indptr, indices, scatter = _pattern(mesh.tets, mesh.n_vertices, dpv)
     m, nnz, kk = mesh.n_elements, indices.size, unit.shape[1] * unit.shape[2]

@@ -447,6 +447,9 @@ def mesh_from_dict(doc: dict) -> VolumetricMesh:
         raise MeshFormatError(f"malformed mesh arrays: {exc}") from exc
     if tets.size and (tets.min() < 0 or tets.max() >= vertices.shape[0]):
         raise MeshFormatError("tet references a vertex id out of range")
+    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+    if bad.size:
+        raise MeshFormatError(f"vertex {bad[0]} has a non-finite coordinate")
     return VolumetricMesh(vertices, tets, units=length_unit)
 
 

@@ -43,8 +43,9 @@ the sum come from one product with the transpose of the assembly plan's
 operator (see :mod:`semfab.fem`).
 
 After upstream values drift, :func:`reoptimize_after_drift` either re-runs the
-solver from the previous optimum or applies a second-order warm start built
-from a quadratic model of the objective around the previous base point.
+solver from the previous optimum or applies a second-order warm start from a
+quadratic model of the objective around the plan's optimum. The caller
+builds that model once and hands it to every re-plan of the print.
 
 :func:`build_quadratic_model` first splits the free variables at the base
 point. A variable is *active* when it sits exactly on a box bound and the
@@ -947,15 +948,17 @@ def reoptimize_after_drift(
 ):
     """Update the free elements after the frozen ones drifted.
 
-    The drift is ``problem.frozen_values`` less the model's base values at
-    ``problem.frozen_idx``; the model may come from a problem with another
-    frozen/free split.  Without ``model``, one is built at the previous
-    optimum on this split, the frozen variables at their previous values,
-    so the drift is measured from ``previous_result.values`` and only the
-    shift applies it.  The warm strategy applies the quadratic-model shift
-    and keeps it only if a penalty-free feasibility check passes; otherwise,
-    and for any model failure, it falls back to a full solve seeded at the
-    previous values, and the result's ``fallback`` says why.
+    The warm strategy needs the caller's ``model``, built once with
+    :func:`build_quadratic_model` at the plan's optimum, which may have
+    another frozen/free split than ``problem``.  The drift is
+    ``problem.frozen_values`` less the model's base values at
+    ``problem.frozen_idx``, or less ``previous_result.values`` without a
+    model; with no drift the previous result is returned, and a drift
+    without a model raises ValueError.  The warm strategy applies the
+    quadratic-model shift and keeps it only if a penalty-free feasibility
+    check passes; otherwise, and when the model does not fit this split,
+    it falls back to a full solve seeded at the previous values, and the
+    result's ``fallback`` says why.
     """
     if strategy not in ("warm_start", "full"):
         raise ValueError(f"unknown strategy: {strategy!r}")
@@ -972,15 +975,10 @@ def reoptimize_after_drift(
                 fem_solves=0,
                 trace=(),
             )
+        if model is None:
+            raise ValueError("a warm-start re-plan under drift needs the "
+                             "model of its plan")
         try:
-            if model is None:
-                # at the previous optimum: its frozen values, not the
-                # drifted ones
-                frozen = problem.frozen_idx
-                model = build_quadratic_model(
-                    problem.with_frozen(frozen,
-                                        previous_result.values[frozen]),
-                    previous_result.values, previous_result.evaluation)
             delta_z = warm_start_update(model, problem, delta_y)
             free = problem.free_idx
             x = problem.pin(model.base_values)
@@ -1002,8 +1000,6 @@ def reoptimize_after_drift(
             fallback = "warm_infeasible"
         except ModelInvalidError:
             fallback = "model_invalid"
-        except BasePointError:
-            fallback = "base_point"
 
     result = inversion_solve(
         problem, tol=tol, max_iter=max_iter, x0=previous_result.values

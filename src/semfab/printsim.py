@@ -77,8 +77,8 @@ def _check_factor(model, name, n_layers):
 
 
 def _check_seed(seed):
-    if (not isinstance(seed, (int, np.integer)) or seed < 0
-            or seed >= SEED_LIMIT):
+    if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
+            or seed < 0 or seed >= SEED_LIMIT):
         raise ValueError("seed must be an integer in [0, 2**63)")
     return int(seed)
 
@@ -97,10 +97,13 @@ class ActuatorModel:
     noise_sd: float = 0.0
 
     def __post_init__(self):
-        if self.gain <= 0.0:
-            raise ValueError("actuator gain must be positive")
-        if self.noise_sd < 0.0:
-            raise ValueError("actuator noise_sd must be nonnegative")
+        if not 0.0 < self.gain < math.inf:
+            raise ValueError("actuator gain must be positive and finite")
+        if not math.isfinite(self.drift_rate):
+            raise ValueError("actuator drift_rate must be finite")
+        if not 0.0 <= self.noise_sd < math.inf:
+            raise ValueError("actuator noise_sd must be nonnegative and "
+                             "finite")
 
     def deterministic_factor(self, layer):
         return self.gain * (1.0 + self.drift_rate * np.asarray(layer, float))
@@ -131,8 +134,8 @@ class SensorModel:
     availability: str = "layer"
 
     def __post_init__(self):
-        if self.noise_sd < 0.0:
-            raise ValueError("sensor noise_sd must be nonnegative")
+        if not 0.0 <= self.noise_sd < math.inf:
+            raise ValueError("sensor noise_sd must be nonnegative and finite")
         if self.availability not in ("layer", "all"):
             raise ValueError("availability must be 'layer' or 'all'")
 
@@ -151,14 +154,14 @@ class EstimatorState:
     ``value`` caches the linear posterior mean; it starts at the commanded
     value and is only re-derived through exp() when a measurement actually
     moves the posterior, so an exact sensor reading of an identity plant
-    leaves the commanded floats bitwise untouched.
+    leaves the commanded floats bitwise untouched.  An element not yet
+    measured keeps the prior variance it was created with.
     """
 
     mean_log: np.ndarray
     variance: np.ndarray
     value: np.ndarray
     counts: np.ndarray
-    prior_variance: float
 
     @classmethod
     def from_commanded(cls, commanded_values, prior_sd=DEFAULT_PRIOR_SD):
@@ -171,33 +174,27 @@ class EstimatorState:
             variance=np.full(n, float(prior_sd) ** 2),
             value=values.copy(),
             counts=np.zeros(n, dtype=np.intp),
-            prior_variance=float(prior_sd) ** 2,
         )
 
-    def updated(self, element_ids, measured_log, noise_sd,
-                prior_log=None, prior_value=None):
+    def updated(self, element_ids, measured_log, noise_sd, prior_value):
         """Conjugate update; posterior precision = prior + measurement.
 
-        ``prior_log``/``prior_value`` re-seed the prior of elements measured
-        for the first time, so re-planned commands (issued after this state
-        was created) still serve as the prior belief for their own layer.
-        The update is worked out on the measured elements alone and written
-        into copies of this state's arrays.
+        ``prior_value`` (one per id) is the prior mean of an element
+        measured for the first time, with its log as the log-mean, so
+        re-planned commands (issued after this state was created) still
+        serve as the prior belief for their own layer; its variance is the
+        one the element was created with.  The update is worked out on the
+        measured elements alone and written into copies of this state's
+        arrays.
         """
         ids = np.asarray(element_ids, dtype=np.intp)
         measured_log = np.asarray(measured_log, dtype=float)
+        prior_value = np.asarray(prior_value, dtype=float)
         counts = self.counts[ids]
-        prior_mean = self.mean_log[ids]
+        fresh = counts == 0
+        prior_mean = np.where(fresh, np.log(prior_value), self.mean_log[ids])
         prior_var = self.variance[ids]
-        prior_val = self.value[ids]
-        if prior_log is not None:
-            fresh = counts == 0
-            prior_mean = np.where(fresh, np.asarray(prior_log, float),
-                                  prior_mean)
-            prior_var = np.where(fresh, self.prior_variance, prior_var)
-            if prior_value is not None:
-                prior_val = np.where(fresh, np.asarray(prior_value, float),
-                                     prior_val)
+        prior_val = np.where(fresh, prior_value, self.value[ids])
 
         if noise_sd == 0.0:
             post_mean = measured_log
@@ -235,7 +232,6 @@ class EstimatorState:
             variance=var,
             value=value,
             counts=new_counts,
-            prior_variance=self.prior_variance,
         )
 
 
@@ -443,13 +439,8 @@ def observe_and_update(state, sensor):
                     ).standard_normal(ids.size)
     measured_log = np.log(truth) + sensor.noise_sd * noise
     commanded_now = state.commanded.values(state.parameter)[ids]
-    estimator = state.estimator.updated(
-        ids,
-        measured_log,
-        sensor.noise_sd,
-        prior_log=np.log(commanded_now),
-        prior_value=commanded_now,
-    )
+    estimator = state.estimator.updated(ids, measured_log, sensor.noise_sd,
+                                        commanded_now)
     return state._with(estimator=estimator)
 
 
@@ -701,8 +692,9 @@ def scenario_from_dict(doc):
     if isinstance(policy, dict) and policy.get("plant_model") is not None:
         policy = {**policy, "plant_model": _section(
             policy["plant_model"], "policy.plant_model", ActuatorModel)}
-    if type(doc["layer_height"]) not in (int, float):
-        raise ValueError("scenario layer_height must be a number")
+    if (type(doc["layer_height"]) not in (int, float)
+            or not math.isfinite(doc["layer_height"])):
+        raise ValueError("scenario layer_height must be a finite number")
     return Scenario(
         mesh_path=str(doc["mesh"]),
         annotation_path=str(doc["annotation"]),

@@ -23,17 +23,19 @@ def record_primal_solves(monkeypatch):
 
 
 def element_matrix(coords, parameter, poisson=None):
-    """The matrix of the one tet `coords` from the kernels every assembly
-    plan is built with: the 12x12 stiffness at Young's modulus `parameter`
-    and Poisson ratio `poisson`, or, without a Poisson ratio, the 4x4
-    conductance at conductivity `parameter`."""
+    """The matrix of the one tet `coords` from the unit matrices every
+    assembly plan is built with, scaled as a plan scales them: the 12x12
+    stiffness at Young's modulus `parameter` and Poisson ratio `poisson`,
+    or, without a Poisson ratio, the 4x4 conductance at conductivity
+    `parameter`."""
     coords = np.asarray(coords, dtype=np.float64)
     tets = np.array([[0, 1, 2, 3]], dtype=np.int64)
-    p = np.array([parameter], dtype=np.float64)
     if poisson is None:
-        return _kernels.conduction_matrices(coords, tets, p)[0]
-    return _kernels.elasticity_matrices(coords, tets, p,
-                                        np.array([poisson], dtype=np.float64))[0]
+        unit = _kernels.conduction_matrices(coords, tets)
+    else:
+        unit = _kernels.elasticity_matrices(
+            coords, tets, np.array([poisson], dtype=np.float64))
+    return float(parameter) * unit[0]
 
 
 def consistent_face_loads(m, verts, total_force):

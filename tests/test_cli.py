@@ -183,6 +183,32 @@ def test_verify_missing_mesh_file_exits_2(tmp_path, capsys):
     assert "SEMFAB-ERR[usage]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "{dir}/mesh.json", "a.json", "--nominal"),
+    ("simulate", "{dir}/s.json", "--out", "o"),
+    ("gen-mesh", "box", "--nx", "1", "--ny", "1", "--nz", "1",
+     "-o", "{dir}/m.json"),
+], ids=["verify", "simulate", "gen-mesh"])
+def test_a_path_through_a_plain_file_exits_2(tmp_path, capsys, argv):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("not a directory\n")
+    rc = run_cli(*(arg.format(dir=plain) for arg in argv))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("SEMFAB-ERR[usage] ") and "Not a directory" in err
+
+
+def test_verify_refuses_a_non_finite_vertex_coordinate(tmp_path, capsys):
+    mesh_path, ann_path = write_bar_files(tmp_path, 2, 0.05, BOX)
+    doc = json.loads(Path(mesh_path).read_text())
+    doc["vertices"][5][2] = float("nan")
+    Path(mesh_path).write_text(json.dumps(doc))
+    rc = run_cli("verify", mesh_path, ann_path, "--nominal")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("SEMFAB-ERR[usage] ") and "vertex 5" in err
+
+
 # ---------------------------------------------------------------------------
 # optimize
 
@@ -510,9 +536,10 @@ def _set(section, key, value):
     (_set("", "actuator", {}), "actuator"),
     (_set("", "layer_height", None), "layer_height"),
     (lambda doc: 5, "scenario"),
+    (_set("", "seed", True), "seed"),
 ], ids=["actuator-unknown-key", "string-gain", "policy-unknown-key",
         "plant-unknown-key", "policy-list", "null-noise", "empty-actuator",
-        "null-layer-height", "number-document"])
+        "null-layer-height", "number-document", "boolean-seed"])
 def test_simulate_refuses_a_malformed_scenario(tmp_path, capsys, edit,
                                                section):
     path = tmp_path / "scenario.json"
@@ -522,6 +549,35 @@ def test_simulate_refuses_a_malformed_scenario(tmp_path, capsys, edit,
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("SEMFAB-ERR[usage] ") and f" {section} " in err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("actuator", "gain", float("nan")),
+    ("actuator", "gain", float("inf")),
+    ("actuator", "noise_sd", float("nan")),
+    ("actuator", "noise_sd", float("inf")),
+    ("actuator", "drift_rate", float("nan")),
+    ("policy.plant_model", "gain", float("nan")),
+    ("sensor", "noise_sd", float("nan")),
+    ("sensor", "noise_sd", float("inf")),
+    ("", "layer_height", float("inf")),
+])
+def test_simulate_refuses_a_non_finite_scenario_number(
+        tmp_path, capsys, monkeypatch, section, key, value):
+    write_bar_files(tmp_path, 4, 0.06, BOX)
+    path = tmp_path / "scenario.json"
+    write_scenario(path, plant=printsim.ActuatorModel(gain=1.0))
+    # json writes NaN and Infinity, and json.load reads them back
+    path.write_text(json.dumps(_set(section, key, value)(
+        json.loads(path.read_text()))))
+    plans = []
+    monkeypatch.setattr(optimize, "inversion_solve",
+                        lambda *args, **kwargs: plans.append(1))
+    rc = run_cli("simulate", path, "--out", tmp_path / "sim")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("SEMFAB-ERR[usage] ") and f" {key} " in err
+    assert "finite" in err and not plans
 
 
 # ---------------------------------------------------------------------------

@@ -430,12 +430,12 @@ def _reference_K(mesh, fld, physics):
 
     if physics == "elasticity":
         dpv = 3
-        mats = _kernels.elasticity_matrices(
-            mesh.vertices, mesh.tets, fld.young, fld.poisson)
+        mats = fld.young[:, None, None] * _kernels.elasticity_matrices(
+            mesh.vertices, mesh.tets, fld.poisson)
     else:
         dpv = 1
-        mats = _kernels.conduction_matrices(
-            mesh.vertices, mesh.tets, fld.conductivity)
+        mats = fld.conductivity[:, None, None] * _kernels.conduction_matrices(
+            mesh.vertices, mesh.tets)
     em = (mesh.tets[:, :, None] * dpv + np.arange(dpv)).reshape(
         mesh.n_elements, -1)
     k = em.shape[1]
@@ -879,11 +879,10 @@ def _pattern_problem(case):
 def _unit_and_parameter(mesh, fld, physics):
     """Element matrices at unit parameter, (m, k, k), and the parameter K
     is linear in, from the element kernels."""
-    ones = np.ones(mesh.n_elements)
     if physics == "elasticity":
-        return (_kernels.elasticity_matrices(mesh.vertices, mesh.tets, ones,
+        return (_kernels.elasticity_matrices(mesh.vertices, mesh.tets,
                                              fld.poisson), fld.young)
-    return (_kernels.conduction_matrices(mesh.vertices, mesh.tets, ones),
+    return (_kernels.conduction_matrices(mesh.vertices, mesh.tets),
             fld.conductivity)
 
 

@@ -281,9 +281,8 @@ def test_merit_gradient_makes_one_adjoint_solve(monkeypatch):
     ctx = problem.context(x)
     system = ctx.system("conduction")
     u = ctx.solution("conduction").values
-    unit = _kernels.conduction_matrices(
-        problem.spec.mesh.vertices, problem.spec.mesh.tets,
-        np.ones(problem.n_variables))
+    unit = _kernels.conduction_matrices(problem.spec.mesh.vertices,
+                                        problem.spec.mesh.tets)
     tets = problem.spec.mesh.tets
 
     def gradient_of(weights):
@@ -1053,29 +1052,13 @@ def test_warm_start_equals_full_on_quadratic():
     assert warm.values[1:] == pytest.approx(full.values[1:], abs=1e-10)
 
 
-def test_a_warm_replan_without_a_model_builds_it_at_the_previous_optimum():
-    # the drifted problem pins variable 0 at its new value; the model must
-    # sit where the previous optimum was found, with variable 0 undrifted
-    A = np.array([[2.0, -1.0, 0.3], [-1.0, 3.0, -1.0], [0.3, -1.0, 2.0]])
-    b = np.array([0.1, 0.2, -0.1])
-
-    def problem(frozen_value):
-        return optimize.FunctionProblem(
-            lambda x: 0.5 * x @ A @ x - b @ x,
-            lambda x: A @ x - b,
-            [[-5, 5]] * 3,
-            frozen_idx=[0],
-            frozen_values=[frozen_value],
-        )
-
-    base = optimize.inversion_solve(problem(0.0), tol=1e-13)
-    warm = optimize.reoptimize_after_drift(problem(0.3), base)
-    full = optimize.reoptimize_after_drift(problem(0.3), base,
-                                           strategy="full", tol=1e-13)
-    assert warm.strategy == "warm_start" and warm.fallback is None
-    assert warm.values[0] == 0.3
-    # exactly quadratic and inside the boxes: the warm step is exact
-    assert warm.values[1:] == pytest.approx(full.values[1:], abs=1e-10)
+def test_a_warm_replan_under_drift_needs_the_model_of_its_plan():
+    base = optimize.inversion_solve(quadratic_problem(0.0), tol=1e-13)
+    with pytest.raises(ValueError, match="needs the model of its plan"):
+        optimize.reoptimize_after_drift(quadratic_problem(0.3), base)
+    # without drift there is nothing to model
+    unchanged = optimize.reoptimize_after_drift(quadratic_problem(0.0), base)
+    assert np.array_equal(unchanged.values, base.values)
 
 
 def test_warm_start_error_is_second_order():
@@ -1162,17 +1145,25 @@ def test_model_reslices_for_a_shifted_partition():
 
 
 def test_drift_to_infeasible_returns_certificate_on_both_strategies():
-    problem, _, _ = series_bar_problem(d_max=0.018)
+    mass, _, _ = series_bar_problem(d_max=0.018)
+    # a mass objective has no model, so the warm start minimizes compliance
+    problem = optimize.InversionProblem(
+        mass.spec, "compliance", parameter="young",
+        frozen_idx=mass.frozen_idx, frozen_values=mass.frozen_values)
     base = optimize.inversion_solve(problem)
     assert base.feasible
+    model = optimize.build_quadratic_model(problem, base.values,
+                                           base.evaluation)
     # bottom segment softens so much that no admissible top segment can
     # keep the tip inside the bound
     degraded = np.full(problem.frozen_idx.size, 55000.0)
-    for strategy in ("warm_start", "full"):
+    for strategy, reason in (("warm_start", "warm_infeasible"),
+                             ("full", None)):
         shifted = problem.with_frozen(problem.frozen_idx, degraded)
         result = optimize.reoptimize_after_drift(
-            shifted, base, strategy=strategy
+            shifted, base, strategy=strategy, model=model
         )
+        assert result.fallback == reason
         assert not result.feasible
         assert "tip" in result.violated
 
@@ -1347,29 +1338,23 @@ def test_a_flat_objective_is_refused_before_any_hessian_row(monkeypatch):
 
 
 def test_warm_fallbacks_name_their_reason():
-    # a model of the mass objective has a zero Hessian
-    problem = cube_compliance_problem(frozen_idx=[0], frozen_values=[60.0])
-    mass = optimize.InversionProblem(
-        problem.spec, "mass", parameter="young",
-        frozen_idx=[0], frozen_values=[60.0],
-    )
-    base = optimize.inversion_solve(mass)
-    shifted = mass.with_frozen([0], [61.0])
-    result = optimize.reoptimize_after_drift(shifted, base)
+    # a model built with variable 1 frozen cannot move it once it is free
+    base = optimize.inversion_solve(quadratic_problem(0.0), tol=1e-13)
+    narrow = quadratic_problem(0.0).with_frozen([0, 1], base.values[:2])
+    model = optimize.build_quadratic_model(narrow, base.values)
+    result = optimize.reoptimize_after_drift(quadratic_problem(0.3), base,
+                                             model=model)
     assert result.strategy == "full" and result.fallback == "model_invalid"
-    # a base point far from stationary
-    quad = quadratic_problem(0.3)
-    start = optimize.inversion_solve(quadratic_problem(0.0), max_iter=0)
-    result = optimize.reoptimize_after_drift(quad, start)
-    assert result.strategy == "full" and result.fallback == "base_point"
     # a warm step that breaks the tip bound: the first layer prints at
     # half stiffness and every other element is already on its bound
     bar, plan = upper_bound_bar(4)
+    model = optimize.build_quadratic_model(bar, plan.values, plan.evaluation)
     first = np.arange(6)
     soft = 0.5 * plan.values[first]
     for strategy, reason in (("warm_start", "warm_infeasible"),
                              ("full", None)):
         result = optimize.reoptimize_after_drift(
             bar.with_frozen(first, soft), plan, strategy=strategy,
+            model=model,
         )
         assert result.strategy == "full" and result.fallback == reason

@@ -119,7 +119,7 @@ def test_observation_requires_a_printed_layer(bar):
 
 def test_exact_sensor_posterior_equals_measurement():
     est = printsim.EstimatorState.from_commanded(np.array([2.0, 3.0]))
-    out = est.updated([0], np.log([2.5]), noise_sd=0.0)
+    out = est.updated([0], np.log([2.5]), noise_sd=0.0, prior_value=[2.0])
     assert out.value[0] == pytest.approx(2.5, abs=1e-9)
     assert out.variance[0] == 0.0
     assert out.counts[0] == 1
@@ -127,7 +127,8 @@ def test_exact_sensor_posterior_equals_measurement():
 
 def test_tie_measurement_keeps_mean_and_shrinks_variance():
     est = printsim.EstimatorState.from_commanded(np.array([3.0]))
-    out = est.updated([0], np.array([est.mean_log[0]]), noise_sd=0.05)
+    out = est.updated([0], np.array([est.mean_log[0]]), noise_sd=0.05,
+                      prior_value=[3.0])
     assert out.mean_log[0] == est.mean_log[0]
     assert out.value[0] == 3.0  # linear cache untouched by a tie
     assert out.variance[0] < est.variance[0]
@@ -135,7 +136,7 @@ def test_tie_measurement_keeps_mean_and_shrinks_variance():
 
 def test_untouched_elements_keep_commanded_prior():
     est = printsim.EstimatorState.from_commanded(np.array([2.0, 3.0, 4.0]))
-    out = est.updated([1], np.log([3.3]), noise_sd=0.1)
+    out = est.updated([1], np.log([3.3]), noise_sd=0.1, prior_value=[3.0])
     for idx in (0, 2):
         assert out.mean_log[idx] == est.mean_log[idx]
         assert out.variance[idx] == est.variance[idx]
@@ -148,7 +149,7 @@ def test_posterior_variance_nonincreasing_over_measurements():
     rng = np.random.default_rng(0)
     for _ in range(20):
         m = np.log(5.0) + 0.05 * rng.standard_normal(1)
-        est = est.updated([0], m, noise_sd=0.05)
+        est = est.updated([0], m, noise_sd=0.05, prior_value=[5.0])
         variances.append(est.variance[0])
     assert np.all(np.diff(variances) < 0)
 
@@ -156,7 +157,7 @@ def test_posterior_variance_nonincreasing_over_measurements():
 def test_conjugate_update_matches_closed_form():
     est = printsim.EstimatorState.from_commanded(np.array([2.0]), prior_sd=0.3)
     m = math.log(2.6)
-    out = est.updated([0], np.array([m]), noise_sd=0.1)
+    out = est.updated([0], np.array([m]), noise_sd=0.1, prior_value=[2.0])
     p0, pm = 1 / 0.3**2, 1 / 0.1**2
     expected_mean = (p0 * math.log(2.0) + pm * m) / (p0 + pm)
     assert out.mean_log[0] == pytest.approx(expected_mean, rel=1e-14)
@@ -166,11 +167,9 @@ def test_conjugate_update_matches_closed_form():
 def test_replanned_commands_become_the_prior_on_first_measurement():
     est = printsim.EstimatorState.from_commanded(np.array([2.0]))
     m = math.log(3.0)
-    out = est.updated(
-        [0], np.array([m]), noise_sd=0.1,
-        prior_log=np.array([math.log(2.5)]), prior_value=np.array([2.5]),
-    )
-    p0, pm = 1 / est.prior_variance, 1 / 0.1**2
+    out = est.updated([0], np.array([m]), noise_sd=0.1,
+                      prior_value=np.array([2.5]))
+    p0, pm = 1 / est.variance[0], 1 / 0.1**2
     expected = (p0 * math.log(2.5) + pm * m) / (p0 + pm)
     assert out.mean_log[0] == pytest.approx(expected, rel=1e-14)
 
@@ -188,23 +187,22 @@ def test_estimator_monte_carlo_consistency():
         est = printsim.EstimatorState.from_commanded(np.array([truth]))
         draws = np.log(truth) + sd * rng.standard_normal(n)
         for k in range(n):
-            est = est.updated([0], draws[k:k + 1], noise_sd=sd)
+            est = est.updated([0], draws[k:k + 1], noise_sd=sd,
+                              prior_value=[truth])
         hits += abs(est.mean_log[0] - np.log(truth)) <= 3 * se
     assert hits / seeds >= 0.99
 
 
-def reference_update(est, ids, measured_log, noise_sd, prior_log=None,
-                     prior_value=None):
+def reference_update(est, ids, measured_log, noise_sd, prior_value):
     """The conjugate update of ``EstimatorState.updated``, one element at a
     time, as (mean_log, variance, value, counts)."""
     mean, var = est.mean_log.copy(), est.variance.copy()
     value, counts = est.value.copy(), est.counts.copy()
+    prior_log = np.log(prior_value)
     for k, i in enumerate(ids):
         m0, v0, val0 = mean[i], var[i], value[i]
-        if prior_log is not None and counts[i] == 0:
-            m0, v0 = np.float64(prior_log[k]), est.prior_variance
-            if prior_value is not None:
-                val0 = prior_value[k]
+        if counts[i] == 0:
+            m0, val0 = prior_log[k], prior_value[k]
         y = measured_log[k]
         if noise_sd == 0.0:
             m1, v1 = y, 0.0
@@ -237,25 +235,23 @@ def test_estimator_update_matches_the_reference_bit_for_bit(data):
         ids = np.array(data.draw(st.permutations(range(n)))[
             :data.draw(st.integers(1, n))], dtype=np.intp)
         noise_sd = data.draw(st.sampled_from([0.0, 0.01, 0.3]))
-        prior_log = prior_value = None
+        # the commands the state was created with, or re-planned ones
+        prior_value = arrays[2][ids]
         if data.draw(st.booleans()):
             prior_value = np.array(data.draw(
                 st.lists(positive, min_size=ids.size, max_size=ids.size)))
-            prior_log = np.log(prior_value)
-            if data.draw(st.booleans()):
-                prior_value = None
+        prior_log = np.log(prior_value)
         measured = np.array(data.draw(st.lists(
             st.floats(-2.0, 13.0), min_size=ids.size, max_size=ids.size)))
         for k, i in enumerate(ids):
             if data.draw(st.booleans()):  # a reading equal to the prior
-                fresh = prior_log is not None and arrays[3][i] == 0
+                fresh = arrays[3][i] == 0
                 measured[k] = prior_log[k] if fresh else arrays[0][i]
         arrays = reference_update(
             dataclasses.replace(est, mean_log=arrays[0], variance=arrays[1],
                                 value=arrays[2], counts=arrays[3]),
-            ids, measured, noise_sd, prior_log, prior_value)
-        est = est.updated(ids, measured, noise_sd, prior_log=prior_log,
-                          prior_value=prior_value)
+            ids, measured, noise_sd, prior_value)
+        est = est.updated(ids, measured, noise_sd, prior_value)
         for got, want in zip((est.mean_log, est.variance, est.value,
                               est.counts), arrays):
             assert got.dtype == want.dtype
@@ -825,6 +821,13 @@ def test_scenario_rejects_unknown_and_missing_keys():
     del missing["seed"]
     with pytest.raises(ValueError, match="seed"):
         printsim.scenario_from_dict(missing)
+
+
+def test_a_boolean_seed_is_refused(bar):
+    problem, plan, _ = bar
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        printsim.run_print(problem, plan, seed=True,
+                           **drifting_print_kwargs("full"))
 
 
 def test_report_and_csv_serialization(bar, tmp_path):

@@ -128,14 +128,6 @@ class FieldSolution:
         return reactions
 
 
-@dataclass(frozen=True)
-class NodalVerdict:
-    vertex: int
-    passed: bool
-    value: np.ndarray
-    message: str | None = None
-
-
 def _invalid(name: str, rule: str, p: np.ndarray) -> ValueError:
     """The error for parameters `p` that break `rule`. Elements where `p` is
     NaN, as on the unprinted part of a print that stopped early, are named
@@ -581,31 +573,3 @@ def adjoint_solve(system: FemSystem, weights: np.ndarray) -> np.ndarray:
     lam = np.zeros(len(weights))
     lam[free] = x
     return lam
-
-
-def verify_nodal_bounds(solution: FieldSolution, spec) -> list[NodalVerdict]:
-    """Mark every annotated vertex in or out of its bound box.
-
-    Checking nodal values suffices for these linear elements: inside an
-    element the solution is a convex combination of its vertex values.
-    """
-    verdicts: list[NodalVerdict] = []
-    if solution.system.plan.physics == "elasticity":
-        for vid in sorted(spec.displacement_bounds):
-            box = spec.displacement_bounds[vid]
-            u = solution.values[vid]
-            inside = (u >= box[:, 0]) & (u <= box[:, 1])
-            msg = None
-            if not inside.all():
-                ax = "xyz"[int(np.flatnonzero(~inside)[0])]
-                msg = f"displacement {ax} component outside [{box[~inside][0][0]}, {box[~inside][0][1]}]"
-            verdicts.append(NodalVerdict(vid, bool(inside.all()), u.copy(), msg))
-    else:
-        for vid in sorted(spec.temperature_bounds):
-            lo, hi = spec.temperature_bounds[vid]
-            t = float(solution.values[vid])
-            ok = lo <= t <= hi
-            msg = None if ok else f"temperature {t:g} outside [{lo:g}, {hi:g}]"
-            verdicts.append(NodalVerdict(vid, ok, np.asarray(t), msg))
-    return verdicts
-

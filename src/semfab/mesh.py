@@ -396,7 +396,9 @@ def layer_partition(mesh: VolumetricMesh, layer_height: float) -> LayerPartition
     """Bin elements into build layers by centroid height above the mesh bottom.
 
     Element e lands in layer k when its centroid satisfies
-    k*h <= z_centroid - z_min < (k+1)*h. Layer count is ceil(extent / h).
+    k*h <= z_centroid - z_min < (k+1)*h. Layer count is ceil(extent / h),
+    at most the element count, since a partition with more layers leaves
+    one empty.
     """
     if not layer_height > 0:
         raise ValueError("layer_height must be positive")
@@ -404,7 +406,12 @@ def layer_partition(mesh: VolumetricMesh, layer_height: float) -> LayerPartition
     z_min = float(z.min())
     extent = float(z.max()) - z_min
     q = extent / layer_height
-    n_layers = max(1, math.ceil(q - 1e-9 * max(1.0, q)))
+    q -= 1e-9 * max(1.0, q)
+    # checked before any cast; an infinite q leaves nan, refused too
+    if not q <= mesh.n_elements:
+        raise ValueError(f"layer_height {layer_height} gives more layers "
+                         f"than the {mesh.n_elements} elements")
+    n_layers = max(1, math.ceil(q))
     zc = mesh.centroids()[:, 2]
     idx = np.floor((zc - z_min) / layer_height).astype(np.intp)
     np.clip(idx, 0, n_layers - 1, out=idx)

@@ -398,7 +398,7 @@ class _PropertyConstraint:
         self.margin = _feas_margin(float(prop.bound))
 
     def check(self, x, ctx):
-        return semantics.check(ctx.spec, self.prop, ctx)
+        return semantics.check(self.prop, ctx)
 
     def add_gradient(self, x, ctx, w, grad):
         """Adds w . (gradient of the excesses) to the :class:`_Gradient`
@@ -413,7 +413,7 @@ class _PropertyConstraint:
         verts = np.asarray(self.prop.vertices, dtype=np.intp)[nonzero]
         if quantity == "max_displacement":
             u = ctx.solution("elasticity").values
-            mags = semantics.measure(spec, quantity, ctx, self.prop.vertices)
+            mags = semantics.measure(ctx, quantity, self.prop.vertices)
             weights = np.zeros(u.size)
             for v, wv, disp, mag in zip(verts, w[nonzero], u[verts],
                                         mags[nonzero]):
@@ -505,7 +505,7 @@ class InversionProblem(_BoxProblem):
             return float(system.plan.f_ext @ solution.values.reshape(-1))
         if grad is not None:  # a global property quantity
             _add_global_gradient(grad, self.spec, self.objective, 1.0)
-        return semantics.measure(self.spec, self.objective, ctx)
+        return semantics.measure(ctx, self.objective)
 
     def objective_and_gradient(self, x, ctx=None):
         ctx = ctx or self.context(x)

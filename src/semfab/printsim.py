@@ -24,6 +24,8 @@ import csv
 import dataclasses
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -708,10 +710,23 @@ def scenario_from_dict(doc):
     )
 
 
+def _dump_whole(doc, path):
+    """Write `doc` as strict JSON to `path` whole or not at all: the dump
+    streams into a temporary file beside `path`, which replaces `path` once
+    the dump succeeds and is deleted if it fails."""
+    tmp = Path(f"{os.fspath(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_scenario(scenario, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _dump_whole(scenario_to_dict(scenario), path)
 
 
 def load_scenario(path):
@@ -784,10 +799,7 @@ def report_to_dict(report):
 
 
 def save_report(report, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True,
-                  allow_nan=False)
-        fh.write("\n")
+    _dump_whole(report_to_dict(report), path)
 
 
 def history_to_csv(report, path):

@@ -22,15 +22,15 @@ Conventions:
     is reported when the displacement is prescribed
   - temperatures follow the same pattern in scalar form; a bare number is a
     prescribed value; an interval of nonzero width, like a displacement
-    box, is kept but not checked by verification, the optimizer or a
-    print (only `fem.verify_nodal_bounds` reads it); properties are what
-    those check
+    box, is parsed, kept and written back, but no command checks it: a
+    field is judged only by :func:`check`, on its properties
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -268,18 +268,21 @@ def _container(doc, key, kind=dict, where=None):
 
 
 def _num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite number; `json` also reads NaN, Infinity and ints past
+    float range, which are not."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def _interval(val, where, allow_unbounded=True) -> tuple[float, float]:
     if not (isinstance(val, (list, tuple)) and len(val) == 2):
         _fail("expected [min, max]", where)
     lo, hi = val
-    if allow_unbounded:
-        lo = -math.inf if lo is None else lo
-        hi = math.inf if hi is None else hi
-    if not (_num(lo) and _num(hi)):
-        _fail("interval endpoints must be numbers", where)
+    # null, not an infinite number, marks an unbounded side
+    if not all(_num(x) or allow_unbounded and x is None for x in val):
+        _fail("interval endpoints must be finite numbers", where)
+    lo = -math.inf if lo is None else lo
+    hi = math.inf if hi is None else hi
     if lo > hi:
         _fail(f"interval min {lo} exceeds max {hi}", where)
     return float(lo), float(hi)
@@ -326,7 +329,7 @@ def _parse_vertex(doc, where) -> VertexAnnotation:
     elif _num(flux):
         flux_val = float(flux)
     else:
-        _fail("flux must be a number or \"free\"", f"{where}.flux")
+        _fail("flux must be a finite number or \"free\"", f"{where}.flux")
     return VertexAnnotation(displacement, force, temperature, flux_val)
 
 
@@ -363,7 +366,7 @@ def _parse_property(doc, where) -> PropertySpec:
         _fail(f"quantity {quantity!r} does not support op {op!r}", where)
     bound = doc.get("bound")
     if not _num(bound):
-        _fail("property bound must be a number", where)
+        _fail("property bound must be a finite number", f"{where}.bound")
     name = doc.get("name", quantity)
     if not isinstance(name, str):
         _fail("property name must be a string", where)
@@ -443,7 +446,8 @@ def layer_from_dict(doc: dict) -> SemanticLayer:
         gamma = reg.get("gamma")
         param = reg.get("parameter")
         if not _num(gamma) or gamma < 0:
-            _fail("gamma must be a nonnegative number", "field_regularity.gamma")
+            _fail("gamma must be a finite nonnegative number",
+                  "field_regularity.gamma")
         if param not in PARAMETERS:
             _fail(
                 f"unknown material parameter {param!r}", "field_regularity.parameter"
@@ -559,10 +563,8 @@ class BoundSpecification:
     layer: SemanticLayer
     prescribed_displacements: dict[int, np.ndarray]
     applied_forces: dict[int, np.ndarray]
-    displacement_bounds: dict[int, np.ndarray]
     prescribed_temperatures: dict[int, float]
     applied_fluxes: dict[int, float]
-    temperature_bounds: dict[int, np.ndarray]
     parameter_ranges: dict[str, np.ndarray]  # name -> (m,2)
     properties: tuple[PropertySpec, ...]
     field_regularity: FieldRegularity | None
@@ -630,21 +632,15 @@ def bind_to_mesh(layer: SemanticLayer, mesh: VolumetricMesh) -> BoundSpecificati
 
     prescribed_disp: dict[int, np.ndarray] = {}
     applied_forces: dict[int, np.ndarray] = {}
-    disp_bounds: dict[int, np.ndarray] = {}
     prescribed_temp: dict[int, float] = {}
     applied_flux: dict[int, float] = {}
-    temp_bounds: dict[int, np.ndarray] = {}
     for vid, ann in layer.vertex_annotations.items():
-        if ann.displacement is not None:
-            disp_bounds[vid] = ann.displacement
-            if ann.displacement_prescribed():
-                prescribed_disp[vid] = ann.displacement[:, 0].copy()
+        if ann.displacement_prescribed():
+            prescribed_disp[vid] = ann.displacement[:, 0].copy()
         if ann.force is not None:
             applied_forces[vid] = ann.force.mean(axis=1)
-        if ann.temperature is not None:
-            temp_bounds[vid] = ann.temperature
-            if ann.temperature_prescribed():
-                prescribed_temp[vid] = float(ann.temperature[0])
+        if ann.temperature_prescribed():
+            prescribed_temp[vid] = float(ann.temperature[0])
         if ann.flux is not None:
             applied_flux[vid] = ann.flux
 
@@ -692,10 +688,8 @@ def bind_to_mesh(layer: SemanticLayer, mesh: VolumetricMesh) -> BoundSpecificati
         layer=layer,
         prescribed_displacements=prescribed_disp,
         applied_forces=applied_forces,
-        displacement_bounds=disp_bounds,
         prescribed_temperatures=prescribed_temp,
         applied_fluxes=applied_flux,
-        temperature_bounds=temp_bounds,
         parameter_ranges=ranges,
         properties=layer.global_properties,
         field_regularity=layer.field_regularity,
@@ -764,57 +758,50 @@ class FieldEvaluation:
         return lam
 
 
-def measure(spec: BoundSpecification, quantity: str,
-            evaluation: FieldEvaluation | None = None, vertices=()):
-    """The value of a property quantity on `spec`.
+def measure(evaluation: FieldEvaluation, quantity: str, vertices=()):
+    """The value of a property quantity under the field of `evaluation`, on
+    its specification.
 
     A local quantity (`max_displacement`, `nodal_temperature`) gives one
     value per vertex of `vertices`, in that order, as a read-only array,
-    and its worst is their maximum; a global one gives a float.
-    Material-dependent quantities read the field and solutions of
-    `evaluation`, which keeps each (quantity, vertices) value it has
-    measured, so asking again costs a lookup.
+    and its worst is their maximum; a global one gives a float. The
+    evaluation keeps each (quantity, vertices) value it has measured, so
+    asking again costs a lookup.
     """
-    if evaluation is None:
-        return _compute(spec, quantity, None, vertices)
     key = (quantity, tuple(vertices))
     if key not in evaluation._measured:
-        value = _compute(spec, quantity, evaluation, vertices)
+        value = _compute(evaluation, quantity, vertices)
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
         evaluation._measured[key] = value
     return evaluation._measured[key]
 
 
-def _compute(spec: BoundSpecification, quantity: str,
-             evaluation: FieldEvaluation | None, vertices):
+def _compute(evaluation: FieldEvaluation, quantity: str, vertices):
     """:func:`measure` without the evaluation's memo."""
+    mesh = evaluation.spec.mesh
     if quantity == "volume":
-        return float(spec.mesh.volumes().sum())
-    if evaluation is None and quantity in _QUANTITIES:
-        raise ValueError(f"{quantity!r} depends on the material field; "
-                         "measure it on a FieldEvaluation")
+        return float(mesh.volumes().sum())
     if quantity == "mass":
-        return float(np.dot(evaluation.field.density, spec.mesh.volumes()))
+        return float(np.dot(evaluation.field.density, mesh.volumes()))
     if quantity == "max_displacement":
         disp = evaluation.solution("elasticity").values[list(vertices)]
         return np.linalg.norm(disp, axis=1)
     if quantity == "nodal_temperature":
         return evaluation.solution("conduction").values[list(vertices)]
     if quantity == "average_temperature":
-        weights = vertex_volume_weights(spec.mesh)
+        weights = vertex_volume_weights(mesh)
         temps = evaluation.solution("conduction").values
         return float(np.dot(weights, temps) / weights.sum())
     raise ValueError(f"unknown property quantity {quantity!r}")
 
 
-def check(spec: BoundSpecification, prop: PropertySpec,
-          evaluation: FieldEvaluation | None = None):
-    """Check `prop` under the field of `evaluation` (none is needed for a
-    direct property). Returns its :class:`Verdict` and the excesses it was
-    judged on, as an array: one per vertex of a local property, in vertex
-    order, or the one of a global property."""
-    measured = measure(spec, prop.quantity, evaluation, prop.vertices)
+def check(prop: PropertySpec, evaluation: FieldEvaluation):
+    """Check `prop` under the field of `evaluation`, on its specification;
+    this is the one judge of a field. Returns the :class:`Verdict` and the
+    excesses it was judged on, as an array: one per vertex of a local
+    property, in vertex order, or the one of a global property."""
+    measured = measure(evaluation, prop.quantity, prop.vertices)
     worst = float(measured.max()) if prop.vertices else measured
     excess = worst - prop.bound if prop.op == "le" else prop.bound - worst
     # local quantities are "le" only; rounding is monotone, so the largest
@@ -841,7 +828,7 @@ def check_properties(evaluation: FieldEvaluation) -> tuple[Verdict, ...]:
     field; returns the verdicts in property order. The solves made are
     counted in `evaluation.stats`."""
     return tuple(
-        check(evaluation.spec, prop, evaluation)[0]
+        check(prop, evaluation)[0]
         for prop in evaluation.spec.properties
     )
 

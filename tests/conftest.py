@@ -114,4 +114,4 @@ def bar_tip_displacement(problem, values):
     prop = next(p for p in problem.spec.properties if p.name == "tip")
     evaluation = semantics.FieldEvaluation(
         problem.spec, problem.field_for(np.asarray(values, float)))
-    return semantics.check(problem.spec, prop, evaluation)[0].measured
+    return semantics.check(prop, evaluation)[0].measured

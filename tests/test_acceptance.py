@@ -565,10 +565,8 @@ def test_criterion_10_round_trips(tmp_path):
         m.n_elements, young=BOX[1], poisson=0.0, density=8e-6)
     for prop1 in spec1.properties:
         prop2 = next(p for p in spec2.properties if p.name == prop1.name)
-        v1 = semantics.check(spec1, prop1,
-                             semantics.FieldEvaluation(spec1, fld))[0]
-        v2 = semantics.check(spec2, prop2,
-                             semantics.FieldEvaluation(spec2, fld))[0]
+        v1 = semantics.check(prop1, semantics.FieldEvaluation(spec1, fld))[0]
+        v2 = semantics.check(prop2, semantics.FieldEvaluation(spec2, fld))[0]
         assert v1.passed == v2.passed
         assert v1.measured == pytest.approx(v2.measured, rel=1e-9)
     _pass(10, "format round-trips",

@@ -209,6 +209,38 @@ def test_verify_refuses_a_non_finite_vertex_coordinate(tmp_path, capsys):
     assert err.startswith("SEMFAB-ERR[usage] ") and "vertex 5" in err
 
 
+@pytest.mark.parametrize("path, value, where", [
+    ("element_annotations.default.young", [float("nan"), 1e5],
+     "element_annotations.default.young"),
+    ("element_annotations.default.young", [6e4, float("inf")],
+     "element_annotations.default.young"),
+    ("vertex_annotations.{top}.force", [0.0, 0.0, float("nan")],
+     "vertex_annotations.{top}.force"),
+    ("vertex_annotations.{top}.temperature", [0.0, float("inf")],
+     "vertex_annotations.{top}.temperature"),
+    ("global_properties.0.bound", float("nan"), "global_properties[0].bound"),
+    ("global_properties.0.bound", 10**400, "global_properties[0].bound"),
+], ids=["nan-range", "infinite-range", "nan-force", "infinite-interval",
+        "nan-bound", "bound-past-float-range"])
+def test_verify_refuses_a_non_finite_annotation_number(tmp_path, capsys,
+                                                       path, value, where):
+    # json reads NaN and Infinity; an unbounded interval side is null
+    mesh_path, ann_path = write_bar_files(tmp_path, 2, 0.05, BOX)
+    doc = json.loads(Path(ann_path).read_text())
+    top = next(v for v, a in doc["vertex_annotations"].items()
+               if "force" in a)
+    *keys, last = path.format(top=top).split(".")
+    node = doc
+    for key in keys:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[last] = value
+    Path(ann_path).write_text(json.dumps(doc))
+    rc = run_cli("verify", mesh_path, ann_path, "--nominal")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"SEMFAB-ERR[usage] {where.format(top=top)}")
+
+
 # ---------------------------------------------------------------------------
 # optimize
 
@@ -578,6 +610,21 @@ def test_simulate_refuses_a_non_finite_scenario_number(
     assert rc == 2
     assert err.startswith("SEMFAB-ERR[usage] ") and f" {key} " in err
     assert "finite" in err and not plans
+
+
+@pytest.mark.parametrize("height", [1e-300, 1e-6])
+def test_simulate_refuses_more_layers_than_elements(tmp_path, capsys,
+                                                    height):
+    # the 24-tet bar is 4 high: 4e6 or more layers, all but 24 empty
+    write_bar_files(tmp_path, 4, 0.06, BOX)
+    path = tmp_path / "scenario.json"
+    write_scenario(path, plant=printsim.ActuatorModel(gain=1.0))
+    path.write_text(json.dumps(_set("", "layer_height", height)(
+        json.loads(path.read_text()))))
+    rc = run_cli("simulate", path, "--out", tmp_path / "sim")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("SEMFAB-ERR[usage] layer_height ")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from semfab import _kernels, fem
 from semfab.errors import SolverFailure, WellPosednessError
-from semfab.fem import adjoint_solve, assemble, solve, verify_nodal_bounds
+from semfab.fem import adjoint_solve, assemble, solve
 from semfab.mesh import (
     VolumetricMesh,
     boundary_faces,
@@ -394,34 +394,6 @@ def test_adjoint_solve_matches_direct_inverse():
         assert_allclose(lam[free], expected,
                         atol=1e-9 * np.abs(expected).max())
         assert np.abs(lam[system.plan.prescribed]).max() == 0.0
-
-
-def test_verify_nodal_bounds():
-    mesh, spec0, fld, top = shaft_problem()
-    area = 0.5 * 16 * math.sin(2 * math.pi / 16)
-    analytic = 100.0 * 10.0 / (110000.0 * area)
-    z = mesh.vertices[:, 2]
-
-    def spec_with_bound(scale):
-        doc = spec0.layer.to_dict()
-        box = [[None, None], [None, None], [-scale * analytic, scale * analytic]]
-        for v in top:
-            doc["vertex_annotations"][str(int(v))]["displacement"] = box
-        return bind_to_mesh(layer_from_dict(doc), mesh)
-
-    generous = spec_with_bound(2.0)
-    sol = solve(assemble(generous, fld, "elasticity"))
-    verdicts = verify_nodal_bounds(sol, generous)
-    assert all(v.passed for v in verdicts)
-
-    tight = spec_with_bound(0.5)
-    sol = solve(assemble(tight, fld, "elasticity"))
-    verdicts = {v.vertex: v for v in verify_nodal_bounds(sol, tight)}
-    base_ids = np.flatnonzero(z == 0.0)
-    assert all(not verdicts[int(v)].passed for v in top)
-    assert all(verdicts[int(v)].passed for v in base_ids)
-    failing = verdicts[int(top[0])]
-    assert failing.message and "z" in failing.message
 
 
 def _reference_K(mesh, fld, physics):

@@ -176,6 +176,15 @@ def test_layer_partition_rejects_nonpositive_height():
         layer_partition(mesh, 0.0)
 
 
+@pytest.mark.parametrize("height", [1e-300, 5e-324, 1.0 / 13.0])
+def test_layer_partition_refuses_more_layers_than_elements(height):
+    # a 12-tet box: 13 layers or more must leave one empty
+    mesh = generate_box_mesh(1, 1, 2, [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="layer_height"):
+        layer_partition(mesh, height)
+    assert layer_partition(mesh, 1.0 / 12.0).n_layers == 12
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     nx=st.integers(1, 4),

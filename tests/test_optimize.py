@@ -738,10 +738,10 @@ def test_a_plan_measures_each_quantity_once_per_evaluation(monkeypatch):
     computed, asked, evaluations = [], set(), []
     measure, compute = semantics.measure, semantics._compute
 
-    def asking(spec, quantity, evaluation=None, vertices=()):
+    def asking(evaluation, quantity, vertices=()):
         evaluations.append(evaluation)  # alive, so ids stay distinct
         asked.add((quantity, tuple(vertices), id(evaluation)))
-        return measure(spec, quantity, evaluation, vertices)
+        return measure(evaluation, quantity, vertices)
 
     def computing(*args):
         computed.append(args[1])
@@ -760,8 +760,8 @@ def test_a_plan_measures_each_quantity_once_per_evaluation(monkeypatch):
     assert len(evaluations) - built == 6
     assert len(computed) == len(asked)
     hot = next(c for c in problem.constraints if c.name == "hot_face")
-    values = measure(problem.spec, "nodal_temperature",
-                     problem.context(result.values), hot.prop.vertices)
+    values = measure(problem.context(result.values), "nodal_temperature",
+                     hot.prop.vertices)
     assert not values.flags.writeable
 
 

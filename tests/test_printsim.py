@@ -367,6 +367,27 @@ def test_in_process_replay_reports_are_byte_identical(bar, tmp_path,
     assert reports[0] != reports[1]
 
 
+def test_a_report_is_written_whole_or_not_at_all(bar, tmp_path):
+    problem, plan, _ = bar
+    report = printsim.run_print(
+        problem, plan, printsim.ActuatorModel(gain=0.4),
+        printsim.SensorModel(noise_sd=0.0), printsim.ControlPolicy(),
+        seed=7, layer_height=1.0,
+    )
+    # json refuses the height only after it has written the fields
+    unwritable = dataclasses.replace(report, layer_height=math.inf)
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        printsim.save_report(unwritable, path)
+    assert list(tmp_path.iterdir()) == []
+    printsim.save_report(report, path)
+    written = path.read_bytes()
+    with pytest.raises(ValueError):
+        printsim.save_report(unwritable, path)
+    assert path.read_bytes() == written
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def drifting_print_kwargs(strategy, noise_sd=0.01):
     """Gain 0.9 with 0.5% drift per layer, a calibrated controller, and
     `noise_sd` on both the actuator and the sensor."""

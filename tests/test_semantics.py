@@ -226,16 +226,18 @@ def prop(quantity, op, bound, vertices=()):
 def test_direct_volume_checks_on_unit_cube():
     mesh = generate_box_mesh(1, 1, 1, [1.0, 1.0, 1.0])
     spec = bind_to_mesh(layer_from_dict({}), mesh)
-    v = check(spec, prop("volume", "le", 1.5))[0]
+    ev = FieldEvaluation(spec, spec.midpoint_field())
+    v = check(prop("volume", "le", 1.5), ev)[0]
     assert v.passed and abs(v.measured - 1.0) < 1e-12 and abs(v.margin - 0.5) < 1e-12
-    v = check(spec, prop("volume", "le", 0.5))[0]
+    v = check(prop("volume", "le", 0.5), ev)[0]
     assert not v.passed and abs(v.measured - 1.0) < 1e-12
 
 
 def test_direct_volume_on_shaft_polygon_deficit():
     mesh = generate_shaft_mesh(1.0, 10.0, 64, 10)
     spec = bind_to_mesh(layer_from_dict({}), mesh)
-    v = check(spec, prop("volume", "ge", 31.0))[0]
+    v = check(prop("volume", "ge", 31.0),
+              FieldEvaluation(spec, spec.midpoint_field()))[0]
     expected = 0.5 * 64 * math.sin(2 * math.pi / 64) * 10.0
     assert v.passed
     assert_allclose(v.measured, expected, rtol=1e-12)
@@ -245,11 +247,8 @@ def test_property_category_enforced():
     mesh = generate_box_mesh(1, 1, 1, [1.0, 1.0, 1.0])
     spec = bind_to_mesh(layer_from_dict({}), mesh)
     fld = MaterialField.uniform(mesh.n_elements)
-    # a material-dependent property needs a field; a direct one takes any
-    with pytest.raises(ValueError):
-        check(spec, prop("mass", "le", 1.0))
-    assert check(spec, prop("volume", "le", 1.0),
-                 FieldEvaluation(spec, fld))[0].passed
+    # a direct property is judged on any field's evaluation
+    assert check(prop("volume", "le", 1.0), FieldEvaluation(spec, fld))[0].passed
 
 
 def test_mass_check_equals_density_times_volume():
@@ -257,8 +256,9 @@ def test_mass_check_equals_density_times_volume():
     spec = bind_to_mesh(layer_from_dict({}), mesh)
     rho = 2e-6
     fld = MaterialField.uniform(mesh.n_elements, density=rho)
-    volume = check(spec, prop("volume", "le", 1e9))[0].measured
-    mass = check(spec, prop("mass", "le", 1.0), FieldEvaluation(spec, fld))[0]
+    ev = FieldEvaluation(spec, fld)
+    volume = check(prop("volume", "le", 1e9), ev)[0].measured
+    mass = check(prop("mass", "le", 1.0), ev)[0]
     assert mass.passed
     assert_allclose(mass.measured, rho * volume, rtol=1e-12)
 
@@ -267,7 +267,7 @@ def test_mass_check_on_unit_cube():
     mesh = generate_box_mesh(1, 1, 1, [1.0, 1.0, 1.0])
     spec = bind_to_mesh(layer_from_dict({}), mesh)
     fld = MaterialField.uniform(mesh.n_elements, density=2e-6)
-    v = check(spec, prop("mass", "le", 3e-6), FieldEvaluation(spec, fld))[0]
+    v = check(prop("mass", "le", 3e-6), FieldEvaluation(spec, fld))[0]
     assert v.passed
     assert_allclose(v.measured, 2e-6, rtol=1e-12)
 
@@ -290,13 +290,13 @@ def shaft_displacement_setup(bound_scale):
 
 def test_displacement_property_with_generous_bound_passes():
     spec, fld = shaft_displacement_setup(2.0)
-    verdict = check(spec, spec.properties[0], FieldEvaluation(spec, fld))[0]
+    verdict = check(spec.properties[0], FieldEvaluation(spec, fld))[0]
     assert verdict.passed
 
 
 def test_displacement_property_with_tight_bound_fails():
     spec, fld = shaft_displacement_setup(0.5)
-    verdict = check(spec, spec.properties[0], FieldEvaluation(spec, fld))[0]
+    verdict = check(spec.properties[0], FieldEvaluation(spec, fld))[0]
     assert not verdict.passed
 
 
@@ -309,7 +309,8 @@ def test_direct_verdicts_invariant_under_vertex_relabeling():
     ]
     layer = layer_from_dict(doc)
     spec = bind_to_mesh(layer, mesh)
-    before = check(spec, spec.properties[0])[0]
+    before = check(spec.properties[0],
+                   FieldEvaluation(spec, spec.midpoint_field()))[0]
 
     perm = rng.permutation(mesh.n_vertices)
     new_vertices = np.empty_like(mesh.vertices)
@@ -322,7 +323,8 @@ def test_direct_verdicts_invariant_under_vertex_relabeling():
         for k, v in iso_doc.get("vertex_annotations", {}).items()
     }
     iso_spec = bind_to_mesh(layer_from_dict(iso_doc), iso_mesh)
-    after = check(iso_spec, iso_spec.properties[0])[0]
+    after = check(iso_spec.properties[0],
+                  FieldEvaluation(iso_spec, iso_spec.midpoint_field()))[0]
     assert after.passed == before.passed
     assert_allclose(after.measured, before.measured, rtol=1e-12)
 

@@ -12,6 +12,7 @@ import argparse
 import enum
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -23,11 +24,6 @@ from .errors import SemfabError, SolverFailure
 
 log = logging.getLogger("semfab")
 
-_GLOBAL_DEFAULTS = {
-    "tol": optimize.DEFAULT_TOL,
-    "max_iter": optimize.DEFAULT_MAX_ITER,
-    "log_level": "warning",
-}
 _LOG_LEVELS = ["debug", "info", "warning", "error"]
 
 
@@ -62,8 +58,9 @@ def _positive_float(text):
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
+    if not 0.0 < value < math.inf:  # refuses NaN too
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive finite number")
     return value
 
 
@@ -142,14 +139,6 @@ def _load_bound_spec(mesh_path, annotation_path):
     return spec
 
 
-def _resolve(args, name):
-    """The flag, else the config key, else the global default."""
-    value = getattr(args, name)
-    if value is not None:
-        return value
-    return args._config.get(name, _GLOBAL_DEFAULTS[name])
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -194,8 +183,8 @@ def cmd_optimize(args):
     )
     result = optimize.inversion_solve(
         problem,
-        tol=_resolve(args, "tol"),
-        max_iter=_resolve(args, "max_iter"),
+        tol=args.tol,
+        max_iter=args.max_iter,
     )
     field = problem.field_for(result.values)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -237,12 +226,14 @@ def cmd_simulate(args):
     spec = _load_bound_spec(
         base / scenario.mesh_path, base / scenario.annotation_path
     )
+    # every print input is refused before the plan and the output directory
+    printsim.print_partition(spec.mesh, scenario.layer_height,
+                             scenario.actuator, scenario.policy.plant_model)
     problem = optimize.InversionProblem(
         spec, scenario.objective, parameter=scenario.parameter
     )
-    tol = _resolve(args, "tol")
-    max_iter = _resolve(args, "max_iter")
-    plan = optimize.inversion_solve(problem, tol=tol, max_iter=max_iter)
+    plan = optimize.inversion_solve(problem, tol=args.tol,
+                                    max_iter=args.max_iter)
     if not plan.feasible:
         return _fail(
             "plan",
@@ -263,8 +254,8 @@ def cmd_simulate(args):
             scenario.policy,
             seed,
             scenario.layer_height,
-            tol=tol,
-            max_iter=max_iter,
+            tol=args.tol,
+            max_iter=args.max_iter,
         )
         suffix = "" if single else f"_{seed}"
         printsim.save_report(report, out_dir / f"report{suffix}.json")
@@ -372,16 +363,14 @@ def cmd_report(args):
 
 def build_parser():
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--log-level", dest="log_level", default=None,
+    shared.add_argument("--log-level", dest="log_level", default="warning",
                         choices=_LOG_LEVELS)
-    shared.add_argument("--config", default=None,
-                        help="JSON file of defaults for --log-level, --tol "
-                        "and --max-iter")
     solver = argparse.ArgumentParser(add_help=False, parents=[shared])
-    solver.add_argument("--tol", type=_positive_float, default=None,
+    solver.add_argument("--tol", type=_positive_float,
+                        default=optimize.DEFAULT_TOL,
                         help="the optimizer's projected-gradient tolerance")
     solver.add_argument("--max-iter", dest="max_iter", type=_positive_int,
-                        default=None,
+                        default=optimize.DEFAULT_MAX_ITER,
                         help="iteration cap of each optimizer inner solve")
 
     parser = _Parser(prog="semfab", description=__doc__)
@@ -451,25 +440,6 @@ def build_parser():
     return parser
 
 
-def _load_config(path):
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("config must be a JSON object")
-    unknown = set(doc) - set(_GLOBAL_DEFAULTS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if doc.get("log_level", "warning") not in _LOG_LEVELS:
-        raise ValueError(f"config log_level must be one of {_LOG_LEVELS}")
-    for name, check in (("tol", _positive_float), ("max_iter", _positive_int)):
-        if name in doc:
-            try:  # the flag's converter, on the text argparse would pass it
-                doc[name] = check(str(doc[name]))
-            except argparse.ArgumentTypeError as exc:
-                raise ValueError(f"config {name}: {exc}") from exc
-    return doc
-
-
 def main(argv=None):
     parser = build_parser()
     try:
@@ -477,10 +447,8 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args._config = {} if args.config is None else _load_config(args.config)
-        level = _resolve(args, "log_level")
         logging.basicConfig()
-        log.setLevel(getattr(logging, str(level).upper()))
+        log.setLevel(getattr(logging, args.log_level.upper()))
         return args.func(args)
     except (SolverFailure, np.linalg.LinAlgError, FloatingPointError) as exc:
         return _err("numeric", str(exc))

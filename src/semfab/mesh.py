@@ -113,14 +113,16 @@ class ValidationReport:
         return not self.violations
 
 
-def _as_mesh_arrays(vertices, tets):
-    v = np.ascontiguousarray(vertices, dtype=np.float64)
-    t = np.ascontiguousarray(tets, dtype=np.int64)
-    if v.ndim != 2 or v.shape[1] != 3:
-        raise MeshFormatError("vertices must be an (n, 3) array")
-    if t.ndim != 2 or t.shape[1] != 4:
-        raise MeshFormatError("tets must be an (m, 4) array")
-    return v, t
+def _as_mesh_array(doc, key, dtype, width):
+    """``doc[key]`` as a C-contiguous ``dtype`` array of rows of ``width``;
+    a number past ``dtype``'s range is a :class:`MeshFormatError`."""
+    try:
+        a = np.ascontiguousarray(doc[key], dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MeshFormatError(f"malformed mesh {key}: {exc}") from exc
+    if a.ndim != 2 or a.shape[1] != width:
+        raise MeshFormatError(f"{key} must be an (n, {width}) array")
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +450,8 @@ def mesh_from_dict(doc: dict) -> VolumetricMesh:
     length_unit = units.get("length", "mm") if isinstance(units, dict) else units
     if length_unit != "mm":
         raise MeshFormatError(f"unsupported length unit {length_unit!r}")
-    try:
-        vertices, tets = _as_mesh_arrays(doc["vertices"], doc["tets"])
-    except (TypeError, ValueError) as exc:
-        raise MeshFormatError(f"malformed mesh arrays: {exc}") from exc
+    vertices = _as_mesh_array(doc, "vertices", np.float64, 3)
+    tets = _as_mesh_array(doc, "tets", np.int64, 4)
     if tets.size and (tets.min() < 0 or tets.max() >= vertices.shape[0]):
         raise MeshFormatError("tet references a vertex id out of range")
     bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))

@@ -287,12 +287,14 @@ class _BoxProblem:
     """The boxes and the frozen/free split both problem kinds share."""
 
     def _set_boxes(self, boxes):
-        """Keep ``boxes`` and, once per problem, the variables whose box no
-        free variable may have: not finite, or empty."""
+        """Keep ``boxes``, refusing a box that is not finite, or empty:
+        every variable starts free."""
+        if not np.isfinite(boxes).all():
+            raise ValueError("free elements need finite parameter ranges")
+        if np.any(boxes[:, 1] < boxes[:, 0]):
+            raise ValueError("empty parameter range on a free element")
         self.boxes = boxes
         self.n_variables = boxes.shape[0]
-        finite = np.isfinite(boxes).all(axis=1)
-        self._bad_boxes = np.flatnonzero(~finite | (boxes[:, 1] < boxes[:, 0]))
 
     def _split(self, frozen_idx, frozen_values):
         n = self.n_variables
@@ -306,19 +308,12 @@ class _BoxProblem:
             raise ValueError("frozen element index out of range")
         mask = np.ones(n, dtype=bool)
         mask[self.frozen_idx] = False
-        bad = self._bad_boxes
-        if bad.size and mask[bad].any():
-            freed = self.boxes[bad[mask[bad]]]
-            if not np.all(np.isfinite(freed)):
-                raise ValueError("free elements need finite parameter ranges")
-            raise ValueError("empty parameter range on a free element")
         self.free_idx = mask.nonzero()[0]
 
     def with_frozen(self, frozen_idx, frozen_values):
         """Same problem with another frozen/free split; this shallow copy
         shares everything else, the solve count, the constraints and the
-        boxes' checks among it, and an inversion's spec and assembly
-        plans."""
+        boxes among it, and an inversion's spec and assembly plans."""
         problem = object.__new__(type(self))  # copy.copy is slower
         problem.__dict__.update(self.__dict__)
         problem._split(frozen_idx, frozen_values)
@@ -330,9 +325,7 @@ class _BoxProblem:
         return x
 
     def start_values(self):
-        # inf - inf on unannotated parameters would warn; nan is wanted
-        with np.errstate(invalid="ignore"):
-            return self.pin(0.5 * (self.boxes[:, 0] + self.boxes[:, 1]))
+        return self.pin(0.5 * (self.boxes[:, 0] + self.boxes[:, 1]))
 
 
 class FunctionProblem(_BoxProblem):
@@ -351,8 +344,6 @@ class FunctionProblem(_BoxProblem):
         objective,
         gradient,
         boxes,
-        frozen_idx=(),
-        frozen_values=(),
         constraints=(),
         lipschitz=None,
     ):
@@ -362,7 +353,7 @@ class FunctionProblem(_BoxProblem):
         if boxes.ndim != 2 or boxes.shape[1] != 2:
             raise ValueError("boxes must have shape (n, 2)")
         self._set_boxes(boxes)
-        self._split(frozen_idx, frozen_values)
+        self._split((), ())
         self.lipschitz = lipschitz
         self.constraints = tuple(constraints) + _regularity(lipschitz)
         self.stats = semantics.RunStats()
@@ -442,13 +433,12 @@ class InversionProblem(_BoxProblem):
     """Pick per-element material values meeting a bound specification.
 
     One material parameter is optimized; the others are held at
-    ``base_field``, the specification's midpoint field.  Elements listed in
-    ``frozen_idx`` keep ``frozen_values`` (already-printed material, say)
-    and only enter through the physics.
+    ``base_field``, the specification's midpoint field.  Every element is
+    free; :meth:`with_frozen` holds some at given values (already-printed
+    material, say), where they only enter through the physics.
     """
 
-    def __init__(self, spec, objective, parameter=None, frozen_idx=(),
-                 frozen_values=()):
+    def __init__(self, spec, objective, parameter=None):
         if objective not in OBJECTIVES:
             raise ValueError(f"unknown objective: {objective!r}")
         self.spec = spec
@@ -462,7 +452,7 @@ class InversionProblem(_BoxProblem):
         # trial is kept only when the objective falls
         self.face_trial = OBJECTIVES[objective] == self.parameter
         self._set_boxes(spec.parameter_box(self.parameter))
-        self._split(frozen_idx, frozen_values)
+        self._split((), ())
         self.base_field = spec.midpoint_field()
         self.lipschitz = _lipschitz_from_spec(spec, self.parameter)
         self.constraints = tuple(

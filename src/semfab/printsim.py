@@ -37,7 +37,7 @@ from .semantics import MaterialField
 _ACTUATOR_STREAM = 0
 _SENSOR_STREAM = 1
 
-DEFAULT_PRIOR_SD = 0.5  # broad prior on log-parameter before any measurement
+PRIOR_SD = 0.5  # broad prior on log-parameter before any measurement
 SEED_LIMIT = 2**63  # a seed is an integer in [0, SEED_LIMIT)
 
 
@@ -166,14 +166,14 @@ class EstimatorState:
     counts: np.ndarray
 
     @classmethod
-    def from_commanded(cls, commanded_values, prior_sd=DEFAULT_PRIOR_SD):
+    def from_commanded(cls, commanded_values):
         values = np.asarray(commanded_values, dtype=float)
         if np.any(values <= 0.0):
             raise ValueError("log-domain estimation needs positive values")
         n = values.size
         return cls(
             mean_log=np.log(values),
-            variance=np.full(n, float(prior_sd) ** 2),
+            variance=np.full(n, PRIOR_SD ** 2),
             value=values.copy(),
             counts=np.zeros(n, dtype=np.intp),
         )
@@ -385,14 +385,25 @@ class PrintReport:
         return "success" if passed else "spec_fail"
 
 
-def initial_state(problem, plan_values, seed, layer_height):
-    """Set up a print of ``plan_values`` (full-length parameter vector)."""
+def print_partition(m, layer_height, actuator, plant_model):
+    """The layers of a print of mesh ``m``; raises ValueError when
+    ``layer_height`` does not cut ``m`` into layers, or when the actuator's
+    or the plant model's (if any) deterministic factor is not positive on
+    some layer."""
+    partition = mesh_mod.layer_partition(m, layer_height)
+    _check_factor(actuator, "actuator", partition.n_layers)
+    if plant_model is not None:
+        _check_factor(plant_model, "plant model", partition.n_layers)
+    return partition
+
+
+def initial_state(problem, plan_values, seed, partition):
+    """Set up a print of ``plan_values`` (full-length parameter vector) in
+    the layers of ``partition``."""
     seed = _check_seed(seed)
     values = np.asarray(plan_values, dtype=float)
-    m = problem.spec.mesh
-    if values.shape != (m.n_elements,):
+    if values.shape != (problem.spec.mesh.n_elements,):
         raise ValueError("plan must provide one value per element")
-    partition = mesh_mod.layer_partition(m, layer_height)
     commanded = problem.field_for(values)
     achieved = commanded.copy()
     for name in semantics.PARAMETERS:
@@ -515,16 +526,14 @@ def run_print(problem, initial_plan, actuator, sensor, policy, seed,
     The loop stops at the first abort record, which ends the history.  A
     print that was not aborted is verified under the achieved field.  The
     report's ``fem_solves`` is what ``problem.stats`` counted meanwhile.
-    Raises ValueError before the first layer when the actuator's or the
-    policy's plant model's deterministic factor is not positive on some
-    layer of the print.
+    Raises ValueError before the first layer on the inputs
+    :func:`print_partition` refuses.
     """
+    partition = print_partition(problem.spec.mesh, layer_height, actuator,
+                                policy.plant_model)
     if not initial_plan.feasible:
         raise ValueError("initial plan must be feasible")
-    state = initial_state(problem, initial_plan.values, seed, layer_height)
-    _check_factor(actuator, "actuator", state.n_layers)
-    if policy.plant_model is not None:
-        _check_factor(policy.plant_model, "plant model", state.n_layers)
+    state = initial_state(problem, initial_plan.values, seed, partition)
     solves_start = problem.stats.fem_solves
     model = None
     strategy = policy.strategy
@@ -670,17 +679,27 @@ def _check_keys(doc, name, known, required):
             raise ValueError(f"{name} is missing required key {key!r}")
 
 
+def _finite_number(value, name):
+    """``value`` as a float, when it is a number within float range."""
+    if not semantics.finite_number(value):
+        raise ValueError(f"scenario {name} must be a finite number")
+    return float(value)
+
+
 def _section(doc, name, cls):
     """The dataclass ``cls`` from scenario section ``name``, whose float,
-    bool and str fields must hold a JSON number, boolean and string."""
+    bool and str fields must hold a finite number, a boolean and a
+    string."""
     fields = dataclasses.fields(cls)
     _check_keys(doc, f"scenario {name}", [f.name for f in fields],
                 [f.name for f in fields if f.default is dataclasses.MISSING])
+    doc = dict(doc)
     for f in fields:
-        value = doc.get(f.name)
-        if f.name in doc and f.type in (float, bool, str) and not (
-                isinstance(value, f.type) or f.type is float
-                and type(value) is int):
+        if f.name not in doc:
+            continue
+        if f.type is float:
+            doc[f.name] = _finite_number(doc[f.name], f"{name} {f.name}")
+        elif f.type in (bool, str) and not isinstance(doc[f.name], f.type):
             raise ValueError(f"scenario {name} {f.name} must be a "
                              f"{f.type.__name__}")
     return cls(**doc)
@@ -694,9 +713,6 @@ def scenario_from_dict(doc):
     if isinstance(policy, dict) and policy.get("plant_model") is not None:
         policy = {**policy, "plant_model": _section(
             policy["plant_model"], "policy.plant_model", ActuatorModel)}
-    if (type(doc["layer_height"]) not in (int, float)
-            or not math.isfinite(doc["layer_height"])):
-        raise ValueError("scenario layer_height must be a finite number")
     return Scenario(
         mesh_path=str(doc["mesh"]),
         annotation_path=str(doc["annotation"]),
@@ -704,7 +720,7 @@ def scenario_from_dict(doc):
         sensor=_section(doc["sensor"], "sensor", SensorModel),
         policy=_section(policy, "policy", ControlPolicy),
         seed=_check_seed(doc["seed"]),
-        layer_height=float(doc["layer_height"]),
+        layer_height=_finite_number(doc["layer_height"], "layer_height"),
         objective=str(doc.get("objective", "compliance")),
         parameter=doc.get("parameter"),
     )

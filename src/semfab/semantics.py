@@ -267,7 +267,7 @@ def _container(doc, key, kind=dict, where=None):
     return val
 
 
-def _num(x) -> bool:
+def finite_number(x) -> bool:
     """A finite number; `json` also reads NaN, Infinity and ints past
     float range, which are not."""
     return (isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -279,7 +279,8 @@ def _interval(val, where, allow_unbounded=True) -> tuple[float, float]:
         _fail("expected [min, max]", where)
     lo, hi = val
     # null, not an infinite number, marks an unbounded side
-    if not all(_num(x) or allow_unbounded and x is None for x in val):
+    if not all(finite_number(x) or allow_unbounded and x is None
+               for x in val):
         _fail("interval endpoints must be finite numbers", where)
     lo = -math.inf if lo is None else lo
     hi = math.inf if hi is None else hi
@@ -291,7 +292,7 @@ def _interval(val, where, allow_unbounded=True) -> tuple[float, float]:
 def _box3(val, where) -> np.ndarray:
     if not (isinstance(val, (list, tuple)) and len(val) == 3):
         _fail("expected a 3-vector or three [min, max] intervals", where)
-    if all(_num(x) for x in val):
+    if all(finite_number(x) for x in val):
         point = np.asarray(val, dtype=np.float64)
         return np.column_stack([point, point])
     rows = [_interval(axis, f"{where}[{i}]") for i, axis in enumerate(val)]
@@ -317,7 +318,7 @@ def _parse_vertex(doc, where) -> VertexAnnotation:
     temp = doc.get("temperature", "unconstrained")
     if temp == "unconstrained":
         temperature = None
-    elif _num(temp):
+    elif finite_number(temp):
         temperature = np.array([float(temp), float(temp)])
     else:
         temperature = np.asarray(
@@ -326,7 +327,7 @@ def _parse_vertex(doc, where) -> VertexAnnotation:
     flux = doc.get("flux", "free")
     if flux == "free":
         flux_val = None
-    elif _num(flux):
+    elif finite_number(flux):
         flux_val = float(flux)
     else:
         _fail("flux must be a finite number or \"free\"", f"{where}.flux")
@@ -365,7 +366,7 @@ def _parse_property(doc, where) -> PropertySpec:
     if op not in ops:
         _fail(f"quantity {quantity!r} does not support op {op!r}", where)
     bound = doc.get("bound")
-    if not _num(bound):
+    if not finite_number(bound):
         _fail("property bound must be a finite number", f"{where}.bound")
     name = doc.get("name", quantity)
     if not isinstance(name, str):
@@ -445,7 +446,7 @@ def layer_from_dict(doc: dict) -> SemanticLayer:
             _fail("field_regularity must be an object", "field_regularity")
         gamma = reg.get("gamma")
         param = reg.get("parameter")
-        if not _num(gamma) or gamma < 0:
+        if not finite_number(gamma) or gamma < 0:
             _fail("gamma must be a finite nonnegative number",
                   "field_regularity.gamma")
         if param not in PARAMETERS:

@@ -276,8 +276,8 @@ def _quadratic_problem(frozen_value):
     def g(x):
         return Q @ x + b
 
-    return optimize.FunctionProblem(
-        f, g, [[-4, 4]] * 3, frozen_idx=[0], frozen_values=[frozen_value])
+    return optimize.FunctionProblem(f, g, [[-4, 4]] * 3).with_frozen(
+        [0], [frozen_value])
 
 
 def _exp_problem(frozen_value):
@@ -292,8 +292,8 @@ def _exp_problem(frozen_value):
         return np.array([e1 - 0.5 * e2, e1 + z1 + 0.3 * z2,
                          e2 + z2 + 0.3 * z1])
 
-    return optimize.FunctionProblem(
-        f, g, [[-5, 5]] * 3, frozen_idx=[0], frozen_values=[frozen_value])
+    return optimize.FunctionProblem(f, g, [[-5, 5]] * 3).with_frozen(
+        [0], [frozen_value])
 
 
 def test_criterion_06_warm_start():
@@ -353,7 +353,7 @@ def _chain_problem(gamma=1.5):
     }
     spec = semantics.bind_to_mesh(semantics.layer_from_dict(doc), chain)
     problem = optimize.InversionProblem(
-        spec, "average_temperature", frozen_idx=[0], frozen_values=[1.0])
+        spec, "average_temperature").with_frozen([0], [1.0])
     return chain, problem, gamma
 
 

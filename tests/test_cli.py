@@ -92,6 +92,30 @@ def test_gen_mesh_zero_division_count_exits_2(tmp_path, capsys):
     assert "--nx" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["optimize", "{mesh}", "{ann}", "--objective", "compliance",
+      "-o", "{out}", "--tol", "nan"], "--tol"),
+    (["optimize", "{mesh}", "{ann}", "--objective", "compliance",
+      "-o", "{out}", "--tol", "inf"], "--tol"),
+    (["gen-mesh", "box", "--nx", "1", "--ny", "1", "--nz", "1",
+      "--size", "inf,1,1", "-o", "{out}"], "--size"),
+    (["gen-mesh", "shaft", "--radius", "inf", "--height", "1",
+      "-o", "{out}"], "--radius"),
+    (["gen-mesh", "shaft", "--radius", "1", "--height", "nan",
+      "-o", "{out}"], "--height"),
+], ids=["tol-nan", "tol-inf", "size-inf", "radius-inf", "height-nan"])
+def test_a_non_finite_length_or_tolerance_exits_2(tmp_path, capsys, argv,
+                                                  flag):
+    mesh_path, ann_path = write_bar_files(tmp_path, 2, 0.05, BOX)
+    before = sorted(tmp_path.iterdir())
+    rc = run_cli(*(arg.format(mesh=mesh_path, ann=ann_path,
+                              out=tmp_path / "out.json") for arg in argv))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "SEMFAB-ERR[usage]" in err and flag in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -130,11 +154,9 @@ def test_verify_thermal_plate_solves_conduction_once(tmp_path, monkeypatch,
 
 def test_verify_solves_at_the_fem_bound_whatever_the_config_tol(
         tmp_path, monkeypatch, capsys):
-    # a config's tol is the optimizer's; it does not loosen the FEM bound
+    # verify takes no --tol: its solves meet the FEM bound alone
     mesh_path, ann_path = write_bar_files(tmp_path, 2, 0.05, BOX)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"tol": 0.5}))
-    argv = ("verify", mesh_path, ann_path, "--nominal", "--config", config)
+    argv = ("verify", mesh_path, ann_path, "--nominal")
     assert run_cli(*argv) == 0
     capsys.readouterr()
     # a bound no solve can meet
@@ -207,6 +229,22 @@ def test_verify_refuses_a_non_finite_vertex_coordinate(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("SEMFAB-ERR[usage] ") and "vertex 5" in err
+
+
+@pytest.mark.parametrize("key, row, value", [
+    ("vertices", 5, [0.0, 0.0, 10**400]),
+    ("tets", 0, [0, 1, 2, 10**30]),
+], ids=["coordinate-past-float-range", "tet-id-past-int64"])
+def test_verify_refuses_a_mesh_number_past_its_range(tmp_path, capsys, key,
+                                                     row, value):
+    mesh_path, ann_path = write_bar_files(tmp_path, 2, 0.05, BOX)
+    doc = json.loads(Path(mesh_path).read_text())
+    doc[key][row] = value
+    Path(mesh_path).write_text(json.dumps(doc))
+    rc = run_cli("verify", mesh_path, ann_path, "--nominal")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("SEMFAB-ERR[usage] ") and f" {key}" in err
 
 
 @pytest.mark.parametrize("path, value, where", [
@@ -365,7 +403,7 @@ def test_simulate_collapsed_gain_aborts_with_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("role", ["actuator", "plant model"])
 def test_simulate_refuses_a_factor_that_turns_negative_mid_print(
-        tmp_path, capsys, role):
+        tmp_path, capsys, monkeypatch, role):
     # 0.9 (1 - 0.15 * 7) = -0.045 at layer 7 of 10
     write_bar_files(tmp_path, 10, 0.2, BOX)
     sinking = printsim.ActuatorModel(gain=0.9, drift_rate=-0.15)
@@ -374,6 +412,9 @@ def test_simulate_refuses_a_factor_that_turns_negative_mid_print(
                    if role == "actuator" else 0.005,
                    plant=printsim.ActuatorModel(gain=0.9, drift_rate=0.005)
                    if role == "actuator" else sinking)
+    plans = []
+    monkeypatch.setattr(optimize, "inversion_solve",
+                        lambda *args, **kwargs: plans.append(1))
     rc = run_cli("simulate", tmp_path / "scenario.json",
                  "--out", tmp_path / "sim")
     err = capsys.readouterr().err
@@ -381,7 +422,8 @@ def test_simulate_refuses_a_factor_that_turns_negative_mid_print(
     assert err.startswith(f"SEMFAB-ERR[usage] the {role}'s factor at layer 7 "
                           "is -0.045")
     assert "positive on all 10 layers" in err
-    assert not (tmp_path / "sim" / "report.json").exists()
+    # refused before the plan and before the output directory
+    assert not plans and not (tmp_path / "sim").exists()
 
 
 def test_simulate_max_iter_caps_the_plan_and_every_replan(tmp_path,
@@ -593,6 +635,10 @@ def test_simulate_refuses_a_malformed_scenario(tmp_path, capsys, edit,
     ("sensor", "noise_sd", float("nan")),
     ("sensor", "noise_sd", float("inf")),
     ("", "layer_height", float("inf")),
+    pytest.param("actuator", "gain", 10**400,
+                 id="actuator-gain-past-float-range"),
+    pytest.param("", "layer_height", 10**400,
+                 id="layer_height-past-float-range"),
 ])
 def test_simulate_refuses_a_non_finite_scenario_number(
         tmp_path, capsys, monkeypatch, section, key, value):
@@ -614,17 +660,22 @@ def test_simulate_refuses_a_non_finite_scenario_number(
 
 @pytest.mark.parametrize("height", [1e-300, 1e-6])
 def test_simulate_refuses_more_layers_than_elements(tmp_path, capsys,
-                                                    height):
+                                                    monkeypatch, height):
     # the 24-tet bar is 4 high: 4e6 or more layers, all but 24 empty
     write_bar_files(tmp_path, 4, 0.06, BOX)
     path = tmp_path / "scenario.json"
     write_scenario(path, plant=printsim.ActuatorModel(gain=1.0))
     path.write_text(json.dumps(_set("", "layer_height", height)(
         json.loads(path.read_text()))))
+    plans = []
+    monkeypatch.setattr(optimize, "inversion_solve",
+                        lambda *args, **kwargs: plans.append(1))
     rc = run_cli("simulate", path, "--out", tmp_path / "sim")
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("SEMFAB-ERR[usage] layer_height ")
+    # refused before the plan and before the output directory
+    assert not plans and not (tmp_path / "sim").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -676,19 +727,20 @@ def test_report_missing_file_exits_2(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# global flags and config
+# global flags
 
 
 def test_config_mirrors_global_flags_with_flag_precedence(tmp_path):
+    # each flag carries its own default; a flag given overrides it
     mesh_path, ann_path = write_bar_files(tmp_path, 2, 0.05, BOX)
     parser = cli.build_parser()
-    args = parser.parse_args(
-        ["optimize", mesh_path, ann_path, "--objective", "compliance",
-         "-o", str(tmp_path / "field.json"), "--max-iter", "7"])
-    args._config = {"max_iter": 3, "tol": 0.5}
-    assert cli._resolve(args, "max_iter") == 7
-    assert cli._resolve(args, "tol") == 0.5
-    assert cli._resolve(args, "log_level") == "warning"
+    argv = ["optimize", mesh_path, ann_path, "--objective", "compliance",
+            "-o", str(tmp_path / "field.json")]
+    args = parser.parse_args(argv)
+    assert args.tol == optimize.DEFAULT_TOL
+    assert args.max_iter == optimize.DEFAULT_MAX_ITER
+    assert args.log_level == "warning"
+    assert parser.parse_args(argv + ["--max-iter", "7"]).max_iter == 7
 
 
 def _empty_report(tmp_path):
@@ -712,51 +764,6 @@ def test_only_optimize_and_simulate_take_optimizer_flags(tmp_path, capsys,
     }[command]
     assert run_cli(*argv) == 2
     assert "SEMFAB-ERR[usage]" in capsys.readouterr().err
-
-
-def test_config_file_is_accepted_end_to_end(tmp_path, capsys):
-    mesh_path, ann_path = write_bar_files(tmp_path, 2, 0.05, BOX)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"tol": 1e-8, "log_level": "error"}))
-    rc = run_cli("verify", mesh_path, ann_path, "--nominal",
-                 "--config", config)
-    assert rc == 0
-    assert "PASS" in capsys.readouterr().out
-
-
-def test_config_unknown_key_exits_2(tmp_path, capsys):
-    mesh_path, ann_path = write_bar_files(tmp_path, 2, 0.05, BOX)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"speed": 9}))
-    rc = run_cli("verify", mesh_path, ann_path, "--nominal",
-                 "--config", config)
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "speed" in err
-
-
-@pytest.mark.parametrize("command, config", [
-    ("optimize", {"tol": None}),
-    ("optimize", {"tol": "abc"}),
-    ("optimize", {"max_iter": 2.5}),
-    ("optimize", {"max_iter": -3}),
-    ("optimize", {"log_level": "loud"}),
-    ("verify", {"tol": -1}),
-    ("verify", []),
-])
-def test_config_values_are_checked_like_their_flags(tmp_path, capsys,
-                                                    command, config):
-    mesh_path, ann_path = write_bar_files(tmp_path, 2, 0.05, BOX)
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config))
-    extra = (["--nominal"] if command == "verify" else
-             ["--objective", "compliance", "-o", tmp_path / "field.json"])
-    rc = run_cli(command, mesh_path, ann_path, *extra,
-                 "--config", config_path)
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "SEMFAB-ERR[usage]" in err
-    assert all(key in err for key in config)
 
 
 def test_unknown_subcommand_exits_2(capsys):

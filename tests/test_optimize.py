@@ -36,8 +36,7 @@ def box_layer_doc(default_ranges, vertex_annotations=None, properties=None,
     return doc
 
 
-def cube_compliance_problem(young_box=(50.0, 200.0), frozen_idx=(),
-                            frozen_values=()):
+def cube_compliance_problem(young_box=(50.0, 200.0)):
     m = mesh.generate_box_mesh(1, 1, 1, (1.0, 1.0, 1.0))
     bottom = [i for i in range(m.n_vertices) if m.vertices[i, 2] < 1e-9]
     top = [i for i in range(m.n_vertices) if m.vertices[i, 2] > 1 - 1e-9]
@@ -51,9 +50,7 @@ def cube_compliance_problem(young_box=(50.0, 200.0), frozen_idx=(),
         vertex_annotations=annotations,
     )
     spec = semantics.bind_to_mesh(semantics.layer_from_dict(doc), m)
-    return optimize.InversionProblem(
-        spec, "compliance", frozen_idx=frozen_idx, frozen_values=frozen_values
-    )
+    return optimize.InversionProblem(spec, "compliance")
 
 
 def series_bar_problem(d_max, free_box=(70000.0, 170000.0), E1=100000.0,
@@ -80,8 +77,7 @@ def series_bar_problem(d_max, free_box=(70000.0, 170000.0), E1=100000.0,
     frozen = np.flatnonzero(centroids[:, 2] < 1.0)
     problem = optimize.InversionProblem(
         spec, "mass", parameter="young",
-        frozen_idx=frozen, frozen_values=np.full(frozen.size, E1),
-    )
+    ).with_frozen(frozen, np.full(frozen.size, E1))
     # series springs: u_tip = P L1/(A E1) + P L2/(A E2), L1 = L2 = A = 1
     E2_star = P / (d_max - P / E1)
     return problem, E2_star, np.flatnonzero(centroids[:, 2] >= 1.0)
@@ -104,9 +100,7 @@ def chain_conduction_problem(gamma=1.5, conductivity_box=(1.0, 10.0),
     )
     spec = semantics.bind_to_mesh(semantics.layer_from_dict(doc), chain)
     return optimize.InversionProblem(
-        spec, "average_temperature", frozen_idx=[0],
-        frozen_values=[frozen_value],
-    )
+        spec, "average_temperature").with_frozen([0], [frozen_value])
 
 
 def exp_coupled_problem(frozen_value):
@@ -123,9 +117,8 @@ def exp_coupled_problem(frozen_value):
         return np.array([e1 - 0.5 * e2, e1 + z1 + 0.3 * z2,
                          e2 + z2 + 0.3 * z1])
 
-    return optimize.FunctionProblem(
-        f, g, [[-5, 5]] * 3, frozen_idx=[0], frozen_values=[frozen_value]
-    )
+    return optimize.FunctionProblem(f, g, [[-5, 5]] * 3).with_frozen(
+        [0], [frozen_value])
 
 
 def quadratic_problem(frozen_value=0.0):
@@ -135,9 +128,7 @@ def quadratic_problem(frozen_value=0.0):
         lambda x: 0.5 * x @ Q @ x - b @ x,
         lambda x: Q @ x - b,
         [[-5, 5]] * 3,
-        frozen_idx=[0],
-        frozen_values=[frozen_value],
-    )
+    ).with_frozen([0], [frozen_value])
 
 
 def fd_objective_gradient(problem, x, indices, rel_step):
@@ -784,9 +775,7 @@ def test_returned_values_always_inside_boxes(data):
         lambda x: 0.5 * x @ Q @ x - b @ x,
         lambda x: Q @ x - b,
         boxes,
-        frozen_idx=frozen,
-        frozen_values=frozen_values,
-    )
+    ).with_frozen(frozen, frozen_values)
     result = optimize.inversion_solve(problem, max_iter=80)
     free = problem.free_idx
     assert np.all(result.values[free] >= boxes[free, 0])
@@ -842,7 +831,8 @@ def test_free_elements_need_finite_ranges():
 
 
 def test_a_split_that_frees_an_element_without_a_range_raises():
-    # element 0 alone has no young range; frozen, it may stay unbounded
+    # element 0 alone has no young range; a problem starts with every
+    # element free, so it is refused before any split
     m = mesh.generate_box_mesh(1, 1, 1, (1.0, 1.0, 1.0))
     bottom = [i for i in range(m.n_vertices) if m.vertices[i, 2] < 1e-9]
     annotations = {str(v): {"displacement": "fixed"} for v in bottom}
@@ -855,36 +845,35 @@ def test_a_split_that_frees_an_element_without_a_range_raises():
     doc["element_annotations"]["overrides"] = {
         str(e): {"young": [50.0, 200.0]} for e in range(1, m.n_elements)}
     spec = semantics.bind_to_mesh(semantics.layer_from_dict(doc), m)
-    problem = optimize.InversionProblem(spec, "compliance", frozen_idx=[0],
-                                        frozen_values=[100.0])
+    with pytest.raises(ValueError, match="finite"):
+        optimize.InversionProblem(spec, "compliance")
+    doc["element_annotations"]["overrides"]["0"] = {"young": [50.0, 200.0]}
+    spec = semantics.bind_to_mesh(semantics.layer_from_dict(doc), m)
+    problem = optimize.InversionProblem(spec, "compliance").with_frozen(
+        [0], [100.0])
     assert np.array_equal(problem.free_idx, np.arange(1, m.n_elements))
     kept = problem.with_frozen([0, 3], [100.0, 60.0])
     assert np.array_equal(kept.free_idx, [1, 2, 4, 5])
-    for frozen in ([], [3]):
-        with pytest.raises(ValueError, match="finite"):
-            problem.with_frozen(frozen, np.full(len(frozen), 60.0))
     for index in (-1, m.n_elements):
         with pytest.raises(ValueError, match="out of range"):
             problem.with_frozen([0, index], [100.0, 60.0])
+    with pytest.raises(ValueError, match="align"):
+        problem.with_frozen([0, 3], [100.0])
 
 
 def test_a_split_that_frees_a_variable_with_an_empty_box_raises():
-    problem = optimize.FunctionProblem(
-        lambda x: float(x @ x), lambda x: 2.0 * x,
-        [[0.0, 1.0], [2.0, 1.0], [0.0, 1.0]], frozen_idx=[1],
-        frozen_values=[1.5])
-    assert np.array_equal(problem.with_frozen([1, 2], [1.5, 0.5]).free_idx,
-                          [0])
-    for frozen in ([], [0]):
-        with pytest.raises(ValueError, match="empty"):
-            problem.with_frozen(frozen, np.zeros(len(frozen)))
-    # a freed box that is not finite is named before an empty one
-    mixed = optimize.FunctionProblem(
-        lambda x: float(x @ x), lambda x: 2.0 * x,
-        [[2.0, 1.0], [0.0, np.inf]], frozen_idx=[0, 1],
-        frozen_values=[1.5, 0.5])
+    def problem(boxes):
+        return optimize.FunctionProblem(
+            lambda x: float(x @ x), lambda x: 2.0 * x, boxes)
+
+    with pytest.raises(ValueError, match="empty"):
+        problem([[0.0, 1.0], [2.0, 1.0], [0.0, 1.0]])
+    # a box that is not finite is named before an empty one
     with pytest.raises(ValueError, match="finite"):
-        mixed.with_frozen([], [])
+        problem([[2.0, 1.0], [0.0, np.inf]])
+    assert np.array_equal(
+        problem([[0.0, 1.0]] * 3).with_frozen([1, 2], [1.5, 0.5]).free_idx,
+        [0])
 
 
 # ---------------------------------------------------------------------------
@@ -958,9 +947,7 @@ def test_quadratic_model_recovers_polynomial_blocks():
             lambda x: x[0] ** 2 + x[1] ** 2 + x[0] * x[1],
             lambda x: np.array([2 * x[0] + x[1], 2 * x[1] + x[0]]),
             [[-1, 1], [-1, 1]],
-            frozen_idx=frozen_idx,
-            frozen_values=frozen_values,
-        )
+        ).with_frozen(frozen_idx, frozen_values)
 
     model = optimize.build_quadratic_model(polynomial_problem([0], [0.0]),
                                            np.zeros(2))
@@ -979,8 +966,7 @@ def test_mass_objective_model_is_invalid():
     problem = cube_compliance_problem()
     mass_problem = optimize.InversionProblem(
         problem.spec, "mass", parameter="young",
-        frozen_idx=[0], frozen_values=[60.0],
-    )
+    ).with_frozen([0], [60.0])
     base = mass_problem.pin(mass_problem.boxes[:, 0])
     with pytest.raises(ModelInvalidError):
         optimize.build_quadratic_model(mass_problem, base)
@@ -1006,9 +992,7 @@ def test_warm_start_sign_oracle():
         lambda x: x[0] ** 2 + x[1] ** 2 + x[0] * x[1],
         lambda x: np.array([2 * x[0] + x[1], 2 * x[1] + x[0]]),
         [[-1, 1], [-1, 1]],
-        frozen_idx=[0],
-        frozen_values=[0.0],
-    )
+    ).with_frozen([0], [0.0])
     model = optimize.build_quadratic_model(problem, np.zeros(2))
     delta_z = optimize.warm_start_update(model, problem, [0.1])
     # brute-force minimum of F(0.1, z) over z
@@ -1026,9 +1010,7 @@ def test_warm_start_rejects_a_split_the_model_does_not_cover():
             lambda x: x[0] ** 2 + x[1] ** 2 + x[0] * x[1],
             lambda x: np.array([2 * x[0] + x[1], 2 * x[1] + x[0]]),
             [[-1, 1], [-1, 1]],
-            frozen_idx=frozen_idx,
-            frozen_values=frozen_values,
-        )
+        ).with_frozen(frozen_idx, frozen_values)
 
     model = optimize.build_quadratic_model(polynomial_problem([0], [0.0]),
                                            np.zeros(2))
@@ -1125,20 +1107,15 @@ def test_model_reslices_for_a_shifted_partition():
         return np.array([e1 - 0.5 * e2, e1 + z1 + 0.3 * z2,
                          e2 + z2 + 0.3 * z1])
 
-    wider = optimize.FunctionProblem(
-        f, g, [[-5, 5]] * 3,
-        frozen_idx=[0, 1],
-        frozen_values=[0.02, base.values[1] + 0.01],
-    )
+    wider = optimize.FunctionProblem(f, g, [[-5, 5]] * 3).with_frozen(
+        [0, 1], [0.02, base.values[1] + 0.01])
     warm = optimize.reoptimize_after_drift(
         wider, base, strategy="warm_start", model=model
     )
     assert warm.strategy == "warm_start"
     full = optimize.reoptimize_after_drift(
-        optimize.FunctionProblem(
-            f, g, [[-5, 5]] * 3, frozen_idx=[0, 1],
-            frozen_values=[0.02, base.values[1] + 0.01],
-        ),
+        optimize.FunctionProblem(f, g, [[-5, 5]] * 3).with_frozen(
+            [0, 1], [0.02, base.values[1] + 0.01]),
         base, strategy="full", tol=1e-12,
     )
     assert warm.values[2] == pytest.approx(full.values[2], abs=5e-4)
@@ -1149,7 +1126,7 @@ def test_drift_to_infeasible_returns_certificate_on_both_strategies():
     # a mass objective has no model, so the warm start minimizes compliance
     problem = optimize.InversionProblem(
         mass.spec, "compliance", parameter="young",
-        frozen_idx=mass.frozen_idx, frozen_values=mass.frozen_values)
+    ).with_frozen(mass.frozen_idx, mass.frozen_values)
     base = optimize.inversion_solve(problem)
     assert base.feasible
     model = optimize.build_quadratic_model(problem, base.values,
@@ -1180,9 +1157,7 @@ def test_bound_active_variables_stay_pinned_by_the_warm_start():
             lambda x: 0.5 * x @ Q @ x - b @ x,
             lambda x: Q @ x - b,
             [[-5, 5], [-5, 5], [0.15, 0.45]],
-            frozen_idx=[0],
-            frozen_values=[frozen_value],
-        )
+        ).with_frozen([0], [frozen_value])
 
     base = optimize.inversion_solve(problem(0.0), tol=1e-13)
     assert base.values[2] == 0.45
@@ -1317,11 +1292,10 @@ def test_model_build_allocates_nothing_square_over_elements():
 def test_a_flat_objective_is_refused_before_any_hessian_row(monkeypatch):
     # mass does not depend on E, so the model's free block would be zero:
     # the build reads the base point's gradient and stops there
-    problem = cube_compliance_problem(frozen_idx=[0], frozen_values=[60.0])
+    problem = cube_compliance_problem().with_frozen([0], [60.0])
     mass = optimize.InversionProblem(
         problem.spec, "mass", parameter="young",
-        frozen_idx=[0], frozen_values=[60.0],
-    )
+    ).with_frozen([0], [60.0])
     base = optimize.inversion_solve(mass)
     assert mass.free_idx.size
     calls = []

@@ -34,8 +34,15 @@ def bar():
     return problem, plan, nominal
 
 
+def start(problem, values, seed=7):
+    """A print of ``values`` in the unit-height layers of ``problem``'s
+    mesh."""
+    return printsim.initial_state(
+        problem, values, seed, mesh.layer_partition(problem.spec.mesh, 1.0))
+
+
 def full_print(problem, plan, actuator, seed=7):
-    state = printsim.initial_state(problem, plan.values, seed, 1.0)
+    state = start(problem, plan.values, seed)
     while not state.done:
         state = printsim.print_layer(state, actuator)
     return state
@@ -72,7 +79,7 @@ def test_seeded_noise_replays_bitwise(bar):
 
 def test_achieved_values_hidden_above_frontier(bar):
     problem, plan, _ = bar
-    state = printsim.initial_state(problem, plan.values, 7, 1.0)
+    state = start(problem, plan.values)
     state = printsim.print_layer(state, printsim.ActuatorModel(gain=1.0))
     printed = state.printed_elements()
     unprinted = state.unprinted_elements()
@@ -103,12 +110,12 @@ def test_a_plan_with_a_nonpositive_value_cannot_be_printed(bar):
     values = plan.values.copy()
     values[3] = 0.0
     with pytest.raises(ValueError, match="positive"):
-        printsim.initial_state(problem, values, 7, 1.0)
+        start(problem, values)
 
 
 def test_observation_requires_a_printed_layer(bar):
     problem, plan, _ = bar
-    state = printsim.initial_state(problem, plan.values, 7, 1.0)
+    state = start(problem, plan.values)
     with pytest.raises(ValueError):
         printsim.observe_and_update(state, printsim.SensorModel())
 
@@ -155,7 +162,8 @@ def test_posterior_variance_nonincreasing_over_measurements():
 
 
 def test_conjugate_update_matches_closed_form():
-    est = printsim.EstimatorState.from_commanded(np.array([2.0]), prior_sd=0.3)
+    est = printsim.EstimatorState.from_commanded(np.array([2.0]))
+    est = dataclasses.replace(est, variance=np.array([0.3**2]))
     m = math.log(2.6)
     out = est.updated([0], np.array([m]), noise_sd=0.1, prior_value=[2.0])
     p0, pm = 1 / 0.3**2, 1 / 0.1**2
@@ -226,8 +234,9 @@ def test_estimator_update_matches_the_reference_bit_for_bit(data):
     n = data.draw(st.integers(1, 6))
     positive = st.floats(0.5, 2e5, allow_nan=False)
     est = printsim.EstimatorState.from_commanded(
-        np.array(data.draw(st.lists(positive, min_size=n, max_size=n))),
-        prior_sd=data.draw(st.sampled_from([0.05, 0.5, 1.5])))
+        np.array(data.draw(st.lists(positive, min_size=n, max_size=n))))
+    prior_sd = data.draw(st.sampled_from([0.05, 0.5, 1.5]))
+    est = dataclasses.replace(est, variance=np.full(n, prior_sd**2))
     arrays = (est.mean_log, est.variance, est.value, est.counts)
     for _ in range(data.draw(st.integers(1, 4))):
         # fresh and re-read ids in any order; a noise-0 reading leaves an
@@ -600,7 +609,7 @@ def test_a_replan_records_its_largest_excess(bar, tmp_path):
 
 def test_controller_never_reads_achieved_values(bar):
     problem, plan, _ = bar
-    state = printsim.initial_state(problem, plan.values, 7, 1.0)
+    state = start(problem, plan.values)
     state = printsim.print_layer(state, printsim.ActuatorModel(gain=0.85))
     state = printsim.observe_and_update(state, printsim.SensorModel())
     tampered_field = state.achieved.copy()
@@ -616,7 +625,7 @@ def test_controller_never_reads_achieved_values(bar):
 
 def test_estimated_field_provenance_split(bar):
     problem, plan, _ = bar
-    state = printsim.initial_state(problem, plan.values, 7, 1.0)
+    state = start(problem, plan.values)
     state = printsim.print_layer(state, printsim.ActuatorModel(gain=0.9))
     state = printsim.observe_and_update(state, printsim.SensorModel())
     printed = state.printed_elements()

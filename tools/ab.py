@@ -15,8 +15,13 @@ A pass is perfbench's: the plan and one closed-loop print per print seed,
 through the library or the in-process CLI as the workload does it.
 ``plan_s`` is the first ``optimize.inversion_solve`` call of the pass and
 ``print_s`` the sum of its ``printsim.run_print`` calls, as perfbench counts
-them; ``total_s`` is the whole pass.  Both trees must write the same report
-bytes for every print seed of every pass, or the run stops.
+them; ``total_s`` is the whole pass.  A CLI pass must exit 0 or 1, as
+perfbench requires, and both trees must write the same report bytes for
+every print seed of every pass, or the run stops.
+
+Both trees read the inputs PARENT's set-up wrote, so a change to an input
+format (a scenario key, say) cannot be compared this way: CHANGE's CLI
+refuses PARENT's files, and the run stops at its exit code.
 
 Prints, per metric, each tree's median and quartiles, the change in the
 median and the pairs in which CHANGE was faster; the last line is the same
@@ -94,7 +99,7 @@ class Tree:
         setattr(module, attr, timed)
 
     def run_pass(self, workload_name, inputs, workdir):
-        """One pass; returns its figures and its reports."""
+        """One pass; returns its figures and perfbench's ``PassOutput``."""
         workload = self.workloads.WORKLOADS[workload_name]
         if inputs.scenario is not None:
             # a library pass reads this tree's scenario and spec, bound once
@@ -114,7 +119,7 @@ class Tree:
             "plan_s": plans[0] if plans else 0.0,
             "print_s": sum(s for f, s in self.calls if f == "run_print"),
         }
-        return figures, out.reports
+        return figures, out
 
 
 def summarize(pairs):
@@ -168,7 +173,11 @@ def main(argv=None):
 
         def run_checked(tree, when):
             """One pass of ``tree``; its reports must be the parent's."""
-            figures, reports = tree.run_pass(args.workload, inputs, pass_dir)
+            figures, out = tree.run_pass(args.workload, inputs, pass_dir)
+            if out.exit_code not in (0, 1):
+                raise SystemExit(f"ab: {tree.name}'s CLI exited with "
+                                 f"{out.exit_code} ({when})")
+            reports = out.reports
             if any(reports.get(seed) is None for seed in seeds) or (
                     reference is not None and reports != reference):
                 raise SystemExit(f"ab: {tree.name} wrote other report bytes "

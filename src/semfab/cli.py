@@ -187,9 +187,7 @@ def cmd_optimize(args):
         max_iter=args.max_iter,
     )
     field = problem.field_for(result.values)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(semantics.field_to_dict(field), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    semantics.save_json(semantics.field_to_dict(field), args.output)
     summary = {
         "objective": args.objective,
         "parameter": problem.parameter,
@@ -201,9 +199,7 @@ def cmd_optimize(args):
         "values": result.values.tolist(),
     }
     summary_path = args.summary or str(args.output) + ".summary.json"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    semantics.save_json(summary, summary_path)
     if args.trace:
         optimize.write_trace(result, args.trace)
     print(
@@ -331,6 +327,7 @@ def cmd_report(args):
             f"aborted at layer {doc['abort']['layer']}; violated: "
             + ", ".join(doc["abort"]["violated"])
         )
+        print(_verdict_table(doc["abort"]["verdicts"]))
     if doc["verdicts"]:
         print("\nfinal verification (achieved field):")
         print(_verdict_table(doc["verdicts"]))

@@ -595,9 +595,10 @@ def _merit_gradient(problem, check, estimates):
 
 
 def _trace_record(iteration, check, step_norm):
-    """One trace line; ``max_violation`` is the largest excess, or 0."""
+    """One trace line; ``max_violation`` is
+    :func:`semantics.largest_excess` of the point's verdicts."""
     return {"iter": iteration, "objective": check.objective,
-            "max_violation": max([0.0] + [v.excess for v in check.verdicts]),
+            "max_violation": semantics.largest_excess(check.verdicts),
             "step_norm": step_norm}
 
 

@@ -23,9 +23,6 @@ commands.
 import csv
 import dataclasses
 import json
-import math
-import os
-from pathlib import Path
 
 import numpy as np
 
@@ -89,6 +86,18 @@ def _check_seed(seed):
 # plant, sensor, estimator
 
 
+def _store_floats(model, name):
+    """Store each float field of the frozen dataclass ``model`` as a float;
+    raises ValueError, naming the model ``name`` and the field, unless it
+    holds a finite number (not a boolean, nor an int past float range)."""
+    for f in dataclasses.fields(model):
+        if f.type is float:
+            value = getattr(model, f.name)
+            if not semantics.finite_number(value):
+                raise ValueError(f"{name} {f.name} must be a finite number")
+            object.__setattr__(model, f.name, float(value))
+
+
 @dataclasses.dataclass(frozen=True)
 class ActuatorModel:
     """Multiplicative plant: achieved = commanded * gain * (1 + drift_rate *
@@ -99,11 +108,10 @@ class ActuatorModel:
     noise_sd: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.gain < math.inf:
+        _store_floats(self, "actuator")
+        if not self.gain > 0.0:
             raise ValueError("actuator gain must be positive and finite")
-        if not math.isfinite(self.drift_rate):
-            raise ValueError("actuator drift_rate must be finite")
-        if not 0.0 <= self.noise_sd < math.inf:
+        if not self.noise_sd >= 0.0:
             raise ValueError("actuator noise_sd must be nonnegative and "
                              "finite")
 
@@ -136,7 +144,8 @@ class SensorModel:
     availability: str = "layer"
 
     def __post_init__(self):
-        if not 0.0 <= self.noise_sd < math.inf:
+        _store_floats(self, "sensor")
+        if not self.noise_sd >= 0.0:
             raise ValueError("sensor noise_sd must be nonnegative and finite")
         if self.availability not in ("layer", "all"):
             raise ValueError("availability must be 'layer' or 'all'")
@@ -248,7 +257,7 @@ class LayerRecord:
 
     layer: int
     strategy: str  # "warm_start" | "full" | "none" | "abort"
-    objective: float
+    objective: float | None  # None on a "none" or "abort" record
     fem_solves: int
     mean_commanded: float
     # why a "full" layer of a warm-start policy did not take the warm step:
@@ -258,11 +267,11 @@ class LayerRecord:
 
     @property
     def max_violation(self):
-        """The largest excess, negative when every bound holds with slack;
-        NaN on a layer without control."""
+        """:func:`semantics.largest_excess` of the verdicts; None on a layer
+        without control."""
         if self.strategy == "none":
-            return math.nan
-        return max((v.excess for v in self.verdicts), default=0.0)
+            return None
+        return semantics.largest_excess(self.verdicts)
 
     @property
     def violated(self):
@@ -480,6 +489,7 @@ def control_step(state, problem, strategy, previous_result, model=None,
         strategy=strategy, model=model, tol=tol, max_iter=max_iter,
     )
     commanded = state.commanded
+    fallback = result.fallback or fallback
     if result.feasible:
         # the re-plan's free variables are the unprinted elements
         unprinted = shifted.free_idx
@@ -494,9 +504,8 @@ def control_step(state, problem, strategy, previous_result, model=None,
             unprinted, state.parameter, commanded_vals
         )
         strategy, objective = result.strategy, result.objective
-        fallback = result.fallback or fallback
     else:
-        strategy, objective, fallback = "abort", math.nan, None
+        strategy, objective = "abort", None
     record = LayerRecord(
         layer=state.frontier - 1,
         strategy=strategy,
@@ -545,7 +554,7 @@ def run_print(problem, initial_plan, actuator, sensor, policy, seed,
         if not policy.control_enabled:
             mean = _mean(state.commanded.values(state.parameter))
             record = LayerRecord(layer=state.frontier - 1, strategy="none",
-                                 objective=math.nan, fem_solves=0,
+                                 objective=None, fem_solves=0,
                                  mean_commanded=mean)
             state = state._with(history=state.history + (record,))
             continue
@@ -726,40 +735,13 @@ def scenario_from_dict(doc):
     )
 
 
-def _dump_whole(doc, path):
-    """Write `doc` as strict JSON to `path` whole or not at all: the dump
-    streams into a temporary file beside `path`, which replaces `path` once
-    the dump succeeds and is deleted if it fails."""
-    tmp = Path(f"{os.fspath(path)}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def save_scenario(scenario, path):
-    _dump_whole(scenario_to_dict(scenario), path)
+    semantics.save_json(scenario_to_dict(scenario), path)
 
 
 def load_scenario(path):
     with open(path, encoding="utf-8") as fh:
         return scenario_from_dict(json.load(fh))
-
-
-def _finite_or_none(x):
-    x = float(x)
-    return x if math.isfinite(x) else None
-
-
-def _field_doc(fld):
-    doc = semantics.field_to_dict(fld)
-    for name in semantics.PARAMETERS:
-        doc[name] = [_finite_or_none(v) for v in doc[name]]
-    return doc
 
 
 # the columns of a print's layer history, in report.json and in the CSV
@@ -773,23 +755,15 @@ def _history_row(rec):
 
 
 def report_to_dict(report):
-    """JSON-ready dict; NaN placeholders become null."""
+    """JSON-ready dict; a missing value is null."""
     abort = None
     if report.abort is not None:
         abort = {
             "layer": report.abort.layer,
             "violated": list(report.abort.violated),
             "fem_solves": report.abort.fem_solves,
-            "verdicts": [
-                {
-                    "name": v.name,
-                    "measured": _finite_or_none(v.measured),
-                    "bound": v.bound,
-                    "excess": v.excess,
-                    "passed": v.passed,
-                }
-                for v in report.abort.verdicts
-            ],
+            "verdicts": [semantics.verdict_to_dict(v)
+                         for v in report.abort.verdicts],
         }
     return {
         "outcome": report.outcome,
@@ -801,29 +775,24 @@ def report_to_dict(report):
         "n_measurements": report.n_measurements,
         "abort": abort,
         "verdicts": [semantics.verdict_to_dict(v) for v in report.verdicts],
-        "history": [
-            {name: _finite_or_none(v) if isinstance(v, float) else v
-             for name, v in _history_row(rec)}
-            for rec in report.history
-        ],
+        "history": [dict(_history_row(rec)) for rec in report.history],
         "fields": {
-            "commanded": _field_doc(report.commanded),
-            "achieved": _field_doc(report.achieved),
-            "estimated": _field_doc(report.estimated),
+            "commanded": semantics.field_to_dict(report.commanded),
+            "achieved": semantics.field_to_dict(report.achieved),
+            "estimated": semantics.field_to_dict(report.estimated),
         },
     }
 
 
 def save_report(report, path):
-    _dump_whole(report_to_dict(report), path)
+    semantics.save_json(report_to_dict(report), path)
 
 
 def history_to_csv(report, path):
     """One row per layer for plotting; floats keep full precision."""
 
     def cell(x):
-        empty = x is None or (isinstance(x, float) and not math.isfinite(x))
-        return "" if empty else x
+        return "" if x is None else x
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

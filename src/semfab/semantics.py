@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -227,25 +228,34 @@ def _shared_view(array: np.ndarray) -> np.ndarray:
 
 
 def field_to_dict(fld: MaterialField) -> dict:
-    return {
-        "young": fld.young.tolist(),
-        "poisson": fld.poisson.tolist(),
-        "conductivity": fld.conductivity.tolist(),
-        "density": fld.density.tolist(),
-        "provenance": fld.provenance.tolist(),
-    }
+    """A field's JSON document; a value that is not finite, such as that
+    of an element a print has not reached, is null."""
+    doc = {name: [x if math.isfinite(x) else None
+                  for x in fld.values(name).tolist()] for name in PARAMETERS}
+    doc["provenance"] = fld.provenance.tolist()
+    return doc
 
 
 def field_from_dict(doc: dict) -> MaterialField:
+    """A field from its JSON document. Raises AnnotationParseError, naming
+    the key, unless each parameter is a list of finite numbers and
+    `provenance` a list of strings, all of one length: a field to verify
+    has a value on every element, so a null is refused too."""
+    if not isinstance(doc, dict):
+        raise AnnotationParseError("material field must be a JSON object")
+    for key in (*PARAMETERS, "provenance"):
+        values = doc.get(key)
+        kind, valid = (("finite numbers", finite_number) if key in PARAMETERS
+                       else ("strings", lambda x: isinstance(x, str)))
+        if not (isinstance(values, list) and all(map(valid, values))):
+            _fail(f"must be a list of {kind}, one per element of the "
+                  "material field", key)
     try:
         return MaterialField(
-            np.asarray(doc["young"], dtype=np.float64),
-            np.asarray(doc["poisson"], dtype=np.float64),
-            np.asarray(doc["conductivity"], dtype=np.float64),
-            np.asarray(doc["density"], dtype=np.float64),
+            *(np.asarray(doc[name], dtype=np.float64) for name in PARAMETERS),
             np.asarray(doc["provenance"], dtype="<U9"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise AnnotationParseError(f"malformed material field: {exc}") from exc
 
 
@@ -540,6 +550,22 @@ def _layer_to_dict(layer: SemanticLayer) -> dict:
     return doc
 
 
+def save_json(doc, path) -> None:
+    """Write `doc` as strict JSON to `path`, indented by 2 with sorted keys
+    and a final newline, whole or not at all: the dump streams into a
+    temporary file beside `path`, which replaces `path` once the dump
+    succeeds and is deleted if it fails."""
+    tmp = Path(f"{os.fspath(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def serialize_semantic_layer(layer: SemanticLayer) -> str:
     return json.dumps(layer.to_dict(), indent=2) + "\n"
 
@@ -813,8 +839,15 @@ def check(prop: PropertySpec, evaluation: FieldEvaluation):
             excesses)
 
 
+def largest_excess(verdicts) -> float:
+    """The largest excess of `verdicts`, negative when every bound holds
+    with slack; 0.0 when there are none. A print history's and an optimizer
+    trace's `max_violation`."""
+    return max((v.excess for v in verdicts), default=0.0)
+
+
 def verdict_to_dict(verdict: Verdict) -> dict:
-    """A property's verdict as a report stores it and `semfab` prints it."""
+    """A verdict as a report stores it and `semfab` prints it."""
     return {
         "name": verdict.name,
         "quantity": verdict.quantity,

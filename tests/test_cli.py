@@ -179,6 +179,55 @@ def test_verify_explicit_field_file(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def _field_edit(key, value):
+    """An edit setting the field document's ``key`` to ``value(doc)``."""
+    return lambda doc, tmp_path: {**doc, key: value(doc)}
+
+
+def _aborted_achieved(doc, tmp_path):
+    """The achieved field of an aborted print of the 4-layer bar, whose
+    elements above the frontier hold null."""
+    sim = tmp_path / "abort"
+    sim.mkdir()
+    write_bar_files(sim, 4, 0.05, BOX)
+    write_scenario(sim / "scenario.json", gain=0.4)
+    assert run_cli("simulate", sim / "scenario.json", "--out", sim) == 1
+    report = json.loads((sim / "report.json").read_text())
+    assert report["outcome"] == "aborted"
+    return report["fields"]["achieved"]
+
+
+@pytest.mark.parametrize("edit, key", [
+    (_field_edit("young", lambda d: [[x] for x in d["young"]]), "young"),
+    (_field_edit("young", lambda d: [True] * len(d["young"])), "young"),
+    (_field_edit("density", lambda d: [float("nan")] * len(d["density"])),
+     "density"),
+    (_field_edit("provenance", lambda d: [1] * len(d["provenance"])),
+     "provenance"),
+    (_aborted_achieved, "young"),
+], ids=["nested-young", "boolean-young", "nan-density", "integer-provenance",
+        "aborted-achieved"])
+def test_verify_refuses_a_malformed_field_file(tmp_path, capsys, edit, key):
+    # a mass bound reads only the density, so no solve would catch a bad
+    # young modulus
+    mesh_path, ann_path = write_bar_files(tmp_path, 4, 0.05, BOX)
+    doc = json.loads(Path(ann_path).read_text())
+    doc["global_properties"] = [
+        {"name": "mass", "quantity": "mass", "op": "le", "bound": 1.0}]
+    Path(ann_path).write_text(json.dumps(doc))
+    field = semantics.MaterialField.uniform(
+        24, young=E_HI, density=8e-6, provenance="commanded")
+    field_path = tmp_path / "field.json"
+    field_path.write_text(json.dumps(
+        edit(semantics.field_to_dict(field), tmp_path)))
+    capsys.readouterr()
+    rc = run_cli("verify", mesh_path, ann_path, "--field", field_path)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith(f"SEMFAB-ERR[usage] {key}: must be a "
+                                   "list of ")
+
+
 def test_verify_annotation_referencing_missing_vertex_exits_2(
         tmp_path, capsys):
     mesh_path, ann_path = write_bar_files(tmp_path, 2, 0.05, BOX)
@@ -698,6 +747,44 @@ def test_report_renders_table_and_svg(tmp_path, capsys):
     text = svg.read_text()
     assert text.startswith("<svg")
     assert "polyline" in text
+
+
+@pytest.mark.parametrize("case", ["aborted", "uncontrolled"])
+def test_report_renders_a_print_without_an_objective_figure(
+        tmp_path, capsys, nominal_tip, case):
+    # neither an abort record nor a layer without control has an objective,
+    # so the plot falls back to the mean command
+    if case == "aborted":
+        write_bar_files(tmp_path, 4, 0.05, BOX)
+        write_scenario(tmp_path / "scenario.json", gain=0.4)
+    else:
+        write_bar_files(tmp_path, 4, 1.08 * nominal_tip, BOX)
+        write_scenario(tmp_path / "scenario.json", gain=0.85, control=False)
+    assert run_cli("simulate", tmp_path / "scenario.json",
+                   "--out", tmp_path / "sim") == 1
+    capsys.readouterr()
+    svg = tmp_path / "plot.svg"
+    rc = run_cli("report", tmp_path / "sim" / "report.json", "--svg", svg)
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    if case == "aborted":
+        assert lines[0] == "outcome: aborted"
+        # the abort certificate: its line, then its verdict table
+        at = lines.index("aborted at layer 1; violated: tip")
+        assert lines[at + 1].split() == ["property", "quantity", "measured",
+                                         "margin", "status"]
+        assert lines[at + 2].split()[::4] == ["tip", "FAIL"]
+        assert lines[at + 2].split()[1] == "max_displacement"
+        assert "final verification (achieved field):" not in lines
+        assert lines[-3].split()[:2] == ["1", "abort"]
+    else:
+        assert lines[0] == "outcome: spec_fail"
+        assert not any(line.startswith("aborted") for line in lines)
+        assert "final verification (achieved field):" in lines
+        assert [line.split()[1] for line in lines[-6:-2]] == ["none"] * 4
+    assert lines[-1] == f"wrote {svg}"
+    text = svg.read_text()
+    assert "mean commanded" in text and ">objective<" not in text
 
 
 def test_report_and_verify_print_the_same_verdict_rows(tmp_path, capsys):

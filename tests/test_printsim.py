@@ -105,6 +105,33 @@ def test_actuator_validation():
         printsim.SensorModel(noise_sd=-1.0)
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: printsim.ActuatorModel(gain=10**400), "actuator gain"),
+    (lambda: printsim.ActuatorModel(gain=True), "actuator gain"),
+    (lambda: printsim.ActuatorModel(gain=1.0, drift_rate=10**400),
+     "actuator drift_rate"),
+    (lambda: printsim.ActuatorModel(gain=1.0, noise_sd=10**400),
+     "actuator noise_sd"),
+    (lambda: printsim.SensorModel(noise_sd=10**400), "sensor noise_sd"),
+    (lambda: printsim.SensorModel(noise_sd=False), "sensor noise_sd"),
+], ids=["gain-past-float-range", "boolean-gain", "drift-past-float-range",
+        "noise-past-float-range", "sensor-noise-past-float-range",
+        "boolean-sensor-noise"])
+def test_a_model_refuses_a_number_it_cannot_use(build, field):
+    # such a gain or noise level used to be taken, and the first layer
+    # then raised OverflowError, or printed with a gain of True
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number$"):
+        build()
+
+
+def test_a_model_stores_its_numbers_as_floats():
+    actuator = printsim.ActuatorModel(gain=1, drift_rate=0, noise_sd=0)
+    sensor = printsim.SensorModel(noise_sd=0)
+    numbers = [actuator.gain, actuator.drift_rate, actuator.noise_sd,
+               sensor.noise_sd]
+    assert [type(x) for x in numbers] == [float] * 4
+
+
 def test_a_plan_with_a_nonpositive_value_cannot_be_printed(bar):
     problem, plan, _ = bar
     values = plan.values.copy()
@@ -555,8 +582,10 @@ def test_the_abort_is_the_last_layer_record(bar, tmp_path):
     record = report.history[-1]
     assert report.abort is record
     assert record.strategy == "abort" and record.violated == ("tip",)
-    assert math.isnan(record.objective) and record.fallback is None
-    assert record.max_violation == max(v.excess for v in record.verdicts) > 0
+    # the warm step failed its check before the full re-plan found no
+    # completion, and the record keeps that reason
+    assert record.objective is None and record.fallback == "warm_infeasible"
+    assert record.max_violation == -min(v.margin for v in record.verdicts) > 0
     # the failed re-plan leaves the commands as they were
     assert np.array_equal(report.commanded.values("young"), plan.values)
     assert record.mean_commanded == float(plan.values.mean())
@@ -567,14 +596,14 @@ def test_the_abort_is_the_last_layer_record(bar, tmp_path):
     assert doc["abort"]["layer"] == last["layer"] == record.layer == 0
     assert doc["abort"]["fem_solves"] == last["fem_solves"] \
         == record.fem_solves > 0
-    assert last["max_violation"] == max(
-        v["excess"] for v in doc["abort"]["verdicts"])
+    assert last["max_violation"] == -min(
+        v["margin"] for v in doc["abort"]["verdicts"])
 
 
 def test_a_failed_model_build_then_an_abort_is_recorded(bar, tmp_path):
     # the mass objective does not depend on E, so the warm start's model is
     # invalid and the layers re-plan in full until one cannot be completed;
-    # the abort record has no fallback
+    # the abort record keeps that fallback
     _, _, nominal = bar
     problem = layered_bar_problem(4, d_max=1.08 * nominal, young_box=BOX,
                                   objective="mass")
@@ -584,16 +613,16 @@ def test_a_failed_model_build_then_an_abort_is_recorded(bar, tmp_path):
     report = printsim.run_print(problem, plan, seed=5, **kwargs)
     assert report.outcome == "aborted"
     assert [(rec.strategy, rec.fallback) for rec in report.history] == [
-        ("full", "model_invalid"), ("abort", None)]
+        ("full", "model_invalid"), ("abort", "model_invalid")]
     path = tmp_path / "report.json"
     printsim.save_report(report, path)
     history = json.loads(path.read_text())["history"]
-    assert [rec["fallback"] for rec in history] == ["model_invalid", None]
+    assert [rec["fallback"] for rec in history] == ["model_invalid"] * 2
 
 
 def test_a_replan_records_its_largest_excess(bar, tmp_path):
     # every bound holds with slack after each re-plan, so the history's
-    # max_violation is negative; the trace's is max(0, ...) instead
+    # max_violation is negative, as an optimizer trace line's is
     problem, plan, _ = bar
     report = printsim.run_print(problem, plan, seed=3,
                                 **drifting_print_kwargs("full"))
@@ -701,7 +730,7 @@ def test_a_layer_without_control_has_no_violation_figure(bar, tmp_path):
     report = _exact_print(problem, plan, printsim.ActuatorModel(gain=0.9),
                           "layer", control=False)
     assert [rec.strategy for rec in report.history] == ["none"] * 4
-    assert all(math.isnan(rec.max_violation) and rec.verdicts == ()
+    assert all(rec.max_violation is None and rec.verdicts == ()
                for rec in report.history)
     path = tmp_path / "report.json"
     printsim.save_report(report, path)

@@ -5,7 +5,7 @@ Usage, from anywhere:
     python3 tools/report_digests.py CHECKOUT > digests.txt
 
 ``CHECKOUT`` is the root of a semfab tree; its ``src/semfab`` and
-``perfbench/`` are imported and nothing else.  Two sets of runs:
+``perfbench/`` are imported and nothing else.  Four sets of runs:
 
 - one pass of each perfbench workload at benchmark seeds 1-3, which
   writes the report of every print seed (and, on the CLI workload, its
@@ -20,7 +20,9 @@ Usage, from anywhere:
   a stiffness budget, whose values, objective, verdicts, multipliers and
   trace are written with every float's bits, and one drifting print of it
   under each strategy.  It runs the augmented Lagrangian's outer loop and
-  L-BFGS-B, which no other plan here reaches.
+  L-BFGS-B, which no other plan here reaches;
+- one in-process ``semfab optimize`` of the 4-layer bar, which writes its
+  field, summary and ``--trace`` files.
 
 Every run works in a temporary directory, so nothing is written into the
 checkout.  A refactor that must keep report bytes is checked with
@@ -38,8 +40,10 @@ sys.dont_write_bytecode = True
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -81,16 +85,25 @@ def benchmark_reports(tmp):
             _digests(pass_dir, f"{name}/seed-{seed}")
 
 
-def _bar(n_layers, objective="compliance", bound_factor=1.08):
-    """The perfbench bar with ``n_layers`` unit layers, its tip bound at
-    ``bound_factor`` times the stiffest bar's tip displacement."""
+def _bar_mesh_and_doc(n_layers, bound_factor=1.08):
+    """The mesh and annotation document of the perfbench bar with
+    ``n_layers`` unit layers, its tip bound at ``bound_factor`` times the
+    stiffest bar's tip displacement."""
     import workloads
-    from semfab import mesh, optimize, semantics
+    from semfab import mesh
 
     m = mesh.generate_box_mesh(1, 1, n_layers, (1.0, 1.0, float(n_layers)))
     doc, _ = workloads._bar_annotation(m, float(n_layers))
     prop = doc["global_properties"][0]
     prop["bound"] *= bound_factor / 1.08
+    return m, doc
+
+
+def _bar(n_layers, objective="compliance", bound_factor=1.08):
+    """The :func:`_bar_mesh_and_doc` bar as a problem in ``young``."""
+    from semfab import optimize, semantics
+
+    m, doc = _bar_mesh_and_doc(n_layers, bound_factor)
     spec = semantics.bind_to_mesh(semantics.layer_from_dict(doc), m)
     return optimize.InversionProblem(spec, objective, parameter="young")
 
@@ -185,6 +198,26 @@ def closed_loop_reports(tmp):
         _digests(out, f"closed-loop/{label}")
 
 
+def optimize_outputs(tmp):
+    """``semfab optimize`` of the 4-layer bar, run in process with its
+    printed lines discarded; digests what it writes."""
+    from semfab import cli, mesh
+
+    m, doc = _bar_mesh_and_doc(4)
+    mesh.save_mesh(m, tmp / "mesh.json")
+    (tmp / "annotation.json").write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp / "out"
+    out.mkdir()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["optimize", str(tmp / "mesh.json"),
+                         str(tmp / "annotation.json"), "--objective",
+                         "compliance", "-o", str(out / "field.json"),
+                         "--trace", str(out / "trace.jsonl")])
+    if code != 0:
+        raise SystemExit(f"report_digests: semfab optimize exited {code}")
+    _digests(out, "optimize/bar-4")
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -194,8 +227,10 @@ def main(argv=None):
         tmp = Path(tmp)
         (tmp / "bench").mkdir()
         (tmp / "loop").mkdir()
+        (tmp / "optimize").mkdir()
         benchmark_reports(tmp / "bench")
         closed_loop_reports(tmp / "loop")
+        optimize_outputs(tmp / "optimize")
     return 0
 
 

@@ -317,41 +317,49 @@ def _svg_polyline(xs, ys, xlabel, ylabel):
 def cmd_report(args):
     with open(args.report, encoding="utf-8") as fh:
         doc = json.load(fh)
-    print(f"outcome: {doc['outcome']}")
-    print(
-        f"seed: {doc['seed']}  layers: {doc['n_layers']}  "
-        f"fem solves: {doc['fem_solves']}"
-    )
-    if doc.get("abort"):
-        print(
-            f"aborted at layer {doc['abort']['layer']}; violated: "
-            + ", ".join(doc["abort"]["violated"])
-        )
-        print(_verdict_table(doc["abort"]["verdicts"]))
-    if doc["verdicts"]:
-        print("\nfinal verification (achieved field):")
-        print(_verdict_table(doc["verdicts"]))
-    if doc["history"]:
-        print("\nlayer  strategy    fem_solves  mean_commanded")
-        for rec in doc["history"]:
-            print(
-                f"{rec['layer']:>5}  {rec['strategy']:<10}  "
-                f"{rec['fem_solves']:>10}  {rec['mean_commanded']:.6g}"
-            )
+    try:
+        lines, plot = _render_report(doc, bool(args.svg))
+    except KeyError as exc:
+        return _err("usage", f"{args.report}: the report has no key {exc}")
+    print("\n".join(lines))
     if args.svg:
-        history = doc["history"]
-        xs = [rec["layer"] for rec in history]
-        ys = [rec["objective"] for rec in history]
-        label = "objective"
-        if not history:
+        if plot is None:
             return _err("usage", "report has no history to plot")
-        if any(y is None for y in ys):
-            ys = [rec["mean_commanded"] for rec in history]
-            label = "mean commanded"
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(_svg_polyline(xs, ys, "layer", label))
+            fh.write(plot)
         print(f"\nwrote {args.svg}")
     return ExitStatus.OK
+
+
+def _render_report(doc, svg):
+    """The text lines of a report and, with ``svg``, its convergence plot,
+    None without a history; raises KeyError, naming the key, when the
+    report lacks one."""
+    lines = [f"outcome: {doc['outcome']}",
+             f"seed: {doc['seed']}  layers: {doc['n_layers']}  "
+             f"fem solves: {doc['fem_solves']}"]
+    abort, history = doc.get("abort"), doc["history"]
+    if abort:
+        lines += [f"aborted at layer {abort['layer']}; violated: "
+                  + ", ".join(abort["violated"]),
+                  _verdict_table(abort["verdicts"])]
+    if doc["verdicts"]:
+        lines += ["\nfinal verification (achieved field):",
+                  _verdict_table(doc["verdicts"])]
+    if history:
+        lines.append("\nlayer  strategy    fem_solves  mean_commanded")
+    lines += [f"{rec['layer']:>5}  {rec['strategy']:<10}  "
+              f"{rec['fem_solves']:>10}  {rec['mean_commanded']:.6g}"
+              for rec in history]
+    if not (svg and history):
+        return lines, None
+    xs = [rec["layer"] for rec in history]
+    ys = [rec["objective"] for rec in history]
+    label = "objective"
+    if any(y is None for y in ys):
+        ys = [rec["mean_commanded"] for rec in history]
+        label = "mean commanded"
+    return lines, _svg_polyline(xs, ys, "layer", label)
 
 
 # ---------------------------------------------------------------------------

@@ -35,12 +35,14 @@ in one step, without L-BFGS-B.  An objective of another parameter than the
 one optimized (``mass`` over E, say) cannot fall, so its plan makes none.
 
 A gradient costs one adjoint solve per physics. The objective and every
-active constraint hand their terms to one accumulator: a direct gradient, an
-adjoint load w for a solved quantity w . u, or for the self-adjoint
-compliance f . u the vector u itself. The loads of a physics are summed
-and solved once with the primal factor, and the element sensitivities of
-the sum come from one product with the transpose of the assembly plan's
-operator (see :mod:`semfab.fem`).
+active constraint hand their quantity to one accumulator, which adds its
+:data:`semantics.QUANTITIES` entry's terms when it varies with the
+optimized parameter: a direct gradient, an adjoint load w for a solved
+quantity w . u, or for the self-adjoint compliance f . u the vector u
+itself. The loads of a physics are summed and solved once with the
+primal factor, and the element sensitivities of the sum come from one
+product with the transpose of the assembly plan's operator (see
+:mod:`semfab.fem`).
 
 After upstream values drift, :func:`reoptimize_after_drift` either re-runs the
 solver from the previous optimum or applies a second-order warm start from a
@@ -78,14 +80,10 @@ from . import fem, semantics
 from .errors import BasePointError, ModelInvalidError
 from .mesh import face_adjacency
 
-# objective name -> the parameter it differentiates against, the default one
-OBJECTIVES = {
-    "compliance": "young",
-    "average_temperature": "conductivity",
-    "mass": "density",
-}
-# the parameter each physics' K is linear in
-_LINEAR_IN = {"elasticity": "young", "conduction": "conductivity"}
+# each global quantity with a gradient -> the parameter it varies with
+OBJECTIVES = {name: quantity.parameter
+              for name, quantity in semantics.QUANTITIES.items()
+              if not quantity.local and quantity.gradient is not None}
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 500
@@ -216,40 +214,45 @@ def _feas_margin(bound):
 class _Gradient:
     """The gradient terms of one evaluation, summed before any solve.
 
-    A term with a direct gradient adds it. A term on a solved quantity
-    w . u hands over its adjoint load w instead, and the self-adjoint
-    compliance f . u the vector u itself. :meth:`total` then makes one
-    adjoint solve per physics for the summed load W and contracts once:
-    the gradient of the sum is -lam . (dK/dp_e) u with lam = K^-1 W,
-    plus u for the compliance. Loads on a physics whose K is not linear in
-    the optimized parameter carry no gradient and are dropped. Each method
-    rebinds what it changes, so a shallow copy takes more terms and leaves
-    the original as it was.
+    :meth:`add_quantity` adds a quantity's terms only when it varies with
+    the optimized parameter: a direct gradient, an adjoint load w for a
+    solved quantity w . u, or for the self-adjoint compliance f . u the
+    vector u itself. :meth:`total` then makes one adjoint solve per physics
+    for the summed load W and contracts once: the gradient of the sum is
+    -lam . (dK/dp_e) u with lam = K^-1 W, plus u for the compliance. Each
+    method rebinds what it changes, so a shallow copy takes more terms and
+    leaves the original as it was.
     """
 
     def __init__(self, problem):
         self.direct = np.zeros(problem.n_variables)
         self.parameter = problem.parameter
         self.loads = {}  # physics -> summed dof weights
-        self.self_adjoint = frozenset()  # physics whose u joins the adjoint
+        self.self_adjoint = {}  # physics -> summed weight of its u
+
+    def add_quantity(self, evaluation, quantity, vertices, w):
+        """Adds w . (gradient of ``quantity``) unless flat in ``parameter``."""
+        entry = semantics.QUANTITIES[quantity]
+        if entry.parameter == self.parameter:
+            entry.gradient(evaluation, vertices, w, self)
 
     def add(self, grad, scale=1.0):
         self.direct = self.direct + scale * grad
 
     def add_load(self, physics, weights, scale=1.0):
-        if _LINEAR_IN[physics] == self.parameter:
-            load = self.loads.get(physics, 0.0) + scale * weights
-            self.loads = {**self.loads, physics: load}
+        load = self.loads.get(physics, 0.0) + scale * weights
+        self.loads = {**self.loads, physics: load}
 
-    def add_self_adjoint(self, physics):
-        if _LINEAR_IN[physics] == self.parameter:
-            self.self_adjoint = self.self_adjoint | {physics}
+    def add_self_adjoint(self, physics, scale):
+        weight = self.self_adjoint.get(physics, 0.0) + scale
+        self.self_adjoint = {**self.self_adjoint, physics: weight}
 
     def total(self, ctx):
         grad = self.direct.copy()
-        for physics in sorted(self.loads.keys() | self.self_adjoint):
+        for physics in sorted(self.loads.keys() | self.self_adjoint.keys()):
             u = ctx.solution(physics).values.reshape(-1)
-            lam = u if physics in self.self_adjoint else np.zeros(u.size)
+            weight = self.self_adjoint.get(physics)
+            lam = np.zeros(u.size) if weight is None else weight * u
             load = self.loads.get(physics)
             if load is not None and np.any(load):
                 lam = ctx.adjoint(physics, load) + lam
@@ -374,13 +377,13 @@ class FunctionProblem(_BoxProblem):
 
 
 class _PropertyConstraint:
-    """Annotated bound on a solved or direct quantity.
+    """Annotated bound on a quantity of :data:`semantics.QUANTITIES`.
 
     ``check`` gives the verdict and the excesses of :func:`semantics.check`:
     one per vertex of a local property, which keeps a sum of per-vertex
     hinges differentiable when several vertices tie at the maximum.
-    ``add_gradient`` hands over a solved quantity's gradient as an adjoint
-    load; a direct quantity has none.
+    ``add_gradient`` hands the quantity's gradient to the accumulator's
+    one rule.
     """
 
     def __init__(self, prop):
@@ -392,41 +395,11 @@ class _PropertyConstraint:
         return semantics.check(self.prop, ctx)
 
     def add_gradient(self, x, ctx, w, grad):
-        """Adds w . (gradient of the excesses) to the :class:`_Gradient`
-        ``grad``; ``w`` is ordered like the excesses."""
-        spec, quantity = ctx.spec, self.prop.quantity
-        if not self.prop.vertices:
-            sign = 1.0 if self.prop.op == "le" else -1.0
-            _add_global_gradient(grad, spec, quantity, w[0] * sign)
-            return
-        # local quantities are "le" only
-        nonzero = np.flatnonzero(w)
-        verts = np.asarray(self.prop.vertices, dtype=np.intp)[nonzero]
-        if quantity == "max_displacement":
-            u = ctx.solution("elasticity").values
-            mags = semantics.measure(ctx, quantity, self.prop.vertices)
-            weights = np.zeros(u.size)
-            for v, wv, disp, mag in zip(verts, w[nonzero], u[verts],
-                                        mags[nonzero]):
-                if mag > 0.0:
-                    weights[3 * v : 3 * v + 3] += wv * disp / mag
-            grad.add_load("elasticity", weights)
-        else:
-            weights = np.zeros(ctx.solution("conduction").values.size)
-            np.add.at(weights, verts, w[nonzero])
-            grad.add_load("conduction", weights)
-
-
-def _add_global_gradient(grad, spec, quantity, scale):
-    """Adds ``scale`` times the gradient of a global quantity, for the
-    objective and the constraints alike: ``average_temperature``'s adjoint
-    load, or ``mass``'s volumes when density is optimized."""
-    if quantity == "average_temperature":
-        # the volume-weighted mean temperature w . T / sum(w)
-        weights = semantics.vertex_volume_weights(spec.mesh)
-        grad.add_load("conduction", weights / weights.sum(), scale)
-    elif quantity == "mass" and grad.parameter == "density":
-        grad.add(spec.mesh.volumes(), scale)
+        """Adds w . (gradient of the excesses), ``w`` ordered like them, to
+        the :class:`_Gradient` ``grad``; a "ge" excess negates the value."""
+        sign = 1.0 if self.prop.op == "le" else -1.0
+        grad.add_quantity(ctx, self.prop.quantity, self.prop.vertices,
+                          sign * w)
 
 
 class InversionProblem(_BoxProblem):
@@ -444,8 +417,8 @@ class InversionProblem(_BoxProblem):
         self.spec = spec
         self.objective = objective
         self.parameter = parameter or OBJECTIVES[objective]
-        if self.parameter not in ("young", "conductivity", "density"):
-            # K is not linear in poisson, so _Gradient would drop its loads
+        if self.parameter not in OBJECTIVES.values():
+            # K is not linear in poisson, so no quantity varies with it
             raise ValueError(f"cannot optimize {self.parameter!r}: the "
                              "parameters are young, conductivity and density")
         # an objective of another parameter is flat in this one, and a face
@@ -486,15 +459,8 @@ class InversionProblem(_BoxProblem):
         """The objective; adds its gradient terms to the :class:`_Gradient`
         ``grad`` when one is given."""
         ctx = ctx or self.context(x)
-        if self.objective == "compliance":
-            solution = ctx.solution("elasticity")
-            system = ctx.system("elasticity")
-            if grad is not None:
-                # self-adjoint: the adjoint equals the displacement vector
-                grad.add_self_adjoint("elasticity")
-            return float(system.plan.f_ext @ solution.values.reshape(-1))
-        if grad is not None:  # a global property quantity
-            _add_global_gradient(grad, self.spec, self.objective, 1.0)
+        if grad is not None:
+            grad.add_quantity(ctx, self.objective, (), (1.0,))
         return semantics.measure(ctx, self.objective)
 
     def objective_and_gradient(self, x, ctx=None):

@@ -86,15 +86,16 @@ def _check_seed(seed):
 # plant, sensor, estimator
 
 
-def _store_floats(model, name):
+def _store_floats(model):
     """Store each float field of the frozen dataclass ``model`` as a float;
-    raises ValueError, naming the model ``name`` and the field, unless it
-    holds a finite number (not a boolean, nor an int past float range)."""
+    raises ValueError, naming the model's ``label`` and the field, unless
+    it holds a finite number (not a boolean, nor an int past float range)."""
     for f in dataclasses.fields(model):
         if f.type is float:
             value = getattr(model, f.name)
             if not semantics.finite_number(value):
-                raise ValueError(f"{name} {f.name} must be a finite number")
+                raise ValueError(
+                    f"{model.label} {f.name} must be a finite number")
             object.__setattr__(model, f.name, float(value))
 
 
@@ -103,12 +104,13 @@ class ActuatorModel:
     """Multiplicative plant: achieved = commanded * gain * (1 + drift_rate *
     layer) * exp(eps), eps ~ Normal(0, noise_sd^2) per element."""
 
+    label = "actuator"  # what its messages call it
     gain: float
     drift_rate: float = 0.0
     noise_sd: float = 0.0
 
     def __post_init__(self):
-        _store_floats(self, "actuator")
+        _store_floats(self)
         if not self.gain > 0.0:
             raise ValueError("actuator gain must be positive and finite")
         if not self.noise_sd >= 0.0:
@@ -140,11 +142,12 @@ class SensorModel:
     at or below the frontier.
     """
 
+    label = "sensor"  # what its messages call it
     noise_sd: float = 0.0
     availability: str = "layer"
 
     def __post_init__(self):
-        _store_floats(self, "sensor")
+        _store_floats(self)
         if not self.noise_sd >= 0.0:
             raise ValueError("sensor noise_sd must be nonnegative and finite")
         if self.availability not in ("layer", "all"):
@@ -287,6 +290,8 @@ class ControlPolicy:
     def __post_init__(self):
         if self.strategy not in ("warm_start", "full"):
             raise ValueError("strategy must be 'warm_start' or 'full'")
+        if not isinstance(self.control_enabled, bool):
+            raise ValueError("control_enabled must be a boolean")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -696,22 +701,17 @@ def _finite_number(value, name):
 
 
 def _section(doc, name, cls):
-    """The dataclass ``cls`` from scenario section ``name``, whose float,
-    bool and str fields must hold a finite number, a boolean and a
-    string."""
+    """The dataclass ``cls`` from scenario section ``name``. ``cls`` checks
+    each value, and its ValueError names the section in place of the
+    model's label."""
     fields = dataclasses.fields(cls)
     _check_keys(doc, f"scenario {name}", [f.name for f in fields],
                 [f.name for f in fields if f.default is dataclasses.MISSING])
-    doc = dict(doc)
-    for f in fields:
-        if f.name not in doc:
-            continue
-        if f.type is float:
-            doc[f.name] = _finite_number(doc[f.name], f"{name} {f.name}")
-        elif f.type in (bool, str) and not isinstance(doc[f.name], f.type):
-            raise ValueError(f"scenario {name} {f.name} must be a "
-                             f"{f.type.__name__}")
-    return cls(**doc)
+    try:
+        return cls(**doc)
+    except ValueError as exc:
+        message = str(exc).removeprefix(f"{getattr(cls, 'label', '')} ")
+        raise ValueError(f"scenario {name} {message}") from exc
 
 
 def scenario_from_dict(doc):

@@ -10,9 +10,9 @@ resolves all references and checks the problem is well posed.
 
 A :class:`FieldEvaluation` solves each physics of one material field at
 most once and counts every solve, adjoint ones too, in a :class:`RunStats`
-shared by a run; :func:`measure` reads each property quantity from it, and
-:func:`check` judges a property by it, giving the one :class:`Verdict` and
-the excesses that the final check, the CLI and the optimizer all use.
+shared by a run; :func:`measure` reads each quantity of :data:`QUANTITIES`
+off it, and :func:`check` judges a property by it, giving the one
+:class:`Verdict` and excesses that the final check, CLI and optimizer use.
 
 Conventions:
   - a displacement box with zero width on all axes is a prescribed
@@ -32,6 +32,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,14 +53,9 @@ CANONICAL_UNITS = {
 
 PARAMETERS = ("young", "poisson", "conductivity", "density")
 
-# quantity -> (allowed comparisons, needs vertex tags)
-_QUANTITIES = {
-    "volume": (("le", "ge"), False),
-    "mass": (("le", "ge"), False),
-    "max_displacement": (("le",), True),
-    "nodal_temperature": (("le",), True),
-    "average_temperature": (("le",), False),
-}
+# where an element's values came from; a field stores its tags as this dtype
+PROVENANCES = ("commanded", "achieved", "estimated")
+_PROVENANCE_DTYPE = f"<U{max(map(len, PROVENANCES))}"
 
 
 @dataclass(frozen=True)
@@ -177,7 +173,7 @@ class MaterialField:
             np.full(n_elements, float(poisson)),
             np.full(n_elements, float(conductivity)),
             np.full(n_elements, float(density)),
-            np.full(n_elements, provenance, dtype="<U9"),
+            np.full(n_elements, provenance, dtype=_PROVENANCE_DTYPE),
         )
 
     @property
@@ -239,21 +235,22 @@ def field_to_dict(fld: MaterialField) -> dict:
 def field_from_dict(doc: dict) -> MaterialField:
     """A field from its JSON document. Raises AnnotationParseError, naming
     the key, unless each parameter is a list of finite numbers and
-    `provenance` a list of strings, all of one length: a field to verify
-    has a value on every element, so a null is refused too."""
+    `provenance` a list of :data:`PROVENANCES` tags, all of one length: a
+    field to verify has a value on every element, so a null is refused too."""
     if not isinstance(doc, dict):
         raise AnnotationParseError("material field must be a JSON object")
     for key in (*PARAMETERS, "provenance"):
         values = doc.get(key)
         kind, valid = (("finite numbers", finite_number) if key in PARAMETERS
-                       else ("strings", lambda x: isinstance(x, str)))
+                       else (f"provenance tags {PROVENANCES}",
+                             lambda x: x in PROVENANCES))
         if not (isinstance(values, list) and all(map(valid, values))):
             _fail(f"must be a list of {kind}, one per element of the "
                   "material field", key)
     try:
         return MaterialField(
             *(np.asarray(doc[name], dtype=np.float64) for name in PARAMETERS),
-            np.asarray(doc["provenance"], dtype="<U9"),
+            np.asarray(doc["provenance"], dtype=_PROVENANCE_DTYPE),
         )
     except ValueError as exc:
         raise AnnotationParseError(f"malformed material field: {exc}") from exc
@@ -369,11 +366,12 @@ def _parse_property(doc, where) -> PropertySpec:
     if not isinstance(doc, dict):
         _fail("property must be an object", where)
     quantity = doc.get("quantity")
-    if not isinstance(quantity, str) or quantity not in _QUANTITIES:
+    # an objective-only quantity, with no ops, is not a property
+    entry = QUANTITIES.get(quantity) if isinstance(quantity, str) else None
+    if entry is None or not entry.ops:
         _fail(f"unknown property quantity {quantity!r}", where)
-    ops, needs_tags = _QUANTITIES[quantity]
     op = doc.get("op", "le")
-    if op not in ops:
+    if op not in entry.ops:
         _fail(f"quantity {quantity!r} does not support op {op!r}", where)
     bound = doc.get("bound")
     if not finite_number(bound):
@@ -386,9 +384,9 @@ def _parse_property(doc, where) -> PropertySpec:
         isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in vertices
     ):
         _fail("vertices must be a list of nonnegative integer ids", where)
-    if needs_tags and not vertices:
+    if entry.local and not vertices:
         _fail(f"local property {quantity!r} needs a non-empty vertex set", where)
-    if not needs_tags and vertices:
+    if not entry.local and vertices:
         _fail(f"global property {quantity!r} must not carry a vertex set", where)
     return PropertySpec(name, quantity, op, float(bound), tuple(vertices))
 
@@ -566,12 +564,8 @@ def save_json(doc, path) -> None:
         raise
 
 
-def serialize_semantic_layer(layer: SemanticLayer) -> str:
-    return json.dumps(layer.to_dict(), indent=2) + "\n"
-
-
 def save_semantic_layer(layer: SemanticLayer, path) -> None:
-    Path(path).write_text(serialize_semantic_layer(layer))
+    save_json(layer.to_dict(), path)
 
 
 def load_semantic_layer(path) -> SemanticLayer:
@@ -612,7 +606,8 @@ class BoundSpecification:
                 mid = 0.5 * (box[:, 0] + box[:, 1])
             values.append(np.where(np.isfinite(mid), mid, defaults[name]))
         return MaterialField(
-            *values, np.full(self.mesh.n_elements, "commanded", dtype="<U9")
+            *values,
+            np.full(self.mesh.n_elements, "commanded", dtype=_PROVENANCE_DTYPE)
         )
 
     def admissibility_mask(self, fld: MaterialField) -> np.ndarray:
@@ -680,12 +675,12 @@ def bind_to_mesh(layer: SemanticLayer, mesh: VolumetricMesh) -> BoundSpecificati
                 box[eid] = override[param]
         ranges[param] = box
 
+    # the physics that some property reads
+    physics = {QUANTITIES[p.quantity].physics for p in layer.global_properties}
     mech_annotated = any(
         ann.displacement is not None or ann.force is not None
         for ann in layer.vertex_annotations.values()
-    ) or any(
-        p.quantity == "max_displacement" for p in layer.global_properties
-    )
+    ) or "elasticity" in physics
     if mech_annotated:
         if len(prescribed_disp) < 3:
             raise WellPosednessError(
@@ -701,10 +696,7 @@ def bind_to_mesh(layer: SemanticLayer, mesh: VolumetricMesh) -> BoundSpecificati
     therm_annotated = any(
         ann.temperature is not None or ann.flux is not None
         for ann in layer.vertex_annotations.values()
-    ) or any(
-        p.quantity in ("nodal_temperature", "average_temperature")
-        for p in layer.global_properties
-    )
+    ) or "conduction" in physics
     if therm_annotated and not prescribed_temp:
         raise WellPosednessError(
             "conduction needs at least one prescribed temperature"
@@ -785,42 +777,104 @@ class FieldEvaluation:
         return lam
 
 
-def measure(evaluation: FieldEvaluation, quantity: str, vertices=()):
-    """The value of a property quantity under the field of `evaluation`, on
-    its specification.
+# ---------------------------------------------------------------------------
+# quantities
 
-    A local quantity (`max_displacement`, `nodal_temperature`) gives one
-    value per vertex of `vertices`, in that order, as a read-only array,
-    and its worst is their maximum; a global one gives a float. The
-    evaluation keeps each (quantity, vertices) value it has measured, so
-    asking again costs a lookup.
-    """
+
+@dataclass(frozen=True)
+class Quantity:
+    """An entry of :data:`QUANTITIES`: the `ops` a property may bound it
+    with (none for an objective only), whether it is `local` to a vertex
+    set, the `physics` it reads and the `parameter` it varies with, each
+    maybe None. `value(evaluation, vertices)` is a float, or one value per
+    vertex of a local quantity; `gradient(evaluation, vertices, w, grad)`
+    hands w . (its gradient) to the optimizer's accumulator `grad`."""
+
+    ops: tuple[str, ...]
+    local: bool
+    physics: str | None
+    parameter: str | None
+    value: Callable
+    gradient: Callable | None
+
+
+def _max_displacement_gradient(evaluation, vertices, w, grad):
+    # the adjoint load of |u_v| is u_v / |u_v|, and none where u_v = 0
+    u = evaluation.solution("elasticity").values
+    mags = measure(evaluation, "max_displacement", vertices)
+    weights = np.zeros(u.size)
+    for v, wv, disp, mag in zip(vertices, w, u[list(vertices)], mags):
+        if wv and mag > 0.0:
+            weights[3 * v : 3 * v + 3] += wv * disp / mag
+    grad.add_load("elasticity", weights)
+
+
+def _nodal_temperature_gradient(evaluation, vertices, w, grad):
+    weights = np.zeros(evaluation.solution("conduction").values.size)
+    np.add.at(weights, list(vertices), w)
+    grad.add_load("conduction", weights)
+
+
+def _average_temperature(evaluation, vertices):
+    weights = vertex_volume_weights(evaluation.spec.mesh)
+    temps = evaluation.solution("conduction").values
+    return float(np.dot(weights, temps) / weights.sum())
+
+
+def _average_temperature_gradient(evaluation, vertices, w, grad):
+    weights = vertex_volume_weights(evaluation.spec.mesh)
+    grad.add_load("conduction", weights / weights.sum(), w[0])
+
+
+def _compliance(evaluation, vertices):
+    solution = evaluation.solution("elasticity")
+    return float(evaluation.system("elasticity").plan.f_ext
+                 @ solution.values.reshape(-1))
+
+
+# every quantity a property or an objective can name; the adjoint loads are
+# those of Bendsoe & Sigmund, Topology Optimization (2003), ch. 1
+QUANTITIES = {
+    "volume": Quantity(
+        ("le", "ge"), False, None, None,
+        lambda ev, _: float(ev.spec.mesh.volumes().sum()), None),
+    "mass": Quantity(
+        ("le", "ge"), False, None, "density",
+        lambda ev, _: float(np.dot(ev.field.density, ev.spec.mesh.volumes())),
+        lambda ev, _, w, grad: grad.add(ev.spec.mesh.volumes(), w[0])),
+    "max_displacement": Quantity(
+        ("le",), True, "elasticity", "young",
+        lambda ev, vertices: np.linalg.norm(
+            ev.solution("elasticity").values[list(vertices)], axis=1),
+        _max_displacement_gradient),
+    "nodal_temperature": Quantity(
+        ("le",), True, "conduction", "conductivity",
+        lambda ev, vertices: ev.solution("conduction").values[list(vertices)],
+        _nodal_temperature_gradient),
+    # the volume-weighted mean temperature w . T / sum(w)
+    "average_temperature": Quantity(
+        ("le",), False, "conduction", "conductivity",
+        _average_temperature, _average_temperature_gradient),
+    # f . u is self-adjoint: its adjoint is u itself, at no solve
+    "compliance": Quantity(
+        (), False, "elasticity", "young", _compliance,
+        lambda ev, _, w, grad: grad.add_self_adjoint("elasticity", w[0])),
+}
+
+
+def measure(evaluation: FieldEvaluation, quantity: str, vertices=()):
+    """The value of a quantity of :data:`QUANTITIES` under the field of
+    `evaluation`, on its specification: a float, or one value per vertex
+    of `vertices` as a read-only array, whose worst is their maximum. The
+    evaluation keeps each (quantity, vertices) value, so asking again
+    costs a lookup."""
     key = (quantity, tuple(vertices))
     if key not in evaluation._measured:
-        value = _compute(evaluation, quantity, vertices)
+        value = QUANTITIES[quantity].value(evaluation, vertices)
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
         evaluation._measured[key] = value
     return evaluation._measured[key]
-
-
-def _compute(evaluation: FieldEvaluation, quantity: str, vertices):
-    """:func:`measure` without the evaluation's memo."""
-    mesh = evaluation.spec.mesh
-    if quantity == "volume":
-        return float(mesh.volumes().sum())
-    if quantity == "mass":
-        return float(np.dot(evaluation.field.density, mesh.volumes()))
-    if quantity == "max_displacement":
-        disp = evaluation.solution("elasticity").values[list(vertices)]
-        return np.linalg.norm(disp, axis=1)
-    if quantity == "nodal_temperature":
-        return evaluation.solution("conduction").values[list(vertices)]
-    if quantity == "average_temperature":
-        weights = vertex_volume_weights(mesh)
-        temps = evaluation.solution("conduction").values
-        return float(np.dot(weights, temps) / weights.sum())
-    raise ValueError(f"unknown property quantity {quantity!r}")
 
 
 def check(prop: PropertySpec, evaluation: FieldEvaluation):

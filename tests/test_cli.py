@@ -204,9 +204,12 @@ def _aborted_achieved(doc, tmp_path):
      "density"),
     (_field_edit("provenance", lambda d: [1] * len(d["provenance"])),
      "provenance"),
+    (_field_edit("provenance",
+                 lambda d: ["whatever-long-tag"] * len(d["provenance"])),
+     "provenance"),
     (_aborted_achieved, "young"),
 ], ids=["nested-young", "boolean-young", "nan-density", "integer-provenance",
-        "aborted-achieved"])
+        "long-provenance", "aborted-achieved"])
 def test_verify_refuses_a_malformed_field_file(tmp_path, capsys, edit, key):
     # a mass bound reads only the density, so no solve would catch a bad
     # young modulus
@@ -785,6 +788,23 @@ def test_report_renders_a_print_without_an_objective_figure(
     assert lines[-1] == f"wrote {svg}"
     text = svg.read_text()
     assert "mean commanded" in text and ">objective<" not in text
+
+
+def test_report_names_the_key_a_report_lacks(tmp_path, capsys):
+    # an abort written before abort verdicts took the final shape: its
+    # verdicts have a bound and an excess, not a quantity and a margin
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({
+        "outcome": "aborted", "seed": 0, "n_layers": 4, "fem_solves": 5,
+        "abort": {"layer": 1, "violated": ["tip"], "verdicts": [
+            {"name": "tip", "measured": 0.02, "bound": 0.01,
+             "excess": 0.01, "passed": False}]},
+        "verdicts": [], "history": []}))
+    rc = run_cli("report", report)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (f"SEMFAB-ERR[usage] {report}: the report has no "
+                            "key 'quantity'\n")
 
 
 def test_report_and_verify_print_the_same_verdict_rows(tmp_path, capsys):

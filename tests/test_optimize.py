@@ -2,6 +2,8 @@
 recovery against series-spring algebra, grid-enumeration oracles, and the
 quadratic warm-start machinery."""
 
+import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -341,6 +343,39 @@ def _synthetic_at():
     return problem, np.array([0.7, 1.3])
 
 
+def _every_quantity_problem(parameter, objective=None):
+    """A loaded, heated 1x1x2 bar with a bound on every quantity under
+    every op, optimizing ``parameter``; the objective is the one that
+    varies with it unless ``objective`` is given."""
+    m = mesh.generate_box_mesh(1, 1, 2, (1.0, 1.0, 2.0))
+    z = m.vertices[:, 2]
+    bottom, top = np.flatnonzero(z < 1e-9), np.flatnonzero(z > 2 - 1e-9)
+    annotations = {str(v): {"displacement": "fixed", "temperature": 300.0}
+                   for v in bottom}
+    annotations.update({str(v): {"force": [10.0, 0.0, -50.0], "flux": 0.3}
+                        for v in top})
+    properties = [
+        {"name": f"{quantity}-{op}", "quantity": quantity, "op": op,
+         "bound": 1.0, **({"vertices": top.tolist()} if entry.local else {})}
+        for quantity, entry in semantics.QUANTITIES.items()
+        for op in entry.ops]
+    doc = box_layer_doc(
+        {"young": [60e3, 120e3], "poisson": [0.3, 0.3],
+         "conductivity": [0.1, 0.4], "density": [1.0, 3.0]},
+        vertex_annotations=annotations, properties=properties)
+    spec = semantics.bind_to_mesh(semantics.layer_from_dict(doc), m)
+    objective = objective or next(
+        name for name, varies in optimize.OBJECTIVES.items()
+        if varies == parameter)
+    problem = optimize.InversionProblem(spec, objective, parameter=parameter)
+    x = np.random.default_rng(4).uniform(*problem.boxes[0],
+                                         problem.n_variables)
+    return problem, x
+
+
+_OPTIMIZED = ("young", "conductivity", "density")
+
+
 @pytest.mark.parametrize("build, name, entry", [
     (_tip_bar_at, "tip", 4),  # max_displacement at one top vertex
     (_hot_block_at, "hot_face", 3),  # nodal_temperature at one top vertex
@@ -348,6 +383,14 @@ def _synthetic_at():
     (_mass_floor_at, "heavy", 0),  # mass over density, op "ge"
     (_mass_floor_at, "light", 0),  # mass over density, op "le"
     (_synthetic_at, "curved", 0),
+] + [
+    # every quantity under every op and optimized parameter, flat pairs and
+    # volume too; a local one at its second top vertex
+    pytest.param(functools.partial(_every_quantity_problem, parameter),
+                 f"{quantity}-{op}", int(entry.local),
+                 id=f"{quantity}-{op}-over-{parameter}")
+    for quantity, entry in semantics.QUANTITIES.items()
+    for op in entry.ops for parameter in _OPTIMIZED
 ])
 def test_add_gradient_with_a_unit_weight_is_one_excess_gradient(
         build, name, entry):
@@ -360,7 +403,10 @@ def test_add_gradient_with_a_unit_weight_is_one_excess_gradient(
     terms = optimize._Gradient(problem)
     constraint.add_gradient(x, ctx, w, terms)
     row = terms.total(ctx)
-    assert np.any(row)
+    prop = getattr(constraint, "prop", None)
+    # a quantity flat in the optimized parameter has an all-zero row
+    assert np.any(row) == (prop is None or semantics.QUANTITIES[
+        prop.quantity].parameter == problem.parameter)
 
     def excess(point):
         return constraint.check(point, problem.context(point))[1][entry]
@@ -374,7 +420,6 @@ def test_add_gradient_with_a_unit_weight_is_one_excess_gradient(
         assert row[e] == pytest.approx(fd, rel=1e-5,
                                        abs=1e-9 * np.abs(row).max())
 
-    prop = getattr(constraint, "prop", None)
     if prop is not None and prop.quantity == problem.objective:
         # the objective and the constraint write a global quantity's
         # gradient in one place: the objective's is the unit-weight "le"
@@ -382,6 +427,20 @@ def test_add_gradient_with_a_unit_weight_is_one_excess_gradient(
         _, objective_row = problem.objective_and_gradient(x, ctx)
         sign = 1.0 if prop.op == "le" else -1.0
         assert (sign * row).tobytes() == objective_row.tobytes()
+
+
+@pytest.mark.parametrize("objective", sorted(optimize.OBJECTIVES))
+@pytest.mark.parametrize("parameter", _OPTIMIZED)
+def test_every_objective_gradient_matches_central_differences(objective,
+                                                              parameter):
+    problem, x = _every_quantity_problem(parameter, objective)
+    _, grad = problem.objective_and_gradient(x)
+    varies = optimize.OBJECTIVES[objective] == parameter
+    assert np.any(grad) == varies  # a flat objective's row is all zero
+    fd = fd_objective_gradient(problem, x, range(problem.n_variables), 1e-4)
+    for e, approx in fd.items():
+        assert grad[e] == pytest.approx(approx, rel=1e-5,
+                                        abs=1e-9 * np.abs(grad).max())
 
 
 # ---------------------------------------------------------------------------
@@ -727,19 +786,23 @@ def test_each_constraint_is_checked_once_per_context(monkeypatch, build):
 
 def test_a_plan_measures_each_quantity_once_per_evaluation(monkeypatch):
     computed, asked, evaluations = [], set(), []
-    measure, compute = semantics.measure, semantics._compute
+    measure = semantics.measure
 
     def asking(evaluation, quantity, vertices=()):
         evaluations.append(evaluation)  # alive, so ids stay distinct
         asked.add((quantity, tuple(vertices), id(evaluation)))
         return measure(evaluation, quantity, vertices)
 
-    def computing(*args):
-        computed.append(args[1])
-        return compute(*args)
+    def computing(name, value):
+        def compute(*args):
+            computed.append(name)
+            return value(*args)
+        return compute
 
     monkeypatch.setattr(semantics, "measure", asking)
-    monkeypatch.setattr(semantics, "_compute", computing)
+    for name, entry in semantics.QUANTITIES.items():
+        monkeypatch.setitem(semantics.QUANTITIES, name, dataclasses.replace(
+            entry, value=computing(name, entry.value)))
     problem = plate_block_problem()
     built = len(evaluations)
     result = optimize.inversion_solve(problem)

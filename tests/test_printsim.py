@@ -882,6 +882,26 @@ def test_scenario_rejects_unknown_and_missing_keys():
         printsim.scenario_from_dict(missing)
 
 
+@pytest.mark.parametrize("section, value, message", [
+    ("actuator", 10**400, "actuator gain must be a finite number"),
+    ("plant_model", True, "policy.plant_model gain must be a finite number"),
+    ("plant_model", -1.0, "policy.plant_model gain must be positive and "
+     "finite"),
+])
+def test_a_scenario_model_number_is_named_by_its_section(section, value,
+                                                         message):
+    # the model checks each number once; the scenario names the section
+    doc = printsim.scenario_to_dict(printsim.Scenario(
+        "m", "a", printsim.ActuatorModel(gain=1.0), printsim.SensorModel(),
+        printsim.ControlPolicy(plant_model=printsim.ActuatorModel(gain=1.0)),
+        1, 1.0))
+    model = doc["actuator"] if section == "actuator" else doc["policy"][
+        "plant_model"]
+    model["gain"] = value
+    with pytest.raises(ValueError, match=f"^scenario {message}$"):
+        printsim.scenario_from_dict(doc)
+
+
 def test_a_boolean_seed_is_refused(bar):
     problem, plan, _ = bar
     with pytest.raises(ValueError, match="seed must be an integer"):

@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from semfab import semantics
 from semfab.errors import AnnotationParseError, BindError, WellPosednessError
 from semfab.mesh import boundary_faces, generate_box_mesh, generate_shaft_mesh
 from semfab.semantics import (
     FieldEvaluation,
     MaterialField,
+    QUANTITIES,
     PropertySpec,
     bind_to_mesh,
     check,
@@ -19,7 +23,6 @@ from semfab.semantics import (
     field_to_dict,
     layer_from_dict,
     parse_semantic_layer,
-    serialize_semantic_layer,
     vertex_volume_weights,
 )
 
@@ -69,7 +72,7 @@ def test_serialize_parse_roundtrip_is_identity():
     ]
     doc["field_regularity"] = {"gamma": 0.25, "parameter": "young"}
     layer = layer_from_dict(doc)
-    again = parse_semantic_layer(serialize_semantic_layer(layer))
+    again = parse_semantic_layer(json.dumps(layer.to_dict()))
     assert again == layer
     assert again.to_dict() == layer.to_dict()
 
@@ -407,6 +410,43 @@ def test_vertex_volume_weights_sum_to_volume():
     assert_allclose(w.sum(), mesh.volumes().sum(), rtol=1e-12)
 
 
+def test_compliance_is_an_objective_not_a_property():
+    doc = {"global_properties": [
+        {"quantity": "compliance", "op": "le", "bound": 1.0}]}
+    with pytest.raises(AnnotationParseError,
+                       match="unknown property quantity 'compliance'"):
+        layer_from_dict(doc)
+
+
+def _quantity_comparisons(source):
+    """(line, name) of each ==, !=, in or not in that compares with a
+    quantity name written out."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare) or not all(
+                isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
+                for op in node.ops):
+            continue
+        for operand in (node.left, *node.comparators):
+            items = (operand.elts if isinstance(operand, (ast.Tuple, ast.List,
+                                                          ast.Set))
+                     else [operand])
+            found += [(node.lineno, item.value) for item in items
+                      if isinstance(item, ast.Constant)
+                      and item.value in QUANTITIES]
+    return found
+
+
+def test_no_module_compares_with_a_quantity_name():
+    # what a quantity is and does lives in its QUANTITIES entry alone
+    package = Path(semantics.__file__).parent
+    found = {path.name: _quantity_comparisons(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+    assert _quantity_comparisons('q in ("mass", "volume") or q != "x"') == [
+        (1, "mass"), (1, "volume")]
+
+
 # strategies for random valid layers -----------------------------------------
 
 finite = st.floats(-50.0, 50.0, allow_nan=False)
@@ -487,5 +527,5 @@ layer_doc_strategy = st.fixed_dictionaries(
 @given(doc=layer_doc_strategy)
 def test_random_layers_roundtrip(doc):
     layer = layer_from_dict(doc)
-    again = parse_semantic_layer(serialize_semantic_layer(layer))
+    again = parse_semantic_layer(json.dumps(layer.to_dict()))
     assert again == layer

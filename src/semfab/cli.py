@@ -10,7 +10,6 @@ for exit 1, ``SEMFAB-ERR[usage|numeric]`` on stderr for exits 2 and 3.
 
 import argparse
 import enum
-import json
 import logging
 import math
 import sys
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mesh as mesh_mod
-from . import optimize, printsim, semantics
+from . import _files, optimize, printsim, semantics
 from .errors import SemfabError, SolverFailure
 
 log = logging.getLogger("semfab")
@@ -164,8 +163,7 @@ def cmd_verify(args):
     if args.nominal:
         field = spec.midpoint_field()
     else:
-        with open(args.field, encoding="utf-8") as fh:
-            field = semantics.field_from_dict(json.load(fh))
+        field = semantics.field_from_dict(_files.load_json(args.field))
     verdicts = semantics.check_properties(
         semantics.FieldEvaluation(spec, field))
     print(_verdict_table(semantics.verdict_to_dict(v) for v in verdicts))
@@ -187,7 +185,7 @@ def cmd_optimize(args):
         max_iter=args.max_iter,
     )
     field = problem.field_for(result.values)
-    semantics.save_json(semantics.field_to_dict(field), args.output)
+    _files.save_json(semantics.field_to_dict(field), args.output)
     summary = {
         "objective": args.objective,
         "parameter": problem.parameter,
@@ -199,7 +197,7 @@ def cmd_optimize(args):
         "values": result.values.tolist(),
     }
     summary_path = args.summary or str(args.output) + ".summary.json"
-    semantics.save_json(summary, summary_path)
+    _files.save_json(summary, summary_path)
     if args.trace:
         optimize.write_trace(result, args.trace)
     print(
@@ -315,18 +313,16 @@ def _svg_polyline(xs, ys, xlabel, ylabel):
 
 
 def cmd_report(args):
-    with open(args.report, encoding="utf-8") as fh:
-        doc = json.load(fh)
     try:
-        lines, plot = _render_report(doc, bool(args.svg))
+        lines, plot = _render_report(_files.load_json(args.report),
+                                     bool(args.svg))
     except KeyError as exc:
         return _err("usage", f"{args.report}: the report has no key {exc}")
     print("\n".join(lines))
     if args.svg:
         if plot is None:
             return _err("usage", "report has no history to plot")
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(plot)
+        _files.write_whole(args.svg, lambda fh: fh.write(plot))
         print(f"\nwrote {args.svg}")
     return ExitStatus.OK
 
@@ -458,8 +454,8 @@ def main(argv=None):
     except (SolverFailure, np.linalg.LinAlgError, FloatingPointError) as exc:
         return _err("numeric", str(exc))
     except (OSError, KeyError, ValueError) as exc:
-        # every input error of semfab, and json.JSONDecodeError, is a
-        # ValueError
+        # every input error of semfab is a ValueError, and a file that is
+        # not JSON raises one naming the file
         return _err("usage", str(exc))
     except SemfabError as exc:
         return _err("numeric", str(exc))

@@ -11,11 +11,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import permutations
-from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
+from . import _files, _kernels
 from .errors import MeshFormatError
 
 
@@ -25,7 +24,6 @@ class VolumetricMesh:
 
     vertices: np.ndarray
     tets: np.ndarray
-    units: str = "mm"
 
     @property
     def n_vertices(self) -> int:
@@ -434,7 +432,7 @@ def layer_partition(mesh: VolumetricMesh, layer_height: float) -> LayerPartition
 
 def mesh_to_dict(mesh: VolumetricMesh) -> dict:
     return {
-        "units": {"length": mesh.units},
+        "units": {"length": "mm"},
         "vertices": mesh.vertices.tolist(),
         "tets": mesh.tets.tolist(),
     }
@@ -447,9 +445,8 @@ def mesh_from_dict(doc: dict) -> VolumetricMesh:
         if key not in doc:
             raise MeshFormatError(f"mesh document missing '{key}'")
     units = doc.get("units", {})
-    length_unit = units.get("length", "mm") if isinstance(units, dict) else units
-    if length_unit != "mm":
-        raise MeshFormatError(f"unsupported length unit {length_unit!r}")
+    if not isinstance(units, dict) or units.get("length", "mm") != "mm":
+        raise MeshFormatError(f"units {units!r} are not {{'length': 'mm'}}")
     vertices = _as_mesh_array(doc, "vertices", np.float64, 3)
     tets = _as_mesh_array(doc, "tets", np.int64, 4)
     if tets.size and (tets.min() < 0 or tets.max() >= vertices.shape[0]):
@@ -457,16 +454,13 @@ def mesh_from_dict(doc: dict) -> VolumetricMesh:
     bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
     if bad.size:
         raise MeshFormatError(f"vertex {bad[0]} has a non-finite coordinate")
-    return VolumetricMesh(vertices, tets, units=length_unit)
+    return VolumetricMesh(vertices, tets)
 
 
 def save_mesh(mesh: VolumetricMesh, path) -> None:
-    Path(path).write_text(json.dumps(mesh_to_dict(mesh)) + "\n")
+    text = json.dumps(mesh_to_dict(mesh), allow_nan=False) + "\n"
+    _files.write_whole(path, lambda fh: fh.write(text))
 
 
 def load_mesh(path) -> VolumetricMesh:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise MeshFormatError(f"not valid JSON: {exc}") from exc
-    return mesh_from_dict(doc)
+    return mesh_from_dict(_files.load_json(path, MeshFormatError))

@@ -76,7 +76,7 @@ import json
 import numpy as np
 import scipy.linalg
 
-from . import fem, semantics
+from . import _files, fem, semantics
 from .errors import BasePointError, ModelInvalidError
 from .mesh import face_adjacency
 
@@ -348,7 +348,6 @@ class FunctionProblem(_BoxProblem):
         gradient,
         boxes,
         constraints=(),
-        lipschitz=None,
     ):
         self._objective = objective
         self._gradient = gradient
@@ -357,8 +356,7 @@ class FunctionProblem(_BoxProblem):
             raise ValueError("boxes must have shape (n, 2)")
         self._set_boxes(boxes)
         self._split((), ())
-        self.lipschitz = lipschitz
-        self.constraints = tuple(constraints) + _regularity(lipschitz)
+        self.constraints = tuple(constraints)
         self.stats = semantics.RunStats()
 
     def context(self, x):
@@ -428,9 +426,10 @@ class InversionProblem(_BoxProblem):
         self._split((), ())
         self.base_field = spec.midpoint_field()
         self.lipschitz = _lipschitz_from_spec(spec, self.parameter)
+        # the Lipschitz surrogate, when there is one, is the last constraint
         self.constraints = tuple(
             _PropertyConstraint(prop) for prop in spec.properties
-        ) + _regularity(self.lipschitz)
+        ) + (() if self.lipschitz is None else (self.lipschitz,))
         self.stats = semantics.RunStats()
         self._plans = {}
 
@@ -467,11 +466,6 @@ class InversionProblem(_BoxProblem):
         ctx = ctx or self.context(x)
         grad = _Gradient(self)
         return self.objective_value(x, ctx, grad), grad.total(ctx)
-
-
-def _regularity(lipschitz):
-    """The Lipschitz surrogate as the last constraint, when there is one."""
-    return () if lipschitz is None else (lipschitz,)
 
 
 def _lipschitz_from_spec(spec, parameter):
@@ -771,10 +765,9 @@ def _estimates(lam, rho, hinges):
 
 
 def write_trace(result, path) -> None:
-    """Dump the iteration trace as JSON lines."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in result.trace:
-            handle.write(json.dumps(record) + "\n")
+    """Write the iteration trace as strict JSON lines."""
+    _files.write_whole(path, lambda fh: fh.writelines(
+        json.dumps(record, allow_nan=False) + "\n" for record in result.trace))
 
 
 def _projected_norm(xi, grad_xi):

@@ -22,12 +22,11 @@ commands.
 
 import csv
 import dataclasses
-import json
 
 import numpy as np
 
 from . import mesh as mesh_mod
-from . import optimize, semantics
+from . import _files, optimize, semantics
 from .errors import CalibrationError, PrintCompleteError
 from .semantics import MaterialField
 
@@ -736,12 +735,11 @@ def scenario_from_dict(doc):
 
 
 def save_scenario(scenario, path):
-    semantics.save_json(scenario_to_dict(scenario), path)
+    _files.save_json(scenario_to_dict(scenario), path)
 
 
 def load_scenario(path):
-    with open(path, encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))
+    return scenario_from_dict(_files.load_json(path))
 
 
 # the columns of a print's layer history, in report.json and in the CSV
@@ -785,7 +783,7 @@ def report_to_dict(report):
 
 
 def save_report(report, path):
-    semantics.save_json(report_to_dict(report), path)
+    _files.save_json(report_to_dict(report), path)
 
 
 def history_to_csv(report, path):
@@ -794,8 +792,10 @@ def history_to_csv(report, path):
     def cell(x):
         return "" if x is None else x
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    def write(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_HISTORY_COLUMNS)
         for rec in report.history:
             writer.writerow([cell(v) for _, v in _history_row(rec)])
+
+    _files.write_whole(path, write)

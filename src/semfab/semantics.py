@@ -30,15 +30,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from . import fem
+from . import _files, fem
 from .errors import AnnotationParseError, BindError, WellPosednessError
 from .mesh import VolumetricMesh
 
@@ -226,8 +224,8 @@ def _shared_view(array: np.ndarray) -> np.ndarray:
 def field_to_dict(fld: MaterialField) -> dict:
     """A field's JSON document; a value that is not finite, such as that
     of an element a print has not reached, is null."""
-    doc = {name: [x if math.isfinite(x) else None
-                  for x in fld.values(name).tolist()] for name in PARAMETERS}
+    doc = {name: np.where(np.isfinite(values), values, None).tolist()
+           for name, values in zip(PARAMETERS, map(fld.values, PARAMETERS))}
     doc["provenance"] = fld.provenance.tolist()
     return doc
 
@@ -468,15 +466,6 @@ def layer_from_dict(doc: dict) -> SemanticLayer:
     )
 
 
-def parse_semantic_layer(text) -> SemanticLayer:
-    """Parse a JSON annotation document (str or bytes) into a SemanticLayer."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise AnnotationParseError(f"not valid JSON: {exc}") from exc
-    return layer_from_dict(doc)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -548,28 +537,12 @@ def _layer_to_dict(layer: SemanticLayer) -> dict:
     return doc
 
 
-def save_json(doc, path) -> None:
-    """Write `doc` as strict JSON to `path`, indented by 2 with sorted keys
-    and a final newline, whole or not at all: the dump streams into a
-    temporary file beside `path`, which replaces `path` once the dump
-    succeeds and is deleted if it fails."""
-    tmp = Path(f"{os.fspath(path)}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def save_semantic_layer(layer: SemanticLayer, path) -> None:
-    save_json(layer.to_dict(), path)
+    _files.save_json(layer.to_dict(), path)
 
 
 def load_semantic_layer(path) -> SemanticLayer:
-    return parse_semantic_layer(Path(path).read_text())
+    return layer_from_dict(_files.load_json(path, AnnotationParseError))
 
 
 # ---------------------------------------------------------------------------

@@ -621,12 +621,42 @@ def test_only_an_iterating_plan_imports_scipy_optimize(tmp_path):
     assert imports_scipy_optimize(ITERATING_PLAN)
 
 
-def test_simulate_rejects_malformed_scenario(tmp_path, capsys):
-    (tmp_path / "scenario.json").write_text("{not json")
-    rc = run_cli("simulate", tmp_path / "scenario.json",
-                 "--out", tmp_path / "sim")
-    assert rc == 2
-    assert "SEMFAB-ERR[usage]" in capsys.readouterr().err
+@pytest.mark.parametrize("command, name, text", [
+    ("verify", "bar_mesh.json", b"{not json"),
+    ("verify", "bar_annotation.json", b"{not json"),
+    ("verify", "field.json", b"{not json"),
+    ("simulate", "scenario.json", b"{not json"),
+    ("simulate", "bar_mesh.json", b"{not json"),
+    ("simulate", "bar_annotation.json", b"{not json"),
+    ("report", "report.json", b"{not json"),
+    ("report", "report.json", b'{"outcome": "\xe9"}'),
+], ids=["verify-mesh", "verify-annotation", "verify-field",
+        "simulate-scenario", "simulate-mesh", "simulate-annotation",
+        "report", "report-not-utf8"])
+def test_a_malformed_json_input_exits_2_naming_its_file(
+        tmp_path, capsys, command, name, text):
+    tmp_path = tmp_path.resolve()
+    mesh_path, ann_path = write_bar_files(tmp_path, 2, 0.05, BOX)
+    field = cli._load_bound_spec(mesh_path, ann_path).midpoint_field()
+    (tmp_path / "field.json").write_text(
+        json.dumps(semantics.field_to_dict(field)))
+    write_scenario(tmp_path / "scenario.json")
+    (tmp_path / name).write_bytes(text)
+    argv = {
+        "verify": ["verify", mesh_path, ann_path,
+                   "--field", tmp_path / "field.json"],
+        "simulate": ["simulate", tmp_path / "scenario.json",
+                     "--out", tmp_path / "sim"],
+        "report": ["report", tmp_path / "report.json"],
+    }[command]
+    rc = run_cli(*argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    # one line, naming the file
+    assert captured.err.startswith(f"SEMFAB-ERR[usage] {tmp_path / name}: "
+                                   "not valid JSON: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "sim").exists()
 
 
 def test_simulate_rejects_unknown_scenario_key(tmp_path, capsys):

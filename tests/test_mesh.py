@@ -249,7 +249,7 @@ def test_mesh_json_roundtrip(tmp_path):
     back = load_mesh(path)
     assert np.array_equal(mesh.vertices, back.vertices)
     assert np.array_equal(mesh.tets, back.tets)
-    assert back.units == "mm"
+    assert json.loads(path.read_text())["units"] == {"length": "mm"}
 
 
 def test_load_rejects_malformed_documents(tmp_path):
@@ -257,6 +257,12 @@ def test_load_rejects_malformed_documents(tmp_path):
         "missing_tets.json": {"units": {"length": "mm"}, "vertices": [[0, 0, 0]]},
         "bad_units.json": {
             "units": {"length": "furlong"},
+            "vertices": [[0, 0, 0]] * 4,
+            "tets": [[0, 1, 2, 3]],
+        },
+        # only the object form of the units is read
+        "bare_units.json": {
+            "units": "mm",
             "vertices": [[0, 0, 0]] * 4,
             "tets": [[0, 1, 2, 3]],
         },

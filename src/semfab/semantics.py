@@ -5,8 +5,9 @@ sets (axis-aligned boxes), prescribed temperatures and fluxes, and, per
 element, admissible ranges for the four material parameters. It also holds
 global property specifications (volume, mass, displacement and temperature
 bounds) and an optional Lipschitz regularity requirement on one material
-field. Layers are parsed from and serialized to JSON; binding one to a mesh
-resolves all references and checks the problem is well posed.
+field. A layer is parsed from a JSON document and keeps it, to write it
+back as it was read; binding one to a mesh resolves all references and
+checks the problem is well posed.
 
 A :class:`FieldEvaluation` solves each physics of one material field at
 most once and counts every solve, adjoint ones too, in a :class:`RunStats`
@@ -22,17 +23,18 @@ Conventions:
     is reported when the displacement is prescribed
   - temperatures follow the same pattern in scalar form; a bare number is a
     prescribed value; an interval of nonzero width, like a displacement
-    box, is parsed, kept and written back, but no command checks it: a
-    field is judged only by :func:`check`, on its properties
+    box, is parsed and kept, but no command checks it: a field is judged
+    only by :func:`check`, on its properties
 """
 
 from __future__ import annotations
 
-import json
+import copy
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -50,6 +52,8 @@ CANONICAL_UNITS = {
 }
 
 PARAMETERS = ("young", "poisson", "conductivity", "density")
+PARAMETER_DEFAULTS = {"young": 1.0, "poisson": 0.0, "conductivity": 1.0,
+                      "density": 1.0}
 
 # where an element's values came from; a field stores its tags as this dtype
 PROVENANCES = ("commanded", "achieved", "estimated")
@@ -102,6 +106,11 @@ class VertexAnnotation:
     temperature: np.ndarray | None = None  # (2,) lo/hi, K
     flux: float | None = None  # W
 
+    def __post_init__(self):
+        for box in (self.displacement, self.force, self.temperature):
+            if box is not None:
+                box.setflags(write=False)
+
     def displacement_prescribed(self) -> bool:
         d = self.displacement
         return d is not None and bool(
@@ -115,24 +124,30 @@ class VertexAnnotation:
 
 @dataclass(frozen=True)
 class SemanticLayer:
-    vertex_annotations: dict[int, VertexAnnotation] = field(default_factory=dict)
-    element_defaults: dict[str, tuple[float, float]] = field(default_factory=dict)
-    element_overrides: dict[int, dict[str, tuple[float, float]]] = field(
-        default_factory=dict
-    )
-    global_properties: tuple[PropertySpec, ...] = ()
-    field_regularity: FieldRegularity | None = None
+    """An annotation document and what it says. The document is the one it
+    was read from, kept whole: it is what the layer writes, and two layers
+    are equal when their documents are. What it says is read-only, so it
+    cannot come to say something its document does not."""
+
+    vertex_annotations: Mapping[int, VertexAnnotation]
+    element_defaults: Mapping[str, tuple[float, float]]
+    element_overrides: Mapping[int, Mapping[str, tuple[float, float]]]
+    global_properties: tuple[PropertySpec, ...]
+    field_regularity: FieldRegularity | None
+    _document: dict = field(repr=False)
 
     def to_dict(self) -> dict:
-        return _layer_to_dict(self)
+        return copy.deepcopy(self._document)
 
     def __eq__(self, other):
         if not isinstance(other, SemanticLayer):
             return NotImplemented
-        return self.to_dict() == other.to_dict()
+        return self._document == other._document
 
     def __hash__(self):
-        return hash(json.dumps(self.to_dict(), sort_keys=True))
+        # equal documents, 1 and 1.0 alike, parse to equal properties
+        return hash((frozenset(self.vertex_annotations),
+                     self.global_properties, self.field_regularity))
 
 
 @dataclass
@@ -160,10 +175,10 @@ class MaterialField:
     def uniform(
         cls,
         n_elements: int,
-        young: float = 1.0,
-        poisson: float = 0.0,
-        conductivity: float = 1.0,
-        density: float = 1.0,
+        young: float = PARAMETER_DEFAULTS["young"],
+        poisson: float = PARAMETER_DEFAULTS["poisson"],
+        conductivity: float = PARAMETER_DEFAULTS["conductivity"],
+        density: float = PARAMETER_DEFAULTS["density"],
         provenance: str = "commanded",
     ) -> "MaterialField":
         return cls(
@@ -272,6 +287,13 @@ def _container(doc, key, kind=dict, where=None):
     return val
 
 
+def _known_keys(doc, known, what, where=None):
+    """Fails on the first key of `doc` not in `known`, at `where` or else the key."""
+    for key in doc:
+        if key not in known:
+            _fail(f"unknown {what} {key!r}", key if where is None else where)
+
+
 def finite_number(x) -> bool:
     """A finite number; `json` also reads NaN, Infinity and ints past
     float range, which are not."""
@@ -280,7 +302,7 @@ def finite_number(x) -> bool:
 
 
 def _interval(val, where, allow_unbounded=True) -> tuple[float, float]:
-    if not (isinstance(val, (list, tuple)) and len(val) == 2):
+    if not (isinstance(val, list) and len(val) == 2):
         _fail("expected [min, max]", where)
     lo, hi = val
     # null, not an infinite number, marks an unbounded side
@@ -295,7 +317,7 @@ def _interval(val, where, allow_unbounded=True) -> tuple[float, float]:
 
 
 def _box3(val, where) -> np.ndarray:
-    if not (isinstance(val, (list, tuple)) and len(val) == 3):
+    if not (isinstance(val, list) and len(val) == 3):
         _fail("expected a 3-vector or three [min, max] intervals", where)
     if all(finite_number(x) for x in val):
         point = np.asarray(val, dtype=np.float64)
@@ -307,10 +329,8 @@ def _box3(val, where) -> np.ndarray:
 def _parse_vertex(doc, where) -> VertexAnnotation:
     if not isinstance(doc, dict):
         _fail("vertex annotation must be an object", where)
-    known = {"displacement", "force", "temperature", "flux"}
-    for key in doc:
-        if key not in known:
-            _fail(f"unknown vertex annotation key {key!r}", where)
+    _known_keys(doc, {"displacement", "force", "temperature", "flux"},
+                "vertex annotation key", where)
     disp = doc.get("displacement", "unconstrained")
     if disp == "unconstrained":
         displacement = None
@@ -347,7 +367,7 @@ def _check_range(param, lo, hi, where):
         _fail(f"{param} range [{lo}, {hi}] must be strictly positive", where)
 
 
-def _parse_ranges(doc, where) -> dict[str, tuple[float, float]]:
+def _parse_ranges(doc, where) -> Mapping[str, tuple[float, float]]:
     if not isinstance(doc, dict):
         _fail("expected an object of parameter ranges", where)
     out = {}
@@ -357,12 +377,14 @@ def _parse_ranges(doc, where) -> dict[str, tuple[float, float]]:
         lo, hi = _interval(val, f"{where}.{param}", allow_unbounded=False)
         _check_range(param, lo, hi, f"{where}.{param}")
         out[param] = (lo, hi)
-    return out
+    return MappingProxyType(out)
 
 
 def _parse_property(doc, where) -> PropertySpec:
     if not isinstance(doc, dict):
         _fail("property must be an object", where)
+    _known_keys(doc, {"name", "quantity", "op", "bound", "vertices"},
+                "property key", where)
     quantity = doc.get("quantity")
     # an objective-only quantity, with no ops, is not a property
     entry = QUANTITIES.get(quantity) if isinstance(quantity, str) else None
@@ -390,28 +412,26 @@ def _parse_property(doc, where) -> PropertySpec:
 
 
 def _int_key(key, where) -> int:
+    """The id an id key names. Each id has one key, its plain decimal
+    string: "3", and not "03", "+3", a non-ASCII digit or the int 3."""
     try:
         idx = int(key)
     except (TypeError, ValueError):
         idx = -1
-    if idx < 0 or (isinstance(key, str) and not key.isdigit()):
-        _fail(f"key {key!r} is not a nonnegative integer id", where)
+    if idx < 0 or key != str(idx):
+        _fail(f"key {key!r} is not a nonnegative id in plain decimal", where)
     return idx
 
 
 def layer_from_dict(doc: dict) -> SemanticLayer:
+    """The layer of an annotation document. It keeps a copy of `doc`, which
+    the caller may go on editing. Raises AnnotationParseError, naming the
+    field, unless `doc` is a valid annotation."""
     if not isinstance(doc, dict):
         raise AnnotationParseError("annotation document must be a JSON object")
-    known = {
-        "units",
-        "vertex_annotations",
-        "element_annotations",
-        "global_properties",
-        "field_regularity",
-    }
-    for key in doc:
-        if key not in known:
-            _fail(f"unknown top-level section {key!r}", key)
+    _known_keys(doc, {"units", "vertex_annotations", "element_annotations",
+                      "global_properties", "field_regularity"},
+                "top-level section")
 
     units = _container(doc, "units")
     for kind, unit in units.items():
@@ -428,9 +448,8 @@ def layer_from_dict(doc: dict) -> SemanticLayer:
         vertex_annotations[vid] = _parse_vertex(val, where)
 
     elems = _container(doc, "element_annotations")
-    for key in elems:
-        if key not in ("default", "overrides"):
-            _fail(f"unknown element_annotations key {key!r}", "element_annotations")
+    _known_keys(elems, {"default", "overrides"}, "element_annotations key",
+                "element_annotations")
     defaults = _parse_ranges(
         elems.get("default", {}), "element_annotations.default"
     )
@@ -450,6 +469,8 @@ def layer_from_dict(doc: dict) -> SemanticLayer:
     if reg is not None:
         if not isinstance(reg, dict):
             _fail("field_regularity must be an object", "field_regularity")
+        _known_keys(reg, {"gamma", "parameter"}, "field_regularity key",
+                    "field_regularity")
         gamma = reg.get("gamma")
         param = reg.get("parameter")
         if not finite_number(gamma) or gamma < 0:
@@ -461,84 +482,14 @@ def layer_from_dict(doc: dict) -> SemanticLayer:
             )
         regularity = FieldRegularity(float(gamma), param)
 
-    return SemanticLayer(
-        vertex_annotations, defaults, overrides, properties, regularity
-    )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _emit_interval(lo: float, hi: float):
-    return [None if lo == -math.inf else lo, None if hi == math.inf else hi]
-
-
-def _emit_box3(box: np.ndarray, fixed_keyword: bool):
-    point = np.all(np.isfinite(box)) and np.all(box[:, 0] == box[:, 1])
-    if point:
-        if fixed_keyword and np.all(box == 0.0):
-            return "fixed"
-        return box[:, 0].tolist()
-    return [_emit_interval(lo, hi) for lo, hi in box]
-
-
-def _layer_to_dict(layer: SemanticLayer) -> dict:
-    doc: dict = {"units": dict(CANONICAL_UNITS)}
-    verts = {}
-    for vid in sorted(layer.vertex_annotations):
-        ann = layer.vertex_annotations[vid]
-        entry = {}
-        if ann.displacement is not None:
-            entry["displacement"] = _emit_box3(ann.displacement, fixed_keyword=True)
-        if ann.force is not None:
-            entry["force"] = _emit_box3(ann.force, fixed_keyword=False)
-        if ann.temperature is not None:
-            lo, hi = ann.temperature
-            entry["temperature"] = lo if lo == hi else _emit_interval(lo, hi)
-        if ann.flux is not None:
-            entry["flux"] = ann.flux
-        if entry:
-            verts[str(vid)] = entry
-    if verts:
-        doc["vertex_annotations"] = verts
-    elem: dict = {}
-    if layer.element_defaults:
-        elem["default"] = {
-            p: list(layer.element_defaults[p])
-            for p in PARAMETERS
-            if p in layer.element_defaults
-        }
-    if layer.element_overrides:
-        elem["overrides"] = {
-            str(eid): {p: list(r[p]) for p in PARAMETERS if p in r}
-            for eid, r in sorted(layer.element_overrides.items())
-        }
-    if elem:
-        doc["element_annotations"] = elem
-    if layer.global_properties:
-        props = []
-        for prop in layer.global_properties:
-            entry = {
-                "name": prop.name,
-                "quantity": prop.quantity,
-                "op": prop.op,
-                "bound": prop.bound,
-            }
-            if prop.vertices:
-                entry["vertices"] = list(prop.vertices)
-            props.append(entry)
-        doc["global_properties"] = props
-    if layer.field_regularity is not None:
-        doc["field_regularity"] = {
-            "gamma": layer.field_regularity.gamma,
-            "parameter": layer.field_regularity.parameter,
-        }
-    return doc
+    return SemanticLayer(MappingProxyType(vertex_annotations), defaults,
+                         MappingProxyType(overrides), properties, regularity,
+                         copy.deepcopy(doc))
 
 
 def save_semantic_layer(layer: SemanticLayer, path) -> None:
-    _files.save_json(layer.to_dict(), path)
+    """Write the document `layer` was read from."""
+    _files.save_json(layer._document, path)
 
 
 def load_semantic_layer(path) -> SemanticLayer:
@@ -569,15 +520,14 @@ class BoundSpecification:
     def midpoint_field(self) -> MaterialField:
         """Every parameter at the midpoint of its annotated range, tagged
         "commanded"; an unannotated parameter takes its default value."""
-        defaults = {"young": 1.0, "poisson": 0.0, "conductivity": 1.0,
-                    "density": 1.0}
         values = []
         for name in PARAMETERS:
             box = self.parameter_ranges[name]
             # inf - inf on an unannotated range would warn; nan is wanted
             with np.errstate(invalid="ignore"):
                 mid = 0.5 * (box[:, 0] + box[:, 1])
-            values.append(np.where(np.isfinite(mid), mid, defaults[name]))
+            values.append(np.where(np.isfinite(mid), mid,
+                                   PARAMETER_DEFAULTS[name]))
         return MaterialField(
             *values,
             np.full(self.mesh.n_elements, "commanded", dtype=_PROVENANCE_DTYPE)

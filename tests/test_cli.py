@@ -331,6 +331,32 @@ def test_verify_refuses_a_non_finite_annotation_number(tmp_path, capsys,
     assert err.startswith(f"SEMFAB-ERR[usage] {where.format(top=top)}")
 
 
+def _misspell_an_op(doc):
+    doc["global_properties"][0]["opp"] = "ge"
+    return "global_properties[0]: unknown property key 'opp'"
+
+
+def _pad_a_vertex_id(doc):
+    key = next(iter(doc["vertex_annotations"]))
+    doc["vertex_annotations"]["0" + key] = doc["vertex_annotations"].pop(key)
+    return f"vertex_annotations.0{key}: key '0{key}' "
+
+
+@pytest.mark.parametrize("edit", [_misspell_an_op, _pad_a_vertex_id],
+                         ids=["unknown-property-key", "padded-vertex-id"])
+def test_verify_refuses_a_key_the_format_does_not_name(tmp_path, capsys,
+                                                        edit):
+    mesh_path, ann_path = write_bar_files(tmp_path, 2, 0.05, BOX)
+    doc = json.loads(Path(ann_path).read_text())
+    expected = edit(doc)
+    Path(ann_path).write_text(json.dumps(doc))
+    rc = run_cli("verify", mesh_path, ann_path, "--nominal")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("SEMFAB-ERR") == 1
+    assert err.startswith(f"SEMFAB-ERR[usage] {expected}")
+
+
 # ---------------------------------------------------------------------------
 # optimize
 

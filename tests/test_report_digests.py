@@ -24,7 +24,7 @@ def test_report_digests_print_one_line_per_report():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     pinned = PINNED.read_text().splitlines()
-    assert len(pinned) == 72
+    assert len(pinned) == 81
     for line, expected in zip(lines, pinned):
         assert line == expected
     assert len(lines) == len(pinned)

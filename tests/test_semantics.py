@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 from pathlib import Path
 
@@ -78,6 +79,50 @@ def test_serialize_parse_roundtrip_is_identity(tmp_path):
     assert again.to_dict() == layer.to_dict()
 
 
+def test_editing_a_document_leaves_its_layer_alone(tmp_path):
+    mesh = generate_shaft_mesh(1.0, 10.0, 6, 2)
+    doc = shaft_layer_doc(mesh)
+    layer = layer_from_dict(doc)
+    twin = layer_from_dict(shaft_layer_doc(mesh))
+    save_semantic_layer(layer, tmp_path / "before.json")
+    doc["element_annotations"]["default"]["young"][1] = 1.0
+    doc["global_properties"] = [{"quantity": "volume", "bound": 1.0}]
+    written = layer.to_dict()
+    written["element_annotations"]["default"]["young"][1] = 1.0
+    written["vertex_annotations"].clear()
+    assert layer == twin and hash(layer) == hash(twin)
+    assert layer.to_dict() == twin.to_dict()
+    save_semantic_layer(layer, tmp_path / "after.json")
+    assert ((tmp_path / "after.json").read_bytes()
+            == (tmp_path / "before.json").read_bytes())
+
+
+def test_what_a_layer_says_is_read_only():
+    mesh = generate_shaft_mesh(1.0, 10.0, 6, 2)
+    doc = shaft_layer_doc(mesh)
+    doc["element_annotations"]["overrides"] = {"0": {"young": [5.0, 6.0]}}
+    layer = layer_from_dict(doc)
+    fixed = layer.vertex_annotations[0]
+    with pytest.raises(TypeError):
+        layer.element_defaults["young"] = (5.0, 6.0)
+    with pytest.raises(TypeError):
+        layer.element_overrides[0]["young"] = (1.0, 2.0)
+    with pytest.raises(TypeError):
+        layer.vertex_annotations[1] = fixed
+    with pytest.raises(ValueError):
+        fixed.displacement[0, 0] = 1.0
+    assert layer == layer_from_dict(doc)
+
+
+def test_equal_documents_make_equal_layers_of_one_hash():
+    def layer(bound):
+        return layer_from_dict({"global_properties": [
+            {"quantity": "volume", "op": "ge", "bound": bound}]})
+
+    assert layer(1) == layer(1.0) and hash(layer(1)) == hash(layer(1.0))
+    assert layer(1.0) != layer(2.0)
+
+
 def test_range_order_error_names_the_element():
     doc = {
         "element_annotations": {
@@ -123,6 +168,16 @@ def test_invalid_parameter_ranges_rejected(ranges):
         {"torque_annotations": {}},
         {"field_regularity": {"gamma": -1.0, "parameter": "young"}},
         {"field_regularity": {"gamma": 1.0, "parameter": "stiffness"}},
+        {"global_properties": [{"quantity": "mass", "bound": 1.0,
+                                "opp": "ge"}]},
+        {"field_regularity": {"gamma": 1, "parameter": "young", "gama": 3}},
+        {"vertex_annotations": {"03": {"flux": 1.0}}},
+        {"vertex_annotations": {"\u0663": {"flux": 1.0}}},
+        {"vertex_annotations": {3: {"flux": 1.0}}},
+        {"element_annotations": {"overrides": {"03": {"young": [1.0, 2.0]}}}},
+        # a document is JSON, whose arrays are lists
+        {"element_annotations": {"default": {"young": (1.0, 2.0)}}},
+        {"vertex_annotations": {"0": {"force": (0.0, 0.0, 1.0)}}},
     ],
 )
 def test_malformed_documents_rejected(doc):
@@ -136,6 +191,12 @@ def test_malformed_documents_rejected(doc):
      "element_annotations.overrides"),
     ({"global_properties": [{"quantity": ["volume"], "bound": 1.0}]},
      "global_properties[0]"),
+    ({"global_properties": [{"quantity": "mass", "bound": 1.0, "opp": "ge"}]},
+     "global_properties[0]"),
+    ({"field_regularity": {"gamma": 1, "parameter": "young", "gama": 3}},
+     "field_regularity"),
+    ({"vertex_annotations": {"03": {"flux": 1.0}}}, "vertex_annotations.03"),
+    ({"torque_annotations": {}}, "torque_annotations"),
 ])
 def test_malformed_containers_name_their_field(doc, field):
     with pytest.raises(AnnotationParseError) as err:
@@ -525,5 +586,8 @@ def test_random_layers_roundtrip(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "random_layer.json"
     layer = layer_from_dict(doc)
     save_semantic_layer(layer, path)
+    # the file is the document as it was read, nothing added or normalized
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     again = load_semantic_layer(path)
     assert again == layer

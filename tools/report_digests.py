@@ -9,7 +9,8 @@ Usage, from anywhere:
 
 - one pass of each perfbench workload at benchmark seeds 1-3, which
   writes the report of every print seed (and, on the CLI workload, its
-  history CSV);
+  history CSV), and the mesh, annotation and scenario files that each
+  workload's set-up writes at seed 1;
 - closed-loop prints the benchmark never makes, through the library API:
   an abort at layer 0, an uncontrolled print, a failed warm-start model
   followed by an abort, a non-stationary plan, warm and full re-plans
@@ -83,6 +84,8 @@ def benchmark_reports(tmp):
             inputs = workload.setup(setup_dir, seeds)
             workload.run_pass(inputs, pass_dir)
             _digests(pass_dir, f"{name}/seed-{seed}")
+            if seed == BENCHMARK_SEEDS[0]:
+                _digests(setup_dir, f"{name}/seed-{seed}/setup")
 
 
 def _bar_mesh_and_doc(n_layers, bound_factor=1.08):

@@ -164,6 +164,17 @@ def cmd_verify(args):
         field = spec.midpoint_field()
     else:
         field = semantics.field_from_dict(_files.load_json(args.field))
+    if not spec.admissible(field):
+        outside = np.flatnonzero(~spec.admissibility_mask(field))
+        e = outside[0]
+        for name in semantics.PARAMETERS:
+            value = float(field.values(name)[e])
+            lo, hi = spec.parameter_ranges[name][e].tolist()
+            if not lo <= value <= hi:
+                return _fail("verify", "the field leaves the annotated ranges "
+                             f"at {outside.size} element(s), the first is "
+                             f"element {e}: {name} {value!r} is not in "
+                             f"[{lo!r}, {hi!r}]")
     verdicts = semantics.check_properties(
         semantics.FieldEvaluation(spec, field))
     print(_verdict_table(semantics.verdict_to_dict(v) for v in verdicts))

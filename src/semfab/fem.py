@@ -3,21 +3,22 @@ analogue, steady-state heat conduction.
 
 K is linear in Young's modulus at a fixed Poisson ratio and linear in the
 conductivity, so every element matrix is its parameter times a unit matrix
-k̂_e. An :class:`AssemblyPlan`, built once per (specification, physics),
-holds the fixed CSR pattern of K, the free/prescribed split, the band that
-is its one layout of the free block K_ff, and assembly as one linear
-operator S from element parameters to K's entries: a sparse matrix whose
-column e holds k̂_e's entries at their slots in K.data. K's pattern is
-built from the edges of the element graph, as George & Liu (1981) build the
-graph of a finite-element matrix: the six edges of every tet, deduplicated
-by one sort, are the vertex graph, every element entry's slot is read off
-its edge or vertex, and each vertex pair becomes a full block of dofs. So
-the cost grows with the tets' edges and not with every dof pair of every
-element. The band comes from the same CSR pattern, masked to the free dofs,
-transposed once and reordered. Assembly is K.data = S p, which adds the
-scaled unit matrices into the pattern in ascending element order, so
-results are reproducible bit for bit. The element sensitivities
-lam . k̂_e u of all elements are one product with S's transpose.
+k̂_e. An :class:`AssemblyPlan`, built once per problem, or once per
+evaluation handed no plans, holds the fixed CSR pattern of K, the
+free/prescribed split, the band that is its one layout of the free block
+K_ff, and assembly as one linear operator S from element parameters to K's
+entries: a sparse matrix whose column e holds k̂_e's entries at their slots
+in K.data. K's pattern is built from the edges of the element graph, as
+George & Liu (1981) build the graph of a finite-element matrix: the six
+edges of every tet, deduplicated by one sort, are the vertex graph, every
+element entry's slot is read off its edge or vertex, and each vertex pair
+becomes a full block of dofs. So the cost grows with the tets' edges and
+not with every dof pair of every element. The band comes from the same CSR
+pattern, masked to the free dofs, transposed once and reordered. Assembly
+is K.data = S p, which adds the scaled unit matrices into the pattern in
+ascending element order, so results are reproducible bit for bit. The
+element sensitivities lam . k̂_e u of all elements are one product with S's
+transpose.
 
 A :class:`FemSystem` is its plan's K and reduced right-hand side for one
 material field, made only by :func:`assemble`: no system exists without a
@@ -61,9 +62,10 @@ _DOFS_PER_VERTEX = {"elasticity": 3, "conduction": 1}
 @dataclass(frozen=True, eq=False)
 class AssemblyPlan:
     """The parts of one (specification, physics) system that the material
-    field does not change; see the module docstring. K_ff is laid out once,
-    in `band`, which both the factor and ||K_ff||_1 read. Like a system and
-    a solution, it holds arrays, so it compares and hashes by identity."""
+    field, at the plan's Poisson ratios, does not change; see the module
+    docstring. K_ff is laid out once, in `band`, which both the factor and
+    ||K_ff||_1 read. Like a system and a solution, it holds arrays, so it
+    compares and hashes by identity."""
 
     physics: str
     n_vertices: int
@@ -313,8 +315,8 @@ def _pattern(tets: np.ndarray, n_vertices: int, dpv: int):
 def assembly_plan(spec, physics: str, fld) -> AssemblyPlan:
     """Build the field-independent part of the `physics` system of `spec`.
 
-    `fld` supplies the Poisson ratios of the elasticity unit matrices; a
-    field with other ratios is assembled from a plan of its own. Raises
+    `fld` supplies the Poisson ratios of the elasticity unit matrices, and
+    :func:`assemble` refuses the plan for a field with other ratios. Raises
     ValueError for an unknown physics or a degenerate tet, and
     WellPosednessError when the physics has no Dirichlet data at all.
     """
@@ -385,17 +387,21 @@ def assemble(spec, fld, physics: str, plan: AssemblyPlan | None = None
 
     `spec` supplies the mesh, prescribed values, and applied loads/fluxes;
     `fld` supplies per-element parameters. `plan` is `assembly_plan(spec,
-    physics, ...)`, built here when not given. Raises ValueError for a
+    physics, fld)`, built here when not given. Raises ValueError for a
     parameter that is not positive and finite or a Poisson ratio outside
-    (-1, 0.5), naming the elements where a parameter is NaN, and
-    WellPosednessError when the physics has no Dirichlet data.
+    (-1, 0.5), naming the elements where a parameter is NaN, for a plan of
+    another physics or Poisson ratios, and WellPosednessError when the
+    physics has no Dirichlet data.
     """
     if plan is not None and plan.physics != physics:
         raise ValueError(f"plan is for {plan.physics}, not {physics}")
     scale = _element_parameter(fld, physics)
-    if plan is None or (plan.poisson is not None
-                        and not np.array_equal(fld.poisson, plan.poisson)):
+    if plan is None:
         plan = assembly_plan(spec, physics, fld)
+    elif plan.poisson is not None and not np.array_equal(fld.poisson,
+                                                         plan.poisson):
+        _check_poisson(fld.poisson)  # so a bad ratio is named as one
+        raise ValueError("plan is for other Poisson ratios than the field's")
     # a copy of a CSR matrix skips the index checks of the (data, indices,
     # indptr) constructor and shares the pattern's index arrays
     K = scipy.sparse.csr_matrix(plan.pattern)

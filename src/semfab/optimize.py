@@ -431,15 +431,7 @@ class InversionProblem(_BoxProblem):
             _PropertyConstraint(prop) for prop in spec.properties
         ) + (() if self.lipschitz is None else (self.lipschitz,))
         self.stats = semantics.RunStats()
-        self._plans = {}
-
-    def assembly_plan(self, physics):
-        """The :class:`fem.AssemblyPlan` of ``physics``, built on first use."""
-        if physics not in self._plans:
-            self._plans[physics] = fem.assembly_plan(
-                self.spec, physics, self.base_field
-            )
-        return self._plans[physics]
+        self.plans = {}  # physics -> fem.AssemblyPlan, shared by evaluations
 
     def field_for(self, x):
         return self.base_field.with_values(slice(None), self.parameter, x)
@@ -447,9 +439,8 @@ class InversionProblem(_BoxProblem):
     def evaluation(self, fld):
         """A :class:`semantics.FieldEvaluation` of ``fld`` on this problem's
         plans, counting its solves in this problem's stats."""
-        return semantics.FieldEvaluation(
-            self.spec, fld, self.assembly_plan, self.stats
-        )
+        return semantics.FieldEvaluation(self.spec, fld, self.plans,
+                                         self.stats)
 
     def context(self, x):
         return self.evaluation(self.field_for(x))

@@ -660,30 +660,30 @@ class FieldEvaluation:
     quantities read its solution, and adjoint solves reuse its primal
     factor. Every solve is counted in `stats`, and every quantity that
     :func:`measure` reads off the evaluation is computed once and kept.
-    `plan_for(physics)`, when given, supplies the assembly plan of `spec`
-    for that physics. An evaluation is handed on, explicitly, to the next
-    reader of the same field, so that field is not assembled, factored,
-    solved or measured again.
+    `plans` maps a physics to its :class:`fem.AssemblyPlan` on `spec`, and
+    is shared with whoever handed it: a plan missing from it is built once,
+    from this evaluation's field, and stored there. An evaluation is handed
+    on, explicitly, to the next reader of the same field, so that field is
+    not assembled, factored, solved or measured again.
     """
 
     def __init__(self, spec: BoundSpecification, fld: MaterialField,
-                 plan_for=None, stats: RunStats | None = None):
+                 plans: dict | None = None, stats: RunStats | None = None):
         if fld.n_elements != spec.mesh.n_elements:
             raise ValueError("field does not match mesh element count")
         self.spec = spec
         self.field = fld
         self.stats = RunStats() if stats is None else stats
-        self._plan_for = plan_for
+        self._plans = {} if plans is None else plans
         self._systems = {}
         self._solutions = {}
         self._measured = {}  # (quantity, vertices) -> measured value
 
     def system(self, physics: str) -> fem.FemSystem:
         if physics not in self._systems:
-            plan = None if self._plan_for is None else self._plan_for(physics)
             self._systems[physics] = fem.assemble(
-                self.spec, self.field, physics, plan=plan
-            )
+                self.spec, self.field, physics, self._plans.get(physics))
+            self._plans[physics] = self._systems[physics].plan
         return self._systems[physics]
 
     def solution(self, physics: str) -> fem.FieldSolution:

@@ -231,6 +231,41 @@ def test_verify_refuses_a_malformed_field_file(tmp_path, capsys, edit, key):
                                    "list of ")
 
 
+@pytest.mark.parametrize("edit, rc, failure", [
+    (lambda k: np.full_like(k, 50.0), 1,
+     "at 12 element(s), the first is element 0: conductivity 50.0 is not in "
+     "[0.1, 0.4]"),
+    (lambda k: np.where(np.arange(k.size) == 4, np.nextafter(0.4, 1.0), 0.4),
+     1, "at 1 element(s), the first is element 4: conductivity "
+     "0.4000000000000001 is not in [0.1, 0.4]"),
+    (lambda k: np.where(np.arange(k.size) % 2, 0.1, 0.4), 0, None),
+], ids=["outside", "just-outside", "on-its-bounds"])
+def test_verify_fails_a_field_outside_the_annotated_ranges(
+        tmp_path, capsys, edit, rc, failure):
+    # a volume bound reads no parameter, so no property would catch it
+    m = mesh.generate_box_mesh(1, 1, 2, [1.0, 1.0, 2.0])
+    mesh.save_mesh(m, tmp_path / "mesh.json")
+    (tmp_path / "annotation.json").write_text(json.dumps({
+        "element_annotations": {"default": {"conductivity": [0.1, 0.4]}},
+        "global_properties": [{"name": "volume", "quantity": "volume",
+                               "op": "le", "bound": 10.0}]}))
+    field = semantics.MaterialField.uniform(m.n_elements)
+    field = field.with_values(slice(None), "conductivity",
+                              edit(field.conductivity))
+    (tmp_path / "field.json").write_text(
+        json.dumps(semantics.field_to_dict(field)))
+    capsys.readouterr()
+    assert run_cli("verify", tmp_path / "mesh.json",
+                   tmp_path / "annotation.json",
+                   "--field", tmp_path / "field.json") == rc
+    out = capsys.readouterr().out
+    if failure is None:
+        assert out.endswith("\nall 1 properties pass\n")
+    else:
+        assert out == ("SEMFAB-FAIL[verify] the field leaves the annotated "
+                       f"ranges {failure}\n")
+
+
 def test_verify_annotation_referencing_missing_vertex_exits_2(
         tmp_path, capsys):
     mesh_path, ann_path = write_bar_files(tmp_path, 2, 0.05, BOX)

@@ -451,8 +451,9 @@ def test_plan_assembly_matches_coo_reference(seed, physics):
     # other Poisson ratios than the plan was built with
     fields.append(_random_field(rng, m, rng.uniform(-0.5, 0.45, m)))
     plan = fem.assembly_plan(spec, physics, fields[0])
-    for fld in fields:
-        system = assemble(spec, fld, physics, plan=plan)
+    own = fem.assembly_plan(spec, physics, fields[2])
+    for fld, p in zip(fields, (plan, plan, own)):
+        system = assemble(spec, fld, physics, plan=p)
         ref = _reference_K(mesh, fld, physics)
         scale = abs(ref).max()
         assert abs(system.K - ref).max() <= 1e-12 * scale
@@ -732,6 +733,22 @@ def test_assemble_rejects_a_finite_parameter_outside_its_range(physics):
                 assemble(spec, broken, physics, plan=p)
 
 
+def test_assemble_refuses_a_plan_built_for_other_poisson_ratios():
+    mesh, spec, fld = _loaded_box("elasticity")
+    plan = fem.assembly_plan(spec, "elasticity", fld)
+    other = fld.with_values([5], "poisson", fld.poisson[5] + 0.1)
+    with pytest.raises(ValueError, match="other Poisson ratios than the "
+                       "field's"):
+        assemble(spec, other, "elasticity", plan=plan)
+    # built for the field, or from it, the plan assembles it
+    for p in (fem.assembly_plan(spec, "elasticity", other), None):
+        assert assemble(spec, other, "elasticity", plan=p).plan.poisson[5] \
+            == other.poisson[5]
+    # conduction does not read the Poisson ratios
+    assemble(spec, other, "conduction",
+             plan=fem.assembly_plan(spec, "conduction", fld))
+
+
 @pytest.mark.parametrize("physics", ["elasticity", "conduction"])
 def test_a_parameter_without_a_value_is_named_not_blamed_on_its_range(
         physics):
@@ -921,12 +938,12 @@ def test_element_sensitivity_matches_the_einsum_contraction(physics, case):
     dpv = plan.dofs_per_vertex
     maps = (mesh.tets[:, :, None] * dpv + np.arange(dpv)).reshape(
         mesh.n_elements, -1)
-    # the plan's own ratios, then others, which assemble from a plan of
-    # their own
+    # the plan's own ratios, then others, with a plan of their own
     other = _random_field(rng, mesh.n_elements,
                           rng.uniform(-0.5, 0.45, mesh.n_elements))
-    for f in (fld, other):
-        system = assemble(spec, f, physics, plan=plan)
+    own = fem.assembly_plan(spec, physics, other)
+    for f, p in ((fld, plan), (other, own)):
+        system = assemble(spec, f, physics, plan=p)
         lam = rng.normal(size=dpv * mesh.n_vertices)
         u = rng.normal(size=lam.size)
         unit, _ = _unit_and_parameter(mesh, f, physics)

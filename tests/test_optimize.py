@@ -1307,9 +1307,9 @@ def test_model_ignores_a_stale_evaluation():
     stale = {
         "another field": problem.context(nudged),
         "another spec": semantics.FieldEvaluation(
-            twin.spec, fld, twin.assembly_plan, problem.stats),
+            twin.spec, fld, twin.plans, problem.stats),
         "another RunStats": semantics.FieldEvaluation(
-            problem.spec, fld, problem.assembly_plan, semantics.RunStats()),
+            problem.spec, fld, problem.plans, semantics.RunStats()),
     }
     for name, evaluation in stale.items():
         # solved already, so a wrongful reuse would cost no solve here
@@ -1319,6 +1319,14 @@ def test_model_ignores_a_stale_evaluation():
                                                evaluation)
         assert problem.stats.fem_solves - before == 1, name
         assert_same_model(model, expected)
+
+
+def test_a_frozen_copy_assembles_from_its_problems_plans():
+    problem, plan = upper_bound_bar(10)
+    frozen = problem.with_frozen([0], plan.values[:1])
+    assert frozen.plans is problem.plans
+    assert frozen.context(plan.values).system("elasticity").plan \
+        is problem.plans["elasticity"]
 
 
 def test_a_plan_solves_no_field_twice(monkeypatch):

@@ -1033,8 +1033,8 @@ def test_a_dropped_problem_is_freed_without_the_cycle_collector(build,
                                     **drifting_print_kwargs(strategy))
         assert report.outcome == "success"
         refs = [weakref.ref(problem)] + [
-            weakref.ref(problem.assembly_plan(physics))
-            for physics in problem._plans]
+            weakref.ref(assembly_plan)
+            for assembly_plan in problem.plans.values()]
         del problem, plan, report
         assert [ref() for ref in refs] == [None] * len(refs)
         assert gc.collect() == 0

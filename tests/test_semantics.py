@@ -278,6 +278,23 @@ def test_bind_thermal_only_layer_skips_mechanical_check():
         bind_to_mesh(layer_from_dict(doc_flux_only), mesh)
 
 
+def test_evaluations_share_the_plans_they_are_handed():
+    # a plan missing from the dict is built once, from the first field, and
+    # every evaluation handed the dict assembles from it
+    mesh = generate_box_mesh(1, 1, 2, [1.0, 1.0, 2.0])
+    spec = bind_to_mesh(layer_from_dict(
+        {"vertex_annotations": {"0": {"temperature": 300.0}}}), mesh)
+    fld = spec.midpoint_field()
+    plans = {}
+    plan = FieldEvaluation(spec, fld, plans).system("conduction").plan
+    assert plans == {"conduction": plan}
+    hotter = fld.with_values(slice(None), "conductivity", 2.0)
+    assert FieldEvaluation(spec, hotter, plans).system("conduction").plan \
+        is plan
+    assert FieldEvaluation(spec, hotter).system("conduction").plan \
+        is not plan
+
+
 def prop(quantity, op, bound, vertices=()):
     return PropertySpec(quantity, quantity, op, bound, tuple(vertices))
 
